@@ -1,0 +1,97 @@
+"""Golden-output gate: CLI outputs and simulator metrics, byte for byte.
+
+Every file in ``pipelines/`` is run through ``cli.main`` in process for each
+case in ``CASES``; the exit code, stderr and stdout must equal the committed
+file ``tests/golden/<spec>.<case>.txt`` exactly. Fifty seeded
+``random_sim_triple`` runs must reproduce the sorted-key JSON of their
+``SimMetrics`` line for line; they cover the ``shared-single-device`` model,
+which no shipped spec uses.
+
+The simulator draws from numpy's ``Generator`` stream, so these files pin
+that stream: changing it is a deliberate re-baseline. After a deliberate
+output change, regenerate every golden file with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import os
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from pipevuln.cli import main
+from pipevuln.ranking import PATH_CAP_ENV
+from pipevuln.simulate import simulate
+from pipevuln.specio import parse_spec_file
+
+from conftest import PIPELINES_DIR, random_sim_triple
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SPECS = sorted(p.name for p in PIPELINES_DIR.iterdir())
+CASES = ("paths", "rank", "weights", "amplify", "report", "report_sim", "matrix")
+SIM_GOLDEN = GOLDEN_DIR / "sim_metrics.jsonl"
+SIM_SEEDS = range(50)
+
+
+def _argv(spec: str, case: str) -> list[str]:
+    path = str(PIPELINES_DIR / spec)
+    if case == "report":
+        return ["report", path]
+    if case == "report_sim":
+        # Every shipped spec declares "attacked"; its last config is the
+        # most defended one (a path budget on the traffic variant).
+        config = list(parse_spec_file(path).configs)[-1]
+        return ["report", path, "--scenario", "attacked", "--config", config]
+    return [case, path, "--format", "records"]
+
+
+def _run_cli(argv: list[str]) -> bytes:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    text = f"exit {code}\n--- stderr\n{err.getvalue()}--- stdout\n{out.getvalue()}"
+    return text.encode("utf-8")
+
+
+def _sim_line(seed: int) -> str:
+    graph, scenario, config = random_sim_triple(random.Random(seed))
+    return json.dumps(asdict(simulate(graph, scenario, config)), sort_keys=True)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("spec", SPECS)
+def test_cli_output_matches_golden(spec, case, monkeypatch):
+    monkeypatch.delenv(PATH_CAP_ENV, raising=False)
+    expected = (GOLDEN_DIR / f"{spec}.{case}.txt").read_bytes()
+    assert _run_cli(_argv(spec, case)) == expected
+
+
+@pytest.fixture(scope="module")
+def sim_golden() -> list[str]:
+    return SIM_GOLDEN.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("seed", SIM_SEEDS)
+def test_sim_metrics_match_golden(seed, sim_golden):
+    assert _sim_line(seed) == sim_golden[seed]
+
+
+def regenerate() -> None:
+    os.environ.pop(PATH_CAP_ENV, None)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for spec in SPECS:
+        for case in CASES:
+            (GOLDEN_DIR / f"{spec}.{case}.txt").write_bytes(_run_cli(_argv(spec, case)))
+    lines = [_sim_line(seed) for seed in SIM_SEEDS]
+    SIM_GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    regenerate()
