@@ -55,6 +55,7 @@ from .ranking import (  # noqa: E402
     enumerate_paths,
     path_score,
     rank_and_select,
+    resolve_path,
     wrong_path_report,
 )
 from .simulate import (  # noqa: E402
@@ -96,7 +97,7 @@ __all__ = [
     # ranking
     "ExecutionPath", "ComponentScore", "ScoreContext", "RankedPath",
     "PathRanking", "enumerate_paths", "component_score", "path_score",
-    "compute_loss_weights", "rank_and_select", "wrong_path_report",
+    "compute_loss_weights", "rank_and_select", "resolve_path", "wrong_path_report",
     # simulation
     "TrafficScenario", "DeploymentConfig", "ConfidenceFilter", "Attenuation",
     "InputFilter", "SimMetrics", "EdgeStats", "percentile", "simulate",

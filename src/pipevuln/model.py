@@ -114,21 +114,12 @@ class PipelineGraph:
     gates: dict[str, GateSpec]
     edges: dict[tuple[str, str], EdgeSpec]
     source: str
-
-    def component_ids(self) -> list[str]:
-        return sorted(self.components)
+    #: Component ids with every edge pointing forward, ties broken by id.
+    order: tuple[str, ...]
 
     def routes(self, component: str) -> Mapping[str, str]:
         gate = self.gates.get(component)
         return gate.routes if gate is not None else {}
-
-    def out_edges(self, component: str) -> list[EdgeSpec]:
-        found = [e for (f, _l), e in self.edges.items() if f == component]
-        return sorted(found, key=lambda e: e.label)
-
-    def in_edges(self, component: str) -> list[EdgeSpec]:
-        found = [e for e in self.edges.values() if e.to_id == component]
-        return sorted(found, key=lambda e: (e.from_id, e.label))
 
     def edge(self, from_id: str, label: str) -> EdgeSpec:
         return self.edges[(from_id, label)]
@@ -285,6 +276,13 @@ def _check_finite_nonneg(value: float, what: str) -> None:
         raise BadValueError(f"{what} must be finite and >= 0, got {value}")
 
 
+def _check_no_separator(value: str, what: str) -> None:
+    # Path ids join steps with "->" and component and label with ":", as do
+    # "from:label" edge keys; barring both keeps every id readable one way.
+    if ":" in value or "->" in value:
+        raise BadValueError(f"{what} {value!r} must not contain ':' or '->'")
+
+
 def _validate_component(spec: ComponentSpec) -> None:
     if spec.kind not in _KINDS:
         raise BadValueError(
@@ -308,6 +306,7 @@ def _validate_component(spec: ComponentSpec) -> None:
         )
     if spec.id == EXIT:
         raise BadValueError(f"{EXIT!r} is reserved and cannot be a component id")
+    _check_no_separator(spec.id, "component id")
 
 
 def _validate_profile(profile: BehaviorProfile, routes: Mapping[str, str]) -> None:
@@ -334,34 +333,47 @@ def _validate_profile(profile: BehaviorProfile, routes: Mapping[str, str]) -> No
                 )
 
 
-def _find_cycle(edges: dict[tuple[str, str], EdgeSpec], nodes: list[str]) -> list[str] | None:
-    adjacency: dict[str, list[str]] = {n: [] for n in nodes}
+def _kahn_order(
+    components: Mapping[str, ComponentSpec], edges: dict[tuple[str, str], EdgeSpec]
+) -> tuple[str, ...]:
+    """One iterative pass of Kahn's algorithm, ties broken by id.
+
+    Raises:
+        CycleError: some components never become ready; one cycle among
+            them is named.
+    """
+    indegree = dict.fromkeys(components, 0)
+    successors: dict[str, list[str]] = {cid: [] for cid in components}
     for edge in edges.values():
-        adjacency[edge.from_id].append(edge.to_id)
-    white, gray, black = 0, 1, 2
-    color = {n: white for n in nodes}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = gray
-        stack.append(node)
-        for succ in sorted(adjacency[node]):
-            if color[succ] == gray:
-                return stack[stack.index(succ):] + [succ]
-            if color[succ] == white:
-                found = visit(succ)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[node] = black
-        return None
-
-    for node in sorted(nodes):
-        if color[node] == white:
-            found = visit(node)
-            if found is not None:
-                return found
-    return None
+        indegree[edge.to_id] += 1
+        successors[edge.from_id].append(edge.to_id)
+    ready = [cid for cid, deg in indegree.items() if deg == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        cid = heapq.heappop(ready)
+        order.append(cid)
+        for succ in successors[cid]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                heapq.heappush(ready, succ)
+    if len(order) == len(components):
+        return tuple(order)
+    # Every left-over component has a left-over predecessor, so walking
+    # predecessors from any of them must revisit one: that closes a cycle.
+    predecessor: dict[str, str] = {}
+    for edge in edges.values():
+        if indegree[edge.from_id] and indegree[edge.to_id]:
+            predecessor.setdefault(edge.to_id, edge.from_id)
+    walk: list[str] = []
+    seen: dict[str, int] = {}
+    node = min(cid for cid, deg in indegree.items() if deg)
+    while node not in seen:
+        seen[node] = len(walk)
+        walk.append(node)
+        node = predecessor[node]
+    cycle = [node] + walk[seen[node] + 1:][::-1] + [node]
+    raise CycleError("cycle detected: " + " -> ".join(cycle))
 
 
 def build_graph(raw: Mapping) -> PipelineGraph:
@@ -401,6 +413,7 @@ def build_graph(raw: Mapping) -> PipelineGraph:
         if gate.component in gates:
             raise DuplicateIdError(f"duplicate gate for component {gate.component!r}")
         for label, target in gate.routes.items():
+            _check_no_separator(label, f"gate {gate.component!r} label")
             if target != EXIT and target not in components:
                 raise DanglingReferenceError(
                     f"gate {gate.component!r} routes {label!r} to unknown id {target!r}"
@@ -469,9 +482,7 @@ def build_graph(raw: Mapping) -> PipelineGraph:
 
     # Acyclicity first: a cycle through the source would otherwise
     # misreport as an inbound-edge violation.
-    cycle = _find_cycle(edges, list(components))
-    if cycle is not None:
-        raise CycleError("cycle detected: " + " -> ".join(cycle))
+    order = _kahn_order(components, edges)
 
     if "source" not in doc:
         raise NoSourceError("pipeline document does not declare a source")
@@ -490,27 +501,13 @@ def build_graph(raw: Mapping) -> PipelineGraph:
         gates=dict(sorted(gates.items())),
         edges=dict(sorted(edges.items())),
         source=source,
+        order=order,
     )
 
 
 def topological_order(graph: PipelineGraph) -> list[str]:
     """Component ids with every edge pointing forward; ties broken by id.
 
-    Deterministic: repeated calls on the same graph are identical.
+    The order is decided once, by :func:`build_graph`; this reads it.
     """
-    indegree = {cid: 0 for cid in graph.components}
-    successors: dict[str, list[str]] = {cid: [] for cid in graph.components}
-    for edge in graph.edges.values():
-        indegree[edge.to_id] += 1
-        successors[edge.from_id].append(edge.to_id)
-    ready = [cid for cid, deg in sorted(indegree.items()) if deg == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        cid = heapq.heappop(ready)
-        order.append(cid)
-        for succ in successors[cid]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, succ)
-    return order
+    return list(graph.order)

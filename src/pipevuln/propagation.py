@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import BadValueError, NoSuchPathError, ScenarioMismatchError
+from .errors import BadValueError, ScenarioMismatchError
 from .model import EXIT, BehaviorProfile, PipelineGraph, topological_order
 
 if TYPE_CHECKING:
@@ -80,29 +80,20 @@ def _targeting_by_component(path: "ExecutionPath") -> dict[str, str]:
     return {cid: label for cid, label in path.steps if label != EXIT}
 
 
-def _resolve_path(graph: PipelineGraph, path_id: str) -> "ExecutionPath":
-    from .ranking import enumerate_paths
-
-    for path in enumerate_paths(graph):
-        if path.id == path_id:
-            return path
-    raise NoSuchPathError(f"no execution path with id {path_id!r}")
-
-
 def propagate(graph: PipelineGraph, scenario: object = CLEAN) -> WorkloadVector:
     """Expected per-component workload for one system input.
 
     ``scenario`` is ``"clean"``, an :class:`ExecutionPath` to target, or a
     path id string. The source always counts exactly one invocation.
     """
-    from .ranking import ExecutionPath
+    from .ranking import ExecutionPath, resolve_path
 
     if scenario == CLEAN or scenario is None:
         targeting: dict[str, str] = {}
         tag, target_id = CLEAN, None
     else:
         if isinstance(scenario, str):
-            path = _resolve_path(graph, scenario)
+            path = resolve_path(graph, scenario)
         elif isinstance(scenario, ExecutionPath):
             path = scenario
         else:

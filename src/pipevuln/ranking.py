@@ -161,6 +161,32 @@ def enumerate_paths(
     return sorted(paths, key=lambda p: p.id)
 
 
+def resolve_path(graph: PipelineGraph, path_id: str) -> ExecutionPath:
+    """The execution path whose id is ``path_id``.
+
+    Walks the id's steps from the source through the gates, in O(path
+    length): no enumeration, so no path cap applies. Component ids and gate
+    labels contain neither ``:`` nor ``->``, so an id splits one way only.
+
+    Raises:
+        NoSuchPathError: the id is not a source-to-exit walk that
+            :func:`enumerate_paths` would list.
+    """
+    steps: list[tuple[str, str]] = []
+    node: str | None = graph.source
+    for step in path_id.split("->"):
+        cid, sep, label = step.partition(":")
+        # A component without a gate ends every walk with the EXIT sentinel.
+        routes = graph.routes(cid) or {EXIT: EXIT}
+        if cid != node or not sep or label not in routes:
+            raise NoSuchPathError(f"no execution path with id {path_id!r}")
+        node = None if routes[label] == EXIT else routes[label]
+        steps.append((cid, label))
+    if node is not None:
+        raise NoSuchPathError(f"no execution path with id {path_id!r}")
+    return ExecutionPath.make(steps)
+
+
 def component_score(spec: ComponentSpec, ctx: ScoreContext) -> ComponentScore:
     """Score one component from its clean/targeted workloads and reference.
 
@@ -263,7 +289,7 @@ def rank_and_select(graph: PipelineGraph, cap: int | None = None) -> PathRanking
     clean = propagate(graph, CLEAN)
     reference = _reference_cost(graph, clean)
     entries = [_score_path(graph, p, clean, reference) for p in paths]
-    selected = max(entries, key=lambda r: (r.score, _NegId(r.path.id)))
+    selected = min(entries, key=lambda r: (-r.score, r.path.id))
     return _assemble(entries, selected)
 
 
@@ -286,15 +312,6 @@ def wrong_path_report(
     ]
     if not matching:
         raise NoSuchPathError(f"no execution path takes label {forced_label!r}")
-    selected = max(matching, key=lambda r: (r.score, _NegId(r.path.id)))
+    selected = min(matching, key=lambda r: (-r.score, r.path.id))
     return _assemble(entries, selected)
 
-
-class _NegId(str):
-    """Reverses string comparison so max() prefers the smaller path id."""
-
-    def __lt__(self, other) -> bool:  # pragma: no cover - trivial
-        return str.__gt__(self, other)
-
-    def __gt__(self, other) -> bool:
-        return str.__lt__(self, other)

@@ -1,8 +1,12 @@
 """Deterministic discrete-event simulation of the deployed pipeline.
 
-Each component is a server consuming items from its inbound queues. A
-service call takes ``min(batch, queued)`` items (greedy flush, no timeout)
-and runs for ``per_call_overhead + sum(item GFLOPs) / device_rate`` seconds.
+Each component is a server with one FIFO of the items waiting for it, from
+all its inbound edges in admission order; an edge keeps only counters, and
+its ``queued`` count drives its capacity check. A service call takes
+``min(batch, queued)`` items from the front of the FIFO (greedy flush, no
+timeout) and runs for ``per_call_overhead + sum(item GFLOPs) / device_rate``
+seconds. Admitted items are numbered in rising order over the run; a shared
+device next serves the member whose FIFO head has the lowest number.
 Emitted counts are Poisson draws around the profile's mean cardinality,
 thinned by confidence survival, attenuated by input preprocessing, and
 capped by per-path budgets; arrivals at a full queue are tail-dropped.
@@ -34,12 +38,11 @@ from .errors import (
     BadValueError,
     EmptyInputError,
     NonTerminationError,
-    NoSuchPathError,
     PipelineError,
 )
 from .model import EXIT, NEURAL, PipelineGraph, topological_order
 from .propagation import expected_emission
-from .ranking import ExecutionPath, enumerate_paths
+from .ranking import resolve_path
 
 BACK_TO_BACK = "back-to-back"
 FIXED_INTERVAL = "fixed-interval"
@@ -260,20 +263,12 @@ def _lineage_rng(seed: int, tag: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
 
 
-class _Item:
-    __slots__ = ("input_id", "adv", "uid", "seq")
-
-    def __init__(self, input_id: int, adv: bool, uid: str, seq: int):
-        self.input_id = input_id
-        self.adv = adv
-        self.uid = uid
-        self.seq = seq
-
-
 class _EdgeQueue:
+    """Counters of one edge; its queued items wait in the target's FIFO."""
+
     __slots__ = (
         "key", "capacity", "budget_cap", "budget_used",
-        "queue", "enqueued", "dequeued", "dropped",
+        "queued", "enqueued", "dequeued", "dropped",
     )
 
     def __init__(self, key: str, capacity: int | None, budget_cap: int | None):
@@ -281,27 +276,36 @@ class _EdgeQueue:
         self.capacity = capacity
         self.budget_cap = budget_cap
         self.budget_used = 0
-        self.queue: deque[_Item] = deque()
+        self.queued = 0
         self.enqueued = 0
         self.dequeued = 0
         self.dropped = 0
 
-    def offer(self, item: _Item) -> bool:
-        """Count the arrival; enqueue unless budget or capacity rejects it."""
+    def offer(self) -> bool:
+        """Count an arrival; admit it unless budget or capacity rejects it."""
         self.enqueued += 1
         if self.budget_cap is not None and self.budget_used >= self.budget_cap:
             self.dropped += 1
             return False
-        if self.capacity is not None and len(self.queue) >= self.capacity:
+        if self.capacity is not None and self.queued >= self.capacity:
             self.dropped += 1
             return False
         self.budget_used += 1
-        self.queue.append(item)
+        self.queued += 1
         return True
 
-    def take(self) -> _Item:
-        self.dequeued += 1
-        return self.queue.popleft()
+
+class _Item:
+    __slots__ = ("input_id", "adv", "uid", "seq", "edge")
+
+    def __init__(
+        self, input_id: int, adv: bool, uid: str, seq: int, edge: _EdgeQueue
+    ):
+        self.input_id = input_id
+        self.adv = adv
+        self.uid = uid
+        self.seq = seq
+        self.edge = edge
 
 
 class _Device:
@@ -329,15 +333,13 @@ class _Run:
         self.max_events = max_events
         self.seed = scenario.seed
 
-        self.targeting = self._resolve_targeting()
-        self.edge_queues = self._build_edge_queues()
-        self.inbound: dict[str, list[_EdgeQueue]] = {
-            cid: [] for cid in graph.components
+        pid = scenario.target_path
+        self.targeting = {} if pid is None else {
+            cid: label for cid, label in resolve_path(graph, pid).steps if label != EXIT
         }
-        for (from_id, label), eq in sorted(self.edge_queues.items()):
-            self.inbound[graph.edges[(from_id, label)].to_id].append(eq)
+        self.edge_queues = self._build_edge_queues()
+        self.fifo: dict[str, deque[_Item]] = {cid: deque() for cid in graph.components}
         self.source_queue = _EdgeQueue("@source", None, None)
-        self.inbound[graph.source].insert(0, self.source_queue)
         self.devices = self._build_devices()
 
         self.heap: list[tuple[float, int, str, object]] = []
@@ -351,7 +353,6 @@ class _Run:
         self.arrival_time = [0.0] * n
         self.outstanding = [0] * n
         self.last_exit: dict[int, float] = {}
-        self.last_activity = [0.0] * n
         self.resolved = [False] * n
         self.completed = 0
         self.filtered = 0
@@ -361,25 +362,10 @@ class _Run:
 
     # -- setup ------------------------------------------------------------
 
-    def _resolve_targeting(self) -> dict[str, str]:
-        pid = self.scenario.target_path
-        if pid is None:
-            return {}
-        for path in enumerate_paths(self.graph):
-            if path.id == pid:
-                return {cid: label for cid, label in path.steps if label != EXIT}
-        raise NoSuchPathError(f"scenario targets unknown path {pid!r}")
-
-    def _resolve_budget_path(self, pid: str) -> ExecutionPath:
-        for path in enumerate_paths(self.graph):
-            if path.id == pid:
-                return path
-        raise NoSuchPathError(f"path budget names unknown path {pid!r}")
-
     def _build_edge_queues(self) -> dict[tuple[str, str], _EdgeQueue]:
         budget_caps: dict[tuple[str, str], int] = {}
         for pid, budget in sorted(self.config.path_budgets.items()):
-            path = self._resolve_budget_path(pid)
+            path = resolve_path(self.graph, pid)
             cap = int(math.floor(budget * self.scenario.n_inputs + 1e-9))
             for cid, label in path.steps:
                 if label == EXIT or self.graph.routes(cid).get(label) == EXIT:
@@ -465,37 +451,33 @@ class _Run:
                     self.completed += 1
                     return
                 adversarial = False
-        item = _Item(input_id, adversarial, f"i{input_id}", self.item_seq)
+        item = _Item(
+            input_id, adversarial, f"i{input_id}", self.item_seq, self.source_queue
+        )
         self.item_seq += 1
         self.outstanding[input_id] += 1
-        self.source_queue.offer(item)
+        self.source_queue.offer()
+        self.fifo[self.graph.source].append(item)
         self._try_start(self.devices[self.device_of[self.graph.source]])
 
     def _try_start(self, device: _Device) -> None:
         if device.busy:
             return
-        best_comp: str | None = None
-        best_seq = -1
-        for cid in device.members:
-            heads = [eq.queue[0].seq for eq in self.inbound[cid] if eq.queue]
-            if not heads:
-                continue
-            head = min(heads)
-            if best_comp is None or head < best_seq:
-                best_comp, best_seq = cid, head
+        best_comp = min(
+            (cid for cid in device.members if self.fifo[cid]),
+            key=lambda cid: self.fifo[cid][0].seq,
+            default=None,
+        )
         if best_comp is None:
             return
         spec = self.graph.components[best_comp]
         limit = self.config.batch_size(best_comp) if spec.batchable else 1
-        batch: list[_Item] = []
-        while len(batch) < limit:
-            candidates = [eq for eq in self.inbound[best_comp] if eq.queue]
-            if not candidates:
-                break
-            eq = min(candidates, key=lambda e: e.queue[0].seq)
-            batch.append(eq.take())
+        fifo = self.fifo[best_comp]
+        batch = [fifo.popleft() for _ in range(min(limit, len(fifo)))]
         gflops = 0.0
         for item in batch:
+            item.edge.queued -= 1
+            item.edge.dequeued += 1
             if item.adv:
                 self.processed_adv[best_comp] += 1
                 gflops += spec.adv_cost
@@ -525,7 +507,6 @@ class _Run:
         touched: set[str] = {device_id}
         for item in batch:
             input_id = item.input_id
-            self.last_activity[input_id] = self.now
             if not routes:
                 # Gateless component: the item itself exits here.
                 self.last_exit[input_id] = self.now
@@ -557,22 +538,24 @@ class _Run:
                         )
                     continue
                 eq = self.edge_queues[(comp, label)]
+                fifo = self.fifo[target]
                 for child_index in range(survivors):
-                    child = _Item(
-                        input_id,
-                        item.adv,
-                        f"{item.uid}|{label}.{child_index}",
-                        self.item_seq,
-                    )
-                    self.item_seq += 1
-                    if eq.offer(child):
+                    if eq.offer():
+                        fifo.append(_Item(
+                            input_id,
+                            item.adv,
+                            f"{item.uid}|{label}.{child_index}",
+                            self.item_seq,
+                            eq,
+                        ))
+                        self.item_seq += 1
                         self.outstanding[input_id] += 1
                         touched.add(self.device_of[target])
             self.outstanding[input_id] -= 1
             if self.outstanding[input_id] == 0 and not self.resolved[input_id]:
                 self.resolved[input_id] = True
                 self.completed += 1
-                finish = self.last_exit.get(input_id, self.last_activity[input_id])
+                finish = self.last_exit.get(input_id, self.now)
                 self.latencies[input_id] = finish - self.arrival_time[input_id]
         for touched_id in sorted(touched):
             self._try_start(self.devices[touched_id])
@@ -597,12 +580,11 @@ class _Run:
         edge_stats = {}
         total_dropped = 0
         for (from_id, label), eq in sorted(self.edge_queues.items()):
-            residual = len(eq.queue)
             edge_stats[eq.key] = EdgeStats(
                 enqueued=eq.enqueued,
                 dequeued=eq.dequeued,
                 dropped=eq.dropped,
-                residual=residual,
+                residual=eq.queued,
             )
             total_dropped += eq.dropped
         total_gflops = 0.0

@@ -16,6 +16,7 @@ from pipevuln.errors import (
     SchemaError,
 )
 from pipevuln.model import build_graph, topological_order
+from pipevuln.ranking import rank_and_select
 from pipevuln.specio import graph_to_document
 
 from conftest import random_graph_doc, traffic_doc
@@ -157,6 +158,29 @@ class TestBuildGraph:
         doc["profiles"] = [p for p in doc["profiles"] if p["component"] != "sum"]
         graph = build_graph(doc)
         assert graph.profiles["sum"].clean_cardinality == {}
+
+
+class TestDeepChain:
+    """Build-time ordering and cycle detection are iterative: a 1,500-deep
+    chain neither overflows the interpreter stack nor hides its cycle."""
+
+    IDS = tuple(f"c{i:04d}" for i in range(1500))
+
+    def test_builds_and_ranks(self):
+        graph = build_graph(chain_doc(self.IDS))
+        assert topological_order(graph) == list(self.IDS)
+        ranking = rank_and_select(graph)
+        assert ranking.selected.path.components == self.IDS
+
+    def test_back_edge_names_the_cycle(self):
+        doc = chain_doc(self.IDS)
+        doc["edges"].append({"from": "c1499", "to": "c0001", "label": "back"})
+        doc["gates"].append({"component": "c1499", "routes": {"back": "c0001"}})
+        with pytest.raises(CycleError) as err:
+            build_graph(doc)
+        assert err.value.code == "E_CYCLE"
+        cycle = " -> ".join(self.IDS[1:] + self.IDS[1:2])
+        assert str(err.value) == f"E_CYCLE: cycle detected: {cycle}"
 
 
 class TestRejectionCompleteness:

@@ -93,11 +93,11 @@ class TestPropagate:
                 if cid == graph.source:
                     continue
                 inflow = 0.0
-                for edge in graph.in_edges(cid):
-                    mean = expected_emission(
-                        graph.profiles[edge.from_id], edge.label, None
-                    )
-                    inflow += workload.entries[edge.from_id] * mean
+                for (from_id, label), edge in sorted(graph.edges.items()):
+                    if edge.to_id != cid:
+                        continue
+                    mean = expected_emission(graph.profiles[from_id], label, None)
+                    inflow += workload.entries[from_id] * mean
                 assert workload.entries[cid] == inflow
 
     def test_linearity_in_source_count(self):

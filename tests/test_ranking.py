@@ -28,10 +28,12 @@ from pipevuln.ranking import (
     enumerate_paths,
     path_score,
     rank_and_select,
+    resolve_path,
     wrong_path_report,
 )
+from pipevuln.specio import parse_spec_file
 
-from conftest import random_graph_doc, scale_costs, traffic_doc
+from conftest import PIPELINES_DIR, random_graph_doc, scale_costs, traffic_doc
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -168,6 +170,37 @@ class TestEnumeratePaths:
         monkeypatch.setenv("PIPEVULN_PATH_CAP", "2")
         with pytest.raises(PathExplosionError):
             enumerate_paths(traffic_graph)
+
+
+class TestResolvePath:
+    def test_resolves_every_path_of_shipped_and_random_graphs(self):
+        graphs = [parse_spec_file(str(f)).graph for f in PIPELINES_DIR.iterdir()]
+        rng = random.Random(77)
+        graphs += [build_graph(random_graph_doc(rng)) for _ in range(50)]
+        for graph in graphs:
+            for path in enumerate_paths(graph):
+                assert resolve_path(graph, path.id) == path
+
+    def test_ignores_the_path_cap(self, traffic_graph, monkeypatch):
+        monkeypatch.setenv("PIPEVULN_PATH_CAP", "1")
+        path = resolve_path(traffic_graph, "od:car->lpr:plate->sum:EXIT")
+        assert path.components == ("od", "lpr", "sum")
+
+    @pytest.mark.parametrize("path_id", [
+        "od:car->lpr:plate",  # truncated
+        "od:car->lpr:plate->sum:EXIT->sum:EXIT",  # extra step
+        "od:other->sum:EXIT",  # step after an EXIT route
+        "od:car->lpr:face->sum:EXIT",  # wrong label
+        "od:car->lpr:plate->sum:done",  # gateless component, label not EXIT
+        "lpr:plate->sum:EXIT",  # wrong source
+        "od:car->pr:face->sum:EXIT",  # label routes elsewhere
+        "od:car->lpr->sum:EXIT",  # step without a label
+        "",
+    ])
+    def test_rejects_ids_that_are_not_walks(self, traffic_graph, path_id):
+        with pytest.raises(NoSuchPathError) as err:
+            resolve_path(traffic_graph, path_id)
+        assert err.value.code == "E_NO_SUCH_PATH"
 
 
 # ---------------------------------------------------------------------------
