@@ -21,7 +21,7 @@ from .errors import PipelineError, SyntaxParseError
 from .model import topological_order
 from .propagation import amplification_matrix, clean_cost, cost, propagate
 from .ranking import PathRanking, rank_and_select, wrong_path_report
-from .simulate import metric_columns, metric_row, run_matrix, simulate
+from .simulate import SimMetrics, metric_columns, metric_row, run_matrix, simulate
 from .specio import SpecDocument, build_report, parse_spec_file, report_to_json
 
 TABLE, CSV, RECORDS = "table", "csv", "records"
@@ -222,7 +222,7 @@ def _cmd_amplify(args) -> int:
     for path in spec.paths:
         breakdown = cost(graph, propagate(graph, path), reference)
         add(f"adversarial({path.id})", breakdown)
-    best = max(matrix, key=lambda pid: (matrix[pid], _RevStr(pid)))
+    best = min(matrix, key=lambda pid: (-matrix[pid], pid))
     _note(args, f"analytic argmax path: {best}")
     if args.format == RECORDS:
         _write(args, [_capture(_emit_records, records)])
@@ -231,11 +231,6 @@ def _cmd_amplify(args) -> int:
     else:
         _write(args, [_capture(_emit_table, header, rows)])
     return 0
-
-
-class _RevStr(str):
-    def __lt__(self, other) -> bool:
-        return str.__gt__(self, other)
 
 
 def _pick(section: dict, name: str | None, what: str, spec_path: str):
@@ -251,37 +246,38 @@ def _pick(section: dict, name: str | None, what: str, spec_path: str):
     return section[name]
 
 
+def _metrics_record(label: str, metrics: SimMetrics) -> dict:
+    return {
+        "label": label,
+        "wall_time_s": metrics.wall_time_s,
+        "throughput_ips": metrics.throughput_ips,
+        "avg_e2e_s": metrics.avg_e2e_s,
+        "p50_s": metrics.p50_s,
+        "p95_s": metrics.p95_s,
+        "p99_s": metrics.p99_s,
+        "completed": metrics.completed,
+        "workload": metrics.workload,
+        "drops": metrics.drops,
+        "filtered": metrics.filtered,
+        "total_tflops": metrics.total_tflops,
+        "edges": {
+            key: {
+                "enqueued": st.enqueued,
+                "dequeued": st.dequeued,
+                "dropped": st.dropped,
+                "residual": st.residual,
+            }
+            for key, st in metrics.edge_stats.items()
+        },
+    }
+
+
 def _metrics_output(args, spec: SpecDocument, labeled: list[tuple]) -> None:
     graph = spec.graph
     header = metric_columns(graph)
     rows = [metric_row(graph, label, metrics) for label, metrics in labeled]
     if args.format == RECORDS:
-        records = []
-        for label, metrics in labeled:
-            record = {
-                "label": label,
-                "wall_time_s": metrics.wall_time_s,
-                "throughput_ips": metrics.throughput_ips,
-                "avg_e2e_s": metrics.avg_e2e_s,
-                "p50_s": metrics.p50_s,
-                "p95_s": metrics.p95_s,
-                "p99_s": metrics.p99_s,
-                "completed": metrics.completed,
-                "workload": metrics.workload,
-                "drops": metrics.drops,
-                "filtered": metrics.filtered,
-                "total_tflops": metrics.total_tflops,
-                "edges": {
-                    key: {
-                        "enqueued": st.enqueued,
-                        "dequeued": st.dequeued,
-                        "dropped": st.dropped,
-                        "residual": st.residual,
-                    }
-                    for key, st in metrics.edge_stats.items()
-                },
-            }
-            records.append(record)
+        records = [_metrics_record(label, metrics) for label, metrics in labeled]
         _write(args, [_capture(_emit_records, records)])
     elif args.format == CSV:
         _write(args, [_capture(_emit_csv, header, rows)])
@@ -351,19 +347,9 @@ def _cmd_report(args) -> int:
         metrics = simulate(graph, scenario, config)
         params["scenario"] = args.scenario
         params["config"] = args.config
-        results["simulation"] = {
-            "label": f"{args.scenario}/{args.config}",
-            "wall_time_s": metrics.wall_time_s,
-            "throughput_ips": metrics.throughput_ips,
-            "avg_e2e_s": metrics.avg_e2e_s,
-            "p50_s": metrics.p50_s,
-            "p95_s": metrics.p95_s,
-            "p99_s": metrics.p99_s,
-            "workload": metrics.workload,
-            "drops": metrics.drops,
-            "filtered": metrics.filtered,
-            "total_tflops": metrics.total_tflops,
-        }
+        results["simulation"] = _metrics_record(
+            f"{args.scenario}/{args.config}", metrics
+        )
     report = build_report(spec, "report", params, results)
     _write(args, [report_to_json(report)])
     return 0

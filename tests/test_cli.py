@@ -7,11 +7,15 @@ import io
 import json
 
 import pytest
+import yaml
 
 from pipevuln.cli import main
+from pipevuln.model import build_graph
 from pipevuln.ranking import rank_and_select
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec_file
+
+from conftest import traffic_doc
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -158,6 +162,62 @@ class TestSubcommands:
         assert code == 0
         assert out == ""
         assert "path_id" in target.read_text()
+
+
+class TestSpecBoundsAndRules:
+    @pytest.mark.parametrize("name,renamed", [
+        ('"pr"', '"p:r"'),  # component id
+        ('"pr"', '"p->r"'),
+        ('"person"', '"per:son"'),  # gate label
+        ('"person"', '"per->son"'),
+    ])
+    def test_path_id_separators_rejected(self, capsys, tmp_path, name, renamed):
+        doc = json.loads(json.dumps(traffic_doc()).replace(name, renamed))
+        with pytest.raises(Exception) as err:
+            build_graph(doc)
+        assert getattr(err.value, "code", None) == "E_BAD_VALUE"
+        spec = tmp_path / "separator.yaml"
+        spec.write_text(yaml.safe_dump(doc))
+        code, _, stderr = run_cli(capsys, "validate", str(spec))
+        assert code == 1
+        assert stderr.startswith("E_BAD_VALUE")
+
+    @pytest.mark.parametrize("command,config", [
+        ("simulate", "budget"),
+        ("report", "none"),
+    ])
+    def test_path_cap_flag_overrides_env_in_simulating_commands(
+        self, capsys, monkeypatch, variant_spec_path, command, config
+    ):
+        monkeypatch.setenv("PIPEVULN_PATH_CAP", "2")
+        code, _, stderr = run_cli(capsys, command, variant_spec_path,
+                                  "--scenario", "attacked", "--config", config,
+                                  "--path-cap", "10")
+        assert code == 0, stderr
+
+    def test_amplify_argmax_tie_breaks_toward_smallest_id(self, capsys,
+                                                         tmp_path):
+        # Two mirror-image branches amplify equally; the note must name the
+        # path rank selects, the one with the smaller id.
+        leaf = {"kind": "neural", "clean_cost_gflops": 5.0}
+        doc = {
+            "components": [{"id": "a", "kind": "neural", "clean_cost_gflops": 1.0},
+                           {"id": "b", **leaf}, {"id": "c", **leaf}],
+            "profiles": [{"component": "a",
+                          "clean_cardinality": {"x": 1.0, "y": 1.0},
+                          "adv_cardinality": {"x": 3.0, "y": 3.0}}],
+            "gates": [{"component": "a", "routes": {"x": "b", "y": "c"}}],
+            "edges": [{"from": "a", "to": "b", "label": "x"},
+                      {"from": "a", "to": "c", "label": "y"}],
+            "source": "a",
+        }
+        spec = tmp_path / "tie.yaml"
+        spec.write_text(yaml.safe_dump(doc))
+        code, _, stderr = run_cli(capsys, "amplify", str(spec))
+        assert code == 0
+        assert stderr == "analytic argmax path: a:x->b:EXIT\n"
+        ranking = rank_and_select(parse_spec_file(str(spec)).graph)
+        assert ranking.selected.path.id == "a:x->b:EXIT"
 
 
 class TestDeterminismAndAgreement:
