@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from pipevuln.cli import main
-from pipevuln.ranking import PATH_CAP_ENV
+from pipevuln.ranking import PATH_CAP_ENV, enumerate_paths
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec_file
 
@@ -35,15 +35,25 @@ from conftest import PIPELINES_DIR, random_sim_triple
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SPECS = sorted(p.name for p in PIPELINES_DIR.iterdir())
-CASES = ("paths", "rank", "weights", "amplify", "report", "report_sim", "matrix")
+CASES = (
+    "validate", "paths", "rank", "rank_forced", "weights", "amplify", "report",
+    "report_sim", "matrix",
+)
 SIM_GOLDEN = GOLDEN_DIR / "sim_metrics.jsonl"
 SIM_SEEDS = range(50)
 
 
 def _argv(spec: str, case: str) -> list[str]:
     path = str(PIPELINES_DIR / spec)
+    if case == "validate":
+        return ["validate", path]
     if case == "report":
         return ["report", path]
+    if case == "rank_forced":
+        # The last path's first label: on the shipped specs it forces
+        # selection away from the top-ranked path.
+        label = enumerate_paths(parse_spec_file(path).graph)[-1].steps[0][1]
+        return ["rank", path, "--force-label", label, "--format", "records"]
     if case == "report_sim":
         # Every shipped spec declares "attacked"; its last config is the
         # most defended one (a path budget on the traffic variant).
