@@ -49,7 +49,6 @@ from .ranking import (  # noqa: E402
     ExecutionPath,
     PathRanking,
     RankedPath,
-    ScoreContext,
     component_score,
     compute_loss_weights,
     enumerate_paths,
@@ -95,7 +94,7 @@ __all__ = [
     "WorkloadVector", "CostBreakdown", "propagate", "cost", "clean_cost",
     "amplification_matrix", "expected_emission",
     # ranking
-    "ExecutionPath", "ComponentScore", "ScoreContext", "RankedPath",
+    "ExecutionPath", "ComponentScore", "RankedPath",
     "PathRanking", "enumerate_paths", "component_score", "path_score",
     "compute_loss_weights", "rank_and_select", "resolve_path", "wrong_path_report",
     # simulation

@@ -19,8 +19,8 @@ from typing import Any, Sequence
 from . import __version__
 from .errors import PipelineError, SyntaxParseError
 from .model import topological_order
-from .propagation import amplification_matrix, clean_cost, cost, propagate
-from .ranking import PathRanking, rank_and_select, wrong_path_report
+from .propagation import amplification_matrix, clean_cost
+from .ranking import PathRanking, enumerate_paths, rank_and_select, wrong_path_report
 from .simulate import SimMetrics, metric_columns, metric_row, run_matrix, simulate
 from .specio import SpecDocument, build_report, parse_spec_file, report_to_json
 
@@ -76,11 +76,6 @@ def _capture(emitter, *call_args) -> str:
     return buffer.getvalue()
 
 
-def _load(args) -> SpecDocument:
-    cap = args.path_cap
-    return parse_spec_file(args.spec, path_cap=cap)
-
-
 def _note(args, message: str) -> None:
     if not args.quiet:
         print(message, file=sys.stderr)
@@ -92,11 +87,12 @@ def _note(args, message: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    spec = _load(args)
+    spec = parse_spec_file(args.spec)
     graph = spec.graph
+    n_paths = len(enumerate_paths(graph, cap=args.path_cap))
     summary = (
         f"ok: {len(graph.components)} components, {len(graph.edges)} edges, "
-        f"{len(spec.paths)} paths, {len(spec.scenarios)} scenarios, "
+        f"{n_paths} paths, {len(spec.scenarios)} scenarios, "
         f"{len(spec.configs)} configs, digest {spec.digest}"
     )
     _write(args, [summary + "\n"])
@@ -104,12 +100,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_paths(args) -> int:
-    spec = _load(args)
+    paths = enumerate_paths(parse_spec_file(args.spec).graph, cap=args.path_cap)
     header = ["path_id", "components"]
-    rows = [[p.id, "|".join(p.components)] for p in spec.paths]
+    rows = [[p.id, "|".join(p.components)] for p in paths]
     if args.format == RECORDS:
         records = [
-            {"path_id": p.id, "components": list(p.components)} for p in spec.paths
+            {"path_id": p.id, "components": list(p.components)} for p in paths
         ]
         _write(args, [_capture(_emit_records, records)])
     elif args.format == CSV:
@@ -160,22 +156,20 @@ def _emit_ranking(args, ranking: PathRanking) -> None:
         _write(args, [_capture(_emit_table, header, rows)])
 
 
-def _cmd_rank(args) -> int:
-    spec = _load(args)
+def _rank(args) -> PathRanking:
+    graph = parse_spec_file(args.spec).graph
     if args.force_label:
-        ranking = wrong_path_report(spec.graph, args.force_label, cap=args.path_cap)
-    else:
-        ranking = rank_and_select(spec.graph, cap=args.path_cap)
-    _emit_ranking(args, ranking)
+        return wrong_path_report(graph, args.force_label, cap=args.path_cap)
+    return rank_and_select(graph, cap=args.path_cap)
+
+
+def _cmd_rank(args) -> int:
+    _emit_ranking(args, _rank(args))
     return 0
 
 
 def _cmd_weights(args) -> int:
-    spec = _load(args)
-    if args.force_label:
-        ranking = wrong_path_report(spec.graph, args.force_label, cap=args.path_cap)
-    else:
-        ranking = rank_and_select(spec.graph, cap=args.path_cap)
+    ranking = _rank(args)
     header = ["component", "weight"]
     rows = [[c, w] for c, w in ranking.weights.items()]
     if args.format == RECORDS:
@@ -193,43 +187,35 @@ def _cmd_weights(args) -> int:
 
 
 def _cmd_amplify(args) -> int:
-    spec = _load(args)
-    graph = spec.graph
-    comp_order = topological_order(graph)
-    reference = clean_cost(graph)
+    graph = parse_spec_file(args.spec).graph
     matrix = amplification_matrix(graph, cap=args.path_cap)
+    # Each breakdown's scenario is "clean" or "adversarial(<path id>)".
+    breakdowns = [clean_cost(graph), *matrix.values()]
+    best = min(matrix, key=lambda pid: (-matrix[pid].amplification, pid))
+    _note(args, f"analytic argmax path: {best}")
+    if args.format == RECORDS:
+        records = [
+            {
+                "scenario": b.scenario,
+                "total_gflops": b.total_gflops,
+                "flops_x": b.amplification,
+                "per_component_gflops": b.per_component,
+            }
+            for b in breakdowns
+        ]
+        _write(args, [_capture(_emit_records, records)])
+        return 0
+    comp_order = topological_order(graph)
     header = ["scenario", "total_gflops", "flops_x"] + [
         f"gflops_{cid}" for cid in comp_order
     ]
-    rows: list[list] = []
-    records: list[dict] = []
-
-    def add(label: str, breakdown) -> None:
-        rows.append(
-            [label, breakdown.total_gflops, breakdown.amplification]
-            + [breakdown.per_component[cid] for cid in comp_order]
-        )
-        records.append({
-            "scenario": label,
-            "total_gflops": breakdown.total_gflops,
-            "flops_x": breakdown.amplification,
-            "per_component_gflops": {
-                cid: breakdown.per_component[cid] for cid in comp_order
-            },
-        })
-
-    add("clean", reference)
-    for path in spec.paths:
-        breakdown = cost(graph, propagate(graph, path), reference)
-        add(f"adversarial({path.id})", breakdown)
-    best = min(matrix, key=lambda pid: (-matrix[pid], pid))
-    _note(args, f"analytic argmax path: {best}")
-    if args.format == RECORDS:
-        _write(args, [_capture(_emit_records, records)])
-    elif args.format == CSV:
-        _write(args, [_capture(_emit_csv, header, rows)])
-    else:
-        _write(args, [_capture(_emit_table, header, rows)])
+    rows = [
+        [b.scenario, b.total_gflops, b.amplification]
+        + [b.per_component[cid] for cid in comp_order]
+        for b in breakdowns
+    ]
+    emit = _emit_csv if args.format == CSV else _emit_table
+    _write(args, [_capture(emit, header, rows)])
     return 0
 
 
@@ -297,7 +283,7 @@ def _metrics_output(args, spec: SpecDocument, labeled: list[tuple]) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    spec = _load(args)
+    spec = parse_spec_file(args.spec)
     scenario = _pick(spec.scenarios, args.scenario, "scenario", args.spec)
     config = _pick(spec.configs, args.config, "config", args.spec)
     if args.seed is not None:
@@ -308,7 +294,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    spec = _load(args)
+    spec = parse_spec_file(args.spec)
     scenarios = spec.scenarios
     configs = spec.configs
     if args.scenario:
@@ -328,14 +314,15 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    spec = _load(args)
+    spec = parse_spec_file(args.spec)
     graph = spec.graph
     ranking = rank_and_select(graph, cap=args.path_cap)
     _, rank_records = _ranking_rows(ranking)
+    by_id = sorted(ranking.entries, key=lambda r: r.path.id)
     results: dict[str, Any] = {
-        "paths": [p.id for p in spec.paths],
+        "paths": [r.path.id for r in by_id],
         "ranking": rank_records,
-        "amplification": amplification_matrix(graph, cap=args.path_cap),
+        "amplification": {r.path.id: r.flops_x for r in by_id},
     }
     params: dict[str, Any] = {"spec": os.path.basename(args.spec)}
     if args.scenario and args.config:

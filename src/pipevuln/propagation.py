@@ -129,20 +129,21 @@ def cost(
     everywhere they reach). ``reference`` supplies the clean total for the
     amplification ratio; omitted, the breakdown is its own reference.
     """
-    if set(workload.entries) != set(graph.components):
+    if workload.entries.keys() != graph.components.keys():
         raise ScenarioMismatchError(
             "workload vector components do not match the graph"
         )
+    adversarial = workload.adversarial
     per: dict[str, float] = {}
     for cid in sorted(graph.components):
         spec = graph.components[cid]
-        unit = spec.adv_cost if workload.adversarial else spec.clean_cost
+        unit = spec.adv_cost if adversarial else spec.clean_cost
         per[cid] = workload.entries[cid] * unit
-    total = sum(per[cid] for cid in sorted(per))
+    total = sum(per.values())  # filled in sorted id order: a fixed sum order
     if reference is None:
         amplification = 1.0
     else:
-        if set(reference.per_component) != set(graph.components):
+        if reference.per_component.keys() != graph.components.keys():
             raise ScenarioMismatchError(
                 "reference breakdown components do not match the graph"
             )
@@ -165,18 +166,18 @@ def clean_cost(graph: PipelineGraph) -> CostBreakdown:
 
 def amplification_matrix(
     graph: PipelineGraph, cap: int | None = None
-) -> dict[str, float]:
-    """Analytic FLOPs amplification of targeting each path, vs clean.
+) -> dict[str, CostBreakdown]:
+    """Analytic cost breakdown of targeting each path, vs clean.
 
-    Keys are path ids in ascending order; values are adversarial total cost
-    divided by the clean total. The argmax of this mapping is the analytic
-    cross-check for the ranking stage's selected path.
+    Keys are path ids in ascending order; each value's ``amplification`` is
+    the adversarial total cost divided by the clean total. The argmax of
+    that ratio is the analytic cross-check for the ranking stage's selected
+    path.
     """
     from .ranking import enumerate_paths
 
     reference = clean_cost(graph)
-    matrix: dict[str, float] = {}
-    for path in enumerate_paths(graph, cap=cap):
-        breakdown = cost(graph, propagate(graph, path), reference)
-        matrix[path.id] = breakdown.amplification
-    return dict(sorted(matrix.items()))
+    return {
+        path.id: cost(graph, propagate(graph, path), reference)
+        for path in enumerate_paths(graph, cap=cap)
+    }

@@ -23,9 +23,13 @@ is its share of system-cost amplification:
 
 so a component whose incurred cost is invariant scores exactly zero, and
 the path score (the sum along the path) equals the path's cost-amplification
-excess over the clean reference. Stored alongside each score are the clean
-reference cost and the reference-plus-excess cost, whose ratio minus one
-reproduces the score.
+excess over the clean reference. Both incurred costs and ``K`` are read from
+two :class:`~pipevuln.propagation.CostBreakdown` values: the clean one
+(``per_component`` and ``total_gflops``) and the one of the path's targeted
+workload, whose ``amplification`` is also kept as the path's FLOPs
+amplification. Each path is propagated and costed once. Stored alongside each
+score are the clean reference cost and the reference-plus-excess cost, whose
+ratio minus one reproduces the score.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from .errors import (
     NoSuchPathError,
     PathExplosionError,
 )
-from .model import EXIT, ComponentSpec, PipelineGraph
-from .propagation import CLEAN, WorkloadVector, propagate
+from .model import EXIT, PipelineGraph
+from .propagation import CostBreakdown, clean_cost, cost, propagate
 
 #: Default ceiling on enumerated paths; graphs beyond it are out of scope.
 DEFAULT_PATH_CAP = 10_000
@@ -96,19 +100,13 @@ class ComponentScore:
 
 
 @dataclass(frozen=True)
-class ScoreContext:
-    """Workload context for scoring one component against one targeting."""
-
-    clean_workload: float
-    adv_workload: float
-    reference_gflops: float
-
-
-@dataclass(frozen=True)
 class RankedPath:
+    """One scored path; ``flops_x`` is its analytic FLOPs amplification."""
+
     path: ExecutionPath
     score: float
     component_scores: tuple[ComponentScore, ...]
+    flops_x: float
 
 
 @dataclass(frozen=True)
@@ -187,20 +185,20 @@ def resolve_path(graph: PipelineGraph, path_id: str) -> ExecutionPath:
     return ExecutionPath.make(steps)
 
 
-def component_score(spec: ComponentSpec, ctx: ScoreContext) -> ComponentScore:
-    """Score one component from its clean/targeted workloads and reference.
+def component_score(
+    component: str, clean: CostBreakdown, targeted: CostBreakdown
+) -> ComponentScore:
+    """Score one component from the clean and the targeted cost breakdowns.
 
     Guarded so scores stay finite: a zero clean reference (an all-zero-cost
     pipeline) scores zero.
     """
-    clean_incurred = spec.clean_cost * ctx.clean_workload
-    adv_incurred = spec.adv_cost * ctx.adv_workload
-    reference = ctx.reference_gflops
+    reference = clean.total_gflops
     if reference <= 0:
-        return ComponentScore(spec.id, 0.0, 0.0, 0.0)
-    excess = adv_incurred - clean_incurred
+        return ComponentScore(component, 0.0, 0.0, 0.0)
+    excess = targeted.per_component[component] - clean.per_component[component]
     return ComponentScore(
-        component=spec.id,
+        component=component,
         clean_unit_cost=reference,
         adv_unit_cost=reference + excess,
         score=excess / reference,
@@ -241,34 +239,28 @@ def compute_loss_weights(
     return {cid: value / total for cid, value in mass.items()}, False
 
 
-def _score_path(
-    graph: PipelineGraph,
-    path: ExecutionPath,
-    clean: WorkloadVector,
-    reference: float,
-) -> RankedPath:
-    targeted = propagate(graph, path)
-    scores = []
-    for cid in path.components:
-        ctx = ScoreContext(
-            clean_workload=clean.entries[cid],
-            adv_workload=targeted.entries[cid],
-            reference_gflops=reference,
-        )
-        scores.append(component_score(graph.components[cid], ctx))
-    total = sum(s.score for s in scores)
-    return RankedPath(path=path, score=total, component_scores=tuple(scores))
+def _score_paths(graph: PipelineGraph, cap: int | None) -> list[RankedPath]:
+    """Every enumerated path, propagated, costed and scored once."""
+    clean = clean_cost(graph)
+    entries = []
+    for path in enumerate_paths(graph, cap=cap):
+        targeted = cost(graph, propagate(graph, path), clean)
+        scores = tuple(component_score(c, clean, targeted) for c in path.components)
+        entries.append(RankedPath(
+            path=path,
+            score=sum(s.score for s in scores),
+            component_scores=scores,
+            flops_x=targeted.amplification,
+        ))
+    return entries
 
 
-def _reference_cost(graph: PipelineGraph, clean: WorkloadVector) -> float:
-    return sum(
-        graph.components[cid].clean_cost * clean.entries[cid]
-        for cid in sorted(graph.components)
-    )
+def _ranking_order(entry: RankedPath) -> tuple[float, str]:
+    return -entry.score, entry.path.id
 
 
 def _assemble(entries: list[RankedPath], selected: RankedPath) -> PathRanking:
-    ordered = sorted(entries, key=lambda r: (-r.score, r.path.id))
+    ordered = sorted(entries, key=_ranking_order)
     scores = {s.component: s for s in selected.component_scores}
     weights, degenerate = compute_loss_weights(selected.path, scores)
     return PathRanking(
@@ -285,12 +277,8 @@ def rank_and_select(graph: PipelineGraph, cap: int | None = None) -> PathRanking
     Ties break toward the lexicographically smallest path id. Loss weights
     are computed for the selected path.
     """
-    paths = enumerate_paths(graph, cap=cap)
-    clean = propagate(graph, CLEAN)
-    reference = _reference_cost(graph, clean)
-    entries = [_score_path(graph, p, clean, reference) for p in paths]
-    selected = min(entries, key=lambda r: (-r.score, r.path.id))
-    return _assemble(entries, selected)
+    entries = _score_paths(graph, cap)
+    return _assemble(entries, min(entries, key=_ranking_order))
 
 
 def wrong_path_report(
@@ -302,16 +290,12 @@ def wrong_path_report(
     matching paths the highest-scoring one is selected (scores are computed
     normally), enabling selected-vs-forced comparisons.
     """
-    paths = enumerate_paths(graph, cap=cap)
-    clean = propagate(graph, CLEAN)
-    reference = _reference_cost(graph, clean)
-    entries = [_score_path(graph, p, clean, reference) for p in paths]
+    entries = _score_paths(graph, cap)
     matching = [
         r for r in entries
         if any(label == forced_label for _, label in r.path.steps)
     ]
     if not matching:
         raise NoSuchPathError(f"no execution path takes label {forced_label!r}")
-    selected = min(matching, key=lambda r: (-r.score, r.path.id))
-    return _assemble(entries, selected)
+    return _assemble(entries, min(matching, key=_ranking_order))
 

@@ -128,8 +128,8 @@ class Attenuation:
     def validate(self) -> None:
         if not 0.0 <= self.factor <= 1.0:
             raise BadValueError("attenuation factor must be within [0, 1]")
-        if self.residual_floor < 0:
-            raise BadValueError("attenuation residual floor must be >= 0")
+        if not (math.isfinite(self.residual_floor) and self.residual_floor >= 0):
+            raise BadValueError("attenuation residual floor must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -183,8 +183,8 @@ class DeploymentConfig:
             if capacity < 1:
                 raise BadValueError(f"buffer capacity for {key!r} must be positive")
         for pid, budget in self.path_budgets.items():
-            if budget < 0:
-                raise BadValueError(f"path budget for {pid!r} must be >= 0")
+            if not (math.isfinite(budget) and budget >= 0):
+                raise BadValueError(f"path budget for {pid!r} must be finite and >= 0")
         if self.confidence:
             self.confidence.validate()
         if self.attenuation:

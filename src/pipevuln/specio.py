@@ -26,12 +26,13 @@ import yaml
 
 from . import __version__
 from .errors import (
+    NoSuchPathError,
     SchemaError,
     SyntaxParseError,
     UnresolvedReferenceError,
 )
 from .model import PipelineGraph, build_graph
-from .ranking import ExecutionPath, enumerate_paths
+from .ranking import resolve_path
 from .simulate import (
     Attenuation,
     ConfidenceFilter,
@@ -62,7 +63,6 @@ class SpecDocument:
     configs: dict[str, DeploymentConfig]
     calibration: str
     digest: str
-    paths: tuple[ExecutionPath, ...]
     document: dict = field(repr=False, default_factory=dict)
 
 
@@ -275,18 +275,25 @@ def _coerce_config(name: str, rec: Mapping) -> DeploymentConfig:
     return config
 
 
+def _is_path(graph: PipelineGraph, path_id: str) -> bool:
+    try:
+        resolve_path(graph, path_id)
+    except NoSuchPathError:
+        return False
+    return True
+
+
 def _check_references(
     graph: PipelineGraph,
-    paths: tuple[ExecutionPath, ...],
     scenarios: Mapping[str, TrafficScenario],
     configs: Mapping[str, DeploymentConfig],
 ) -> None:
-    path_ids = {p.id for p in paths}
     edge_keys = {e.key for e in graph.edges.values()}
     for name, scenario in scenarios.items():
-        if scenario.target_path is not None and scenario.target_path not in path_ids:
+        target = scenario.target_path
+        if target is not None and not _is_path(graph, target):
             raise UnresolvedReferenceError(
-                f"scenario {name!r} targets unknown path {scenario.target_path!r}"
+                f"scenario {name!r} targets unknown path {target!r}"
             )
     for name, config in configs.items():
         for key in config.batch:
@@ -300,13 +307,13 @@ def _check_references(
                     f"config {name!r} buffers unknown edge {key!r}"
                 )
         for pid in config.path_budgets:
-            if pid not in path_ids:
+            if not _is_path(graph, pid):
                 raise UnresolvedReferenceError(
                     f"config {name!r} budgets unknown path {pid!r}"
                 )
 
 
-def parse_spec(data: bytes | str, path_cap: int | None = None) -> SpecDocument:
+def parse_spec(data: bytes | str) -> SpecDocument:
     """Parse, build, and fully resolve a spec document.
 
     Raises E_SYNTAX for unreadable input, E_SCHEMA for malformed records,
@@ -324,7 +331,6 @@ def parse_spec(data: bytes | str, path_cap: int | None = None) -> SpecDocument:
     doc = _load_jsonl(text) if _looks_like_jsonl(text) else _load_yaml(text)
 
     graph = build_graph(doc)
-    paths = tuple(enumerate_paths(graph, cap=path_cap))
 
     scenarios_raw = doc.get("scenarios", {}) or {}
     configs_raw = doc.get("configs", {}) or {}
@@ -336,7 +342,7 @@ def parse_spec(data: bytes | str, path_cap: int | None = None) -> SpecDocument:
         name: _coerce_scenario(name, rec) for name, rec in scenarios_raw.items()
     }
     configs = {name: _coerce_config(name, rec) for name, rec in configs_raw.items()}
-    _check_references(graph, paths, scenarios, configs)
+    _check_references(graph, scenarios, configs)
 
     calibration = doc.get("calibration", "") or ""
     if not isinstance(calibration, str):
@@ -348,18 +354,17 @@ def parse_spec(data: bytes | str, path_cap: int | None = None) -> SpecDocument:
         configs=configs,
         calibration=calibration,
         digest=_digest(raw_bytes),
-        paths=paths,
         document=doc,
     )
 
 
-def parse_spec_file(path: str, path_cap: int | None = None) -> SpecDocument:
+def parse_spec_file(path: str) -> SpecDocument:
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
         raise SyntaxParseError(f"cannot read spec file {path!r}: {exc}") from exc
-    return parse_spec(data, path_cap=path_cap)
+    return parse_spec(data)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_criterion_02_deployment_table_calibration(variant):
     graph = variant.graph
     k_fit = 215.3e3 / 9315.0  # GF per plate crop, fitted on the attacked row
     n_inputs = 10
-    car_path = next(p for p in variant.paths if "car" in p.id)
+    car_path = next(p for p in enumerate_paths(graph) if "car" in p.id)
     attacked = propagate(graph, car_path)
     reference = cost(graph, propagate(graph, CLEAN))
 

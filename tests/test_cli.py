@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 import yaml
 
+from pipevuln import propagation, ranking
 from pipevuln.cli import main
 from pipevuln.model import build_graph
-from pipevuln.ranking import rank_and_select
+from pipevuln.ranking import enumerate_paths, rank_and_select
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec_file
 
@@ -195,6 +199,47 @@ class TestSpecBoundsAndRules:
                                   "--path-cap", "10")
         assert code == 0, stderr
 
+    @pytest.mark.parametrize("command,code", [
+        ("simulate --scenario attacked --config none", 0),
+        ("matrix --scenario attacked", 0),
+        ("validate", 1),
+        ("paths", 1),
+        ("rank", 1),
+        ("weights", 1),
+        ("amplify", 1),
+        ("report", 1),
+    ])
+    def test_env_path_cap_binds_only_enumerating_commands(
+        self, capsys, monkeypatch, variant_spec_path, command, code
+    ):
+        # Three paths: the simulator resolves path ids without enumerating.
+        monkeypatch.setenv("PIPEVULN_PATH_CAP", "2")
+        name, *extra = command.split()
+        got, _, stderr = run_cli(capsys, name, variant_spec_path, *extra)
+        assert got == code, stderr
+        if code:
+            assert stderr.startswith("E_PATH_EXPLOSION")
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    @pytest.mark.parametrize("config,setting,value", [
+        ("budget", 'ret:EXIT": 1.2}', "1.2"),
+        ("gauss", "residual_floor: 5.0}", "5.0"),
+    ])
+    @pytest.mark.parametrize("bad", [".nan", ".inf"])
+    def test_non_finite_config_value_is_bad_value(
+        self, capsys, tmp_path, variant_spec_path, command, config, setting,
+        value, bad
+    ):
+        text = Path(variant_spec_path).read_text()
+        assert setting in text
+        spec = tmp_path / "non_finite.yaml"
+        spec.write_text(text.replace(setting, setting.replace(value, bad)))
+        extra = ["--scenario", "attacked", "--config", config]
+        code, _, stderr = run_cli(capsys, command, str(spec),
+                                  *(extra if command == "simulate" else []))
+        assert code == 1
+        assert stderr.startswith("E_BAD_VALUE")
+
     def test_amplify_argmax_tie_breaks_toward_smallest_id(self, capsys,
                                                          tmp_path):
         # Two mirror-image branches amplify equally; the note must name the
@@ -218,6 +263,47 @@ class TestSpecBoundsAndRules:
         assert stderr == "analytic argmax path: a:x->b:EXIT\n"
         ranking = rank_and_select(parse_spec_file(str(spec)).graph)
         assert ranking.selected.path.id == "a:x->b:EXIT"
+
+
+class TestOnePass:
+    LAYERS = ("cli", "model", "propagation", "ranking", "simulate", "specio")
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> Counter:
+        """Count propagate/enumerate_paths calls at every module binding them."""
+        counts: Counter = Counter()
+        modules = [importlib.import_module("pipevuln")] + [
+            importlib.import_module(f"pipevuln.{layer}") for layer in self.LAYERS
+        ]
+        for fn in (propagation.propagate, ranking.enumerate_paths):
+            def counted(*args, _fn=fn, **kwargs):
+                counts[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+
+            for module in modules:
+                if vars(module).get(fn.__name__) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counted)
+        return counts
+
+    @pytest.mark.parametrize("command,enumerations", [
+        ("rank", 1),
+        ("weights", 1),
+        ("amplify", 1),
+        ("report", 1),
+        ("simulate --scenario attacked --config none", 0),
+    ])
+    def test_paths_enumerated_and_propagated_once(
+        self, capsys, calls, variant_spec_path, command, enumerations
+    ):
+        n_paths = len(enumerate_paths(parse_spec_file(variant_spec_path).graph))
+        calls.clear()
+        name, *extra = command.split()
+        code, _, stderr = run_cli(capsys, name, variant_spec_path, *extra)
+        assert code == 0, stderr
+        assert calls["enumerate_paths"] == enumerations
+        if enumerations:
+            # The clean reference may be propagated twice; each path once.
+            assert calls["propagate"] <= n_paths + 2
 
 
 class TestDeterminismAndAgreement:
@@ -263,9 +349,10 @@ class TestDeterminismAndAgreement:
         assert code == 0
         spec = parse_spec_file(variant_spec_path)
         got = [json.loads(line) for line in out.splitlines()]
-        assert [r["path_id"] for r in got] == [p.id for p in spec.paths]
+        paths = enumerate_paths(spec.graph)
+        assert [r["path_id"] for r in got] == [p.id for p in paths]
         assert [r["components"] for r in got] == [
-            list(p.components) for p in spec.paths
+            list(p.components) for p in paths
         ]
 
     def test_weights_agree_with_library(self, capsys, variant_spec_path):
@@ -288,8 +375,8 @@ class TestDeterminismAndAgreement:
         matrix = amplification_matrix(spec.graph)
         rows = {r["scenario"]: float(r["flops_x"])
                 for r in csv.DictReader(io.StringIO(out))}
-        for pid, flops_x in matrix.items():
-            assert rows[f"adversarial({pid})"] == flops_x
+        for pid, breakdown in matrix.items():
+            assert rows[f"adversarial({pid})"] == breakdown.amplification
 
     def test_matrix_agrees_with_library(self, capsys, variant_spec_path):
         from pipevuln.simulate import run_matrix

@@ -18,11 +18,11 @@ from pipevuln.errors import (
     NoSuchPathError,
     PathExplosionError,
 )
-from pipevuln.model import EXIT, ComponentSpec, build_graph
+from pipevuln.model import EXIT, build_graph
+from pipevuln.propagation import CostBreakdown
 from pipevuln.ranking import (
     ComponentScore,
     ExecutionPath,
-    ScoreContext,
     component_score,
     compute_loss_weights,
     enumerate_paths,
@@ -208,15 +208,21 @@ class TestResolvePath:
 # ---------------------------------------------------------------------------
 
 
+def _breakdowns(
+    cid: str, clean_incurred: float, adv_incurred: float, reference: float
+) -> tuple[CostBreakdown, CostBreakdown]:
+    """One-entry clean and targeted breakdowns for scoring ``cid``."""
+    clean = CostBreakdown({cid: clean_incurred}, reference, "clean")
+    targeted = CostBreakdown({cid: adv_incurred}, adv_incurred, "adversarial")
+    return clean, targeted
+
+
 class TestComponentScore:
     def test_published_end_to_end_pair(self):
         # End-to-end clean 10.31 GF vs attacked 3389.76 GF: score is the
         # amplification factor 328.78 minus one.
-        spec = ComponentSpec(id="od", kind="neural",
-                             clean_cost=10.31, adv_cost=3389.76)
-        ctx = ScoreContext(clean_workload=1.0, adv_workload=1.0,
-                           reference_gflops=10.31)
-        score = component_score(spec, ctx)
+        clean, targeted = _breakdowns("od", 10.31 * 1.0, 3389.76 * 1.0, 10.31)
+        score = component_score("od", clean, targeted)
         assert score.clean_unit_cost == pytest.approx(10.31)
         assert score.adv_unit_cost == pytest.approx(3389.76)
         assert score.score == pytest.approx(327.78, abs=0.01)
@@ -226,30 +232,20 @@ class TestComponentScore:
         )
 
     def test_invariant_component_scores_zero(self):
-        spec = ComponentSpec(id="x", kind="neural", clean_cost=7.0, adv_cost=7.0)
-        ctx = ScoreContext(clean_workload=2.0, adv_workload=2.0,
-                           reference_gflops=50.0)
-        assert component_score(spec, ctx).score == 0.0
+        clean, targeted = _breakdowns("x", 7.0 * 2.0, 7.0 * 2.0, 50.0)
+        assert component_score("x", clean, targeted).score == 0.0
 
     def test_non_neural_scores_zero(self):
-        spec = ComponentSpec(id="sum", kind="non-neural",
-                             clean_cost=0.0, adv_cost=0.0)
-        ctx = ScoreContext(clean_workload=5.0, adv_workload=500.0,
-                           reference_gflops=100.0)
-        assert component_score(spec, ctx).score == 0.0
+        clean, targeted = _breakdowns("sum", 0.0 * 5.0, 0.0 * 500.0, 100.0)
+        assert component_score("sum", clean, targeted).score == 0.0
 
     def test_zero_reference_guard(self):
-        spec = ComponentSpec(id="x", kind="non-neural",
-                             clean_cost=0.0, adv_cost=0.0)
-        ctx = ScoreContext(clean_workload=1.0, adv_workload=1.0,
-                           reference_gflops=0.0)
-        assert component_score(spec, ctx).score == 0.0
+        clean, targeted = _breakdowns("x", 0.0 * 1.0, 0.0 * 1.0, 0.0)
+        assert component_score("x", clean, targeted).score == 0.0
 
     def test_score_never_below_minus_one(self):
-        spec = ComponentSpec(id="x", kind="neural", clean_cost=9.0, adv_cost=9.0)
-        ctx = ScoreContext(clean_workload=3.0, adv_workload=0.0,
-                           reference_gflops=27.0)
-        score = component_score(spec, ctx)
+        clean, targeted = _breakdowns("x", 9.0 * 3.0, 9.0 * 0.0, 27.0)
+        score = component_score("x", clean, targeted)
         assert score.score >= -1.0
 
 

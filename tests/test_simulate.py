@@ -334,6 +334,14 @@ class TestDefenses:
         assert metrics.edge_stats["od:car"].dropped > 0
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_budget_and_residual_floor_rejected(self, bad):
+        with pytest.raises(BadValueError):
+            DeploymentConfig(path_budgets={"od:car->lpr:plate->sum:EXIT": bad}).validate()
+        with pytest.raises(BadValueError):
+            Attenuation(factor=0.5, residual_floor=bad).validate()
+
+
 class TestRunMatrix:
     def test_labels_and_shapes(self):
         graph = build_graph(variant_doc())

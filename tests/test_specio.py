@@ -11,6 +11,7 @@ from pipevuln.errors import (
     SyntaxParseError,
     UnresolvedReferenceError,
 )
+from pipevuln.ranking import enumerate_paths
 from pipevuln.specio import (
     build_report,
     document_to_jsonl,
@@ -58,7 +59,7 @@ class TestParseSpec:
     def test_minimal_yaml_parses_and_resolves(self):
         spec = parse_spec(MINIMAL_YAML)
         assert sorted(spec.graph.components) == ["a", "b"]
-        assert [p.id for p in spec.paths] == ["a:x->b:EXIT"]
+        assert [p.id for p in enumerate_paths(spec.graph)] == ["a:x->b:EXIT"]
         assert spec.scenarios["demo"].target_path == "a:x->b:EXIT"
         assert spec.configs["tiny"].batch_size("a") == 2
         assert spec.digest.startswith("sha256:")
@@ -66,7 +67,7 @@ class TestParseSpec:
 
     def test_shipped_variant_parses_builds_ranks(self, pipelines_dir):
         spec = parse_spec_file(str(pipelines_dir / "traffic_variant.yaml"))
-        assert len(spec.paths) == 3
+        assert len(enumerate_paths(spec.graph)) == 3
         assert "attacked" in spec.scenarios
         from pipevuln.ranking import rank_and_select
 
