@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,9 @@ from pipevuln.errors import (
     NonTerminationError,
     NoSuchPathError,
 )
-from pipevuln.model import build_graph
-from pipevuln.propagation import CLEAN, propagate
-from pipevuln.ranking import enumerate_paths
+from pipevuln.model import EXIT, build_graph
+from pipevuln.propagation import CLEAN, expected_emission, propagate
+from pipevuln.ranking import enumerate_paths, resolve_path
 from pipevuln.simulate import (
     Attenuation,
     ConfidenceFilter,
@@ -28,10 +29,12 @@ from pipevuln.simulate import (
     run_matrix,
     simulate,
 )
+from pipevuln.specio import parse_spec_file
 
-from conftest import random_sim_triple, traffic_doc
+from conftest import PIPELINES_DIR, random_sim_triple, traffic_doc
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+SHIPPED_SPECS = sorted(p.name for p in PIPELINES_DIR.iterdir())
 
 
 def variant_doc() -> dict:
@@ -340,6 +343,62 @@ class TestDefenses:
             DeploymentConfig(path_budgets={"od:car->lpr:plate->sum:EXIT": bad}).validate()
         with pytest.raises(BadValueError):
             Attenuation(factor=0.5, residual_floor=bad).validate()
+
+
+ORACLE_SEEDS = (0, 1, 2, 3, 4)
+
+
+def branching_sd(graph, target_path) -> dict[str, float]:
+    """Per-input standard deviation of items processed per component.
+
+    Every item emits a Poisson number of children per label, independently,
+    so ``Y`` children of ``X`` parent items have ``E[Y] = m E[X]`` and
+    ``Var[Y] = m E[X] + m^2 Var[X]``. Standard deviations are added across
+    inbound edges: an upper bound that needs no covariance terms.
+    """
+    targeting = {} if target_path is None else {
+        cid: label for cid, label in resolve_path(graph, target_path).steps
+        if label != EXIT
+    }
+    mean = dict.fromkeys(graph.components, 0.0)
+    sd = dict(mean)
+    mean[graph.source] = 1.0
+    for cid in graph.order:
+        for label, target in sorted(graph.routes(cid).items()):
+            if target == EXIT:
+                continue
+            m = expected_emission(graph.profiles[cid], label, targeting.get(cid))
+            mean[target] += m * mean[cid]
+            sd[target] += math.sqrt(m * mean[cid] + m * m * sd[cid] ** 2)
+    return sd
+
+
+class TestAnalyticOracle:
+    """Loss-free simulated counts agree in law with ``propagate``."""
+
+    @pytest.mark.parametrize("scenario_name", ["clean", "attacked"])
+    @pytest.mark.parametrize("spec_name", SHIPPED_SPECS)
+    def test_processed_counts_within_five_sigma(self, spec_name, scenario_name):
+        spec = parse_spec_file(str(PIPELINES_DIR / spec_name))
+        scenario = spec.scenarios[scenario_name]
+        if scenario_name == "attacked":
+            scenario = replace(scenario, mix=1.0)
+        target = scenario.target_path if scenario.mix == 1.0 else None
+        expected = propagate(spec.graph, target or CLEAN).entries
+        sd = branching_sd(spec.graph, target)
+        n = scenario.n_inputs
+        for seed in ORACLE_SEEDS:
+            metrics = simulate(
+                spec.graph, replace(scenario, seed=seed), DeploymentConfig()
+            )
+            assert metrics.drops == 0
+            for cid, per_input in expected.items():
+                width = 5.0 * math.sqrt(n) * sd[cid]
+                got = metrics.workload[cid]
+                assert abs(got - n * per_input) <= width + 1e-9, (
+                    f"seed {seed}: {cid} processed {got}, expected "
+                    f"{n * per_input:.1f} +/- {width:.1f}"
+                )
 
 
 class TestRunMatrix:
