@@ -281,18 +281,23 @@ class _EdgeQueue:
         self.dequeued = 0
         self.dropped = 0
 
-    def offer(self) -> bool:
-        """Count an arrival; admit it unless budget or capacity rejects it."""
-        self.enqueued += 1
-        if self.budget_cap is not None and self.budget_used >= self.budget_cap:
-            self.dropped += 1
-            return False
-        if self.capacity is not None and self.queued >= self.capacity:
-            self.dropped += 1
-            return False
-        self.budget_used += 1
-        self.queued += 1
-        return True
+    def offer(self, count: int) -> int:
+        """Count ``count`` arrivals; admit as many as budget and capacity allow.
+
+        Nothing dequeues between the arrivals of one emission, so the first
+        ``admitted`` of them enter and the rest are dropped.
+        """
+        admitted = count
+        if self.budget_cap is not None:
+            admitted = min(admitted, self.budget_cap - self.budget_used)
+        if self.capacity is not None:
+            admitted = min(admitted, self.capacity - self.queued)
+        admitted = max(admitted, 0)
+        self.enqueued += count
+        self.dropped += count - admitted
+        self.budget_used += admitted
+        self.queued += admitted
+        return admitted
 
 
 class _Item:
@@ -347,7 +352,11 @@ class _Run:
         self.item_seq = 0
         self.now = 0.0
         self.last_event_time = 0.0
-        self.events_processed = 0
+        self.batch_limit = {
+            cid: config.batch_size(cid) if spec.batchable else 1
+            for cid, spec in graph.components.items()
+        }
+        self.route_rows: dict[str, tuple[list[tuple], list[tuple]]] = {}
 
         n = scenario.n_inputs
         self.arrival_time = [0.0] * n
@@ -426,14 +435,17 @@ class _Run:
             self.arrival_time[i] = i * interval
             self._push(self.arrival_time[i], "arrive", (i, i in adversarial))
 
-        while self.heap:
-            self.now, _, kind, payload = heapq.heappop(self.heap)
-            self.last_event_time = max(self.last_event_time, self.now)
-            self.events_processed += 1
-            if self.events_processed > self.max_events:
-                raise NonTerminationError(
-                    f"simulation exceeded {self.max_events} events"
-                )
+        heap = self.heap
+        max_events = self.max_events
+        events = 0
+        while heap:
+            now, _, kind, payload = heapq.heappop(heap)
+            self.now = now
+            if now > self.last_event_time:
+                self.last_event_time = now
+            events += 1
+            if events > max_events:
+                raise NonTerminationError(f"simulation exceeded {max_events} events")
             if kind == "arrive":
                 self._handle_arrival(*payload)  # type: ignore[misc]
             else:
@@ -456,109 +468,138 @@ class _Run:
         )
         self.item_seq += 1
         self.outstanding[input_id] += 1
-        self.source_queue.offer()
+        self.source_queue.offer(1)
         self.fifo[self.graph.source].append(item)
         self._try_start(self.devices[self.device_of[self.graph.source]])
 
     def _try_start(self, device: _Device) -> None:
         if device.busy:
             return
-        best_comp = min(
-            (cid for cid in device.members if self.fifo[cid]),
-            key=lambda cid: self.fifo[cid][0].seq,
-            default=None,
-        )
-        if best_comp is None:
-            return
-        spec = self.graph.components[best_comp]
-        limit = self.config.batch_size(best_comp) if spec.batchable else 1
-        fifo = self.fifo[best_comp]
-        batch = [fifo.popleft() for _ in range(min(limit, len(fifo)))]
+        members = device.members
+        if len(members) == 1:
+            comp = members[0]
+            if not self.fifo[comp]:
+                return
+        else:
+            # Shared device: serve the member whose FIFO head came first.
+            comp = min(
+                (cid for cid in members if self.fifo[cid]),
+                key=lambda cid: self.fifo[cid][0].seq,
+                default=None,
+            )
+            if comp is None:
+                return
+        spec = self.graph.components[comp]
+        fifo = self.fifo[comp]
+        batch = [fifo.popleft() for _ in range(min(self.batch_limit[comp], len(fifo)))]
         gflops = 0.0
+        n_adv = 0
         for item in batch:
             item.edge.queued -= 1
             item.edge.dequeued += 1
             if item.adv:
-                self.processed_adv[best_comp] += 1
+                n_adv += 1
                 gflops += spec.adv_cost
             else:
-                self.processed_clean[best_comp] += 1
                 gflops += spec.clean_cost
+        self.processed_adv[comp] += n_adv
+        self.processed_clean[comp] += len(batch) - n_adv
         service = spec.per_call_overhead + gflops / spec.device_rate
         device.busy = True
-        self._push(self.now + service, "complete", (device.id, best_comp, batch))
+        self._push(self.now + service, "complete", (device, comp, batch))
 
-    def _emission_mean(self, item: _Item, comp: str, label: str) -> float:
+    def _route_rows(self, comp: str) -> tuple[list[tuple], list[tuple]]:
+        """Emission rows of ``comp`` for clean and for adversarial items.
+
+        A row is ``(label, mean, survival, fifo, edge, device id)`` in label
+        order, for labels whose mean (targeting and attenuation included) is
+        positive; ``fifo``, ``edge`` and ``device id`` are ``None`` on an
+        exit label. Built on the component's first completion.
+        """
         profile = self.graph.profiles[comp]
-        if not item.adv:
-            return profile.clean_cardinality.get(label, 0.0)
-        mean = expected_emission(profile, label, self.targeting.get(comp))
+        targeted = self.targeting.get(comp)
         att = self.config.attenuation
-        if att is not None:
+        conf = self.config.confidence
+        clean_rows: list[tuple] = []
+        adv_rows: list[tuple] = []
+        for label, target in sorted(self.graph.routes(comp).items()):
             clean_mean = profile.clean_cardinality.get(label, 0.0)
-            mean = min(mean, max(att.factor * mean, att.residual_floor * clean_mean))
-        return mean
+            adv_mean = expected_emission(profile, label, targeted)
+            if att is not None:
+                adv_mean = min(
+                    adv_mean, max(att.factor * adv_mean, att.residual_floor * clean_mean)
+                )
+            if target == EXIT:
+                fifo = edge = device_id = None
+            else:
+                fifo = self.fifo[target]
+                edge = self.edge_queues[(comp, label)]
+                device_id = self.device_of[target]
+            for rows, mean, adv in (
+                (clean_rows, clean_mean, False), (adv_rows, adv_mean, True)
+            ):
+                if mean > 0:
+                    survival = conf.survival(label, adv) if conf else 1.0
+                    rows.append((label, mean, survival, fifo, edge, device_id))
+        rows = (clean_rows, adv_rows)
+        self.route_rows[comp] = rows
+        return rows
 
     def _handle_completion(
-        self, device_id: str, comp: str, batch: list[_Item]
+        self, device: _Device, comp: str, batch: list[_Item]
     ) -> None:
-        self.devices[device_id].busy = False
-        routes = self.graph.routes(comp)
-        touched: set[str] = {device_id}
+        device.busy = False
+        rows = self.route_rows.get(comp) or self._route_rows(comp)
+        gateless = not self.graph.routes(comp)
+        now = self.now
+        outstanding = self.outstanding
+        last_exit = self.last_exit
+        touched = {device.id}
         for item in batch:
             input_id = item.input_id
-            if not routes:
+            if gateless:
                 # Gateless component: the item itself exits here.
-                self.last_exit[input_id] = self.now
-            for label in sorted(routes):
-                mean = self._emission_mean(item, comp, label)
-                if mean <= 0:
-                    continue
+                last_exit[input_id] = now
+            for label, mean, survival, fifo, edge, device_id in rows[item.adv]:
                 gen = _lineage_rng(self.seed, f"{item.uid}|{label}")
                 emitted = int(gen.poisson(mean))
                 if emitted == 0:
                     continue
-                survival = (
-                    self.config.confidence.survival(label, item.adv)
-                    if self.config.confidence
-                    else 1.0
-                )
                 if survival < 1.0:
                     # Per-item uniform thinning: the same uniforms decide
                     # survival for any threshold, so relief is monotone.
                     uniforms = gen.random(emitted)
                     survivors = int((uniforms < survival).sum())
+                    if survivors == 0:
+                        continue
                 else:
                     survivors = emitted
-                target = routes[label]
-                if target == EXIT:
-                    if survivors > 0:
-                        self.last_exit[input_id] = max(
-                            self.last_exit.get(input_id, 0.0), self.now
-                        )
+                if fifo is None:
+                    last_exit[input_id] = max(last_exit.get(input_id, 0.0), now)
                     continue
-                eq = self.edge_queues[(comp, label)]
-                fifo = self.fifo[target]
-                for child_index in range(survivors):
-                    if eq.offer():
-                        fifo.append(_Item(
-                            input_id,
-                            item.adv,
-                            f"{item.uid}|{label}.{child_index}",
-                            self.item_seq,
-                            eq,
-                        ))
-                        self.item_seq += 1
-                        self.outstanding[input_id] += 1
-                        touched.add(self.device_of[target])
-            self.outstanding[input_id] -= 1
-            if self.outstanding[input_id] == 0 and not self.resolved[input_id]:
+                admitted = edge.offer(survivors)
+                if admitted:
+                    seq = self.item_seq
+                    uid = item.uid
+                    adv = item.adv
+                    fifo.extend(
+                        _Item(input_id, adv, f"{uid}|{label}.{j}", seq + j, edge)
+                        for j in range(admitted)
+                    )
+                    self.item_seq = seq + admitted
+                    outstanding[input_id] += admitted
+                    touched.add(device_id)
+            outstanding[input_id] -= 1
+            if outstanding[input_id] == 0 and not self.resolved[input_id]:
                 self.resolved[input_id] = True
                 self.completed += 1
-                finish = self.last_exit.get(input_id, self.now)
+                finish = last_exit.get(input_id, now)
                 self.latencies[input_id] = finish - self.arrival_time[input_id]
-        for touched_id in sorted(touched):
-            self._try_start(self.devices[touched_id])
+        if len(touched) == 1:
+            self._try_start(device)
+        else:
+            for touched_id in sorted(touched):
+                self._try_start(self.devices[touched_id])
 
     # -- metrics -----------------------------------------------------------
 
