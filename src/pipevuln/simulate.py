@@ -12,12 +12,22 @@ thinned by confidence survival, attenuated by input preprocessing, and
 capped by per-path budgets; arrivals at a full queue are tail-dropped.
 
 Determinism. Every random draw is keyed by the scenario seed plus the item's
-lineage (a counter-based generator per item and label), never by event
-order. Identical (graph, scenario, config) inputs therefore produce
-bit-identical metrics, the emission tree is invariant to batch sizes and
-scheduling, and coupled comparisons (same seed, one knob changed) are
-meaningful. Total FLOPs are tallied from per-component processed counts in
-sorted component order, so equal item trees give exactly equal totals.
+lineage, never by event order. Each item carries a 64-bit integer key: an
+input's comes from (seed, input id), the draw for (item, label) uses
+``k = mix(item key ^ label salt)``, and child ``j`` of that draw gets
+``mix(k + j)``, where ``mix`` is the SplitMix64 output function (a
+counter-based generator: one hash per draw, no generator state). The
+uniform ``(k >> 11) * 2**-53`` is mapped through an inverse-CDF table built
+once per run for each distinct Poisson mean. Confidence thinning is one draw
+at ``mean * survival`` with the same uniform: a thinned Poisson is Poisson,
+and for a fixed uniform the inverse CDF does not decrease as the mean grows,
+so relief is monotone item by item. The adversarial subset and the input
+filter draw from their own domain salts. Identical (graph, scenario, config)
+inputs therefore produce bit-identical metrics, the emission tree is
+invariant to batch sizes and scheduling, and coupled comparisons (same seed,
+one knob changed) are meaningful. Total FLOPs are tallied from
+per-component processed counts in sorted component order, so equal item
+trees give exactly equal totals.
 
 A single run is strictly single-threaded; independent runs may execute
 concurrently and `run_matrix` merges results in deterministic label order.
@@ -25,14 +35,12 @@ concurrently and `run_matrix` merges results in deterministic label order.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import (
     BadValueError,
@@ -56,6 +64,10 @@ SHARED_SINGLE_DEVICE = "shared-single-device"
 DEFAULT_MAX_EVENTS = 10_000_000
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_UNIT = 2.0 ** -53
+# A table spans mean +/- (12 sd + 12): the mass outside is below 1e-30.
+_TABLE_SDS = 12.0
 
 
 @dataclass(frozen=True)
@@ -256,11 +268,52 @@ def percentile(latencies: Iterable[float], q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lineage_rng(seed: int, tag: str) -> np.random.Generator:
-    digest = hashlib.blake2b(
-        tag.encode(), digest_size=16, key=(seed & _MASK64).to_bytes(8, "little")
-    ).digest()
-    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest, "little")))
+def _mix(z: int) -> int:
+    """SplitMix64 output of state ``z``: a 64-bit bijection with full avalanche."""
+    z = (z + _GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _text_key(text: str) -> int:
+    """64-bit key of a string, folded eight UTF-8 bytes at a time."""
+    data = text.encode()
+    key = _mix(len(data))
+    for start in range(0, len(data), 8):
+        key = _mix(key ^ int.from_bytes(data[start:start + 8], "little"))
+    return key
+
+
+def _uniform(key: int) -> float:
+    """The top 53 bits of ``key`` as a float in [0, 1)."""
+    return (key >> 11) * _UNIT
+
+
+def _poisson_table(mean: float) -> tuple[int, list[float]]:
+    """Inverse-CDF table ``(lo, cdf)`` of Poisson(``mean``), ``mean > 0``.
+
+    ``lo + bisect_right(cdf, u)`` is the draw for a uniform ``u`` in [0, 1).
+    The pmf is taken in log space: ``exp(-mean)`` underflows to 0.0 for a
+    mean past about 745, so a recurrence from ``k = 0`` would fail there.
+    The sums are normalised so that the last entry is 1.0 and every
+    ``u < 1`` lands inside the table.
+    """
+    spread = _TABLE_SDS * math.sqrt(mean) + _TABLE_SDS
+    lo = max(0, math.floor(mean - spread))
+    hi = math.ceil(mean + spread)
+    log_mean = math.log(mean)
+    total = 0.0
+    sums = []
+    for k in range(lo, hi + 1):
+        total += math.exp(k * log_mean - mean - math.lgamma(k + 1))
+        sums.append(total)
+    return lo, [value / total for value in sums]
+
+
+# Domain salts keep the subset, filter and lineage draws apart.
+_SUBSET_SALT = _text_key("adversarial-subset")
+_FILTER_SALT = _text_key("input-filter")
 
 
 class _EdgeQueue:
@@ -301,14 +354,14 @@ class _EdgeQueue:
 
 
 class _Item:
-    __slots__ = ("input_id", "adv", "uid", "seq", "edge")
+    __slots__ = ("input_id", "adv", "key", "seq", "edge")
 
     def __init__(
-        self, input_id: int, adv: bool, uid: str, seq: int, edge: _EdgeQueue
+        self, input_id: int, adv: bool, key: int, seq: int, edge: _EdgeQueue
     ):
         self.input_id = input_id
         self.adv = adv
-        self.uid = uid
+        self.key = key
         self.seq = seq
         self.edge = edge
 
@@ -336,7 +389,7 @@ class _Run:
         self.scenario = scenario
         self.config = config
         self.max_events = max_events
-        self.seed = scenario.seed
+        self.seed_key = _mix(scenario.seed & _MASK64)
 
         pid = scenario.target_path
         self.targeting = {} if pid is None else {
@@ -357,6 +410,7 @@ class _Run:
             for cid, spec in graph.components.items()
         }
         self.route_rows: dict[str, tuple[list[tuple], list[tuple]]] = {}
+        self.tables: dict[float, tuple[int, list[float]]] = {}
 
         n = scenario.n_inputs
         self.arrival_time = [0.0] * n
@@ -415,8 +469,8 @@ class _Run:
             return set()
         if count >= n:
             return set(range(n))
-        gen = _lineage_rng(self.seed, "mix")
-        return set(gen.choice(n, size=count, replace=False).tolist())
+        base = _mix(self.seed_key ^ _SUBSET_SALT)
+        return set(sorted(range(n), key=lambda i: _mix(base + i))[:count])
 
     # -- event plumbing ----------------------------------------------------
 
@@ -453,19 +507,17 @@ class _Run:
         return self._collect()
 
     def _handle_arrival(self, input_id: int, adversarial: bool) -> None:
+        key = _mix(self.seed_key + input_id)
         flt = self.config.input_filter
         if adversarial and flt is not None and flt.p_detect > 0:
-            gen = _lineage_rng(self.seed, f"filter:i{input_id}")
-            if gen.random() < flt.p_detect:
+            if _uniform(_mix(key ^ _FILTER_SALT)) < flt.p_detect:
                 self.filtered += 1
                 if flt.action == DROP_INPUT:
                     self.resolved[input_id] = True
                     self.completed += 1
                     return
                 adversarial = False
-        item = _Item(
-            input_id, adversarial, f"i{input_id}", self.item_seq, self.source_queue
-        )
+        item = _Item(input_id, adversarial, key, self.item_seq, self.source_queue)
         self.item_seq += 1
         self.outstanding[input_id] += 1
         self.source_queue.offer(1)
@@ -508,13 +560,21 @@ class _Run:
         device.busy = True
         self._push(self.now + service, "complete", (device, comp, batch))
 
+    def _table(self, mean: float) -> tuple[int, list[float]]:
+        table = self.tables.get(mean)
+        if table is None:
+            table = self.tables[mean] = _poisson_table(mean)
+        return table
+
     def _route_rows(self, comp: str) -> tuple[list[tuple], list[tuple]]:
         """Emission rows of ``comp`` for clean and for adversarial items.
 
-        A row is ``(label, mean, survival, fifo, edge, device id)`` in label
-        order, for labels whose mean (targeting and attenuation included) is
-        positive; ``fifo``, ``edge`` and ``device id`` are ``None`` on an
-        exit label. Built on the component's first completion.
+        A row is ``(label salt, lo, cdf, fifo, edge, device id)`` in label
+        order, for labels whose surviving mean (targeting, attenuation and
+        confidence survival included) is positive; ``(lo, cdf)`` is the
+        Poisson table of that mean, and ``fifo``, ``edge`` and ``device id``
+        are ``None`` on an exit label. Built on the component's first
+        completion.
         """
         profile = self.graph.profiles[comp]
         targeted = self.targeting.get(comp)
@@ -523,6 +583,7 @@ class _Run:
         clean_rows: list[tuple] = []
         adv_rows: list[tuple] = []
         for label, target in sorted(self.graph.routes(comp).items()):
+            salt = _text_key(label)
             clean_mean = profile.clean_cardinality.get(label, 0.0)
             adv_mean = expected_emission(profile, label, targeted)
             if att is not None:
@@ -538,9 +599,11 @@ class _Run:
             for rows, mean, adv in (
                 (clean_rows, clean_mean, False), (adv_rows, adv_mean, True)
             ):
+                if conf is not None:
+                    mean *= conf.survival(label, adv)
                 if mean > 0:
-                    survival = conf.survival(label, adv) if conf else 1.0
-                    rows.append((label, mean, survival, fifo, edge, device_id))
+                    lo, cdf = self._table(mean)
+                    rows.append((salt, lo, cdf, fifo, edge, device_id))
         rows = (clean_rows, adv_rows)
         self.route_rows[comp] = rows
         return rows
@@ -560,30 +623,20 @@ class _Run:
             if gateless:
                 # Gateless component: the item itself exits here.
                 last_exit[input_id] = now
-            for label, mean, survival, fifo, edge, device_id in rows[item.adv]:
-                gen = _lineage_rng(self.seed, f"{item.uid}|{label}")
-                emitted = int(gen.poisson(mean))
-                if emitted == 0:
+            for salt, lo, cdf, fifo, edge, device_id in rows[item.adv]:
+                key = _mix(item.key ^ salt)
+                survivors = lo + bisect_right(cdf, (key >> 11) * _UNIT)
+                if survivors == 0:
                     continue
-                if survival < 1.0:
-                    # Per-item uniform thinning: the same uniforms decide
-                    # survival for any threshold, so relief is monotone.
-                    uniforms = gen.random(emitted)
-                    survivors = int((uniforms < survival).sum())
-                    if survivors == 0:
-                        continue
-                else:
-                    survivors = emitted
                 if fifo is None:
                     last_exit[input_id] = max(last_exit.get(input_id, 0.0), now)
                     continue
                 admitted = edge.offer(survivors)
                 if admitted:
                     seq = self.item_seq
-                    uid = item.uid
                     adv = item.adv
                     fifo.extend(
-                        _Item(input_id, adv, f"{uid}|{label}.{j}", seq + j, edge)
+                        _Item(input_id, adv, _mix(key + j), seq + j, edge)
                         for j in range(admitted)
                     )
                     self.item_seq = seq + admitted

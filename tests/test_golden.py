@@ -7,9 +7,10 @@ file ``tests/golden/<spec>.<case>.txt`` exactly. Fifty seeded
 ``SimMetrics`` line for line; they cover the ``shared-single-device`` model,
 which no shipped spec uses.
 
-The simulator draws from numpy's ``Generator`` stream, so these files pin
-that stream: changing it is a deliberate re-baseline. After a deliberate
-output change, regenerate every golden file with
+The simulator draws from its counter-hash stream (SplitMix64 keys mapped
+through inverse-CDF Poisson tables), so these files pin that stream:
+changing it is a deliberate re-baseline. After a deliberate output change,
+regenerate every golden file with
 
     PYTHONPATH=src python tests/test_golden.py
 """
