@@ -400,7 +400,9 @@ class _Run:
         self.source_queue = _EdgeQueue("@source", None, None)
         self.devices = self._build_devices()
 
-        self.heap: list[tuple[float, int, str, object]] = []
+        # Events are (time, seq, device, comp, batch) for a completion and
+        # (time, seq, None, input id, adversarial) for an arrival.
+        self.heap: list[tuple] = []
         self.seq = 0
         self.item_seq = 0
         self.now = 0.0
@@ -410,6 +412,7 @@ class _Run:
             for cid, spec in graph.components.items()
         }
         self.route_rows: dict[str, tuple[list[tuple], list[tuple]]] = {}
+        self.gateless = {cid for cid in graph.components if not graph.routes(cid)}
         self.tables: dict[float, tuple[int, list[float]]] = {}
 
         n = scenario.n_inputs
@@ -474,10 +477,6 @@ class _Run:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time: float, kind: str, payload: object) -> None:
-        heapq.heappush(self.heap, (time, self.seq, kind, payload))
-        self.seq += 1
-
     def execute(self) -> SimMetrics:
         adversarial = self._adversarial_inputs()
         interval = (
@@ -485,25 +484,27 @@ class _Run:
             if self.scenario.arrival == FIXED_INTERVAL
             else 0.0
         )
+        heap = self.heap
+        # Arrivals go in (time, seq) order, so the list is already a heap.
         for i in range(self.scenario.n_inputs):
             self.arrival_time[i] = i * interval
-            self._push(self.arrival_time[i], "arrive", (i, i in adversarial))
+            heap.append((self.arrival_time[i], i, None, i, i in adversarial))
+        self.seq = len(heap)
 
-        heap = self.heap
         max_events = self.max_events
         events = 0
         while heap:
-            now, _, kind, payload = heapq.heappop(heap)
+            now, _, device, first, second = heapq.heappop(heap)
             self.now = now
             if now > self.last_event_time:
                 self.last_event_time = now
             events += 1
             if events > max_events:
                 raise NonTerminationError(f"simulation exceeded {max_events} events")
-            if kind == "arrive":
-                self._handle_arrival(*payload)  # type: ignore[misc]
+            if device is None:
+                self._handle_arrival(first, second)
             else:
-                self._handle_completion(*payload)  # type: ignore[misc]
+                self._handle_completion(device, first, second)
         return self._collect()
 
     def _handle_arrival(self, input_id: int, adversarial: bool) -> None:
@@ -530,7 +531,8 @@ class _Run:
         members = device.members
         if len(members) == 1:
             comp = members[0]
-            if not self.fifo[comp]:
+            fifo = self.fifo[comp]
+            if not fifo:
                 return
         else:
             # Shared device: serve the member whose FIFO head came first.
@@ -541,9 +543,10 @@ class _Run:
             )
             if comp is None:
                 return
+            fifo = self.fifo[comp]
         spec = self.graph.components[comp]
-        fifo = self.fifo[comp]
-        batch = [fifo.popleft() for _ in range(min(self.batch_limit[comp], len(fifo)))]
+        popleft = fifo.popleft
+        batch = [popleft() for _ in range(min(self.batch_limit[comp], len(fifo)))]
         gflops = 0.0
         n_adv = 0
         for item in batch:
@@ -558,7 +561,8 @@ class _Run:
         self.processed_clean[comp] += len(batch) - n_adv
         service = spec.per_call_overhead + gflops / spec.device_rate
         device.busy = True
-        self._push(self.now + service, "complete", (device, comp, batch))
+        heapq.heappush(self.heap, (self.now + service, self.seq, device, comp, batch))
+        self.seq += 1
 
     def _table(self, mean: float) -> tuple[int, list[float]]:
         table = self.tables.get(mean)
@@ -613,7 +617,7 @@ class _Run:
     ) -> None:
         device.busy = False
         rows = self.route_rows.get(comp) or self._route_rows(comp)
-        gateless = not self.graph.routes(comp)
+        gateless = comp in self.gateless
         now = self.now
         outstanding = self.outstanding
         last_exit = self.last_exit
@@ -635,10 +639,10 @@ class _Run:
                 if admitted:
                     seq = self.item_seq
                     adv = item.adv
-                    fifo.extend(
+                    fifo.extend([
                         _Item(input_id, adv, _mix(key + j), seq + j, edge)
                         for j in range(admitted)
-                    )
+                    ])
                     self.item_seq = seq + admitted
                     outstanding[input_id] += admitted
                     touched.add(device_id)
