@@ -66,7 +66,7 @@ DEFAULT_MAX_EVENTS = 10_000_000
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _UNIT = 2.0 ** -53
-# A table spans mean +/- (12 sd + 12): the mass outside is below 1e-30.
+# A table spans mean +/- (12 sd + 12): the Poisson mass outside is below 1e-26.
 _TABLE_SDS = 12.0
 
 
@@ -405,6 +405,7 @@ class _Run:
         self.heap: list[tuple] = []
         self.seq = 0
         self.item_seq = 0
+        self.offered = 0
         self.now = 0.0
         self.last_event_time = 0.0
         self.batch_limit = {
@@ -567,6 +568,13 @@ class _Run:
     def _table(self, mean: float) -> tuple[int, list[float]]:
         table = self.tables.get(mean)
         if table is None:
+            # A larger mean would offer more arrivals than the bound allows
+            # and needs a table of about 24 * sqrt(mean) entries.
+            if mean > self.max_events:
+                raise NonTerminationError(
+                    f"emission mean {mean:g} exceeds the bound of "
+                    f"{self.max_events} events"
+                )
             table = self.tables[mean] = _poisson_table(mean)
         return table
 
@@ -635,6 +643,11 @@ class _Run:
                 if fifo is None:
                     last_exit[input_id] = max(last_exit.get(input_id, 0.0), now)
                     continue
+                self.offered += survivors
+                if self.offered > self.max_events:
+                    raise NonTerminationError(
+                        f"simulation offered more than {self.max_events} arrivals"
+                    )
                 admitted = edge.offer(survivors)
                 if admitted:
                     seq = self.item_seq
@@ -712,7 +725,12 @@ def simulate(
     config: DeploymentConfig,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> SimMetrics:
-    """Run one deterministic simulation and collect its metric suite."""
+    """Run one deterministic simulation and collect its metric suite.
+
+    ``max_events`` bounds the events processed and, separately, the arrivals
+    offered to edges; a run past either bound, or with an emission mean
+    above it, raises ``NonTerminationError`` before it builds the items.
+    """
     return _Run(graph, scenario, config, max_events).execute()
 
 

@@ -77,6 +77,29 @@ def traffic_doc() -> dict:
     }
 
 
+def huge_mean_doc() -> dict:
+    """Two components; attacked inputs make ``a`` emit 1e12 items each."""
+    component = {"kind": "neural", "clean_cost_gflops": 1.0,
+                 "adv_cost_gflops": 1.0, "device_rate_gflops_s": 10.0,
+                 "per_call_overhead_s": 0.0, "batchable": True}
+    return {
+        "components": [{"id": "a", **component}, {"id": "b", **component}],
+        "profiles": [
+            {"component": "a", "clean_cardinality": {"x": 1.0},
+             "adv_cardinality": {"x": 1e12}},
+            {"component": "b"},
+        ],
+        "gates": [{"component": "a", "routes": {"x": "b"}}],
+        "edges": [{"from": "a", "to": "b", "label": "x"}],
+        "source": "a",
+        "scenarios": {"attacked": {
+            "n_inputs": 1, "mix": 1.0, "target_path": "a:x->b:EXIT",
+            "arrival": "back-to-back", "seed": 0,
+        }},
+        "configs": {"none": {}},
+    }
+
+
 @pytest.fixture
 def traffic_graph() -> PipelineGraph:
     return build_graph(traffic_doc())

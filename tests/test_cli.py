@@ -19,7 +19,7 @@ from pipevuln.ranking import enumerate_paths, rank_and_select
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec_file
 
-from conftest import traffic_doc
+from conftest import huge_mean_doc, traffic_doc
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -62,6 +62,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "validate", str(bad))
         assert code == 1
         assert "E_NO_SOURCE" in err
+
+
+    def test_huge_emission_mean_exits_1_without_traceback(self, capsys, tmp_path):
+        spec = tmp_path / "huge.yaml"
+        spec.write_text(yaml.safe_dump(huge_mean_doc()))
+        code, _, err = run_cli(capsys, "simulate", str(spec),
+                               "--scenario", "attacked", "--config", "none")
+        assert code == 1
+        assert err.startswith("E_NONTERMINATION")
+        assert "Traceback" not in err
 
 
 class TestSubcommands:

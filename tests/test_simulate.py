@@ -31,7 +31,7 @@ from pipevuln.simulate import (
 )
 from pipevuln.specio import parse_spec_file
 
-from conftest import PIPELINES_DIR, random_sim_triple, traffic_doc
+from conftest import PIPELINES_DIR, huge_mean_doc, random_sim_triple, traffic_doc
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 SHIPPED_SPECS = sorted(p.name for p in PIPELINES_DIR.iterdir())
@@ -141,6 +141,25 @@ class TestDeterminism:
             simulate(graph, attacked_scenario(graph), DeploymentConfig(),
                      max_events=5)
         assert err.value.code == "E_NONTERMINATION"
+
+    def test_huge_emission_mean_raises_nontermination(self):
+        graph = build_graph(huge_mean_doc())
+        scenario = TrafficScenario(n_inputs=1, mix=1.0, target_path="a:x->b:EXIT")
+        with pytest.raises(NonTerminationError) as err:
+            simulate(graph, scenario, DeploymentConfig())
+        assert err.value.code == "E_NONTERMINATION"
+
+    def test_offered_arrivals_count_against_the_bound(self):
+        # A one-slot buffer keeps the events few while the offers are many.
+        graph = build_graph(variant_doc())
+        scenario = attacked_scenario(graph, n=10)
+        config = DeploymentConfig(buffers={"default": 1})
+        events_only = simulate(graph, scenario, config)
+        offered = sum(s.enqueued for s in events_only.edge_stats.values())
+        assert offered > 300
+        with pytest.raises(NonTerminationError):
+            simulate(graph, scenario, config, max_events=offered - 1)
+        assert simulate(graph, scenario, config, max_events=offered) == events_only
 
 
 class TestQueueing:
