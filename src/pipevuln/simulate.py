@@ -311,6 +311,12 @@ def _poisson_table(mean: float) -> tuple[int, list[float]]:
     return lo, [value / total for value in sums]
 
 
+def _poisson_draw(table: tuple[int, list[float]], key: int) -> int:
+    """Inverse-CDF draw from a :func:`_poisson_table` at the uniform of ``key``."""
+    lo, cdf = table
+    return lo + bisect_right(cdf, _uniform(key))
+
+
 # Domain salts keep the subset, filter and lineage draws apart.
 _SUBSET_SALT = _text_key("adversarial-subset")
 _FILTER_SALT = _text_key("input-filter")
@@ -581,10 +587,10 @@ class _Run:
     def _route_rows(self, comp: str) -> tuple[list[tuple], list[tuple]]:
         """Emission rows of ``comp`` for clean and for adversarial items.
 
-        A row is ``(label salt, lo, cdf, fifo, edge, device id)`` in label
+        A row is ``(label salt, table, fifo, edge, device id)`` in label
         order, for labels whose surviving mean (targeting, attenuation and
-        confidence survival included) is positive; ``(lo, cdf)`` is the
-        Poisson table of that mean, and ``fifo``, ``edge`` and ``device id``
+        confidence survival included) is positive; ``table`` is the Poisson
+        table of that mean, and ``fifo``, ``edge`` and ``device id``
         are ``None`` on an exit label. Built on the component's first
         completion.
         """
@@ -614,8 +620,7 @@ class _Run:
                 if conf is not None:
                     mean *= conf.survival(label, adv)
                 if mean > 0:
-                    lo, cdf = self._table(mean)
-                    rows.append((salt, lo, cdf, fifo, edge, device_id))
+                    rows.append((salt, self._table(mean), fifo, edge, device_id))
         rows = (clean_rows, adv_rows)
         self.route_rows[comp] = rows
         return rows
@@ -635,9 +640,9 @@ class _Run:
             if gateless:
                 # Gateless component: the item itself exits here.
                 last_exit[input_id] = now
-            for salt, lo, cdf, fifo, edge, device_id in rows[item.adv]:
+            for salt, table, fifo, edge, device_id in rows[item.adv]:
                 key = _mix(item.key ^ salt)
-                survivors = lo + bisect_right(cdf, (key >> 11) * _UNIT)
+                survivors = _poisson_draw(table, key)
                 if survivors == 0:
                     continue
                 if fifo is None:

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +29,9 @@ from pipevuln.simulate import (
     DeploymentConfig,
     InputFilter,
     TrafficScenario,
+    _mix,
+    _poisson_draw,
+    _poisson_table,
     percentile,
     run_matrix,
     simulate,
@@ -105,6 +112,48 @@ class TestPercentile:
         assert percentile(values, 50) <= percentile(values, 95) <= percentile(
             values, 99
         )
+
+
+class TestSampler:
+    def test_table_matches_exact_poisson_cdf(self):
+        for lam in (0.01, 0.6, 1.0, 4.0, 40.0):
+            lo, cdf = _poisson_table(lam)
+            assert lo == 0
+            pmf = [math.exp(-lam) * lam**k / math.factorial(k) for k in range(len(cdf))]
+            for k, value in enumerate(cdf):
+                assert abs(value - math.fsum(pmf[: k + 1])) <= 1e-12, (lam, k)
+
+    @pytest.mark.parametrize("lam", [0.6, 4.0, 931.5, 1075.5, 1e5])
+    def test_hashed_draws_have_poisson_mean_and_variance(self, lam):
+        n = 20_000
+        table = _poisson_table(lam)
+        draws = [_poisson_draw(table, _mix(i)) for i in range(n)]
+        mean = math.fsum(draws) / n
+        var = math.fsum((d - mean) ** 2 for d in draws) / (n - 1)
+        # Poisson: Var[sample var] ~ (mu4 - sigma^4) / n = (lam + 2 lam^2) / n.
+        assert abs(mean - lam) <= 5 * math.sqrt(lam / n)
+        assert abs(var - lam) <= 5 * math.sqrt((lam + 2 * lam * lam) / n)
+
+    def test_draws_do_not_decrease_as_the_mean_grows(self):
+        means = (0.01, 0.1, 0.5, 0.6, 1.0, 1.5, 4.0, 10.0, 40.0, 931.5, 1075.5)
+        tables = [_poisson_table(lam) for lam in means]
+        for i in range(2000):
+            key = _mix(i)
+            draws = [_poisson_draw(table, key) for table in tables]
+            assert draws == sorted(draws), key
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import pipevuln.cli, sys; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert done.stdout.strip() == "False"
 
 
 class TestDeterminism:
