@@ -83,9 +83,13 @@ def _looks_like_jsonl(text: str) -> bool:
     return isinstance(first, dict) and "type" in first
 
 
+# libyaml's loader where PyYAML was built with it: same documents, 5-10x faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_yaml(text: str) -> dict:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise SyntaxParseError(f"invalid YAML: {exc}") from exc
     if doc is None:

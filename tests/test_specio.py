@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import yaml
 
 from pipevuln.errors import (
     SchemaError,
@@ -13,6 +14,7 @@ from pipevuln.errors import (
 )
 from pipevuln.ranking import enumerate_paths
 from pipevuln.specio import (
+    _load_yaml,
     build_report,
     document_to_jsonl,
     document_to_yaml,
@@ -82,6 +84,19 @@ class TestParseSpec:
     def test_unparseable_yaml_is_syntax_error(self):
         with pytest.raises(SyntaxParseError):
             parse_spec("components: [unclosed")
+
+    def test_shipped_yaml_loads_as_the_pure_python_loader_does(self, pipelines_dir):
+        for path in sorted(pipelines_dir.glob("*.yaml")):
+            text = path.read_text(encoding="utf-8")
+            assert _load_yaml(text) == yaml.safe_load(text), path.name
+
+    @pytest.mark.parametrize("text", [
+        "components: [unclosed", "a: b: c", "key: 'open", "- a\nb: c", "\tx: 1",
+    ])
+    def test_malformed_yaml_is_e_syntax(self, text):
+        with pytest.raises(SyntaxParseError) as err:
+            parse_spec(text)
+        assert err.value.code == "E_SYNTAX"
 
     def test_unknown_scenario_key_is_schema_error(self):
         text = MINIMAL_YAML.replace("seed: 1", "seed: 1\n    turbo: true")
