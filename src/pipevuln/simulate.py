@@ -344,14 +344,15 @@ class _EdgeQueue:
         """Count ``count`` arrivals; admit as many as budget and capacity allow.
 
         Nothing dequeues between the arrivals of one emission, so the first
-        ``admitted`` of them enter and the rest are dropped.
+        ``admitted`` of them enter and the rest are dropped. Admission keeps
+        ``queued <= capacity`` and ``budget_used <= budget_cap``, so
+        ``admitted`` is never negative.
         """
         admitted = count
         if self.budget_cap is not None:
             admitted = min(admitted, self.budget_cap - self.budget_used)
         if self.capacity is not None:
             admitted = min(admitted, self.capacity - self.queued)
-        admitted = max(admitted, 0)
         self.enqueued += count
         self.dropped += count - admitted
         self.budget_used += admitted
