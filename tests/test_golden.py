@@ -5,7 +5,9 @@ case in ``CASES``; the exit code, stderr and stdout must equal the committed
 file ``tests/golden/<spec>.<case>.txt`` exactly. Fifty seeded
 ``random_sim_triple`` runs must reproduce the sorted-key JSON of their
 ``SimMetrics`` line for line; they cover the ``shared-single-device`` model,
-which no shipped spec uses.
+which no shipped spec uses. Every shipped spec has at most three paths, so
+the analytic cases also run on ``tests/specs/layered.yaml`` (29 paths whose
+ids share prefixes up to three steps deep).
 
 The simulator draws from its counter-hash stream (SplitMix64 keys mapped
 through inverse-CDF Poisson tables), so these files pin that stream:
@@ -40,12 +42,14 @@ CASES = (
     "validate", "paths", "rank", "rank_forced", "weights", "amplify", "report",
     "report_sim", "matrix",
 )
+LAYERED = Path(__file__).resolve().parent / "specs" / "layered.yaml"
+LAYERED_CASES = ("rank", "rank_forced", "weights", "amplify", "report")
 SIM_GOLDEN = GOLDEN_DIR / "sim_metrics.jsonl"
 SIM_SEEDS = range(50)
 
 
-def _argv(spec: str, case: str) -> list[str]:
-    path = str(PIPELINES_DIR / spec)
+def _argv(spec: Path, case: str) -> list[str]:
+    path = str(spec)
     if case == "validate":
         return ["validate", path]
     if case == "report":
@@ -61,6 +65,10 @@ def _argv(spec: str, case: str) -> list[str]:
         config = list(parse_spec_file(path).configs)[-1]
         return ["report", path, "--scenario", "attacked", "--config", config]
     return [case, path, "--format", "records"]
+
+
+def _golden(spec: Path, case: str) -> Path:
+    return GOLDEN_DIR / f"{spec.name}.{case}.txt"
 
 
 def _run_cli(argv: list[str]) -> bytes:
@@ -80,8 +88,14 @@ def _sim_line(seed: int) -> str:
 @pytest.mark.parametrize("spec", SPECS)
 def test_cli_output_matches_golden(spec, case, monkeypatch):
     monkeypatch.delenv(PATH_CAP_ENV, raising=False)
-    expected = (GOLDEN_DIR / f"{spec}.{case}.txt").read_bytes()
-    assert _run_cli(_argv(spec, case)) == expected
+    path = PIPELINES_DIR / spec
+    assert _run_cli(_argv(path, case)) == _golden(path, case).read_bytes()
+
+
+@pytest.mark.parametrize("case", LAYERED_CASES)
+def test_layered_output_matches_golden(case, monkeypatch):
+    monkeypatch.delenv(PATH_CAP_ENV, raising=False)
+    assert _run_cli(_argv(LAYERED, case)) == _golden(LAYERED, case).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +111,10 @@ def test_sim_metrics_match_golden(seed, sim_golden):
 def regenerate() -> None:
     os.environ.pop(PATH_CAP_ENV, None)
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for spec in SPECS:
-        for case in CASES:
-            (GOLDEN_DIR / f"{spec}.{case}.txt").write_bytes(_run_cli(_argv(spec, case)))
+    runs = [(PIPELINES_DIR / spec, case) for spec in SPECS for case in CASES]
+    runs += [(LAYERED, case) for case in LAYERED_CASES]
+    for path, case in runs:
+        _golden(path, case).write_bytes(_run_cli(_argv(path, case)))
     lines = [_sim_line(seed) for seed in SIM_SEEDS]
     SIM_GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
