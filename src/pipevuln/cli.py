@@ -17,7 +17,7 @@ from dataclasses import replace
 from typing import Any, Sequence
 
 from . import __version__
-from .errors import PipelineError, SyntaxParseError
+from .errors import BadValueError, PipelineError, SyntaxParseError
 from .model import topological_order
 from .propagation import amplification_matrix, clean_cost
 from .ranking import PathRanking, enumerate_paths, rank_and_select, wrong_path_report
@@ -64,8 +64,13 @@ def _emit_records(records: list[dict], out: io.TextIOBase) -> None:
 def _write(args, text_parts: list[str]) -> None:
     text = "".join(text_parts)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise BadValueError(
+                f"cannot write --out {args.out!r}: {exc.strerror or exc}"
+            ) from None
     else:
         sys.stdout.write(text)
 
@@ -115,45 +120,48 @@ def _cmd_paths(args) -> int:
     return 0
 
 
-def _ranking_rows(ranking: PathRanking) -> tuple[list[list], list[dict]]:
+def _ranking_records(ranking: PathRanking) -> list[dict]:
+    selected_id = ranking.selected.path.id
+    return [
+        {
+            "path_id": entry.path.id,
+            "components": list(entry.path.components),
+            "component_scores": {s.component: s.score for s in entry.component_scores},
+            "path_score": entry.score,
+            "selected": entry.path.id == selected_id,
+            "weights": ranking.weights if entry.path.id == selected_id else None,
+        }
+        for entry in ranking.entries
+    ]
+
+
+def _ranking_rows(ranking: PathRanking) -> list[list]:
     rows: list[list] = []
-    records: list[dict] = []
     for entry in ranking.entries:
         selected = entry.path.id == ranking.selected.path.id
-        scores = {s.component: s.score for s in entry.component_scores}
         weights = ranking.weights if selected else {}
         rows.append([
             entry.path.id,
             "|".join(entry.path.components),
             entry.score,
             selected,
-            ";".join(f"{c}={_fmt(v)}" for c, v in scores.items()),
+            ";".join(f"{s.component}={_fmt(s.score)}" for s in entry.component_scores),
             ";".join(f"{c}={_fmt(v)}" for c, v in weights.items()),
         ])
-        records.append({
-            "path_id": entry.path.id,
-            "components": list(entry.path.components),
-            "component_scores": scores,
-            "path_score": entry.score,
-            "selected": selected,
-            "weights": weights if selected else None,
-        })
-    return rows, records
+    return rows
 
 
 def _emit_ranking(args, ranking: PathRanking) -> None:
-    header = ["path_id", "components", "path_score", "selected",
-              "component_scores", "weights"]
-    rows, records = _ranking_rows(ranking)
     if ranking.degenerate_weights:
         _note(args, "note: selected path has no positive score mass; "
                     "weights fall back to uniform")
     if args.format == RECORDS:
-        _write(args, [_capture(_emit_records, records)])
-    elif args.format == CSV:
-        _write(args, [_capture(_emit_csv, header, rows)])
-    else:
-        _write(args, [_capture(_emit_table, header, rows)])
+        _write(args, [_capture(_emit_records, _ranking_records(ranking))])
+        return
+    header = ["path_id", "components", "path_score", "selected",
+              "component_scores", "weights"]
+    emit = _emit_csv if args.format == CSV else _emit_table
+    _write(args, [_capture(emit, header, _ranking_rows(ranking))])
 
 
 def _rank(args) -> PathRanking:
@@ -293,6 +301,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise BadValueError(f"--seeds: {text.strip()!r} is not an integer") from None
+
+
 def _cmd_matrix(args) -> int:
     spec = parse_spec_file(args.spec)
     scenarios = spec.scenarios
@@ -305,7 +320,7 @@ def _cmd_matrix(args) -> int:
                                       "config", args.spec)}
     seeds = None
     if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        seeds = [_seed(s) for s in args.seeds.split(",") if s.strip()]
     elif args.seed is not None:
         seeds = [args.seed]
     labeled = run_matrix(spec.graph, scenarios, configs, seeds=seeds)
@@ -317,11 +332,10 @@ def _cmd_report(args) -> int:
     spec = parse_spec_file(args.spec)
     graph = spec.graph
     ranking = rank_and_select(graph, cap=args.path_cap)
-    _, rank_records = _ranking_rows(ranking)
     by_id = sorted(ranking.entries, key=lambda r: r.path.id)
     results: dict[str, Any] = {
         "paths": [r.path.id for r in by_id],
-        "ranking": rank_records,
+        "ranking": _ranking_records(ranking),
         "amplification": {r.path.id: r.flops_x for r in by_id},
     }
     params: dict[str, Any] = {"spec": os.path.basename(args.spec)}

@@ -6,14 +6,32 @@ the sum over its inbound edges of the upstream invocation count times the
 emission cardinality on that edge's label. Stochastic per-input counts live
 only in the deployment simulator.
 
+One stepping helper does all the work: a component's step adds its count
+times each of its emission means to the target's count. The means come from
+a per-call emission table that maps (component, targeting label or
+``None``) to ``(target, mean)`` rows in sorted label order, with EXIT routes
+and zero means left out; each entry is built on first use. A clean run
+steps every component clean.
+
+:func:`propagate_paths` propagates many paths in one pass. The workload
+after a path's first ``i`` steps (with every off-path component before them
+stepped clean) depends only on those steps. So the walk computes it once,
+keeps it on a stack, and reuses it for every following path that shares
+those steps; on id-sorted paths the work scales with the nodes of the path
+trie rather than with paths times components. Each path still gets the same
+float additions in the same component and label order as propagating it
+alone, so every workload, and every cost and score read from it, is
+bit-identical to the one-path result.
+
 All functions here are pure; concurrent evaluation of different scenarios is
 safe and unordered.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .errors import BadValueError, ScenarioMismatchError
 from .model import EXIT, BehaviorProfile, PipelineGraph, topological_order
@@ -76,8 +94,92 @@ class CostBreakdown:
     amplification: float = 1.0
 
 
-def _targeting_by_component(path: "ExecutionPath") -> dict[str, str]:
-    return {cid: label for cid, label in path.steps if label != EXIT}
+#: A step: a component and the label its inputs are steered toward, or None.
+_Key = tuple[str, str | None]
+
+
+class _EmissionTable(dict):
+    """(component, targeting label or None) -> ((target, mean), ...) rows.
+
+    Rows follow sorted label order and leave out EXIT routes and zero means;
+    each key's rows are built from :func:`expected_emission` on first use.
+    """
+
+    def __init__(self, graph: PipelineGraph) -> None:
+        super().__init__()
+        self.graph = graph
+
+    def __missing__(self, key: _Key) -> tuple[tuple[str, float], ...]:
+        cid, targeting = key
+        profile = self.graph.profiles[cid]
+        rows = []
+        for label, target in sorted(self.graph.routes(cid).items()):
+            if target != EXIT:
+                mean = expected_emission(profile, label, targeting)
+                if mean:
+                    rows.append((target, mean))
+        self[key] = rows = tuple(rows)
+        return rows
+
+
+def _initial(graph: PipelineGraph) -> dict[str, float]:
+    entries = dict.fromkeys(graph.components, 0.0)
+    entries[graph.source] = 1.0
+    return entries
+
+
+def _advance(
+    entries: dict[str, float], keys: Iterable[_Key], table: _EmissionTable
+) -> None:
+    """Step each keyed component in order, adding its emissions downstream."""
+    for key in keys:
+        count = entries[key[0]]
+        if count:
+            for target, mean in table[key]:
+                entries[target] += count * mean
+
+
+def propagate_paths(
+    graph: PipelineGraph, paths: Sequence["ExecutionPath"]
+) -> Iterator[WorkloadVector]:
+    """Each path's targeted workload, in the order of ``paths``, one at a time.
+
+    Consecutive paths that share their first steps share the work of those
+    steps, so pass paths sorted by id (as :func:`enumerate_paths` lists
+    them). Only the workloads of the current path's prefixes are held.
+    """
+    order = topological_order(graph)
+    position = {cid: i for i, cid in enumerate(order)}
+    clean_keys = [(cid, None) for cid in order]
+    table = _EmissionTable(graph)
+    # stack[i]: the workload after the first i steps of the previous path,
+    # and the position in ``order`` of the next component to step.
+    stack = [(_initial(graph), 0)]
+    previous: tuple[_Key, ...] = ()
+    for path in paths:
+        keys = tuple(
+            (cid, None if label == EXIT else label) for cid, label in path.steps
+        )
+        shared = 0
+        for key, prior in zip(keys, previous):
+            if key != prior:
+                break
+            shared += 1
+        del stack[shared + 1:]
+        entries, pos = stack[-1]
+        for key in keys[shared:]:
+            entries = dict(entries)
+            at = position[key[0]]
+            _advance(entries, clean_keys[pos:at], table)
+            _advance(entries, (key,), table)
+            pos = at + 1
+            stack.append((entries, pos))
+        entries = dict(entries)
+        _advance(entries, clean_keys[pos:], table)
+        previous = keys
+        yield WorkloadVector(
+            entries=entries, scenario=f"adversarial({path.id})", target_path_id=path.id
+        )
 
 
 def propagate(graph: PipelineGraph, scenario: object = CLEAN) -> WorkloadVector:
@@ -89,32 +191,17 @@ def propagate(graph: PipelineGraph, scenario: object = CLEAN) -> WorkloadVector:
     from .ranking import ExecutionPath, resolve_path
 
     if scenario == CLEAN or scenario is None:
-        targeting: dict[str, str] = {}
-        tag, target_id = CLEAN, None
+        entries = _initial(graph)
+        keys = [(cid, None) for cid in topological_order(graph)]
+        _advance(entries, keys, _EmissionTable(graph))
+        return WorkloadVector(entries=entries, scenario=CLEAN)
+    if isinstance(scenario, str):
+        path = resolve_path(graph, scenario)
+    elif isinstance(scenario, ExecutionPath):
+        path = scenario
     else:
-        if isinstance(scenario, str):
-            path = resolve_path(graph, scenario)
-        elif isinstance(scenario, ExecutionPath):
-            path = scenario
-        else:
-            raise BadValueError(f"unsupported scenario {scenario!r}")
-        targeting = _targeting_by_component(path)
-        tag, target_id = f"adversarial({path.id})", path.id
-
-    entries = {cid: 0.0 for cid in graph.components}
-    entries[graph.source] = 1.0
-    for cid in topological_order(graph):
-        count = entries[cid]
-        if count == 0.0:
-            continue
-        profile = graph.profiles[cid]
-        for label, target in sorted(graph.routes(cid).items()):
-            if target == EXIT:
-                continue
-            mean = expected_emission(profile, label, targeting.get(cid))
-            if mean:
-                entries[target] += count * mean
-    return WorkloadVector(entries=entries, scenario=tag, target_path_id=target_id)
+        raise BadValueError(f"unsupported scenario {scenario!r}")
+    return next(propagate_paths(graph, [path]))
 
 
 def cost(
@@ -134,11 +221,12 @@ def cost(
             "workload vector components do not match the graph"
         )
     adversarial = workload.adversarial
-    per: dict[str, float] = {}
-    for cid in sorted(graph.components):
-        spec = graph.components[cid]
-        unit = spec.adv_cost if adversarial else spec.clean_cost
-        per[cid] = workload.entries[cid] * unit
+    entries, specs = workload.entries, graph.components
+    per = {
+        cid: entries[cid]
+        * (specs[cid].adv_cost if adversarial else specs[cid].clean_cost)
+        for cid in sorted(specs)
+    }
     total = sum(per.values())  # filled in sorted id order: a fixed sum order
     if reference is None:
         amplification = 1.0
@@ -177,7 +265,8 @@ def amplification_matrix(
     from .ranking import enumerate_paths
 
     reference = clean_cost(graph)
+    paths = enumerate_paths(graph, cap=cap)
     return {
-        path.id: cost(graph, propagate(graph, path), reference)
-        for path in enumerate_paths(graph, cap=cap)
+        path.id: cost(graph, workload, reference)
+        for path, workload in zip(paths, propagate_paths(graph, paths))
     }

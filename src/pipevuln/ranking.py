@@ -27,9 +27,15 @@ excess over the clean reference. Both incurred costs and ``K`` are read from
 two :class:`~pipevuln.propagation.CostBreakdown` values: the clean one
 (``per_component`` and ``total_gflops``) and the one of the path's targeted
 workload, whose ``amplification`` is also kept as the path's FLOPs
-amplification. Each path is propagated and costed once. Stored alongside each
-score are the clean reference cost and the reference-plus-excess cost, whose
-ratio minus one reproduces the score.
+amplification. Stored alongside each score are the clean reference cost and
+the reference-plus-excess cost, whose ratio minus one reproduces the score.
+
+All paths are scored from one pass. :func:`enumerate_paths` lists them by
+id, so paths that share their first steps are neighbours, and
+:func:`~pipevuln.propagation.propagate_paths` computes the workload of each
+shared prefix once and streams one targeted workload per path; each is
+costed once and then dropped. A path's workload is the same float sums in
+the same order as propagating it alone, so scores are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -39,12 +45,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import (
+    BadValueError,
     MissingScoreError,
     NoSuchPathError,
     PathExplosionError,
 )
 from .model import EXIT, PipelineGraph
-from .propagation import CostBreakdown, clean_cost, cost, propagate
+from .propagation import CostBreakdown, clean_cost, cost, propagate_paths
 
 #: Default ceiling on enumerated paths; graphs beyond it are out of scope.
 DEFAULT_PATH_CAP = 10_000
@@ -57,7 +64,12 @@ def resolve_path_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
     raw = os.environ.get(PATH_CAP_ENV)
-    return int(raw) if raw else DEFAULT_PATH_CAP
+    if not raw:
+        return DEFAULT_PATH_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadValueError(f"{PATH_CAP_ENV}={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -240,11 +252,12 @@ def compute_loss_weights(
 
 
 def _score_paths(graph: PipelineGraph, cap: int | None) -> list[RankedPath]:
-    """Every enumerated path, propagated, costed and scored once."""
+    """Every enumerated path, propagated (in one shared pass), costed and scored."""
     clean = clean_cost(graph)
+    paths = enumerate_paths(graph, cap=cap)
     entries = []
-    for path in enumerate_paths(graph, cap=cap):
-        targeted = cost(graph, propagate(graph, path), clean)
+    for path, workload in zip(paths, propagate_paths(graph, paths)):
+        targeted = cost(graph, workload, clean)
         scores = tuple(component_score(c, clean, targeted) for c in path.components)
         entries.append(RankedPath(
             path=path,

@@ -16,6 +16,8 @@ from pipevuln.model import PipelineGraph, build_graph
 from pipevuln.specio import graph_to_document
 
 PIPELINES_DIR = Path(__file__).resolve().parent.parent / "pipelines"
+#: Generated-style spec whose 29 path ids share prefixes up to three steps deep.
+LAYERED_SPEC = Path(__file__).resolve().parent / "specs" / "layered.yaml"
 
 
 def scale_costs(graph: PipelineGraph, lam: float) -> PipelineGraph:

@@ -19,7 +19,7 @@ from pipevuln.ranking import enumerate_paths, rank_and_select
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec_file
 
-from conftest import huge_mean_doc, traffic_doc
+from conftest import LAYERED_SPEC, huge_mean_doc, traffic_doc
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -72,6 +72,31 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("E_NONTERMINATION")
         assert "Traceback" not in err
+
+
+    def test_bad_seed_list_is_coded_error(self, capsys, traffic_spec_path):
+        code, _, err = run_cli(capsys, "matrix", traffic_spec_path,
+                               "--seeds", "1,x")
+        assert code == 1
+        assert err.startswith("E_BAD_VALUE") and "'x'" in err
+        assert "Traceback" not in err
+
+    def test_bad_path_cap_env_is_coded_error(self, capsys, monkeypatch,
+                                             traffic_spec_path):
+        monkeypatch.setenv("PIPEVULN_PATH_CAP", "abc")
+        code, _, err = run_cli(capsys, "rank", traffic_spec_path)
+        assert code == 1
+        assert err.startswith("E_BAD_VALUE") and "'abc'" in err
+
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."])
+    def test_unwritable_out_is_coded_error(self, capsys, tmp_path,
+                                           traffic_spec_path, target):
+        out = tmp_path / target
+        code, stdout, err = run_cli(capsys, "rank", traffic_spec_path,
+                                    "--out", str(out))
+        assert code == 1
+        assert err.startswith("E_BAD_VALUE") and str(out) in err
+        assert stdout == ""
 
 
 class TestSubcommands:
@@ -314,6 +339,15 @@ class TestOnePass:
         if enumerations:
             # The clean reference may be propagated twice; each path once.
             assert calls["propagate"] <= n_paths + 2
+
+    def test_rank_propagates_paths_in_one_shared_pass(self, capsys, calls):
+        n_paths = len(enumerate_paths(parse_spec_file(str(LAYERED_SPEC)).graph))
+        assert n_paths == 29
+        calls.clear()
+        code, _, stderr = run_cli(capsys, "rank", str(LAYERED_SPEC))
+        assert code == 0, stderr
+        assert calls["enumerate_paths"] == 1
+        assert calls["propagate"] <= 2
 
 
 class TestDeterminismAndAgreement:

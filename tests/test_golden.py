@@ -34,7 +34,7 @@ from pipevuln.ranking import PATH_CAP_ENV, enumerate_paths
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec_file
 
-from conftest import PIPELINES_DIR, random_sim_triple
+from conftest import LAYERED_SPEC, PIPELINES_DIR, random_sim_triple
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SPECS = sorted(p.name for p in PIPELINES_DIR.iterdir())
@@ -42,7 +42,6 @@ CASES = (
     "validate", "paths", "rank", "rank_forced", "weights", "amplify", "report",
     "report_sim", "matrix",
 )
-LAYERED = Path(__file__).resolve().parent / "specs" / "layered.yaml"
 LAYERED_CASES = ("rank", "rank_forced", "weights", "amplify", "report")
 SIM_GOLDEN = GOLDEN_DIR / "sim_metrics.jsonl"
 SIM_SEEDS = range(50)
@@ -95,7 +94,8 @@ def test_cli_output_matches_golden(spec, case, monkeypatch):
 @pytest.mark.parametrize("case", LAYERED_CASES)
 def test_layered_output_matches_golden(case, monkeypatch):
     monkeypatch.delenv(PATH_CAP_ENV, raising=False)
-    assert _run_cli(_argv(LAYERED, case)) == _golden(LAYERED, case).read_bytes()
+    expected = _golden(LAYERED_SPEC, case).read_bytes()
+    assert _run_cli(_argv(LAYERED_SPEC, case)) == expected
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +112,7 @@ def regenerate() -> None:
     os.environ.pop(PATH_CAP_ENV, None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     runs = [(PIPELINES_DIR / spec, case) for spec in SPECS for case in CASES]
-    runs += [(LAYERED, case) for case in LAYERED_CASES]
+    runs += [(LAYERED_SPEC, case) for case in LAYERED_CASES]
     for path, case in runs:
         _golden(path, case).write_bytes(_run_cli(_argv(path, case)))
     lines = [_sim_line(seed) for seed in SIM_SEEDS]

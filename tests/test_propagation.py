@@ -7,18 +7,27 @@ import random
 import pytest
 
 from pipevuln.errors import NoSuchPathError, ScenarioMismatchError
-from pipevuln.model import build_graph
+from pipevuln.model import EXIT, build_graph
 from pipevuln.propagation import (
     CLEAN,
+    WorkloadVector,
     amplification_matrix,
     clean_cost,
     cost,
     expected_emission,
     propagate,
+    propagate_paths,
 )
 from pipevuln.ranking import enumerate_paths, rank_and_select
+from pipevuln.specio import parse_spec_file
 
-from conftest import random_graph_doc, traffic_doc
+from conftest import (
+    LAYERED_SPEC,
+    PIPELINES_DIR,
+    random_graph,
+    random_graph_doc,
+    traffic_doc,
+)
 
 from test_ranking import oracle_argmax, oracle_paths, oracle_workload
 
@@ -246,3 +255,99 @@ class TestAmplificationMatrix:
             assert ranking.selected.path.id == oracle_argmax(matrix)
             checked += 1
         assert checked >= 30
+
+
+def naive_workload(graph, path=None) -> dict[str, float]:
+    """Reference: one path propagated on its own, component by component."""
+    targeting = {} if path is None else {
+        cid: label for cid, label in path.steps if label != EXIT
+    }
+    entries = {cid: 0.0 for cid in graph.components}
+    entries[graph.source] = 1.0
+    for cid in graph.order:
+        count = entries[cid]
+        if count == 0.0:
+            continue
+        for label, target in sorted(graph.routes(cid).items()):
+            if target == EXIT:
+                continue
+            mean = expected_emission(graph.profiles[cid], label, targeting.get(cid))
+            if mean:
+                entries[target] += count * mean
+    return entries
+
+
+def merging_labels_doc() -> dict:
+    """Two labels of ``m`` route to ``t``, which ``s`` already fed: the three
+    additions into ``t`` round differently in another label order."""
+    component = {"kind": "neural", "clean_cost_gflops": 1.0, "adv_cost_gflops": 2.0,
+                 "device_rate_gflops_s": 10.0, "per_call_overhead_s": 0.0,
+                 "batchable": True}
+    return {
+        "components": [{"id": cid, **component} for cid in ("s", "m", "t")],
+        "profiles": [
+            {"component": "s", "clean_cardinality": {"a": 0.1, "b": 1.0},
+             "adv_cardinality": {"a": {"a": 1.0, "b": 0.1}}},
+            {"component": "m", "clean_cardinality": {"p": 0.2, "q": 0.3},
+             "adv_cardinality": {"p": {"p": 0.2, "q": 0.6}, "q": 0.7}},
+        ],
+        "gates": [{"component": "s", "routes": {"a": "m", "b": "t"}},
+                  {"component": "m", "routes": {"p": "t", "q": "t"}}],
+        "edges": [{"from": "s", "to": "m", "label": "a"},
+                  {"from": "s", "to": "t", "label": "b"},
+                  {"from": "m", "to": "t", "label": "p"},
+                  {"from": "m", "to": "t", "label": "q"}],
+        "source": "s",
+    }
+
+
+def _exactness_graphs():
+    specs = sorted(PIPELINES_DIR.iterdir()) + [LAYERED_SPEC]
+    for spec in specs:
+        yield spec.name, parse_spec_file(str(spec)).graph
+    yield "merging-labels", build_graph(merging_labels_doc())
+    for seed in range(50):
+        yield f"random-{seed}", random_graph(random.Random(seed))
+
+
+EXACTNESS_GRAPHS = list(_exactness_graphs())
+
+
+class TestSharedWalkExactness:
+    """The prefix-shared walk reproduces per-path propagation bit for bit."""
+
+    @pytest.mark.parametrize(
+        "graph", [g for _, g in EXACTNESS_GRAPHS], ids=[n for n, _ in EXACTNESS_GRAPHS]
+    )
+    def test_walk_equals_naive_propagation(self, graph):
+        paths = enumerate_paths(graph)
+        workloads = propagate_paths(graph, paths)
+        assert iter(workloads) is workloads  # streamed, one path at a time
+        for path, workload in zip(paths, workloads, strict=True):
+            # == on every float: the same sums in the same order.
+            assert workload.entries == naive_workload(graph, path)
+            assert workload.scenario == f"adversarial({path.id})"
+            assert workload.target_path_id == path.id
+            assert propagate(graph, path).entries == workload.entries
+        assert propagate(graph, CLEAN).entries == naive_workload(graph)
+
+    @pytest.mark.parametrize(
+        "graph", [g for _, g in EXACTNESS_GRAPHS], ids=[n for n, _ in EXACTNESS_GRAPHS]
+    )
+    def test_matrix_equals_naive_cost(self, graph):
+        clean = clean_cost(graph)
+        matrix = amplification_matrix(graph)
+        paths = enumerate_paths(graph)
+        assert list(matrix) == [p.id for p in paths]
+        for path in paths:
+            reference = WorkloadVector(
+                naive_workload(graph, path), f"adversarial({path.id})", path.id
+            )
+            assert matrix[path.id] == cost(graph, reference, clean)
+
+    def test_any_path_order_gives_the_same_workloads(self):
+        graph = parse_spec_file(str(LAYERED_SPEC)).graph
+        paths = enumerate_paths(graph)
+        shuffled = paths[::-1] + paths[::3]
+        for path, workload in zip(shuffled, propagate_paths(graph, shuffled)):
+            assert workload.entries == naive_workload(graph, path)
