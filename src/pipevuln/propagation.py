@@ -29,7 +29,7 @@ safe and unordered.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -140,7 +140,7 @@ def _advance(
 
 
 def propagate_paths(
-    graph: PipelineGraph, paths: Sequence["ExecutionPath"]
+    graph: PipelineGraph, paths: Iterable["ExecutionPath"]
 ) -> Iterator[WorkloadVector]:
     """Each path's targeted workload, in the order of ``paths``, one at a time.
 
