@@ -7,7 +7,10 @@ file ``tests/golden/<spec>.<case>.txt`` exactly. Fifty seeded
 ``SimMetrics`` line for line; they cover the ``shared-single-device`` model,
 which no shipped spec uses. Every shipped spec has at most three paths, so
 the analytic cases also run on ``tests/specs/layered.yaml`` (29 paths whose
-ids share prefixes up to three steps deep).
+ids share prefixes up to three steps deep). ``FORMAT_CASES`` run on one small
+shipped spec and render each subcommand that takes ``--format`` in each
+format, table ``matrix`` with its edge sections and multi-seed mean and std
+rows included.
 
 The simulator draws from its counter-hash stream (SplitMix64 keys mapped
 through inverse-CDF Poisson tables), so these files pin that stream:
@@ -43,6 +46,12 @@ CASES = (
     "report_sim", "matrix",
 )
 LAYERED_CASES = ("rank", "rank_forced", "weights", "amplify", "report")
+FORMAT_SPEC = PIPELINES_DIR / "traffic.yaml"
+FORMAT_CASES = tuple(
+    f"{command}_{fmt}"
+    for command in ("paths", "rank", "weights", "amplify", "simulate", "matrix")
+    for fmt in ("table", "csv")
+) + ("simulate_records", "matrix_seeds_csv")
 SIM_GOLDEN = GOLDEN_DIR / "sim_metrics.jsonl"
 SIM_SEEDS = range(50)
 
@@ -63,6 +72,14 @@ def _argv(spec: Path, case: str) -> list[str]:
         # most defended one (a path budget on the traffic variant).
         config = list(parse_spec_file(path).configs)[-1]
         return ["report", path, "--scenario", "attacked", "--config", config]
+    if case in FORMAT_CASES:
+        command, fmt = case.split("_")[0], case.rpartition("_")[2]
+        argv = [command, path, "--format", fmt]
+        if command == "simulate":
+            argv += ["--scenario", "attacked", "--config", "buffered"]
+        if case == "matrix_seeds_csv":
+            argv += ["--seeds", "0,1,2"]
+        return argv
     return [case, path, "--format", "records"]
 
 
@@ -98,6 +115,13 @@ def test_layered_output_matches_golden(case, monkeypatch):
     assert _run_cli(_argv(LAYERED_SPEC, case)) == expected
 
 
+@pytest.mark.parametrize("case", FORMAT_CASES)
+def test_format_output_matches_golden(case, monkeypatch):
+    monkeypatch.delenv(PATH_CAP_ENV, raising=False)
+    expected = _golden(FORMAT_SPEC, case).read_bytes()
+    assert _run_cli(_argv(FORMAT_SPEC, case)) == expected
+
+
 @pytest.fixture(scope="module")
 def sim_golden() -> list[str]:
     return SIM_GOLDEN.read_text(encoding="utf-8").splitlines()
@@ -113,6 +137,7 @@ def regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     runs = [(PIPELINES_DIR / spec, case) for spec in SPECS for case in CASES]
     runs += [(LAYERED_SPEC, case) for case in LAYERED_CASES]
+    runs += [(FORMAT_SPEC, case) for case in FORMAT_CASES]
     for path, case in runs:
         _golden(path, case).write_bytes(_run_cli(_argv(path, case)))
     lines = [_sim_line(seed) for seed in SIM_SEEDS]
