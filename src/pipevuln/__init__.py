@@ -45,14 +45,12 @@ from .propagation import (  # noqa: E402
     propagate,
 )
 from .ranking import (  # noqa: E402
-    ComponentScore,
     ExecutionPath,
     PathRanking,
     RankedPath,
     component_score,
     compute_loss_weights,
     enumerate_paths,
-    path_score,
     rank_and_select,
     resolve_path,
     wrong_path_report,
@@ -94,9 +92,9 @@ __all__ = [
     "WorkloadVector", "CostBreakdown", "propagate", "cost", "clean_cost",
     "amplification_matrix", "expected_emission",
     # ranking
-    "ExecutionPath", "ComponentScore", "RankedPath",
-    "PathRanking", "enumerate_paths", "component_score", "path_score",
-    "compute_loss_weights", "rank_and_select", "resolve_path", "wrong_path_report",
+    "ExecutionPath", "RankedPath", "PathRanking", "enumerate_paths",
+    "component_score", "compute_loss_weights", "rank_and_select", "resolve_path",
+    "wrong_path_report",
     # simulation
     "TrafficScenario", "DeploymentConfig", "ConfidenceFilter", "Attenuation",
     "InputFilter", "SimMetrics", "EdgeStats", "percentile", "simulate",

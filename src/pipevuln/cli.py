@@ -13,12 +13,12 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
-from typing import Any, Sequence
+from dataclasses import asdict, astuple, replace
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .errors import BadValueError, PipelineError, SyntaxParseError
-from .model import topological_order
+from .model import PipelineGraph, topological_order
 from .propagation import amplification_matrix, clean_cost
 from .ranking import PathRanking, enumerate_paths, rank_and_select, wrong_path_report
 from .simulate import SimMetrics, metric_columns, metric_row, run_matrix, simulate
@@ -33,36 +33,35 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _emit_table(header: list[str], rows: list[list], out: io.TextIOBase) -> None:
+def _table(header: list[str], rows: list[list]) -> str:
     rendered = [[_fmt(v) for v in row] for row in rows]
-    widths = [len(h) for h in header]
-    for row in rendered:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    line = "  ".join(h.ljust(widths[i]) for i, h in enumerate(header))
-    out.write(line.rstrip() + "\n")
-    out.write("  ".join("-" * w for w in widths) + "\n")
-    for row in rendered:
-        out.write(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-            + "\n"
-        )
+    widths = [max(map(len, column)) for column in zip(header, *rendered)]
+    lines = [header, ["-" * w for w in widths], *rendered]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() + "\n"
+        for line in lines
+    )
 
 
-def _emit_csv(header: list[str], rows: list[list], out: io.TextIOBase) -> None:
-    writer = csv.writer(out, lineterminator="\n")
+def _csv(header: list[str], rows: list[list]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([str(v) for v in row])
+    writer.writerows([str(v) for v in row] for row in rows)
+    return buffer.getvalue()
 
 
-def _emit_records(records: list[dict], out: io.TextIOBase) -> None:
-    for record in records:
-        out.write(json.dumps(record, sort_keys=True) + "\n")
+def _output(args, header: list[str], rows: Callable, records: Callable) -> str:
+    """The ``--format`` text of ``rows()`` or ``records()``; only the one
+    printed is built."""
+    if args.format == RECORDS:
+        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records())
+    if args.format == CSV:
+        return _csv(header, rows())
+    return _table(header, rows())
 
 
-def _write(args, text_parts: list[str]) -> None:
-    text = "".join(text_parts)
+def _write(args, text: str) -> None:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
@@ -73,12 +72,6 @@ def _write(args, text_parts: list[str]) -> None:
             ) from None
     else:
         sys.stdout.write(text)
-
-
-def _capture(emitter, *call_args) -> str:
-    buffer = io.StringIO()
-    emitter(*call_args, buffer)
-    return buffer.getvalue()
 
 
 def _note(args, message: str) -> None:
@@ -95,28 +88,22 @@ def _cmd_validate(args) -> int:
     spec = parse_spec_file(args.spec)
     graph = spec.graph
     n_paths = len(enumerate_paths(graph, cap=args.path_cap))
-    summary = (
+    _write(args, (
         f"ok: {len(graph.components)} components, {len(graph.edges)} edges, "
         f"{n_paths} paths, {len(spec.scenarios)} scenarios, "
-        f"{len(spec.configs)} configs, digest {spec.digest}"
-    )
-    _write(args, [summary + "\n"])
+        f"{len(spec.configs)} configs, digest {spec.digest}\n"
+    ))
     return 0
 
 
 def _cmd_paths(args) -> int:
     paths = enumerate_paths(parse_spec_file(args.spec).graph, cap=args.path_cap)
-    header = ["path_id", "components"]
-    rows = [[p.id, "|".join(p.components)] for p in paths]
-    if args.format == RECORDS:
-        records = [
-            {"path_id": p.id, "components": list(p.components)} for p in paths
-        ]
-        _write(args, [_capture(_emit_records, records)])
-    elif args.format == CSV:
-        _write(args, [_capture(_emit_csv, header, rows)])
-    else:
-        _write(args, [_capture(_emit_table, header, rows)])
+    _write(args, _output(
+        args,
+        ["path_id", "components"],
+        lambda: [[p.id, "|".join(p.components)] for p in paths],
+        lambda: [{"path_id": p.id, "components": list(p.components)} for p in paths],
+    ))
     return 0
 
 
@@ -126,7 +113,7 @@ def _ranking_records(ranking: PathRanking) -> list[dict]:
         {
             "path_id": entry.path.id,
             "components": list(entry.path.components),
-            "component_scores": {s.component: s.score for s in entry.component_scores},
+            "component_scores": entry.component_scores,
             "path_score": entry.score,
             "selected": entry.path.id == selected_id,
             "weights": ranking.weights if entry.path.id == selected_id else None,
@@ -135,33 +122,16 @@ def _ranking_records(ranking: PathRanking) -> list[dict]:
     ]
 
 
+def _joined(scores: dict[str, float]) -> str:
+    return ";".join(f"{c}={_fmt(v)}" for c, v in scores.items())
+
+
 def _ranking_rows(ranking: PathRanking) -> list[list]:
-    rows: list[list] = []
-    for entry in ranking.entries:
-        selected = entry.path.id == ranking.selected.path.id
-        weights = ranking.weights if selected else {}
-        rows.append([
-            entry.path.id,
-            "|".join(entry.path.components),
-            entry.score,
-            selected,
-            ";".join(f"{s.component}={_fmt(s.score)}" for s in entry.component_scores),
-            ";".join(f"{c}={_fmt(v)}" for c, v in weights.items()),
-        ])
-    return rows
-
-
-def _emit_ranking(args, ranking: PathRanking) -> None:
-    if ranking.degenerate_weights:
-        _note(args, "note: selected path has no positive score mass; "
-                    "weights fall back to uniform")
-    if args.format == RECORDS:
-        _write(args, [_capture(_emit_records, _ranking_records(ranking))])
-        return
-    header = ["path_id", "components", "path_score", "selected",
-              "component_scores", "weights"]
-    emit = _emit_csv if args.format == CSV else _emit_table
-    _write(args, [_capture(emit, header, _ranking_rows(ranking))])
+    return [
+        [r["path_id"], "|".join(r["components"]), r["path_score"], r["selected"],
+         _joined(r["component_scores"]), _joined(r["weights"] or {})]
+        for r in _ranking_records(ranking)
+    ]
 
 
 def _rank(args) -> PathRanking:
@@ -172,25 +142,32 @@ def _rank(args) -> PathRanking:
 
 
 def _cmd_rank(args) -> int:
-    _emit_ranking(args, _rank(args))
+    ranking = _rank(args)
+    if ranking.degenerate_weights:
+        _note(args, "note: selected path has no positive score mass; "
+                    "weights fall back to uniform")
+    _write(args, _output(
+        args,
+        ["path_id", "components", "path_score", "selected", "component_scores",
+         "weights"],
+        lambda: _ranking_rows(ranking),
+        lambda: _ranking_records(ranking),
+    ))
     return 0
 
 
 def _cmd_weights(args) -> int:
     ranking = _rank(args)
-    header = ["component", "weight"]
-    rows = [[c, w] for c, w in ranking.weights.items()]
-    if args.format == RECORDS:
-        records = [{"component": c, "weight": w} for c, w in ranking.weights.items()]
-        records.append({
+    weights = ranking.weights.items()
+    _write(args, _output(
+        args,
+        ["component", "weight"],
+        lambda: [[c, w] for c, w in weights],
+        lambda: [{"component": c, "weight": w} for c, w in weights] + [{
             "selected_path": ranking.selected.path.id,
             "degenerate": ranking.degenerate_weights,
-        })
-        _write(args, [_capture(_emit_records, records)])
-    elif args.format == CSV:
-        _write(args, [_capture(_emit_csv, header, rows)])
-    else:
-        _write(args, [_capture(_emit_table, header, rows)])
+        }],
+    ))
     return 0
 
 
@@ -201,8 +178,17 @@ def _cmd_amplify(args) -> int:
     breakdowns = [clean_cost(graph), *matrix.values()]
     best = min(matrix, key=lambda pid: (-matrix[pid].amplification, pid))
     _note(args, f"analytic argmax path: {best}")
-    if args.format == RECORDS:
-        records = [
+    comp_order = topological_order(graph)
+    _write(args, _output(
+        args,
+        ["scenario", "total_gflops", "flops_x"]
+        + [f"gflops_{cid}" for cid in comp_order],
+        lambda: [
+            [b.scenario, b.total_gflops, b.amplification]
+            + [b.per_component[cid] for cid in comp_order]
+            for b in breakdowns
+        ],
+        lambda: [
             {
                 "scenario": b.scenario,
                 "total_gflops": b.total_gflops,
@@ -210,20 +196,8 @@ def _cmd_amplify(args) -> int:
                 "per_component_gflops": b.per_component,
             }
             for b in breakdowns
-        ]
-        _write(args, [_capture(_emit_records, records)])
-        return 0
-    comp_order = topological_order(graph)
-    header = ["scenario", "total_gflops", "flops_x"] + [
-        f"gflops_{cid}" for cid in comp_order
-    ]
-    rows = [
-        [b.scenario, b.total_gflops, b.amplification]
-        + [b.per_component[cid] for cid in comp_order]
-        for b in breakdowns
-    ]
-    emit = _emit_csv if args.format == CSV else _emit_table
-    _write(args, [_capture(emit, header, rows)])
+        ],
+    ))
     return 0
 
 
@@ -241,63 +215,40 @@ def _pick(section: dict, name: str | None, what: str, spec_path: str):
 
 
 def _metrics_record(label: str, metrics: SimMetrics) -> dict:
-    return {
-        "label": label,
-        "wall_time_s": metrics.wall_time_s,
-        "throughput_ips": metrics.throughput_ips,
-        "avg_e2e_s": metrics.avg_e2e_s,
-        "p50_s": metrics.p50_s,
-        "p95_s": metrics.p95_s,
-        "p99_s": metrics.p99_s,
-        "completed": metrics.completed,
-        "workload": metrics.workload,
-        "drops": metrics.drops,
-        "filtered": metrics.filtered,
-        "total_tflops": metrics.total_tflops,
-        "edges": {
-            key: {
-                "enqueued": st.enqueued,
-                "dequeued": st.dequeued,
-                "dropped": st.dropped,
-                "residual": st.residual,
-            }
-            for key, st in metrics.edge_stats.items()
-        },
-    }
+    record = asdict(metrics)
+    record["edges"] = record.pop("edge_stats")
+    return {"label": label, **record}
 
 
-def _metrics_output(args, spec: SpecDocument, labeled: list[tuple]) -> None:
-    graph = spec.graph
-    header = metric_columns(graph)
-    rows = [metric_row(graph, label, metrics) for label, metrics in labeled]
-    if args.format == RECORDS:
-        records = [_metrics_record(label, metrics) for label, metrics in labeled]
-        _write(args, [_capture(_emit_records, records)])
-    elif args.format == CSV:
-        _write(args, [_capture(_emit_csv, header, rows)])
-    else:
-        parts = [_capture(_emit_table, header, rows)]
+def _metrics_output(args, graph: PipelineGraph, labeled: list[tuple]) -> None:
+    text = _output(
+        args,
+        metric_columns(graph),
+        lambda: [metric_row(graph, label, metrics) for label, metrics in labeled],
+        lambda: [_metrics_record(label, metrics) for label, metrics in labeled],
+    )
+    if args.format == TABLE:
         for label, metrics in labeled:
-            if not metrics.edge_stats:
-                continue
-            parts.append(f"\nedges [{label}]\n")
-            edge_header = ["edge", "enqueued", "dequeued", "dropped", "residual"]
-            edge_rows = [
-                [key, st.enqueued, st.dequeued, st.dropped, st.residual]
-                for key, st in metrics.edge_stats.items()
-            ]
-            parts.append(_capture(_emit_table, edge_header, edge_rows))
-        _write(args, parts)
+            if metrics.edge_stats:
+                text += f"\nedges [{label}]\n" + _table(
+                    ["edge", "enqueued", "dequeued", "dropped", "residual"],
+                    [[key, *astuple(st)] for key, st in metrics.edge_stats.items()],
+                )
+    _write(args, text)
 
 
-def _cmd_simulate(args) -> int:
-    spec = parse_spec_file(args.spec)
+def _simulate_one(args, spec: SpecDocument) -> tuple[str, SimMetrics]:
+    """The labeled metrics of ``--scenario`` under ``--config``."""
     scenario = _pick(spec.scenarios, args.scenario, "scenario", args.spec)
     config = _pick(spec.configs, args.config, "config", args.spec)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    metrics = simulate(spec.graph, scenario, config)
-    _metrics_output(args, spec, [(f"{args.scenario}/{args.config}", metrics)])
+    return f"{args.scenario}/{args.config}", simulate(spec.graph, scenario, config)
+
+
+def _cmd_simulate(args) -> int:
+    spec = parse_spec_file(args.spec)
+    _metrics_output(args, spec.graph, [_simulate_one(args, spec)])
     return 0
 
 
@@ -324,14 +275,13 @@ def _cmd_matrix(args) -> int:
     elif args.seed is not None:
         seeds = [args.seed]
     labeled = run_matrix(spec.graph, scenarios, configs, seeds=seeds)
-    _metrics_output(args, spec, labeled)
+    _metrics_output(args, spec.graph, labeled)
     return 0
 
 
 def _cmd_report(args) -> int:
     spec = parse_spec_file(args.spec)
-    graph = spec.graph
-    ranking = rank_and_select(graph, cap=args.path_cap)
+    ranking = rank_and_select(spec.graph, cap=args.path_cap)
     by_id = sorted(ranking.entries, key=lambda r: r.path.id)
     results: dict[str, Any] = {
         "paths": [r.path.id for r in by_id],
@@ -340,25 +290,34 @@ def _cmd_report(args) -> int:
     }
     params: dict[str, Any] = {"spec": os.path.basename(args.spec)}
     if args.scenario and args.config:
-        scenario = _pick(spec.scenarios, args.scenario, "scenario", args.spec)
-        config = _pick(spec.configs, args.config, "config", args.spec)
+        results["simulation"] = _metrics_record(*_simulate_one(args, spec))
+        params.update(scenario=args.scenario, config=args.config)
         if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
             params["seed"] = args.seed
-        metrics = simulate(graph, scenario, config)
-        params["scenario"] = args.scenario
-        params["config"] = args.config
-        results["simulation"] = _metrics_record(
-            f"{args.scenario}/{args.config}", metrics
-        )
     report = build_report(spec, "report", params, results)
-    _write(args, [report_to_json(report)])
+    _write(args, report_to_json(report))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+#: Every option a subcommand can take, with its argparse settings.
+_FLAGS: dict[str, dict[str, Any]] = {
+    "format": {"choices": [TABLE, CSV, RECORDS], "default": TABLE},
+    "out": {"help": "write output to this file instead of stdout"},
+    "quiet": {"action": "store_true",
+              "help": "suppress informational notes on stderr"},
+    "seed": {"type": int, "help": "override the scenario seed"},
+    "path-cap": {"type": int, "help": "override the path-enumeration cap "
+                 "(default 10000, env PIPEVULN_PATH_CAP)"},
+    "force-label": {"help": "force selection onto this label's path"},
+    "scenario": {"help": "scenario name from the spec"},
+    "config": {"help": "deployment config name from the spec"},
+    "seeds": {"help": "comma-separated seeds for multi-seed rows"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,43 +328,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("spec", help="pipeline spec file (YAML or JSON lines)")
-        p.add_argument("--format", choices=[TABLE, CSV, RECORDS], default=TABLE)
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress informational notes on stderr")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
-        p.add_argument("--path-cap", type=int,
-                       default=None,
-                       help="override the path-enumeration cap "
-                            "(default 10000, env PIPEVULN_PATH_CAP)")
-
-    handlers = {
-        "validate": (_cmd_validate, "Parse and validate a spec file."),
-        "paths": (_cmd_paths, "List enumerated execution paths."),
-        "rank": (_cmd_rank, "Rank paths by vulnerability score."),
-        "weights": (_cmd_weights, "Loss weights over the selected path."),
-        "amplify": (_cmd_amplify, "Analytic per-path FLOPs amplification."),
-        "simulate": (_cmd_simulate, "Simulate one scenario under one config."),
-        "matrix": (_cmd_matrix, "Run the scenario x config matrix."),
-        "report": (_cmd_report, "Emit a traceable JSON report."),
-    }
-    for name, (handler, help_text) in handlers.items():
+    # Each subcommand registers only the options its handler reads.
+    commands = [
+        ("validate", _cmd_validate, "Parse and validate a spec file.",
+         "out path-cap"),
+        ("paths", _cmd_paths, "List enumerated execution paths.",
+         "format out path-cap"),
+        ("rank", _cmd_rank, "Rank paths by vulnerability score.",
+         "format out quiet path-cap force-label"),
+        ("weights", _cmd_weights, "Loss weights over the selected path.",
+         "format out path-cap force-label"),
+        ("amplify", _cmd_amplify, "Analytic per-path FLOPs amplification.",
+         "format out quiet path-cap"),
+        ("simulate", _cmd_simulate, "Simulate one scenario under one config.",
+         "format out seed scenario config"),
+        ("matrix", _cmd_matrix, "Run the scenario x config matrix.",
+         "format out seed scenario config seeds"),
+        ("report", _cmd_report, "Emit a traceable JSON report.",
+         "out seed path-cap scenario config"),
+    ]
+    for name, handler, help_text, flags in commands:
         p = sub.add_parser(name, help=help_text)
-        common(p)
+        p.add_argument("spec", help="pipeline spec file (YAML or JSON lines)")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(func=handler)
-        if name in ("rank", "weights"):
-            p.add_argument("--force-label",
-                           help="force selection onto this label's path")
-        if name in ("simulate", "matrix", "report"):
-            p.add_argument("--scenario", help="scenario name from the spec")
-            p.add_argument("--config", help="deployment config name from the spec")
-        if name == "matrix":
-            p.add_argument("--seeds",
-                           help="comma-separated seeds for multi-seed rows")
     return parser
 
 

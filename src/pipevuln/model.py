@@ -122,9 +122,6 @@ class PipelineGraph:
         gate = self.gates.get(component)
         return gate.routes if gate is not None else {}
 
-    def edge(self, from_id: str, label: str) -> EdgeSpec:
-        return self.edges[(from_id, label)]
-
 
 # ---------------------------------------------------------------------------
 # Record coercion (raw mappings -> typed records)

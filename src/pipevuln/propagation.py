@@ -33,7 +33,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import BadValueError, ScenarioMismatchError
+from .errors import ScenarioMismatchError
 from .model import EXIT, BehaviorProfile, PipelineGraph, topological_order
 
 if TYPE_CHECKING:
@@ -182,26 +182,21 @@ def propagate_paths(
         )
 
 
-def propagate(graph: PipelineGraph, scenario: object = CLEAN) -> WorkloadVector:
+def propagate(
+    graph: PipelineGraph, scenario: "str | ExecutionPath" = CLEAN
+) -> WorkloadVector:
     """Expected per-component workload for one system input.
 
-    ``scenario`` is ``"clean"``, an :class:`ExecutionPath` to target, or a
-    path id string. The source always counts exactly one invocation.
+    ``scenario`` is :data:`CLEAN` or an :class:`ExecutionPath` to target
+    (:func:`~pipevuln.ranking.resolve_path` turns a path id into one). The
+    source always counts exactly one invocation.
     """
-    from .ranking import ExecutionPath, resolve_path
-
-    if scenario == CLEAN or scenario is None:
+    if scenario == CLEAN:
         entries = _initial(graph)
         keys = [(cid, None) for cid in topological_order(graph)]
         _advance(entries, keys, _EmissionTable(graph))
         return WorkloadVector(entries=entries, scenario=CLEAN)
-    if isinstance(scenario, str):
-        path = resolve_path(graph, scenario)
-    elif isinstance(scenario, ExecutionPath):
-        path = scenario
-    else:
-        raise BadValueError(f"unsupported scenario {scenario!r}")
-    return next(propagate_paths(graph, [path]))
+    return next(propagate_paths(graph, [scenario]))
 
 
 def cost(

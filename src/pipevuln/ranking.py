@@ -27,8 +27,7 @@ excess over the clean reference. Both incurred costs and ``K`` are read from
 two :class:`~pipevuln.propagation.CostBreakdown` values: the clean one
 (``per_component`` and ``total_gflops``) and the one of the path's targeted
 workload, whose ``amplification`` is also kept as the path's FLOPs
-amplification. Stored alongside each score are the clean reference cost and
-the reference-plus-excess cost, whose ratio minus one reproduces the score.
+amplification.
 
 All paths are scored from one pass. :func:`enumerate_paths` lists them by
 id, so paths that share their first steps are neighbours, and
@@ -84,40 +83,28 @@ class ExecutionPath:
 
     id: str
     steps: tuple[tuple[str, str], ...]
-
-    @property
-    def components(self) -> tuple[str, ...]:
-        return tuple(cid for cid, _ in self.steps)
+    #: The visited component ids, in path order.
+    components: tuple[str, ...]
 
     @staticmethod
     def make(steps: Sequence[tuple[str, str]]) -> "ExecutionPath":
         pid = "->".join(f"{cid}:{label}" for cid, label in steps)
-        return ExecutionPath(id=pid, steps=tuple(steps))
-
-
-@dataclass(frozen=True)
-class ComponentScore:
-    """Vulnerability score of one component in a targeting context.
-
-    ``clean_unit_cost`` is the clean per-input reference cost (giga-FLOPs)
-    and ``adv_unit_cost`` the reference plus this component's adversarial
-    excess, so ``score == adv_unit_cost / clean_unit_cost - 1`` whenever the
-    reference is positive.
-    """
-
-    component: str
-    clean_unit_cost: float
-    adv_unit_cost: float
-    score: float
+        return ExecutionPath(
+            id=pid, steps=tuple(steps), components=tuple(cid for cid, _ in steps)
+        )
 
 
 @dataclass(frozen=True)
 class RankedPath:
-    """One scored path; ``flops_x`` is its analytic FLOPs amplification."""
+    """One scored path; ``flops_x`` is its analytic FLOPs amplification.
+
+    ``component_scores`` maps each component on the path, in path order, to
+    its vulnerability score; ``score`` is their sum.
+    """
 
     path: ExecutionPath
     score: float
-    component_scores: tuple[ComponentScore, ...]
+    component_scores: dict[str, float]
     flops_x: float
 
 
@@ -199,7 +186,7 @@ def resolve_path(graph: PipelineGraph, path_id: str) -> ExecutionPath:
 
 def component_score(
     component: str, clean: CostBreakdown, targeted: CostBreakdown
-) -> ComponentScore:
+) -> float:
     """Score one component from the clean and the targeted cost breakdowns.
 
     Guarded so scores stay finite: a zero clean reference (an all-zero-cost
@@ -207,30 +194,13 @@ def component_score(
     """
     reference = clean.total_gflops
     if reference <= 0:
-        return ComponentScore(component, 0.0, 0.0, 0.0)
+        return 0.0
     excess = targeted.per_component[component] - clean.per_component[component]
-    return ComponentScore(
-        component=component,
-        clean_unit_cost=reference,
-        adv_unit_cost=reference + excess,
-        score=excess / reference,
-    )
-
-
-def path_score(
-    path: ExecutionPath, scores: Mapping[str, ComponentScore]
-) -> float:
-    """Sum of component scores along the path, in path order."""
-    total = 0.0
-    for cid in path.components:
-        if cid not in scores:
-            raise MissingScoreError(f"no score for component {cid!r} on {path.id}")
-        total += scores[cid].score
-    return total
+    return excess / reference
 
 
 def compute_loss_weights(
-    path: ExecutionPath, scores: Mapping[str, ComponentScore]
+    path: ExecutionPath, scores: Mapping[str, float]
 ) -> tuple[dict[str, float], bool]:
     """Adaptive loss weights: each component's share of the path score.
 
@@ -243,7 +213,7 @@ def compute_loss_weights(
     for cid in path.components:
         if cid not in scores:
             raise MissingScoreError(f"no score for component {cid!r} on {path.id}")
-        mass[cid] = max(scores[cid].score, 0.0)
+        mass[cid] = max(scores[cid], 0.0)
     total = sum(mass.values())
     if total <= 0:
         uniform = 1.0 / len(path.components)
@@ -258,10 +228,10 @@ def _score_paths(graph: PipelineGraph, cap: int | None) -> list[RankedPath]:
     entries = []
     for path, workload in zip(paths, propagate_paths(graph, paths)):
         targeted = cost(graph, workload, clean)
-        scores = tuple(component_score(c, clean, targeted) for c in path.components)
+        scores = {c: component_score(c, clean, targeted) for c in path.components}
         entries.append(RankedPath(
             path=path,
-            score=sum(s.score for s in scores),
+            score=sum(scores.values()),
             component_scores=scores,
             flops_x=targeted.amplification,
         ))
@@ -274,8 +244,9 @@ def _ranking_order(entry: RankedPath) -> tuple[float, str]:
 
 def _assemble(entries: list[RankedPath], selected: RankedPath) -> PathRanking:
     ordered = sorted(entries, key=_ranking_order)
-    scores = {s.component: s for s in selected.component_scores}
-    weights, degenerate = compute_loss_weights(selected.path, scores)
+    weights, degenerate = compute_loss_weights(
+        selected.path, selected.component_scores
+    )
     return PathRanking(
         entries=tuple(ordered),
         selected=selected,

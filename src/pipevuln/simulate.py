@@ -39,7 +39,7 @@ import heapq
 import math
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -748,38 +748,23 @@ def _mean_std_rows(rows: list[SimMetrics]) -> tuple[SimMetrics, SimMetrics]:
         var = sum((v - mean) ** 2 for v in values) / len(values)
         return mean, math.sqrt(var)
 
-    scalars = [
-        "wall_time_s", "throughput_ips", "avg_e2e_s",
-        "p50_s", "p95_s", "p99_s", "completed",
-        "drops", "filtered", "total_tflops",
-    ]
-    means: dict[str, float] = {}
-    stds: dict[str, float] = {}
-    for name in scalars:
-        means[name], stds[name] = agg([float(getattr(r, name)) for r in rows])
-    comp_ids = sorted(rows[0].workload)
-    w_mean: dict[str, float] = {}
-    w_std: dict[str, float] = {}
-    for cid in comp_ids:
-        w_mean[cid], w_std[cid] = agg([float(r.workload[cid]) for r in rows])
-
-    def build(values: dict[str, float], workload: dict[str, float]) -> SimMetrics:
-        return SimMetrics(
-            wall_time_s=values["wall_time_s"],
-            throughput_ips=values["throughput_ips"],
-            avg_e2e_s=values["avg_e2e_s"],
-            p50_s=values["p50_s"],
-            p95_s=values["p95_s"],
-            p99_s=values["p99_s"],
-            completed=values["completed"],
-            workload=workload,
+    scalars = {
+        f.name: agg([float(getattr(r, f.name)) for r in rows])
+        for f in fields(SimMetrics)
+        if f.name not in ("workload", "edge_stats")
+    }
+    workload = {
+        cid: agg([float(r.workload[cid]) for r in rows])
+        for cid in sorted(rows[0].workload)
+    }
+    return tuple(
+        SimMetrics(
+            **{name: pair[i] for name, pair in scalars.items()},
+            workload={cid: pair[i] for cid, pair in workload.items()},
             edge_stats={},
-            drops=values["drops"],
-            filtered=values["filtered"],
-            total_tflops=values["total_tflops"],
         )
-
-    return build(means, w_mean), build(stds, w_std)
+        for i in (0, 1)
+    )
 
 
 def run_matrix(

@@ -18,7 +18,6 @@ from pipevuln.cli import main
 from pipevuln.model import EXIT, build_graph
 from pipevuln.propagation import CLEAN, WorkloadVector, cost, propagate
 from pipevuln.ranking import (
-    ComponentScore,
     ExecutionPath,
     compute_loss_weights,
     enumerate_paths,
@@ -227,10 +226,7 @@ def test_criterion_09_loss_weight_suite():
             (f"c{size - 1}", EXIT)
         ]
         path = ExecutionPath.make(steps)
-        scores = {
-            f"c{i}": ComponentScore(f"c{i}", 1.0, 1.0 + v, v)
-            for i, v in enumerate(values)
-        }
+        scores = {f"c{i}": v for i, v in enumerate(values)}
         weights, degenerate = compute_loss_weights(path, scores)
         if any(w < 0 for w in weights.values()):
             checks["nonnegative"] = False
@@ -244,10 +240,7 @@ def test_criterion_09_loss_weight_suite():
                 if weights[f"c{i}"] != pytest.approx(value / total, rel=1e-12):
                     checks["share ratio exact"] = False
     zero_path = ExecutionPath.make([("a", "x"), ("b", EXIT)])
-    zero_scores = {
-        "a": ComponentScore("a", 1.0, 1.0, 0.0),
-        "b": ComponentScore("b", 1.0, 1.0, 0.0),
-    }
+    zero_scores = {"a": 0.0, "b": 0.0}
     weights, degenerate = compute_loss_weights(zero_path, zero_scores)
     if not degenerate or weights != {"a": 0.5, "b": 0.5}:
         checks["degenerate uniform flagged"] = False

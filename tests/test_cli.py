@@ -222,7 +222,6 @@ class TestSpecBoundsAndRules:
         assert stderr.startswith("E_BAD_VALUE")
 
     @pytest.mark.parametrize("command,config", [
-        ("simulate", "budget"),
         ("report", "none"),
     ])
     def test_path_cap_flag_overrides_env_in_simulating_commands(

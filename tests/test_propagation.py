@@ -18,7 +18,7 @@ from pipevuln.propagation import (
     propagate,
     propagate_paths,
 )
-from pipevuln.ranking import enumerate_paths, rank_and_select
+from pipevuln.ranking import enumerate_paths, rank_and_select, resolve_path
 from pipevuln.specio import parse_spec_file
 
 from conftest import (
@@ -78,7 +78,7 @@ class TestPropagate:
 
     def test_unknown_path_id_raises(self, traffic_graph):
         with pytest.raises(NoSuchPathError):
-            propagate(traffic_graph, "od:zeppelin")
+            resolve_path(traffic_graph, "od:zeppelin")
 
     def test_nested_profile_keeps_declared_side_emissions(self):
         doc = variant_style_doc()

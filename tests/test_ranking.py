@@ -21,12 +21,10 @@ from pipevuln.errors import (
 from pipevuln.model import EXIT, build_graph
 from pipevuln.propagation import CostBreakdown
 from pipevuln.ranking import (
-    ComponentScore,
     ExecutionPath,
     component_score,
     compute_loss_weights,
     enumerate_paths,
-    path_score,
     rank_and_select,
     resolve_path,
     wrong_path_report,
@@ -223,30 +221,25 @@ class TestComponentScore:
         # amplification factor 328.78 minus one.
         clean, targeted = _breakdowns("od", 10.31 * 1.0, 3389.76 * 1.0, 10.31)
         score = component_score("od", clean, targeted)
-        assert score.clean_unit_cost == pytest.approx(10.31)
-        assert score.adv_unit_cost == pytest.approx(3389.76)
-        assert score.score == pytest.approx(327.78, abs=0.01)
-        # The stored fields reproduce the score as a ratio minus one.
-        assert score.score == pytest.approx(
-            score.adv_unit_cost / score.clean_unit_cost - 1.0
-        )
+        assert score == pytest.approx(327.78, abs=0.01)
+        # The score is the end-to-end cost ratio minus one.
+        assert score == pytest.approx(3389.76 / 10.31 - 1.0)
 
     def test_invariant_component_scores_zero(self):
         clean, targeted = _breakdowns("x", 7.0 * 2.0, 7.0 * 2.0, 50.0)
-        assert component_score("x", clean, targeted).score == 0.0
+        assert component_score("x", clean, targeted) == 0.0
 
     def test_non_neural_scores_zero(self):
         clean, targeted = _breakdowns("sum", 0.0 * 5.0, 0.0 * 500.0, 100.0)
-        assert component_score("sum", clean, targeted).score == 0.0
+        assert component_score("sum", clean, targeted) == 0.0
 
     def test_zero_reference_guard(self):
         clean, targeted = _breakdowns("x", 0.0 * 1.0, 0.0 * 1.0, 0.0)
-        assert component_score("x", clean, targeted).score == 0.0
+        assert component_score("x", clean, targeted) == 0.0
 
     def test_score_never_below_minus_one(self):
         clean, targeted = _breakdowns("x", 9.0 * 3.0, 9.0 * 0.0, 27.0)
-        score = component_score("x", clean, targeted)
-        assert score.score >= -1.0
+        assert component_score("x", clean, targeted) >= -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -254,28 +247,7 @@ class TestComponentScore:
 # ---------------------------------------------------------------------------
 
 
-def _score(cid: str, value: float) -> ComponentScore:
-    return ComponentScore(cid, 1.0, 1.0 + value, value)
-
-
 class TestPathScore:
-    def test_sums_component_scores(self):
-        path = ExecutionPath.make([("a", "x"), ("b", "y"), ("c", EXIT)])
-        scores = {"a": _score("a", 2.0), "b": _score("b", 3.0),
-                  "c": _score("c", 0.0)}
-        assert path_score(path, scores) == pytest.approx(5.0)
-
-    def test_missing_score_raises(self):
-        path = ExecutionPath.make([("a", "x"), ("b", EXIT)])
-        with pytest.raises(MissingScoreError) as err:
-            path_score(path, {"a": _score("a", 1.0)})
-        assert err.value.code == "E_MISSING_SCORE"
-
-    def test_all_zero_components_score_zero(self):
-        path = ExecutionPath.make([("a", "x"), ("b", EXIT)])
-        scores = {"a": _score("a", 0.0), "b": _score("b", 0.0)}
-        assert path_score(path, scores) == 0.0
-
     def test_traffic_branch_ratio_with_equal_inflation(self, traffic_graph):
         # Equal clean cardinality and equal 100x inflation on both branches:
         # the score ratio reduces to the branch unit-cost ratio 332.0/10.4.
@@ -382,8 +354,8 @@ class TestRankAndSelect:
         by_id = {e.path.id: e for e in ranking.entries}
         path_a = by_id["src:a->big:EXIT"]
         path_b = by_id["src:b->mid1:m->mid2:EXIT"]
-        max_component_a = max(s.score for s in path_a.component_scores)
-        max_component_b = max(s.score for s in path_b.component_scores)
+        max_component_a = max(path_a.component_scores.values())
+        max_component_b = max(path_b.component_scores.values())
         assert max_component_a > max_component_b
         assert path_b.score > path_a.score
         assert ranking.selected.path.id == path_b.path.id
@@ -397,27 +369,33 @@ class TestRankAndSelect:
 class TestLossWeights:
     def test_two_component_split(self):
         path = ExecutionPath.make([("od", "car"), ("lpr", EXIT)])
-        scores = {"od": _score("od", 1.0), "lpr": _score("lpr", 3.0)}
+        scores = {"od": 1.0, "lpr": 3.0}
         weights, degenerate = compute_loss_weights(path, scores)
         assert weights == {"od": pytest.approx(0.25), "lpr": pytest.approx(0.75)}
         assert not degenerate
 
     def test_single_component_path(self):
         path = ExecutionPath.make([("od", EXIT)])
-        weights, degenerate = compute_loss_weights(path, {"od": _score("od", 4.0)})
+        weights, degenerate = compute_loss_weights(path, {"od": 4.0})
         assert weights == {"od": 1.0}
         assert not degenerate
 
     def test_all_zero_scores_fall_back_to_uniform(self):
         path = ExecutionPath.make([("a", "x"), ("b", EXIT)])
-        scores = {"a": _score("a", 0.0), "b": _score("b", 0.0)}
+        scores = {"a": 0.0, "b": 0.0}
         weights, degenerate = compute_loss_weights(path, scores)
         assert degenerate
         assert weights == {"a": 0.5, "b": 0.5}
 
+    def test_missing_score_raises(self):
+        path = ExecutionPath.make([("a", "x"), ("b", EXIT)])
+        with pytest.raises(MissingScoreError) as err:
+            compute_loss_weights(path, {"a": 1.0})
+        assert err.value.code == "E_MISSING_SCORE"
+
     def test_negative_scores_clamped(self):
         path = ExecutionPath.make([("a", "x"), ("b", EXIT)])
-        scores = {"a": _score("a", -0.5), "b": _score("b", 2.0)}
+        scores = {"a": -0.5, "b": 2.0}
         weights, degenerate = compute_loss_weights(path, scores)
         assert not degenerate
         assert weights["a"] == 0.0
@@ -433,7 +411,7 @@ class TestLossWeights:
         steps = [(f"c{i}", "x") for i in range(len(values) - 1)]
         steps.append((f"c{len(values) - 1}", EXIT))
         path = ExecutionPath.make(steps)
-        scores = {f"c{i}": _score(f"c{i}", v) for i, v in enumerate(values)}
+        scores = {f"c{i}": v for i, v in enumerate(values)}
         weights, degenerate = compute_loss_weights(path, scores)
         assert all(w >= 0 for w in weights.values())
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-9)

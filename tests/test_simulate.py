@@ -452,7 +452,9 @@ class TestAnalyticOracle:
         if scenario_name == "attacked":
             scenario = replace(scenario, mix=1.0)
         target = scenario.target_path if scenario.mix == 1.0 else None
-        expected = propagate(spec.graph, target or CLEAN).entries
+        expected = propagate(
+            spec.graph, resolve_path(spec.graph, target) if target else CLEAN
+        ).entries
         sd = branching_sd(spec.graph, target)
         n = scenario.n_inputs
         for seed in ORACLE_SEEDS:

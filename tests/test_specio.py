@@ -187,8 +187,8 @@ class TestSerialization:
 
         graph = build_graph(doc)
         rebuilt = parse_spec(document_to_yaml(graph_to_document(graph))).graph
-        assert rebuilt.edge("od", "person").capacity == 7
-        assert rebuilt.edge("od", "car").capacity is None
+        assert rebuilt.edges[("od", "person")].capacity == 7
+        assert rebuilt.edges[("od", "car")].capacity is None
 
 
 class TestReports:
