@@ -288,12 +288,12 @@ def _cmd_report(args) -> int:
         "ranking": _ranking_records(ranking),
         "amplification": {r.path.id: r.flops_x for r in by_id},
     }
-    params: dict[str, Any] = {"spec": os.path.basename(args.spec)}
-    if args.scenario and args.config:
+    # Any simulation flag asks for a simulation, which needs both names.
+    flags = {"scenario": args.scenario, "config": args.config, "seed": args.seed}
+    given = {key: value for key, value in flags.items() if value is not None}
+    if given:
         results["simulation"] = _metrics_record(*_simulate_one(args, spec))
-        params.update(scenario=args.scenario, config=args.config)
-        if args.seed is not None:
-            params["seed"] = args.seed
+    params = {"spec": os.path.basename(args.spec), **given}
     report = build_report(spec, "report", params, results)
     _write(args, report_to_json(report))
     return 0

@@ -150,6 +150,13 @@ def _need_mapping(obj: Any, what: str) -> Mapping:
     return obj
 
 
+def _section(doc: Mapping, key: str) -> list:
+    section = doc.get(key, [])
+    if not isinstance(section, list):
+        raise SchemaError(f"{key} must be a list, got {type(section).__name__}")
+    return section
+
+
 def _need_str(rec: Mapping, key: str, what: str) -> str:
     if key not in rec:
         raise SchemaError(f"{what} is missing required key {key!r}")
@@ -392,7 +399,7 @@ def build_graph(raw: Mapping) -> PipelineGraph:
         raise SchemaError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
 
     components: dict[str, ComponentSpec] = {}
-    for rec in doc.get("components", []):
+    for rec in _section(doc, "components"):
         spec = _coerce_component(_need_mapping(rec, "component record"))
         _validate_component(spec)
         if spec.id in components:
@@ -402,7 +409,7 @@ def build_graph(raw: Mapping) -> PipelineGraph:
         raise NoSourceError("pipeline declares no components")
 
     gates: dict[str, GateSpec] = {}
-    for rec in doc.get("gates", []):
+    for rec in _section(doc, "gates"):
         gate = _coerce_gate(_need_mapping(rec, "gate record"))
         if gate.component not in components:
             raise DanglingReferenceError(
@@ -419,7 +426,7 @@ def build_graph(raw: Mapping) -> PipelineGraph:
         gates[gate.component] = gate
 
     edges: dict[tuple[str, str], EdgeSpec] = {}
-    for rec in doc.get("edges", []):
+    for rec in _section(doc, "edges"):
         edge = _coerce_edge(_need_mapping(rec, "edge record"))
         for endpoint in (edge.from_id, edge.to_id):
             if endpoint not in components:
@@ -457,7 +464,7 @@ def build_graph(raw: Mapping) -> PipelineGraph:
             )
 
     profiles: dict[str, BehaviorProfile] = {}
-    for rec in doc.get("profiles", []):
+    for rec in _section(doc, "profiles"):
         profile = _coerce_profile(_need_mapping(rec, "profile record"))
         if profile.component not in components:
             raise DanglingReferenceError(

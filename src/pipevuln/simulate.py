@@ -392,6 +392,12 @@ class _Run:
     ):
         scenario.validate()
         config.validate()
+        # Each input is at least one event: check before sizing anything by it.
+        if scenario.n_inputs > max_events:
+            raise NonTerminationError(
+                f"scenario n_inputs {scenario.n_inputs} exceeds the bound of "
+                f"{max_events} events"
+            )
         self.graph = graph
         self.scenario = scenario
         self.config = config

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import importlib
 import io
@@ -13,7 +14,7 @@ import pytest
 import yaml
 
 from pipevuln import propagation, ranking
-from pipevuln.cli import main
+from pipevuln.cli import build_parser, main
 from pipevuln.model import build_graph
 from pipevuln.ranking import enumerate_paths, rank_and_select
 from pipevuln.simulate import simulate
@@ -74,6 +75,46 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    def test_more_inputs_than_events_exits_1_before_allocating(
+        self, capsys, tmp_path, traffic_spec_path
+    ):
+        # Sizing per-input state for 10**12 inputs would exhaust memory.
+        doc = yaml.safe_load(Path(traffic_spec_path).read_text())
+        doc["scenarios"]["attacked"]["n_inputs"] = 1000000000000
+        spec = tmp_path / "many_inputs.yaml"
+        spec.write_text(yaml.safe_dump(doc))
+        code, _, err = run_cli(capsys, "simulate", str(spec),
+                               "--scenario", "attacked", "--config", "none")
+        assert code == 1
+        assert err.startswith("E_NONTERMINATION") and "n_inputs" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [7, {"a": 1}, "text", None])
+    @pytest.mark.parametrize("section", ["components", "profiles", "gates", "edges"])
+    def test_section_that_is_not_a_list_is_schema_error(self, capsys, tmp_path,
+                                                       section, value):
+        doc = traffic_doc()
+        doc[section] = value
+        spec = tmp_path / "section.yaml"
+        spec.write_text(yaml.safe_dump(doc))
+        code, _, err = run_cli(capsys, "validate", str(spec))
+        assert code == 1
+        assert err.startswith("E_SCHEMA") and f"{section} must be a list" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--scenario", "attacked", "--seed", "9"],
+        ["--config", "none"],
+        ["--seed", "9"],
+    ])
+    def test_report_with_half_the_simulation_flags_is_syntax_error(
+        self, capsys, variant_spec_path, extra
+    ):
+        code, out, err = run_cli(capsys, "report", variant_spec_path, *extra)
+        assert code == 1
+        assert err.startswith("E_SYNTAX") and "name required" in err
+        assert out == ""
+
     def test_bad_seed_list_is_coded_error(self, capsys, traffic_spec_path):
         code, _, err = run_cli(capsys, "matrix", traffic_spec_path,
                                "--seeds", "1,x")
@@ -97,6 +138,45 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("E_BAD_VALUE") and str(out) in err
         assert stdout == ""
+
+
+class TestFlagSurface:
+    """Each subcommand takes exactly the options its handler reads."""
+
+    FLAGS = {
+        "validate": {"--out", "--path-cap"},
+        "paths": {"--format", "--out", "--path-cap"},
+        "rank": {"--format", "--out", "--quiet", "--path-cap", "--force-label"},
+        "weights": {"--format", "--out", "--path-cap", "--force-label"},
+        "amplify": {"--format", "--out", "--quiet", "--path-cap"},
+        "simulate": {"--format", "--out", "--seed", "--scenario", "--config"},
+        "matrix": {"--format", "--out", "--seed", "--scenario", "--config",
+                   "--seeds"},
+        "report": {"--out", "--seed", "--path-cap", "--scenario", "--config"},
+    }
+
+    def test_each_subcommand_registers_only_the_flags_it_reads(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        got = {
+            name: {flag for action in parser._actions
+                   for flag in action.option_strings} - {"-h", "--help"}
+            for name, parser in sub.choices.items()
+        }
+        assert got == self.FLAGS
+        assert sum(len(flags) for flags in got.values()) == 34
+
+    @pytest.mark.parametrize("command,extra", [
+        ("rank", ["--seed", "1"]),
+        ("report", ["--format", "csv"]),
+    ])
+    def test_flag_a_subcommand_does_not_read_is_usage_error(
+        self, capsys, traffic_spec_path, command, extra
+    ):
+        code, out, err = run_cli(capsys, command, traffic_spec_path, *extra)
+        assert code == 2
+        assert "unrecognized arguments" in err
+        assert out == ""
 
 
 class TestSubcommands:

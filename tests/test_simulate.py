@@ -191,6 +191,14 @@ class TestDeterminism:
                      max_events=5)
         assert err.value.code == "E_NONTERMINATION"
 
+    def test_more_inputs_than_events_is_rejected_up_front(self):
+        graph = build_graph(variant_doc())
+        with pytest.raises(NonTerminationError) as err:
+            simulate(graph, attacked_scenario(graph, n=11), DeploymentConfig(),
+                     max_events=10)
+        assert err.value.code == "E_NONTERMINATION"
+        assert "n_inputs" in str(err.value)
+
     def test_huge_emission_mean_raises_nontermination(self):
         graph = build_graph(huge_mean_doc())
         scenario = TrafficScenario(n_inputs=1, mix=1.0, target_path="a:x->b:EXIT")
