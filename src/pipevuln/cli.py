@@ -52,8 +52,8 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _output(args, header: list[str], rows: Callable, records: Callable) -> str:
-    """The ``--format`` text of ``rows()`` or ``records()``; only the one
-    printed is built."""
+    """The ``--format`` text: ``rows()`` as a table or CSV, or ``records()``
+    as JSON lines. Only the one printed is built."""
     if args.format == RECORDS:
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records())
     if args.format == CSV:

@@ -740,8 +740,9 @@ def simulate(
     """Run one deterministic simulation and collect its metric suite.
 
     ``max_events`` bounds the events processed and, separately, the arrivals
-    offered to edges; a run past either bound, or with an emission mean
-    above it, raises ``NonTerminationError`` before it builds the items.
+    offered to edges; a run past either bound raises ``NonTerminationError``.
+    So does a scenario with more inputs than the bound, before anything is
+    sized by them, and an emission mean above it, before the items are built.
     """
     return _Run(graph, scenario, config, max_events).execute()
 

@@ -73,7 +73,7 @@ def _argv(spec: Path, case: str) -> list[str]:
         config = list(parse_spec_file(path).configs)[-1]
         return ["report", path, "--scenario", "attacked", "--config", config]
     if case in FORMAT_CASES:
-        command, fmt = case.split("_")[0], case.rpartition("_")[2]
+        command, *_, fmt = case.split("_")
         argv = [command, path, "--format", fmt]
         if command == "simulate":
             argv += ["--scenario", "attacked", "--config", "buffered"]
