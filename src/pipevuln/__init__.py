@@ -70,9 +70,6 @@ from .simulate import (  # noqa: E402
 from .specio import (  # noqa: E402
     SpecDocument,
     build_report,
-    document_to_jsonl,
-    document_to_yaml,
-    graph_to_document,
     parse_spec,
     parse_spec_file,
 )
@@ -100,6 +97,5 @@ __all__ = [
     "InputFilter", "SimMetrics", "EdgeStats", "percentile", "simulate",
     "run_matrix",
     # io
-    "SpecDocument", "parse_spec", "parse_spec_file", "graph_to_document",
-    "document_to_yaml", "document_to_jsonl", "build_report",
+    "SpecDocument", "parse_spec", "parse_spec_file", "build_report",
 ]

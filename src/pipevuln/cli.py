@@ -311,8 +311,8 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "quiet": {"action": "store_true",
               "help": "suppress informational notes on stderr"},
     "seed": {"type": int, "help": "override the scenario seed"},
-    "path-cap": {"type": int, "help": "override the path-enumeration cap "
-                 "(default 10000, env PIPEVULN_PATH_CAP)"},
+    "path-cap": {"type": int,
+                 "help": "override the path-enumeration cap (default 10000)"},
     "force-label": {"help": "force selection onto this label's path"},
     "scenario": {"help": "scenario name from the spec"},
     "config": {"help": "deployment config name from the spec"},

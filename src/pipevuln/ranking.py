@@ -39,12 +39,10 @@ the same order as propagating it alone, so scores are bit-identical to it.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import (
-    BadValueError,
     MissingScoreError,
     NoSuchPathError,
     PathExplosionError,
@@ -54,21 +52,6 @@ from .propagation import CostBreakdown, clean_cost, cost, propagate_paths
 
 #: Default ceiling on enumerated paths; graphs beyond it are out of scope.
 DEFAULT_PATH_CAP = 10_000
-
-#: Environment variable overriding the default path-enumeration cap.
-PATH_CAP_ENV = "PIPEVULN_PATH_CAP"
-
-
-def resolve_path_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    raw = os.environ.get(PATH_CAP_ENV)
-    if not raw:
-        return DEFAULT_PATH_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadValueError(f"{PATH_CAP_ENV}={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -129,11 +112,11 @@ def enumerate_paths(
     """All label-consistent source-to-exit walks, ordered by path id.
 
     Raises:
-        PathExplosionError: more than ``cap`` paths (default 10,000,
-            overridable via ``PIPEVULN_PATH_CAP``) — the graph is outside
-            the intended scale of exhaustive enumeration.
+        PathExplosionError: more than ``cap`` paths (default
+            :data:`DEFAULT_PATH_CAP`) — the graph is outside the intended
+            scale of exhaustive enumeration.
     """
-    limit = resolve_path_cap(cap)
+    limit = DEFAULT_PATH_CAP if cap is None else cap
     paths: list[ExecutionPath] = []
     stack: list[tuple[str, tuple[tuple[str, str], ...]]] = [(graph.source, ())]
     while stack:

@@ -433,7 +433,6 @@ class _Run:
         self.arrival_time = [0.0] * n
         self.outstanding = [0] * n
         self.last_exit: dict[int, float] = {}
-        self.resolved = [False] * n
         self.completed = 0
         self.filtered = 0
         self.processed_clean = {cid: 0 for cid in graph.components}
@@ -528,7 +527,6 @@ class _Run:
             if _uniform(_mix(key ^ _FILTER_SALT)) < flt.p_detect:
                 self.filtered += 1
                 if flt.action == DROP_INPUT:
-                    self.resolved[input_id] = True
                     self.completed += 1
                     return
                 adversarial = False
@@ -653,7 +651,7 @@ class _Run:
                 if survivors == 0:
                     continue
                 if fifo is None:
-                    last_exit[input_id] = max(last_exit.get(input_id, 0.0), now)
+                    last_exit[input_id] = now
                     continue
                 self.offered += survivors
                 if self.offered > self.max_events:
@@ -672,8 +670,7 @@ class _Run:
                     outstanding[input_id] += admitted
                     touched.add(device_id)
             outstanding[input_id] -= 1
-            if outstanding[input_id] == 0 and not self.resolved[input_id]:
-                self.resolved[input_id] = True
+            if outstanding[input_id] == 0:
                 self.completed += 1
                 finish = last_exit.get(input_id, now)
                 self.latencies[input_id] = finish - self.arrival_time[input_id]

@@ -1,4 +1,4 @@
-"""Spec-document parsing, canonical serialization, and report emission.
+"""Spec-document parsing and report emission.
 
 Two input formats are accepted:
 
@@ -9,10 +9,10 @@ Two input formats are accepted:
   key (``component``, ``profile``, ``gate``, ``edge``, ``source``,
   ``scenario``, ``config``, ``calibration``).
 
-Both parse to the same canonical document, so a graph round-trips through
-either format unchanged. Reports embed a SHA-256 digest of the input bytes
-so published tables are traceable to exact inputs; re-running the same
-command on the same spec yields byte-identical output.
+Both formats parse to the same graph, scenarios and configs. Reports embed
+a SHA-256 digest of the input bytes so published tables are traceable to
+exact inputs; re-running the same command on the same spec yields
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import yaml
@@ -64,7 +64,6 @@ class SpecDocument:
     configs: dict[str, DeploymentConfig]
     calibration: str
     digest: str
-    document: dict = field(repr=False, default_factory=dict)
 
 
 def _digest(data: bytes) -> str:
@@ -163,25 +162,19 @@ def _coerce_scenario(name: str, rec: Mapping) -> TrafficScenario:
     n_inputs = rec["n_inputs"]
     if isinstance(n_inputs, bool) or not isinstance(n_inputs, int):
         raise SchemaError(f"{what}.n_inputs must be an integer")
-    arrival_raw = rec.get("arrival", BACK_TO_BACK)
+    arrival = rec.get("arrival", BACK_TO_BACK)
     interval = 0.0
-    if isinstance(arrival_raw, str):
-        if arrival_raw == BACK_TO_BACK:
-            arrival = BACK_TO_BACK
-        elif arrival_raw.startswith(FIXED_INTERVAL + ":"):
-            arrival = FIXED_INTERVAL
-            try:
-                interval = float(arrival_raw.split(":", 1)[1])
-            except ValueError as exc:
-                raise SchemaError(f"{what}.arrival has a bad interval") from exc
-        else:
-            raise SchemaError(f"{what}.arrival must be 'back-to-back' or "
-                              f"'fixed-interval:<seconds>'")
-    elif isinstance(arrival_raw, Mapping) and set(arrival_raw) == {FIXED_INTERVAL}:
-        arrival = FIXED_INTERVAL
-        interval = _num(arrival_raw[FIXED_INTERVAL], f"{what}.arrival interval")
-    else:
+    if not isinstance(arrival, str):
         raise SchemaError(f"{what}.arrival is malformed")
+    if arrival.startswith(FIXED_INTERVAL + ":"):
+        try:
+            interval = float(arrival.split(":", 1)[1])
+        except ValueError as exc:
+            raise SchemaError(f"{what}.arrival has a bad interval") from exc
+        arrival = FIXED_INTERVAL
+    elif arrival != BACK_TO_BACK:
+        raise SchemaError(f"{what}.arrival must be 'back-to-back' or "
+                          f"'fixed-interval:<seconds>'")
     target = rec.get("target_path")
     if target is not None and not isinstance(target, str):
         raise SchemaError(f"{what}.target_path must be a string or null")
@@ -359,7 +352,6 @@ def parse_spec(data: bytes | str) -> SpecDocument:
         configs=configs,
         calibration=calibration,
         digest=_digest(raw_bytes),
-        document=doc,
     )
 
 
@@ -370,89 +362,6 @@ def parse_spec_file(path: str) -> SpecDocument:
     except OSError as exc:
         raise SyntaxParseError(f"cannot read spec file {path!r}: {exc}") from exc
     return parse_spec(data)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def graph_to_document(graph: PipelineGraph) -> dict:
-    """Canonical document form of a graph; feeding it back to
-    :func:`build_graph` reproduces the graph field for field."""
-    components = []
-    for cid in sorted(graph.components):
-        spec = graph.components[cid]
-        components.append({
-            "id": spec.id,
-            "kind": spec.kind,
-            "clean_cost_gflops": spec.clean_cost,
-            "adv_cost_gflops": spec.adv_cost,
-            "device_rate_gflops_s": spec.device_rate,
-            "per_call_overhead_s": spec.per_call_overhead,
-            "batchable": spec.batchable,
-        })
-    profiles = []
-    for cid in sorted(graph.profiles):
-        profile = graph.profiles[cid]
-        profiles.append({
-            "component": cid,
-            "clean_cardinality": dict(sorted(profile.clean_cardinality.items())),
-            "adv_cardinality": {
-                label: (dict(sorted(entry.items()))
-                        if isinstance(entry, Mapping) else entry)
-                for label, entry in sorted(profile.adv_cardinality.items())
-            },
-        })
-    gates = [
-        {"component": cid, "routes": dict(sorted(graph.gates[cid].routes.items()))}
-        for cid in sorted(graph.gates)
-    ]
-    edges = [
-        {
-            "from": edge.from_id,
-            "to": edge.to_id,
-            "label": edge.label,
-            "capacity": "unbounded" if edge.capacity is None else edge.capacity,
-        }
-        for (_f, _l), edge in sorted(graph.edges.items())
-    ]
-    return {
-        "components": components,
-        "profiles": profiles,
-        "gates": gates,
-        "edges": edges,
-        "source": graph.source,
-    }
-
-
-def document_to_yaml(doc: Mapping) -> str:
-    return yaml.safe_dump(dict(doc), sort_keys=True, default_flow_style=False)
-
-
-def document_to_jsonl(doc: Mapping) -> str:
-    lines: list[str] = []
-
-    def emit(rtype: str, record: Mapping) -> None:
-        lines.append(json.dumps({"type": rtype, **record}, sort_keys=True))
-
-    for rec in doc.get("components", []):
-        emit("component", rec)
-    for rec in doc.get("profiles", []):
-        emit("profile", rec)
-    for rec in doc.get("gates", []):
-        emit("gate", rec)
-    for rec in doc.get("edges", []):
-        emit("edge", rec)
-    if "source" in doc:
-        emit("source", {"id": doc["source"]})
-    for name, rec in (doc.get("scenarios") or {}).items():
-        emit("scenario", {"name": name, **rec})
-    for name, rec in (doc.get("configs") or {}).items():
-        emit("config", {"name": name, **rec})
-    if doc.get("calibration"):
-        emit("calibration", {"text": doc["calibration"]})
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

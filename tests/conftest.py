@@ -8,12 +8,12 @@ stay exact (and small enough to enumerate).
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from pipevuln.model import PipelineGraph, build_graph
-from pipevuln.specio import graph_to_document
 
 PIPELINES_DIR = Path(__file__).resolve().parent.parent / "pipelines"
 #: Generated-style spec whose 29 path ids share prefixes up to three steps deep.
@@ -22,11 +22,11 @@ LAYERED_SPEC = Path(__file__).resolve().parent / "specs" / "layered.yaml"
 
 def scale_costs(graph: PipelineGraph, lam: float) -> PipelineGraph:
     """Uniformly scale every component's clean and adversarial unit costs."""
-    doc = graph_to_document(graph)
-    for rec in doc["components"]:
-        rec["clean_cost_gflops"] = rec["clean_cost_gflops"] * lam
-        rec["adv_cost_gflops"] = rec["adv_cost_gflops"] * lam
-    return build_graph(doc)
+    return replace(graph, components={
+        cid: replace(spec, clean_cost=spec.clean_cost * lam,
+                     adv_cost=spec.adv_cost * lam)
+        for cid, spec in graph.components.items()
+    })
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
@@ -33,7 +32,7 @@ from pathlib import Path
 import pytest
 
 from pipevuln.cli import main
-from pipevuln.ranking import PATH_CAP_ENV, enumerate_paths
+from pipevuln.ranking import enumerate_paths
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec_file
 
@@ -102,22 +101,19 @@ def _sim_line(seed: int) -> str:
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("spec", SPECS)
-def test_cli_output_matches_golden(spec, case, monkeypatch):
-    monkeypatch.delenv(PATH_CAP_ENV, raising=False)
+def test_cli_output_matches_golden(spec, case):
     path = PIPELINES_DIR / spec
     assert _run_cli(_argv(path, case)) == _golden(path, case).read_bytes()
 
 
 @pytest.mark.parametrize("case", LAYERED_CASES)
-def test_layered_output_matches_golden(case, monkeypatch):
-    monkeypatch.delenv(PATH_CAP_ENV, raising=False)
+def test_layered_output_matches_golden(case):
     expected = _golden(LAYERED_SPEC, case).read_bytes()
     assert _run_cli(_argv(LAYERED_SPEC, case)) == expected
 
 
 @pytest.mark.parametrize("case", FORMAT_CASES)
-def test_format_output_matches_golden(case, monkeypatch):
-    monkeypatch.delenv(PATH_CAP_ENV, raising=False)
+def test_format_output_matches_golden(case):
     expected = _golden(FORMAT_SPEC, case).read_bytes()
     assert _run_cli(_argv(FORMAT_SPEC, case)) == expected
 
@@ -133,7 +129,6 @@ def test_sim_metrics_match_golden(seed, sim_golden):
 
 
 def regenerate() -> None:
-    os.environ.pop(PATH_CAP_ENV, None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     runs = [(PIPELINES_DIR / spec, case) for spec in SPECS for case in CASES]
     runs += [(LAYERED_SPEC, case) for case in LAYERED_CASES]

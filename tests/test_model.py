@@ -17,7 +17,6 @@ from pipevuln.errors import (
 )
 from pipevuln.model import build_graph, topological_order
 from pipevuln.ranking import rank_and_select
-from pipevuln.specio import graph_to_document
 
 from conftest import random_graph_doc, traffic_doc
 
@@ -274,14 +273,3 @@ class TestTopologicalOrder:
                 assert position[edge.from_id] < position[edge.to_id]
             assert order == topological_order(graph)
 
-
-class TestRoundTrip:
-    def test_serialize_rebuild_is_identity_for_100_random_graphs(self):
-        rng = random.Random(99)
-        for _ in range(100):
-            graph = build_graph(random_graph_doc(rng))
-            rebuilt = build_graph(graph_to_document(graph))
-            assert rebuilt == graph
-
-    def test_traffic_round_trip(self, traffic_graph):
-        assert build_graph(graph_to_document(traffic_graph)) == traffic_graph

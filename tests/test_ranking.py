@@ -164,11 +164,6 @@ class TestEnumeratePaths:
             enumerate_paths(traffic_graph, cap=2)
         assert err.value.code == "E_PATH_EXPLOSION"
 
-    def test_cap_env_override(self, traffic_graph, monkeypatch):
-        monkeypatch.setenv("PIPEVULN_PATH_CAP", "2")
-        with pytest.raises(PathExplosionError):
-            enumerate_paths(traffic_graph)
-
 
 class TestResolvePath:
     def test_resolves_every_path_of_shipped_and_random_graphs(self):
@@ -179,8 +174,7 @@ class TestResolvePath:
             for path in enumerate_paths(graph):
                 assert resolve_path(graph, path.id) == path
 
-    def test_ignores_the_path_cap(self, traffic_graph, monkeypatch):
-        monkeypatch.setenv("PIPEVULN_PATH_CAP", "1")
+    def test_ignores_the_path_cap(self, traffic_graph):
         path = resolve_path(traffic_graph, "od:car->lpr:plate->sum:EXIT")
         assert path.components == ("od", "lpr", "sum")
 

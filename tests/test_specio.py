@@ -1,4 +1,4 @@
-"""Spec parsing (both formats), serialization round-trips, and reports."""
+"""Spec parsing (both formats) and reports."""
 
 from __future__ import annotations
 
@@ -16,15 +16,10 @@ from pipevuln.ranking import enumerate_paths
 from pipevuln.specio import (
     _load_yaml,
     build_report,
-    document_to_jsonl,
-    document_to_yaml,
-    graph_to_document,
     parse_spec,
     parse_spec_file,
     report_to_json,
 )
-
-from conftest import traffic_doc
 
 
 MINIMAL_YAML = """
@@ -139,23 +134,20 @@ class TestParseSpec:
         assert scenario.arrival == "fixed-interval"
         assert scenario.interval_s == 0.25
 
+    def test_arrival_mapping_is_schema_error(self):
+        text = MINIMAL_YAML.replace("back-to-back", "{fixed-interval: 0.25}")
+        with pytest.raises(SchemaError, match="arrival is malformed"):
+            parse_spec(text)
+
 
 class TestJsonl:
-    def test_jsonl_and_yaml_parse_identically(self):
-        yaml_spec = parse_spec(MINIMAL_YAML)
-        jsonl_text = document_to_jsonl(yaml_spec.document)
-        jsonl_spec = parse_spec(jsonl_text)
-        assert jsonl_spec.graph == yaml_spec.graph
-        assert jsonl_spec.scenarios == yaml_spec.scenarios
-        assert jsonl_spec.configs == yaml_spec.configs
-        assert jsonl_spec.calibration == yaml_spec.calibration
-
     def test_shipped_jsonl_twin_matches_yaml(self, pipelines_dir):
         yaml_spec = parse_spec_file(str(pipelines_dir / "traffic.yaml"))
         jsonl_spec = parse_spec_file(str(pipelines_dir / "traffic.jsonl"))
         assert jsonl_spec.graph == yaml_spec.graph
         assert jsonl_spec.scenarios == yaml_spec.scenarios
         assert jsonl_spec.configs == yaml_spec.configs
+        assert jsonl_spec.calibration == yaml_spec.calibration
 
     def test_bad_json_line_is_syntax_error(self):
         with pytest.raises(SyntaxParseError) as err:
@@ -165,30 +157,6 @@ class TestJsonl:
     def test_unknown_record_type_is_schema_error(self):
         with pytest.raises(SchemaError):
             parse_spec('{"type": "widget", "id": "a"}\n')
-
-
-class TestSerialization:
-    def test_yaml_round_trip_preserves_graph(self, traffic_graph):
-        doc = graph_to_document(traffic_graph)
-        text = document_to_yaml(doc)
-        spec = parse_spec(text)
-        assert spec.graph == traffic_graph
-
-    def test_jsonl_round_trip_preserves_graph(self, traffic_graph):
-        doc = graph_to_document(traffic_graph)
-        text = document_to_jsonl(doc)
-        spec = parse_spec(text)
-        assert spec.graph == traffic_graph
-
-    def test_unbounded_capacity_survives_round_trip(self):
-        doc = traffic_doc()
-        doc["edges"][0]["capacity"] = 7
-        from pipevuln.model import build_graph
-
-        graph = build_graph(doc)
-        rebuilt = parse_spec(document_to_yaml(graph_to_document(graph))).graph
-        assert rebuilt.edges[("od", "person")].capacity == 7
-        assert rebuilt.edges[("od", "car")].capacity is None
 
 
 class TestReports:
