@@ -55,7 +55,13 @@ def _output(args, header: list[str], rows: Callable, records: Callable) -> str:
     """The ``--format`` text: ``rows()`` as a table or CSV, or ``records()``
     as JSON lines. Only the one printed is built."""
     if args.format == RECORDS:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records())
+        try:
+            return "".join(
+                json.dumps(r, sort_keys=True, allow_nan=False) + "\n"
+                for r in records()
+            )
+        except ValueError as exc:  # RFC 8259 has no NaN or Infinity
+            raise BadValueError(f"output is not valid JSON: {exc}") from None
     if args.format == CSV:
         return _csv(header, rows())
     return _table(header, rows())
@@ -281,18 +287,18 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_report(args) -> int:
     spec = parse_spec_file(args.spec)
-    ranking = rank_and_select(spec.graph, cap=args.path_cap)
-    by_id = sorted(ranking.entries, key=lambda r: r.path.id)
-    results: dict[str, Any] = {
-        "paths": [r.path.id for r in by_id],
-        "ranking": _ranking_records(ranking),
-        "amplification": {r.path.id: r.flops_x for r in by_id},
-    }
-    # Any simulation flag asks for a simulation, which needs both names.
+    results: dict[str, Any] = {}
+    # Any simulation flag asks for a simulation, which needs both names. It
+    # runs first, so a bad name fails before any path is ranked.
     flags = {"scenario": args.scenario, "config": args.config, "seed": args.seed}
     given = {key: value for key, value in flags.items() if value is not None}
     if given:
         results["simulation"] = _metrics_record(*_simulate_one(args, spec))
+    ranking = rank_and_select(spec.graph, cap=args.path_cap)
+    by_id = sorted(ranking.entries, key=lambda r: r.path.id)
+    results["paths"] = [r.path.id for r in by_id]
+    results["ranking"] = _ranking_records(ranking)
+    results["amplification"] = {r.path.id: r.flops_x for r in by_id}
     params = {"spec": os.path.basename(args.spec), **given}
     report = build_report(spec, "report", params, results)
     _write(args, report_to_json(report))

@@ -29,11 +29,12 @@ safe and unordered.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ScenarioMismatchError
+from .errors import BadValueError, ScenarioMismatchError
 from .model import EXIT, BehaviorProfile, PipelineGraph, topological_order
 
 if TYPE_CHECKING:
@@ -210,6 +211,12 @@ def cost(
     the scenario implies (adversarial scenarios process adversarial items
     everywhere they reach). ``reference`` supplies the clean total for the
     amplification ratio; omitted, the breakdown is its own reference.
+
+    Raises:
+        BadValueError: the total or the amplification is not finite; the
+            message names the scenario and the first non-finite component,
+            or says that the sum overflowed. A positive total over a zero
+            clean reference is unbounded amplification.
     """
     if workload.entries.keys() != graph.components.keys():
         raise ScenarioMismatchError(
@@ -223,6 +230,12 @@ def cost(
         for cid in sorted(specs)
     }
     total = sum(per.values())  # filled in sorted id order: a fixed sum order
+    if not math.isfinite(total):
+        culprit = next((c for c, v in per.items() if not math.isfinite(v)), None)
+        where = "sum overflowed" if culprit is None else f"component {culprit!r}"
+        raise BadValueError(
+            f"{workload.scenario}: total GFLOPs is not finite ({where})"
+        )
     if reference is None:
         amplification = 1.0
     else:
@@ -233,7 +246,13 @@ def cost(
         if reference.total_gflops > 0:
             amplification = total / reference.total_gflops
         else:
-            amplification = 1.0 if total == 0 else float("inf")
+            amplification = 1.0 if total == 0 else math.inf
+        if not math.isfinite(amplification):
+            raise BadValueError(
+                f"{workload.scenario}: FLOPs amplification is unbounded "
+                f"({total:g} GFLOPs over a clean total of "
+                f"{reference.total_gflops:g})"
+            )
     return CostBreakdown(
         per_component=per,
         total_gflops=total,

@@ -712,7 +712,7 @@ class _Run:
             spec = self.graph.components[cid]
             total_gflops += self.processed_clean[cid] * spec.clean_cost
             total_gflops += self.processed_adv[cid] * spec.adv_cost
-        return SimMetrics(
+        return _finite(SimMetrics(
             wall_time_s=wall,
             throughput_ips=throughput,
             avg_e2e_s=avg,
@@ -725,7 +725,19 @@ class _Run:
             drops=total_dropped,
             filtered=self.filtered,
             total_tflops=total_gflops / 1000.0,
-        )
+        ))
+
+
+def _finite(metrics: SimMetrics) -> SimMetrics:
+    """``metrics``, checked: a non-finite float field is ``BadValueError``."""
+    for f in fields(SimMetrics):
+        value = getattr(metrics, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise BadValueError(
+                f"simulated {f.name} is not finite ({value}): a cost or "
+                "service time overflowed"
+            )
+    return metrics
 
 
 def simulate(
@@ -749,7 +761,10 @@ def _mean_std_rows(rows: list[SimMetrics]) -> tuple[SimMetrics, SimMetrics]:
 
     def agg(values: list[float]) -> tuple[float, float]:
         mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
+        try:
+            var = sum((v - mean) ** 2 for v in values) / len(values)
+        except OverflowError:  # float ** raises where * would give inf
+            var = math.inf
         return mean, math.sqrt(var)
 
     scalars = {
@@ -762,11 +777,11 @@ def _mean_std_rows(rows: list[SimMetrics]) -> tuple[SimMetrics, SimMetrics]:
         for cid in sorted(rows[0].workload)
     }
     return tuple(
-        SimMetrics(
+        _finite(SimMetrics(
             **{name: pair[i] for name, pair in scalars.items()},
             workload={cid: pair[i] for cid, pair in workload.items()},
             edge_stats={},
-        )
+        ))
         for i in (0, 1)
     )
 

@@ -27,6 +27,7 @@ import yaml
 
 from . import __version__
 from .errors import (
+    BadValueError,
     NoSuchPathError,
     SchemaError,
     SyntaxParseError,
@@ -393,4 +394,9 @@ def build_report(
 
 
 def report_to_json(report: Mapping) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as JSON; a non-finite number in it is ``BadValueError``
+    (RFC 8259 has no NaN or Infinity)."""
+    try:
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise BadValueError(f"report is not valid JSON: {exc}") from None

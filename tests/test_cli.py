@@ -7,14 +7,16 @@ import csv
 import importlib
 import io
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 import yaml
 
-from pipevuln import propagation, ranking
+from pipevuln import cli, propagation, ranking
 from pipevuln.cli import build_parser, main
+from pipevuln.errors import BadValueError
 from pipevuln.model import build_graph
 from pipevuln.ranking import enumerate_paths, rank_and_select
 from pipevuln.simulate import simulate
@@ -133,6 +135,59 @@ class TestExitCodes:
         assert stdout == ""
 
 
+def _scaled_traffic_spec(tmp_path, pipelines_dir, gflops: float) -> str:
+    """``traffic.yaml`` with every neural cost set to ``gflops``."""
+    doc = yaml.safe_load((pipelines_dir / "traffic.yaml").read_text())
+    for component in doc["components"]:
+        if component["kind"] == "neural":
+            component["clean_cost_gflops"] = component["adv_cost_gflops"] = gflops
+    spec = tmp_path / f"traffic_{gflops:g}.yaml"
+    spec.write_text(yaml.safe_dump(doc))
+    return str(spec)
+
+
+NON_FINITE = re.compile(r"nan|inf", re.IGNORECASE)
+
+
+class TestNonFiniteResults:
+    """A result that overflows is E_BAD_VALUE, never a printed nan or inf."""
+
+    @pytest.mark.parametrize("command", [
+        "rank", "rank --format csv", "rank --format records",
+        "weights", "weights --format csv", "weights --format records",
+        "amplify", "amplify --format csv", "amplify --format records",
+        "report",
+        "simulate --scenario attacked --config none",
+        "simulate --scenario clean --config none --format records",
+        "matrix", "matrix --format records",
+    ])
+    def test_overflowing_costs_are_bad_value(self, capsys, tmp_path,
+                                            pipelines_dir, command):
+        spec = _scaled_traffic_spec(tmp_path, pipelines_dir, 1.0e308)
+        name, *extra = command.split()
+        code, out, err = run_cli(capsys, name, spec, *extra)
+        assert code == 1
+        assert err.startswith("E_BAD_VALUE: ") and "not finite" in err
+        assert "Traceback" not in err
+        assert not NON_FINITE.search(out)
+
+    def test_multi_seed_spread_that_overflows_is_bad_value(
+        self, capsys, tmp_path, pipelines_dir
+    ):
+        # Each run is finite; the squared spread of their times is not.
+        spec = _scaled_traffic_spec(tmp_path, pipelines_dir, 1.0e160)
+        code, out, err = run_cli(capsys, "matrix", spec, "--scenario", "attacked",
+                                 "--config", "buffered", "--seeds", "0,1")
+        assert code == 1
+        assert err.startswith("E_BAD_VALUE: matrix cell attacked/buffered")
+        assert out == ""
+
+    def test_records_output_refuses_non_finite_json(self):
+        args = argparse.Namespace(format="records")
+        with pytest.raises(BadValueError, match="not valid JSON"):
+            cli._output(args, [], list, lambda: [{"x": float("nan")}])
+
+
 class TestFlagSurface:
     """Each subcommand takes exactly the options its handler reads."""
 
@@ -170,6 +225,43 @@ class TestFlagSurface:
         assert code == 2
         assert "unrecognized arguments" in err
         assert out == ""
+
+
+class TestPublicSurface:
+    """``pipevuln.__all__`` is exactly the supported library API."""
+
+    NAMES = {
+        "__version__",
+        # errors
+        "PipelineError", "BadValueError", "CycleError", "DanglingReferenceError",
+        "DuplicateIdError", "EmptyInputError", "MissingScoreError",
+        "NoSourceError", "NoSuchPathError", "NonTerminationError",
+        "PathExplosionError", "ScenarioMismatchError", "SchemaError",
+        "SyntaxParseError", "UnresolvedReferenceError",
+        # model
+        "EXIT", "BehaviorProfile", "ComponentSpec", "EdgeSpec", "GateSpec",
+        "PipelineGraph", "build_graph", "topological_order",
+        # propagation
+        "CostBreakdown", "WorkloadVector", "amplification_matrix", "clean_cost",
+        "cost", "expected_emission", "propagate",
+        # ranking
+        "ExecutionPath", "PathRanking", "RankedPath", "component_score",
+        "compute_loss_weights", "enumerate_paths", "rank_and_select",
+        "resolve_path", "wrong_path_report",
+        # simulation
+        "Attenuation", "ConfidenceFilter", "DeploymentConfig", "EdgeStats",
+        "InputFilter", "SimMetrics", "TrafficScenario", "percentile",
+        "run_matrix", "simulate",
+        # io
+        "SpecDocument", "build_report", "parse_spec", "parse_spec_file",
+    }
+
+    def test_all_is_pinned_and_every_name_resolves(self):
+        import pipevuln
+
+        assert sorted(pipevuln.__all__) == sorted(self.NAMES)
+        for name in pipevuln.__all__:
+            assert hasattr(pipevuln, name), name
 
 
 class TestSubcommands:
@@ -400,6 +492,15 @@ class TestOnePass:
         if enumerations:
             # The clean reference may be propagated twice; each path once.
             assert calls["propagate"] <= n_paths + 2
+
+    def test_report_checks_names_before_ranking(self, capsys, calls,
+                                                variant_spec_path):
+        code, out, err = run_cli(capsys, "report", variant_spec_path,
+                                 "--scenario", "nope", "--config", "none")
+        assert code == 1
+        assert err.startswith("E_SYNTAX: unknown scenario 'nope'")
+        assert out == ""
+        assert calls["enumerate_paths"] == 0
 
     def test_rank_propagates_paths_in_one_shared_pass(self, capsys, calls):
         n_paths = len(enumerate_paths(parse_spec_file(str(LAYERED_SPEC)).graph))

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from pipevuln.errors import NoSuchPathError, ScenarioMismatchError
+from pipevuln.errors import BadValueError, NoSuchPathError, ScenarioMismatchError
 from pipevuln.model import EXIT, build_graph
 from pipevuln.propagation import (
     CLEAN,
+    CostBreakdown,
     WorkloadVector,
     amplification_matrix,
     clean_cost,
@@ -147,6 +148,31 @@ class TestCost:
         with pytest.raises(ScenarioMismatchError) as err:
             cost(traffic_graph, bad)
         assert err.value.code == "E_SCENARIO_MISMATCH"
+
+    @pytest.mark.parametrize("counts,where", [
+        ({"od": 1.0, "lpr": float("inf")}, "component 'lpr'"),
+        ({"od": 1.7e306, "pr": 1e307}, "sum overflowed"),
+    ])
+    def test_non_finite_total_is_bad_value(self, traffic_graph, counts, where):
+        entries = dict.fromkeys(traffic_graph.components, 0.0) | counts
+        with pytest.raises(BadValueError) as err:
+            cost(traffic_graph, WorkloadVector(entries=entries, scenario="clean"))
+        assert str(err.value) == (
+            f"E_BAD_VALUE: clean: total GFLOPs is not finite ({where})"
+        )
+
+    def test_positive_total_over_zero_reference_is_unbounded(self, traffic_graph):
+        zero = CostBreakdown(
+            per_component=dict.fromkeys(traffic_graph.components, 0.0),
+            total_gflops=0.0, scenario="clean",
+        )
+        workload = propagate(traffic_graph, CLEAN)
+        with pytest.raises(BadValueError, match="amplification is unbounded"):
+            cost(traffic_graph, workload, zero)
+        idle = WorkloadVector(
+            entries=dict.fromkeys(traffic_graph.components, 0.0), scenario="clean"
+        )
+        assert cost(traffic_graph, idle, zero).amplification == 1.0
 
     def test_totals_match_item_expansion_oracle_on_50_graphs(self):
         rng = random.Random(2025)

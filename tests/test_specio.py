@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from pipevuln.errors import (
+    BadValueError,
     SchemaError,
     SyntaxParseError,
     UnresolvedReferenceError,
@@ -171,3 +172,9 @@ class TestReports:
         assert parsed["spec_digest"] == spec_a.digest
         assert parsed["calibration"] == spec_a.calibration
         assert parsed["tool"] == "pipevuln"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_report_value_is_bad_value(self, value):
+        report = build_report(parse_spec(MINIMAL_YAML), "rank", {}, {"x": value})
+        with pytest.raises(BadValueError, match="not valid JSON"):
+            report_to_json(report)
