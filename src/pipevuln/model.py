@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -66,17 +66,17 @@ class BehaviorProfile:
 
     ``clean_cardinality`` maps emitted label -> mean items per invocation
     under clean input. ``adv_cardinality`` maps a *target* label to the
-    emission behavior when inputs are adversarially steered toward that
-    label: either a single number (mean emission of the target label itself,
-    with every other label suppressed to zero) or a full label -> mean
-    mapping for targetings that leak residual emissions on other labels.
-    A target label absent from ``adv_cardinality`` means the component is
-    not steerable toward it and behaves per its clean profile.
+    full label -> mean emission when inputs are adversarially steered
+    toward that label; a label it leaves out emits nothing. A spec may give
+    a flat number ``n`` for target ``t``; it is stored as ``{t: n}`` (the
+    target label alone, every other label suppressed). A target label
+    absent from ``adv_cardinality`` means the component is not steerable
+    toward it and behaves per its clean profile.
     """
 
     component: str
     clean_cardinality: Mapping[str, float] = field(default_factory=dict)
-    adv_cardinality: Mapping[str, Any] = field(default_factory=dict)
+    adv_cardinality: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -166,13 +166,33 @@ def _need_str(rec: Mapping, key: str, what: str) -> str:
     return value
 
 
-def _opt_number(rec: Mapping, key: str, what: str, default: float) -> float:
-    if key not in rec:
-        return default
-    value = rec[key]
+def _number(value: Any, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{what}.{key} must be a number")
+        raise SchemaError(f"{what} must be a number")
     return float(value)
+
+
+def _integer(value: Any, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer")
+    return value
+
+
+def _capacity(value: Any, what: str) -> int | None:
+    """An item count, or ``None`` (no limit) for null or ``unbounded``."""
+    if value is None or value == UNBOUNDED:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{what} must be an integer or 'unbounded'")
+    return value
+
+
+def _opt_number(rec: Mapping, key: str, what: str, default: float) -> float:
+    return _number(rec[key], f"{what}.{key}") if key in rec else default
+
+
+def _opt_int(rec: Mapping, key: str, what: str, default: int) -> int:
+    return _integer(rec[key], f"{what}.{key}") if key in rec else default
 
 
 def _opt_bool(rec: Mapping, key: str, what: str, default: bool) -> bool:
@@ -184,21 +204,30 @@ def _opt_bool(rec: Mapping, key: str, what: str, default: bool) -> bool:
     return value
 
 
+def _opt_str(rec: Mapping, key: str, what: str, default: str | None) -> str | None:
+    """``rec[key]``, a string; null is accepted only where the default is null."""
+    value = rec.get(key, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, str):
+        raise SchemaError(f"{what}.{key} must be a string")
+    return value
+
+
 def _check_keys(rec: Mapping, allowed: set[str], what: str) -> None:
     unknown = set(rec) - allowed
     if unknown:
         raise SchemaError(f"{what} has unknown key(s): {', '.join(sorted(unknown))}")
 
 
-def _card_map(obj: Any, what: str) -> dict[str, float]:
+def _card_map(obj: Any, what: str, read: Callable[[Any, str], Any] = _number) -> dict:
+    """``obj`` as a mapping of string keys to values read by ``read``."""
     mapping = _need_mapping(obj, what)
-    out: dict[str, float] = {}
-    for label, value in mapping.items():
-        if not isinstance(label, str):
-            raise SchemaError(f"{what} labels must be strings")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{what}[{label!r}] must be a number")
-        out[label] = float(value)
+    out = {}
+    for key, value in mapping.items():
+        if not isinstance(key, str):
+            raise SchemaError(f"{what} keys must be strings")
+        out[key] = read(value, f"{what}[{key!r}]")
     return out
 
 
@@ -225,18 +254,18 @@ def _coerce_profile(rec: Mapping) -> BehaviorProfile:
     _check_keys(rec, _PROFILE_KEYS, what)
     clean = _card_map(rec.get("clean_cardinality", {}), f"{what}.clean_cardinality")
     adv_raw = _need_mapping(rec.get("adv_cardinality", {}), f"{what}.adv_cardinality")
-    adv: dict[str, Any] = {}
+    adv: dict[str, dict[str, float]] = {}
     for label, value in adv_raw.items():
         if not isinstance(label, str):
             raise SchemaError(f"{what}.adv_cardinality labels must be strings")
-        if isinstance(value, Mapping):
-            adv[label] = _card_map(value, f"{what}.adv_cardinality[{label!r}]")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(
-                f"{what}.adv_cardinality[{label!r}] must be a number or mapping"
-            )
-        else:
-            adv[label] = float(value)
+        if not isinstance(value, Mapping):
+            # A flat entry: the target label alone, every other one at zero.
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SchemaError(
+                    f"{what}.adv_cardinality[{label!r}] must be a number or mapping"
+                )
+            value = {label: value}
+        adv[label] = _card_map(value, f"{what}.adv_cardinality[{label!r}]")
     return BehaviorProfile(component=comp, clean_cardinality=clean, adv_cardinality=adv)
 
 
@@ -260,14 +289,7 @@ def _coerce_edge(rec: Mapping) -> EdgeSpec:
     to_id = _need_str(rec, "to", what)
     label = _need_str(rec, "label", what)
     what = f"edge {from_id}:{label}"
-    capacity_raw = rec.get("capacity", UNBOUNDED)
-    capacity: int | None
-    if capacity_raw is None or capacity_raw == UNBOUNDED:
-        capacity = None
-    elif isinstance(capacity_raw, bool) or not isinstance(capacity_raw, int):
-        raise SchemaError(f"{what}.capacity must be an integer or 'unbounded'")
-    else:
-        capacity = capacity_raw
+    capacity = _capacity(rec.get("capacity"), f"{what}.capacity")
     return EdgeSpec(from_id=from_id, to_id=to_id, label=label, capacity=capacity)
 
 
@@ -327,8 +349,7 @@ def _validate_profile(profile: BehaviorProfile, routes: Mapping[str, str]) -> No
             raise DanglingReferenceError(
                 f"profile {comp!r} targets label {target_label!r} absent from its gate"
             )
-        entries = entry.items() if isinstance(entry, Mapping) else [(target_label, entry)]
-        for label, mean in entries:
+        for label, mean in entry.items():
             _check_finite_nonneg(
                 mean, f"profile {comp!r} adversarial cardinality [{label!r}]"
             )

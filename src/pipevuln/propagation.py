@@ -30,7 +30,7 @@ safe and unordered.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -51,18 +51,12 @@ def expected_emission(
     ``targeting`` names the label the input stream is adversarially steered
     toward at this component, or ``None`` for clean inputs. Steering toward
     a label the profile does not declare leaves the component on its clean
-    behavior. A flat adversarial entry suppresses every non-target label to
-    zero; a mapping entry declares the full emission profile under that
-    targeting (residual leakage included).
+    behavior; a declared one reads its full adversarial emission table, in
+    which a label left out emits nothing.
     """
-    if targeting is None:
-        return profile.clean_cardinality.get(label, 0.0)
-    entry = profile.adv_cardinality.get(targeting)
-    if entry is None:
-        return profile.clean_cardinality.get(label, 0.0)
-    if isinstance(entry, Mapping):
-        return entry.get(label, 0.0)
-    return float(entry) if label == targeting else 0.0
+    return profile.adv_cardinality.get(targeting, profile.clean_cardinality).get(
+        label, 0.0
+    )
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,6 @@ from .model import EXIT, NEURAL, PipelineGraph, topological_order
 from .propagation import expected_emission
 from .ranking import resolve_path
 
-BACK_TO_BACK = "back-to-back"
-FIXED_INTERVAL = "fixed-interval"
-
 DROP_INPUT = "drop-input"
 TREAT_AS_CLEAN = "treat-as-clean"
 
@@ -75,30 +72,25 @@ class TrafficScenario:
     """Arrival stream mixing clean and adversarial system inputs.
 
     ``mix`` is the adversarial fraction; which inputs are adversarial is a
-    seeded draw, so different seeds sample different subsets. ``arrival`` is
-    ``"back-to-back"`` (all inputs offered at time zero) or
-    ``"fixed-interval"`` with ``interval_s`` seconds between arrivals.
+    seeded draw, so different seeds sample different subsets. Input ``i``
+    arrives at ``i * interval_s`` seconds, so 0 offers every input at time
+    zero (back to back). A scenario checks its values when built.
     """
 
     n_inputs: int
     mix: float = 0.0
     target_path: str | None = None
-    arrival: str = BACK_TO_BACK
     interval_s: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_inputs < 1:
             raise BadValueError("scenario: n_inputs must be >= 1")
         if not 0.0 <= self.mix <= 1.0:
             raise BadValueError("scenario: mix must be within [0, 1]")
         if self.mix > 0 and not self.target_path:
             raise BadValueError("scenario: adversarial mix requires a target_path")
-        if self.arrival not in (BACK_TO_BACK, FIXED_INTERVAL):
-            raise BadValueError(f"scenario: unknown arrival mode {self.arrival!r}")
-        if self.arrival == FIXED_INTERVAL and not (
-            math.isfinite(self.interval_s) and self.interval_s >= 0
-        ):
+        if not (math.isfinite(self.interval_s) and self.interval_s >= 0):
             raise BadValueError("scenario: fixed-interval needs a nonnegative interval")
 
 
@@ -112,17 +104,17 @@ class ConfidenceFilter:
     clean: Mapping[str, float] = field(default_factory=dict)
     adversarial: Mapping[str, float] = field(default_factory=dict)
 
-    def survival(self, label: str, adversarial: bool) -> float:
-        table = self.adversarial if adversarial else self.clean
-        return table.get(label, table.get("default", 1.0))
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for table in (self.clean, self.adversarial):
             for label, fraction in table.items():
                 if not 0.0 <= fraction <= 1.0:
                     raise BadValueError(
                         f"confidence survival for {label!r} must be within [0, 1]"
                     )
+
+    def survival(self, label: str, adversarial: bool) -> float:
+        table = self.adversarial if adversarial else self.clean
+        return table.get(label, table.get("default", 1.0))
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,7 @@ class Attenuation:
     factor: float
     residual_floor: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.factor <= 1.0:
             raise BadValueError("attenuation factor must be within [0, 1]")
         if not (math.isfinite(self.residual_floor) and self.residual_floor >= 0):
@@ -156,7 +148,7 @@ class InputFilter:
     p_detect: float
     action: str = DROP_INPUT
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.p_detect <= 1.0:
             raise BadValueError("input filter p_detect must be within [0, 1]")
         if self.action not in (DROP_INPUT, TREAT_AS_CLEAN):
@@ -172,7 +164,8 @@ class DeploymentConfig:
     override the graph's edge capacities. ``path_budgets`` caps the
     cumulative items forwarded on every edge of a path at ``budget *
     n_inputs`` (routing-layer defense); budget-rejected arrivals count as
-    drops on that edge.
+    drops on that edge. A config checks its own values when built; its
+    defense records checked theirs when they were built.
     """
 
     batch: Mapping[str, int] = field(default_factory=dict)
@@ -183,7 +176,7 @@ class DeploymentConfig:
     path_budgets: Mapping[str, float] = field(default_factory=dict)
     device_model: str = PER_COMPONENT_SERVER
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for key, size in self.batch.items():
             if isinstance(size, bool) or not isinstance(size, int) or size < 1:
                 raise BadValueError(f"batch size for {key!r} must be an integer >= 1")
@@ -197,12 +190,6 @@ class DeploymentConfig:
         for pid, budget in self.path_budgets.items():
             if not (math.isfinite(budget) and budget >= 0):
                 raise BadValueError(f"path budget for {pid!r} must be finite and >= 0")
-        if self.confidence:
-            self.confidence.validate()
-        if self.attenuation:
-            self.attenuation.validate()
-        if self.input_filter:
-            self.input_filter.validate()
         if self.device_model not in (PER_COMPONENT_SERVER, SHARED_SINGLE_DEVICE):
             raise BadValueError(f"unknown device model {self.device_model!r}")
 
@@ -390,8 +377,6 @@ class _Run:
         config: DeploymentConfig,
         max_events: int,
     ):
-        scenario.validate()
-        config.validate()
         # Each input is at least one event: check before sizing anything by it.
         if scenario.n_inputs > max_events:
             raise NonTerminationError(
@@ -420,7 +405,6 @@ class _Run:
         self.item_seq = 0
         self.offered = 0
         self.now = 0.0
-        self.last_event_time = 0.0
         self.batch_limit = {
             cid: config.batch_size(cid) if spec.batchable else 1
             for cid, spec in graph.components.items()
@@ -492,11 +476,7 @@ class _Run:
 
     def execute(self) -> SimMetrics:
         adversarial = self._adversarial_inputs()
-        interval = (
-            self.scenario.interval_s
-            if self.scenario.arrival == FIXED_INTERVAL
-            else 0.0
-        )
+        interval = self.scenario.interval_s
         heap = self.heap
         # Arrivals go in (time, seq) order, so the list is already a heap.
         for i in range(self.scenario.n_inputs):
@@ -509,8 +489,6 @@ class _Run:
         while heap:
             now, _, device, first, second = heapq.heappop(heap)
             self.now = now
-            if now > self.last_event_time:
-                self.last_event_time = now
             events += 1
             if events > max_events:
                 raise NonTerminationError(f"simulation exceeded {max_events} events")
@@ -691,7 +669,8 @@ class _Run:
             p99 = percentile(samples, 99)
         else:
             avg = p50 = p95 = p99 = 0.0
-        wall = self.last_event_time
+        # Events pop in time order: the last one sets the wall time.
+        wall = self.now
         throughput = self.completed / wall if wall > 0 else 0.0
         workload = {
             cid: self.processed_clean[cid] + self.processed_adv[cid]

@@ -21,7 +21,7 @@ import hashlib
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import yaml
 
@@ -33,16 +33,27 @@ from .errors import (
     SyntaxParseError,
     UnresolvedReferenceError,
 )
-from .model import PipelineGraph, build_graph
+from .model import (
+    PipelineGraph,
+    _capacity,
+    _card_map,
+    _check_keys,
+    _integer,
+    _need_mapping,
+    _opt_int,
+    _opt_number,
+    _opt_str,
+    build_graph,
+)
 from .ranking import resolve_path
 from .simulate import (
+    DROP_INPUT,
+    PER_COMPONENT_SERVER,
     Attenuation,
     ConfidenceFilter,
     DeploymentConfig,
     InputFilter,
     TrafficScenario,
-    BACK_TO_BACK,
-    FIXED_INTERVAL,
 )
 
 _SCENARIO_KEYS = {"n_inputs", "mix", "target_path", "arrival", "seed"}
@@ -105,7 +116,6 @@ def _load_jsonl(text: str) -> dict:
         "components": [], "profiles": [], "gates": [], "edges": [],
         "scenarios": {}, "configs": {},
     }
-    saw_source = False
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line:
@@ -119,17 +129,10 @@ def _load_jsonl(text: str) -> dict:
         rtype = record.pop("type", None)
         if rtype not in _RECORD_TYPES:
             raise SchemaError(f"line {lineno}: unknown record type {rtype!r}")
-        if rtype == "component":
-            doc["components"].append(record)
-        elif rtype == "profile":
-            doc["profiles"].append(record)
-        elif rtype == "gate":
-            doc["gates"].append(record)
-        elif rtype == "edge":
-            doc["edges"].append(record)
+        if rtype in ("component", "profile", "gate", "edge"):
+            doc[rtype + "s"].append(record)
         elif rtype == "source":
             doc["source"] = record.get("id")
-            saw_source = True
         elif rtype == "calibration":
             doc["calibration"] = record.get("text", "")
         else:  # scenario / config
@@ -140,138 +143,80 @@ def _load_jsonl(text: str) -> dict:
             if name in section:
                 raise SchemaError(f"line {lineno}: duplicate {rtype} name {name!r}")
             section[name] = record
-    if not saw_source and "source" not in doc:
-        doc.pop("source", None)
     return doc
 
 
-def _num(value: Any, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{what} must be a number")
-    return float(value)
-
-
-def _coerce_scenario(name: str, rec: Mapping) -> TrafficScenario:
+def _coerce_scenario(name: str, rec: Any) -> TrafficScenario:
     what = f"scenario {name!r}"
-    if not isinstance(rec, Mapping):
-        raise SchemaError(f"{what} must be a mapping")
-    unknown = set(rec) - _SCENARIO_KEYS
-    if unknown:
-        raise SchemaError(f"{what} has unknown key(s): {', '.join(sorted(unknown))}")
+    _check_keys(_need_mapping(rec, what), _SCENARIO_KEYS, what)
     if "n_inputs" not in rec:
         raise SchemaError(f"{what} is missing n_inputs")
-    n_inputs = rec["n_inputs"]
-    if isinstance(n_inputs, bool) or not isinstance(n_inputs, int):
-        raise SchemaError(f"{what}.n_inputs must be an integer")
-    arrival = rec.get("arrival", BACK_TO_BACK)
-    interval = 0.0
+    # The two arrival spellings end here: the record keeps only the interval.
+    arrival = rec.get("arrival", "back-to-back")
     if not isinstance(arrival, str):
         raise SchemaError(f"{what}.arrival is malformed")
-    if arrival.startswith(FIXED_INTERVAL + ":"):
+    interval = 0.0
+    if arrival.startswith("fixed-interval:"):
         try:
             interval = float(arrival.split(":", 1)[1])
         except ValueError as exc:
             raise SchemaError(f"{what}.arrival has a bad interval") from exc
-        arrival = FIXED_INTERVAL
-    elif arrival != BACK_TO_BACK:
+    elif arrival != "back-to-back":
         raise SchemaError(f"{what}.arrival must be 'back-to-back' or "
                           f"'fixed-interval:<seconds>'")
-    target = rec.get("target_path")
-    if target is not None and not isinstance(target, str):
-        raise SchemaError(f"{what}.target_path must be a string or null")
-    seed = rec.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaError(f"{what}.seed must be an integer")
-    scenario = TrafficScenario(
-        n_inputs=n_inputs,
-        mix=_num(rec.get("mix", 0.0), f"{what}.mix"),
-        target_path=target,
-        arrival=arrival,
+    return TrafficScenario(
+        n_inputs=_opt_int(rec, "n_inputs", what, 0),
+        mix=_opt_number(rec, "mix", what, 0.0),
+        target_path=_opt_str(rec, "target_path", what, None),
         interval_s=interval,
-        seed=seed,
+        seed=_opt_int(rec, "seed", what, 0),
     )
-    scenario.validate()
-    return scenario
 
 
-def _coerce_int_map(raw: Any, what: str, allow_unbounded: bool) -> dict:
-    if not isinstance(raw, Mapping):
-        raise SchemaError(f"{what} must be a mapping")
-    out: dict[str, int | None] = {}
-    for key, value in raw.items():
-        if not isinstance(key, str):
-            raise SchemaError(f"{what} keys must be strings")
-        if allow_unbounded and (value is None or value == "unbounded"):
-            out[key] = None
-            continue
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"{what}[{key!r}] must be an integer")
-        out[key] = value
-    return out
+def _block(rec: Mapping, key: str, allowed: set[str], what: str) -> Mapping | None:
+    """The sub-record ``rec[key]`` with only ``allowed`` keys, or ``None``
+    when it is absent or null."""
+    block = rec.get(key)
+    if block is None:
+        return None
+    what = f"{what}.{key}"
+    _check_keys(_need_mapping(block, what), allowed, what)
+    return block
 
 
-def _coerce_config(name: str, rec: Mapping) -> DeploymentConfig:
+def _coerce_config(name: str, rec: Any) -> DeploymentConfig:
     what = f"config {name!r}"
-    if not isinstance(rec, Mapping):
-        raise SchemaError(f"{what} must be a mapping")
-    unknown = set(rec) - _CONFIG_KEYS
-    if unknown:
-        raise SchemaError(f"{what} has unknown key(s): {', '.join(sorted(unknown))}")
-    confidence = None
-    if rec.get("confidence") is not None:
-        block = rec["confidence"]
-        if not isinstance(block, Mapping) or set(block) - {"clean", "adversarial"}:
-            raise SchemaError(f"{what}.confidence must map clean/adversarial tables")
-        def table(key: str) -> dict[str, float]:
-            sub = block.get(key, {})
-            if not isinstance(sub, Mapping):
-                raise SchemaError(f"{what}.confidence.{key} must be a mapping")
-            return {k: _num(v, f"{what}.confidence.{key}[{k!r}]")
-                    for k, v in sub.items()}
-        confidence = ConfidenceFilter(clean=table("clean"),
-                                      adversarial=table("adversarial"))
-    attenuation = None
-    if rec.get("attenuation") is not None:
-        block = rec["attenuation"]
-        if not isinstance(block, Mapping) or set(block) - {"factor", "residual_floor"}:
-            raise SchemaError(f"{what}.attenuation must declare factor/residual_floor")
+    _check_keys(_need_mapping(rec, what), _CONFIG_KEYS, what)
+    confidence = attenuation = input_filter = None
+    block = _block(rec, "confidence", {"clean", "adversarial"}, what)
+    if block is not None:
+        confidence = ConfidenceFilter(**{
+            key: _card_map(block.get(key, {}), f"{what}.confidence.{key}")
+            for key in ("clean", "adversarial")
+        })
+    block = _block(rec, "attenuation", {"factor", "residual_floor"}, what)
+    if block is not None:
         attenuation = Attenuation(
-            factor=_num(block.get("factor", 1.0), f"{what}.attenuation.factor"),
-            residual_floor=_num(
-                block.get("residual_floor", 0.0), f"{what}.attenuation.residual_floor"
+            factor=_opt_number(block, "factor", f"{what}.attenuation", 1.0),
+            residual_floor=_opt_number(
+                block, "residual_floor", f"{what}.attenuation", 0.0
             ),
         )
-    input_filter = None
-    if rec.get("input_filter") is not None:
-        block = rec["input_filter"]
-        if not isinstance(block, Mapping) or set(block) - {"p_detect", "action"}:
-            raise SchemaError(f"{what}.input_filter must declare p_detect/action")
-        action = block.get("action", "drop-input")
-        if not isinstance(action, str):
-            raise SchemaError(f"{what}.input_filter.action must be a string")
+    block = _block(rec, "input_filter", {"p_detect", "action"}, what)
+    if block is not None:
         input_filter = InputFilter(
-            p_detect=_num(block.get("p_detect", 0.0), f"{what}.input_filter.p_detect"),
-            action=action,
+            p_detect=_opt_number(block, "p_detect", f"{what}.input_filter", 0.0),
+            action=_opt_str(block, "action", f"{what}.input_filter", DROP_INPUT),
         )
-    budgets_raw = rec.get("path_budgets", {})
-    if not isinstance(budgets_raw, Mapping):
-        raise SchemaError(f"{what}.path_budgets must be a mapping")
-    budgets = {k: _num(v, f"{what}.path_budgets[{k!r}]")
-               for k, v in budgets_raw.items()}
-    device_model = rec.get("device_model", "per-component-server")
-    if not isinstance(device_model, str):
-        raise SchemaError(f"{what}.device_model must be a string")
-    config = DeploymentConfig(
-        batch=_coerce_int_map(rec.get("batch", {}), f"{what}.batch", False),
-        buffers=_coerce_int_map(rec.get("buffers", {}), f"{what}.buffers", True),
+    return DeploymentConfig(
+        batch=_card_map(rec.get("batch", {}), f"{what}.batch", _integer),
+        buffers=_card_map(rec.get("buffers", {}), f"{what}.buffers", _capacity),
         confidence=confidence,
         attenuation=attenuation,
         input_filter=input_filter,
-        path_budgets=budgets,
-        device_model=device_model,
+        path_budgets=_card_map(rec.get("path_budgets", {}), f"{what}.path_budgets"),
+        device_model=_opt_str(rec, "device_model", what, PER_COMPONENT_SERVER),
     )
-    config.validate()
-    return config
 
 
 def _is_path(graph: PipelineGraph, path_id: str) -> bool:
@@ -312,6 +257,19 @@ def _check_references(
                 )
 
 
+def _named(doc: Mapping, section: str, what: str, coerce: Callable) -> dict:
+    """The ``section`` mapping of names to records, each read by ``coerce``."""
+    raw = doc.get(section, {}) or {}
+    if not isinstance(raw, Mapping):
+        raise SchemaError(f"{section} section must be a mapping of names to records")
+    out = {}
+    for name, rec in raw.items():
+        if not isinstance(name, str):
+            raise SchemaError(f"{what} name {name!r} must be a string")
+        out[name] = coerce(name, rec)
+    return out
+
+
 def parse_spec(data: bytes | str) -> SpecDocument:
     """Parse, build, and fully resolve a spec document.
 
@@ -331,16 +289,8 @@ def parse_spec(data: bytes | str) -> SpecDocument:
 
     graph = build_graph(doc)
 
-    scenarios_raw = doc.get("scenarios", {}) or {}
-    configs_raw = doc.get("configs", {}) or {}
-    if not isinstance(scenarios_raw, Mapping):
-        raise SchemaError("scenarios section must be a mapping of names to records")
-    if not isinstance(configs_raw, Mapping):
-        raise SchemaError("configs section must be a mapping of names to records")
-    scenarios = {
-        name: _coerce_scenario(name, rec) for name, rec in scenarios_raw.items()
-    }
-    configs = {name: _coerce_config(name, rec) for name, rec in configs_raw.items()}
+    scenarios = _named(doc, "scenarios", "scenario", _coerce_scenario)
+    configs = _named(doc, "configs", "config", _coerce_config)
     _check_references(graph, scenarios, configs)
 
     calibration = doc.get("calibration", "") or ""

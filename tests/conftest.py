@@ -185,12 +185,15 @@ def random_sim_triple(rng: random.Random):
     graph = build_graph(random_graph_doc(rng))
     paths = enumerate_paths(graph)
     mix = rng.choice([0.0, 0.3, 1.0])
+    n_inputs = rng.randint(1, 10)
+    target_path = rng.choice(paths).id if mix > 0 else None
+    back_to_back = rng.choice(["back-to-back", "fixed-interval"]) == "back-to-back"
+    interval_s = rng.choice([0.0, 0.05, 0.4])
     scenario = TrafficScenario(
-        n_inputs=rng.randint(1, 10),
+        n_inputs=n_inputs,
         mix=mix,
-        target_path=rng.choice(paths).id if mix > 0 else None,
-        arrival=rng.choice(["back-to-back", "fixed-interval"]),
-        interval_s=rng.choice([0.0, 0.05, 0.4]),
+        target_path=target_path,
+        interval_s=0.0 if back_to_back else interval_s,
         seed=rng.randint(0, 2**32),
     )
     config = DeploymentConfig(

@@ -62,14 +62,13 @@ def car_path_id(graph) -> str:
 def attacked_scenario(graph, n=10, seed=7, mix=1.0) -> TrafficScenario:
     return TrafficScenario(
         n_inputs=n, mix=mix, target_path=car_path_id(graph),
-        arrival="fixed-interval", interval_s=0.3, seed=seed,
+        interval_s=0.3, seed=seed,
     )
 
 
 def clean_scenario(n=10, seed=7) -> TrafficScenario:
     return TrafficScenario(
-        n_inputs=n, mix=0.0, target_path=None,
-        arrival="back-to-back", seed=seed,
+        n_inputs=n, mix=0.0, target_path=None, seed=seed,
     )
 
 
@@ -179,8 +178,7 @@ class TestDeterminism:
 
     def test_unknown_target_path_raises(self):
         graph = build_graph(variant_doc())
-        scenario = TrafficScenario(n_inputs=2, mix=1.0, target_path="nope",
-                                   arrival="back-to-back", seed=0)
+        scenario = TrafficScenario(n_inputs=2, mix=1.0, target_path="nope", seed=0)
         with pytest.raises(NoSuchPathError):
             simulate(graph, scenario, DeploymentConfig())
 
@@ -416,9 +414,9 @@ class TestDefenses:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_budget_and_residual_floor_rejected(self, bad):
         with pytest.raises(BadValueError):
-            DeploymentConfig(path_budgets={"od:car->lpr:plate->sum:EXIT": bad}).validate()
+            DeploymentConfig(path_budgets={"od:car->lpr:plate->sum:EXIT": bad})
         with pytest.raises(BadValueError):
-            Attenuation(factor=0.5, residual_floor=bad).validate()
+            Attenuation(factor=0.5, residual_floor=bad)
 
 
 ORACLE_SEEDS = (0, 1, 2, 3, 4)
@@ -525,8 +523,7 @@ class TestRunMatrix:
 
     def test_cell_failure_aborts_with_context(self):
         graph = build_graph(variant_doc())
-        bad = TrafficScenario(n_inputs=3, mix=1.0, target_path="ghost",
-                              arrival="back-to-back", seed=0)
+        bad = TrafficScenario(n_inputs=3, mix=1.0, target_path="ghost", seed=0)
         with pytest.raises(NoSuchPathError) as err:
             run_matrix(graph, {"bad": bad}, {"none": DeploymentConfig()})
         assert "bad/none" in str(err.value)

