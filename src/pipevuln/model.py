@@ -217,7 +217,8 @@ def _opt_str(rec: Mapping, key: str, what: str, default: str | None) -> str | No
 def _check_keys(rec: Mapping, allowed: set[str], what: str) -> None:
     unknown = set(rec) - allowed
     if unknown:
-        raise SchemaError(f"{what} has unknown key(s): {', '.join(sorted(unknown))}")
+        names = ", ".join(sorted(map(str, unknown)))
+        raise SchemaError(f"{what} has unknown key(s): {names}")
 
 
 def _card_map(obj: Any, what: str, read: Callable[[Any, str], Any] = _number) -> dict:
@@ -415,9 +416,7 @@ def build_graph(raw: Mapping) -> PipelineGraph:
         NoSourceError / CycleError: violated graph invariants.
     """
     doc = _need_mapping(raw, "pipeline document")
-    unknown = set(doc) - _PIPELINE_KEYS - _EXTRA_KEYS
-    if unknown:
-        raise SchemaError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
+    _check_keys(doc, _PIPELINE_KEYS | _EXTRA_KEYS, "pipeline document")
 
     components: dict[str, ComponentSpec] = {}
     for rec in _section(doc, "components"):

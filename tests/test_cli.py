@@ -8,6 +8,7 @@ import importlib
 import io
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -344,6 +345,20 @@ class TestSubcommands:
             "mix_99_01/svm/seed=0", "mix_99_01/svm/seed=1",
             "mix_99_01/svm/seed=2", "mix_99_01/svm/mean", "mix_99_01/svm/std",
         ]
+
+    def test_matrix_seed_equals_a_one_seed_list(self, capsys, variant_spec_path):
+        # The exact form the benchmark's defense_matrix workload times.
+        code, out, _ = run_cli(capsys, "matrix", variant_spec_path,
+                               "--format", "csv", "--seed", "3")
+        assert code == 0
+        assert run_cli(capsys, "matrix", variant_spec_path,
+                       "--format", "csv", "--seeds", "3") == (0, out, "")
+        spec = parse_spec_file(variant_spec_path)
+        metrics = simulate(spec.graph, replace(spec.scenarios["attacked"], seed=3),
+                           spec.configs["none"])
+        row = next(r for r in csv.DictReader(io.StringIO(out))
+                   if r["label"] == "attacked/none")
+        assert float(row["wall_time_s"]) == metrics.wall_time_s
 
     def test_report_document_shape(self, capsys, variant_spec_path):
         code, out, _ = run_cli(capsys, "report", variant_spec_path,

@@ -5,7 +5,12 @@ case in ``CASES``; the exit code, stderr and stdout must equal the committed
 file ``tests/golden/<spec>.<case>.txt`` exactly. Fifty seeded
 ``random_sim_triple`` runs must reproduce the sorted-key JSON of their
 ``SimMetrics`` line for line; they cover the ``shared-single-device`` model,
-which no shipped spec uses. Every shipped spec has at most three paths, so
+which no shipped spec uses. ``cited_figures.txt`` lists, by ``repr``, the
+figures the acceptance suite checks against the paper (the walkthrough
+branch-score ratio, the throughput collapse, the buffering drop fraction)
+and each shipped spec's largest FLOPs amplification, so a change to any of
+them shows in review even while it stays inside its tolerance. Every
+shipped spec has at most three paths, so
 the analytic cases also run on ``tests/specs/layered.yaml`` (29 paths whose
 ids share prefixes up to three steps deep). ``FORMAT_CASES`` run on one small
 shipped spec and render each subcommand that takes ``--format`` in each
@@ -32,7 +37,8 @@ from pathlib import Path
 import pytest
 
 from pipevuln.cli import main
-from pipevuln.ranking import enumerate_paths
+from pipevuln.propagation import amplification_matrix
+from pipevuln.ranking import enumerate_paths, rank_and_select
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec_file
 
@@ -53,6 +59,7 @@ FORMAT_CASES = tuple(
 ) + ("simulate_records", "matrix_seeds_csv")
 SIM_GOLDEN = GOLDEN_DIR / "sim_metrics.jsonl"
 SIM_SEEDS = range(50)
+LEDGER = GOLDEN_DIR / "cited_figures.txt"
 
 
 def _argv(spec: Path, case: str) -> list[str]:
@@ -99,6 +106,41 @@ def _sim_line(seed: int) -> str:
     return json.dumps(asdict(simulate(graph, scenario, config)), sort_keys=True)
 
 
+def _ledger() -> str:
+    """The cited figures, one ``name: repr`` line each."""
+    walkthrough = parse_spec_file(str(PIPELINES_DIR / "traffic.yaml")).graph
+    scores = {e.path.id: e.score for e in rank_and_select(walkthrough).entries}
+    variant = parse_spec_file(str(PIPELINES_DIR / "traffic_variant.yaml"))
+
+    def run(scenario: str, config: str):
+        return simulate(variant.graph, variant.scenarios[scenario],
+                        variant.configs[config])
+
+    clean, attacked = run("clean", "none"), run("attacked", "none")
+    car = run("attacked", "b16_buf100").edge_stats["od:car"]
+    figures = [
+        ("walkthrough branch-score ratio (car / person)",
+         scores["od:car->lpr:plate->sum:EXIT"]
+         / scores["od:person->pr:face->sum:EXIT"]),
+        ("traffic_variant clean/none throughput_ips", clean.throughput_ips),
+        ("traffic_variant attacked/none throughput_ips", attacked.throughput_ips),
+        ("throughput collapse (clean / attacked)",
+         clean.throughput_ips / attacked.throughput_ips),
+        ("attacked/b16_buf100 od:car dropped", car.dropped),
+        ("attacked/b16_buf100 od:car enqueued", car.enqueued),
+        ("attacked/b16_buf100 od:car drop fraction", car.dropped / car.enqueued),
+    ]
+    for spec in SPECS:
+        matrix = amplification_matrix(parse_spec_file(str(PIPELINES_DIR / spec)).graph)
+        figures.append((f"{spec} largest flops_x",
+                        max(b.amplification for b in matrix.values())))
+    return "".join(f"{name}: {value!r}\n" for name, value in figures)
+
+
+def test_cited_figures_match_golden():
+    assert _ledger().encode("utf-8") == LEDGER.read_bytes()
+
+
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("spec", SPECS)
 def test_cli_output_matches_golden(spec, case):
@@ -137,6 +179,7 @@ def regenerate() -> None:
         _golden(path, case).write_bytes(_run_cli(_argv(path, case)))
     lines = [_sim_line(seed) for seed in SIM_SEEDS]
     SIM_GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    LEDGER.write_text(_ledger(), encoding="utf-8")
 
 
 if __name__ == "__main__":

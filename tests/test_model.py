@@ -195,6 +195,17 @@ class TestRejectionCompleteness:
         ("negative_cost", "E_BAD_VALUE"),
         ("zero_rate", "E_BAD_VALUE"),
         ("bad_source", "E_NO_SOURCE"),
+        ("gate_for_unknown_component", "E_DANGLING"),
+        ("dup_gate", "E_DUP_ID"),
+        ("zero_capacity", "E_BAD_VALUE"),
+        ("route_without_edge", "E_DANGLING"),
+        ("edge_disagrees_with_gate", "E_DANGLING"),
+        ("profile_for_unknown_component", "E_DANGLING"),
+        ("adv_target_absent_from_gate", "E_DANGLING"),
+        ("exit_as_component_id", "E_BAD_VALUE"),
+        ("unknown_top_level_key", "E_SCHEMA"),
+        ("non_string_top_level_key", "E_SCHEMA"),
+        ("undeclared_source", "E_NO_SOURCE"),
     ]
 
     @pytest.mark.parametrize("mutation,code", MUTATIONS)
@@ -217,6 +228,28 @@ class TestRejectionCompleteness:
             doc["components"][2]["device_rate_gflops_s"] = -1.0
         elif mutation == "bad_source":
             doc["source"] = "sum"
+        elif mutation == "gate_for_unknown_component":
+            doc["gates"].append({"component": "ghost", "routes": {}})
+        elif mutation == "dup_gate":
+            doc["gates"].append(dict(doc["gates"][1]))
+        elif mutation == "zero_capacity":
+            doc["edges"][0]["capacity"] = 0
+        elif mutation == "route_without_edge":
+            del doc["edges"][0]
+        elif mutation == "edge_disagrees_with_gate":
+            doc["edges"][0]["to"] = "lpr"
+        elif mutation == "profile_for_unknown_component":
+            doc["profiles"].append({"component": "ghost"})
+        elif mutation == "adv_target_absent_from_gate":
+            doc["profiles"][0]["adv_cardinality"]["ghost"] = 5.0
+        elif mutation == "exit_as_component_id":
+            doc["components"].append({"id": "EXIT", "kind": "neural"})
+        elif mutation == "unknown_top_level_key":
+            doc["turbo"] = True
+        elif mutation == "non_string_top_level_key":
+            doc[1] = True
+        elif mutation == "undeclared_source":
+            doc["source"] = "ghost"
         with pytest.raises(Exception) as err:
             build_graph(doc)
         assert getattr(err.value, "code", None) == code

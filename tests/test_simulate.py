@@ -183,11 +183,20 @@ class TestDeterminism:
             simulate(graph, scenario, DeploymentConfig())
 
     def test_event_cap_raises_nontermination(self):
-        graph = build_graph(variant_doc())
+        # One gateless component: each input is an arrival and a completion,
+        # so n inputs take 2n events and offer nothing. With n equal to the
+        # bound, the up-front n_inputs check passes and the loop's fires.
+        graph = build_graph({
+            "components": [{"id": "a", "kind": "neural", "clean_cost_gflops": 1.0}],
+            "source": "a",
+        })
         with pytest.raises(NonTerminationError) as err:
-            simulate(graph, attacked_scenario(graph), DeploymentConfig(),
+            simulate(graph, TrafficScenario(n_inputs=5), DeploymentConfig(),
                      max_events=5)
         assert err.value.code == "E_NONTERMINATION"
+        assert "simulation exceeded 5 events" in str(err.value)
+        assert simulate(graph, TrafficScenario(n_inputs=5), DeploymentConfig(),
+                        max_events=10).completed == 5
 
     def test_more_inputs_than_events_is_rejected_up_front(self):
         graph = build_graph(variant_doc())
@@ -475,6 +484,40 @@ class TestAnalyticOracle:
                     f"seed {seed}: {cid} processed {got}, expected "
                     f"{n * per_input:.1f} +/- {width:.1f}"
                 )
+
+
+class TestConfiguredOverrides:
+    """Per-edge buffer and per-component batch overrides, simulated on the
+    shipped traffic variant's attacked scenario."""
+
+    @pytest.fixture(scope="class")
+    def variant(self):
+        return parse_spec_file(str(PIPELINES_DIR / "traffic_variant.yaml"))
+
+    def _run(self, variant, **config):
+        return simulate(variant.graph, variant.scenarios["attacked"],
+                        DeploymentConfig(**config))
+
+    def test_per_edge_buffer_drops_only_on_that_edge(self, variant):
+        metrics = self._run(variant, buffers={"od:car": 5})
+        dropped = {k: s.dropped for k, s in metrics.edge_stats.items() if s.dropped}
+        assert dropped == {"od:car": 9201}
+
+    def test_unbounded_per_edge_buffer_overrides_the_default(self, variant):
+        metrics = self._run(variant, buffers={"default": 5, "od:car": None})
+        assert metrics.edge_stats["od:car"].dropped == 0
+        assert self._run(variant, buffers={"default": 5}).edge_stats[
+            "od:car"].dropped == 9201
+
+    def test_per_component_batch_overrides_the_default(self, variant):
+        unbatched = self._run(variant)
+        lpr_only = self._run(variant, batch={"lpr": 16})
+        everywhere = self._run(variant, batch={"default": 16})
+        all_but_lpr = self._run(variant, batch={"default": 16, "lpr": 1})
+        assert lpr_only.wall_time_s == everywhere.wall_time_s < unbatched.wall_time_s
+        assert all_but_lpr.wall_time_s == unbatched.wall_time_s
+        assert len({m.total_tflops for m in (
+            unbatched, lpr_only, everywhere, all_but_lpr)}) == 1
 
 
 class TestRunMatrix:
