@@ -54,9 +54,8 @@ def expected_emission(
     behavior; a declared one reads its full adversarial emission table, in
     which a label left out emits nothing.
     """
-    return profile.adv_cardinality.get(targeting, profile.clean_cardinality).get(
-        label, 0.0
-    )
+    table = profile.adv_cardinality.get(targeting, profile.clean_cardinality)
+    return table.get(label, 0.0)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,10 @@ class ConfidenceFilter:
     clean: Mapping[str, float] = field(default_factory=dict)
     adversarial: Mapping[str, float] = field(default_factory=dict)
 
+    def survival(self, label: str, adversarial: bool) -> float:
+        table = self.adversarial if adversarial else self.clean
+        return table.get(label, table.get("default", 1.0))
+
     def __post_init__(self) -> None:
         for table in (self.clean, self.adversarial):
             for label, fraction in table.items():
@@ -111,10 +115,6 @@ class ConfidenceFilter:
                     raise BadValueError(
                         f"confidence survival for {label!r} must be within [0, 1]"
                     )
-
-    def survival(self, label: str, adversarial: bool) -> float:
-        table = self.adversarial if adversarial else self.clean
-        return table.get(label, table.get("default", 1.0))
 
 
 @dataclass(frozen=True)
