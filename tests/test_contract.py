@@ -56,13 +56,13 @@ def _leaves(node, path=()):
 
 def _keys(node, path=()):
     """Key paths to every mapping entry in a parsed spec document."""
-    items = node.items() if isinstance(node, dict) else (
-        enumerate(node) if isinstance(node, list) else ()
-    )
-    for key, child in items:
-        if isinstance(node, dict):
+    if isinstance(node, dict):
+        for key, child in node.items():
             yield path + (key,)
-        yield from _keys(child, path + (key,))
+            yield from _keys(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _keys(child, path + (index,))
 
 
 DOCS = {spec.name: yaml.safe_load(spec.read_text()) for spec in SPECS}
