@@ -48,7 +48,6 @@ from .ranking import (  # noqa: E402
     ExecutionPath,
     PathRanking,
     RankedPath,
-    component_score,
     compute_loss_weights,
     enumerate_paths,
     rank_and_select,
@@ -90,8 +89,7 @@ __all__ = [
     "amplification_matrix", "expected_emission",
     # ranking
     "ExecutionPath", "RankedPath", "PathRanking", "enumerate_paths",
-    "component_score", "compute_loss_weights", "rank_and_select", "resolve_path",
-    "wrong_path_report",
+    "compute_loss_weights", "rank_and_select", "resolve_path", "wrong_path_report",
     # simulation
     "TrafficScenario", "DeploymentConfig", "ConfidenceFilter", "Attenuation",
     "InputFilter", "SimMetrics", "EdgeStats", "percentile", "simulate",

@@ -55,11 +55,9 @@ def _output(args, header: list[str], rows: Callable, records: Callable) -> str:
     """The ``--format`` text: ``rows()`` as a table or CSV, or ``records()``
     as JSON lines. Only the one printed is built."""
     if args.format == RECORDS:
+        encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
         try:
-            return "".join(
-                json.dumps(r, sort_keys=True, allow_nan=False) + "\n"
-                for r in records()
-            )
+            return "".join(encode(r) + "\n" for r in records())
         except ValueError as exc:  # RFC 8259 has no NaN or Infinity
             raise BadValueError(f"output is not valid JSON: {exc}") from None
     if args.format == CSV:
@@ -179,9 +177,10 @@ def _cmd_weights(args) -> int:
 
 def _cmd_amplify(args) -> int:
     graph = parse_spec_file(args.spec).graph
-    matrix = amplification_matrix(graph, cap=args.path_cap)
+    clean = clean_cost(graph)
+    matrix = amplification_matrix(graph, cap=args.path_cap, reference=clean)
     # Each breakdown's scenario is "clean" or "adversarial(<path id>)".
-    breakdowns = [clean_cost(graph), *matrix.values()]
+    breakdowns = [clean, *matrix.values()]
     best = min(matrix, key=lambda pid: (-matrix[pid].amplification, pid))
     _note(args, f"analytic argmax path: {best}")
     comp_order = topological_order(graph)

@@ -4,34 +4,29 @@ Cardinalities are propagated as means, deterministically, in topological
 order: the expected number of invocations of a component per system input is
 the sum over its inbound edges of the upstream invocation count times the
 emission cardinality on that edge's label. Stochastic per-input counts live
-only in the deployment simulator.
+only in the deployment simulator. All functions here are pure.
 
-One stepping helper does all the work: a component's step adds its count
-times each of its emission means to the target's count. The means come from
-a per-call emission table that maps (component, targeting label or
-``None``) to ``(target, mean)`` rows in sorted label order, with EXIT routes
-and zero means left out; each entry is built on first use. A clean run
-steps every component clean.
+Workloads are lists indexed by sorted component id, and each pass builds its
+own index table (:class:`_Table`) rather than storing one on the frozen
+graph. A cost is one product sum, ``sum(map(mul, workload, costs))``, always
+added in sorted-id order: float addition is not associative, and the fixed
+order keeps a total bit-identical however its workload was reached.
 
-:func:`propagate_paths` propagates many paths in one pass. The workload
-after a path's first ``i`` steps (with every off-path component before them
-stepped clean) depends only on those steps. So the walk computes it once,
-keeps it on a stack, and reuses it for every following path that shares
-those steps; on id-sorted paths the work scales with the nodes of the path
-trie rather than with paths times components. Each path still gets the same
-float additions in the same component and label order as propagating it
-alone, so every workload, and every cost and score read from it, is
-bit-identical to the one-path result.
-
-All functions here are pure; concurrent evaluation of different scenarios is
-safe and unordered.
+:func:`propagate_paths` propagates many paths in one walk. The workload after
+a path's first ``i`` steps depends only on those steps, so the walk keeps it
+on a stack for the following paths that share them; on id-sorted paths the
+work scales with the nodes of the path trie. Each path still gets the same
+float additions in the same order as propagating it alone. Ranking and
+:func:`amplification_matrix` cost each path as the walk reaches it, through
+the same helpers as the dict-based :func:`propagate` and :func:`cost`.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import BadValueError, ScenarioMismatchError
@@ -88,92 +83,123 @@ class CostBreakdown:
     amplification: float = 1.0
 
 
-#: A step: a component and the label its inputs are steered toward, or None.
-_Key = tuple[str, str | None]
-
-
-class _EmissionTable(dict):
-    """(component, targeting label or None) -> ((target, mean), ...) rows.
-
-    Rows follow sorted label order and leave out EXIT routes and zero means;
-    each key's rows are built from :func:`expected_emission` on first use.
-    """
+class _Table(dict):
+    """Sorted ``ids``, their ``index``, ``clean`` and ``adv`` unit-cost vectors,
+    and per step (a component and its steered label, or None or EXIT for clean
+    inputs) its index and ``(target index, mean)`` rows in sorted label order,
+    without EXIT routes or zero means, built on first use."""
 
     def __init__(self, graph: PipelineGraph) -> None:
         super().__init__()
         self.graph = graph
+        self.ids = sorted(graph.components)
+        self.index = {cid: i for i, cid in enumerate(self.ids)}
+        self.clean = [graph.components[cid].clean_cost for cid in self.ids]
+        self.adv = [graph.components[cid].adv_cost for cid in self.ids]
 
-    def __missing__(self, key: _Key) -> tuple[tuple[str, float], ...]:
-        cid, targeting = key
+    def __missing__(self, key: tuple[str, str | None]):
+        cid, label = key
+        targeting = None if label == EXIT else label
         profile = self.graph.profiles[cid]
         rows = []
-        for label, target in sorted(self.graph.routes(cid).items()):
+        for emitted, target in sorted(self.graph.routes(cid).items()):
             if target != EXIT:
-                mean = expected_emission(profile, label, targeting)
+                mean = expected_emission(profile, emitted, targeting)
                 if mean:
-                    rows.append((target, mean))
-        self[key] = rows = tuple(rows)
-        return rows
+                    rows.append((self.index[target], mean))
+        self[key] = step = (self.index[cid], tuple(rows))
+        return step
 
 
-def _initial(graph: PipelineGraph) -> dict[str, float]:
-    entries = dict.fromkeys(graph.components, 0.0)
-    entries[graph.source] = 1.0
-    return entries
-
-
-def _advance(
-    entries: dict[str, float], keys: Iterable[_Key], table: _EmissionTable
-) -> None:
-    """Step each keyed component in order, adding its emissions downstream."""
-    for key in keys:
-        count = entries[key[0]]
+def _advance(vec: list[float], steps: Iterable) -> None:
+    """Take each (index, rows) step in order, adding its emissions downstream."""
+    for i, rows in steps:
+        count = vec[i]
         if count:
-            for target, mean in table[key]:
-                entries[target] += count * mean
+            for target, mean in rows:
+                vec[target] += count * mean
+
+
+def _walk(table: _Table, walks: Iterable[Sequence]) -> Iterator[list[float]]:
+    """The workload vector of each walk's steps, in order; ``()`` is clean.
+    Only the workloads of the current walk's prefixes are held."""
+    order = topological_order(table.graph)
+    position = {cid: p for p, cid in enumerate(order)}
+    clean_steps = [table[cid, None] for cid in order]
+    source = [0.0] * len(order)
+    source[table.index[table.graph.source]] = 1.0
+    # stack[i]: the workload after the first i steps of the previous walk,
+    # and the position in the order of the next component to step.
+    stack = [(source, 0)]
+    previous: Sequence = ()
+    for steps in walks:
+        shared = 0
+        for key, prior in zip(steps, previous):
+            if key != prior:
+                break
+            shared += 1
+        del stack[shared + 1:]
+        vec, pos = stack[-1]
+        for key in steps[shared:]:
+            vec = vec[:]
+            at = position[key[0]]
+            _advance(vec, clean_steps[pos:at])
+            _advance(vec, (table[key],))
+            pos = at + 1
+            stack.append((vec, pos))
+        vec = vec[:]
+        _advance(vec, clean_steps[pos:])
+        previous = steps
+        yield vec
+
+
+def _reference_total(graph: PipelineGraph, reference: CostBreakdown) -> float:
+    if reference.per_component.keys() != graph.components.keys():
+        raise ScenarioMismatchError(
+            "reference breakdown components do not match the graph")
+    return reference.total_gflops
+
+
+def _cost(
+    table: _Table, vec: list[float], costs: list[float], scenario: str,
+    reference: float | None,
+) -> tuple[float, float]:
+    """Σ workload × unit cost, added in sorted-id order, and its ratio to
+    the ``reference`` total (1.0 without one); see :func:`cost`."""
+    total = sum(map(mul, vec, costs))
+    if not math.isfinite(total):
+        products = zip(table.ids, map(mul, vec, costs))
+        culprit = next((c for c, v in products if not math.isfinite(v)), None)
+        where = "sum overflowed" if culprit is None else f"component {culprit!r}"
+        raise BadValueError(f"{scenario}: total GFLOPs is not finite ({where})")
+    if reference is None or (reference <= 0 and total == 0):
+        return total, 1.0
+    amplification = total / reference if reference > 0 else math.inf
+    if not math.isfinite(amplification):
+        raise BadValueError(
+            f"{scenario}: FLOPs amplification is unbounded "
+            f"({total:g} GFLOPs over a clean total of {reference:g})"
+        )
+    return total, amplification
+
+
+def _costed_paths(table: _Table, paths: list, reference: CostBreakdown) -> Iterator:
+    """``(path, workload, total, amplification)`` per path, costed as reached."""
+    reference_total = _reference_total(table.graph, reference)
+    for path, vec in zip(paths, _walk(table, [p.steps for p in paths])):
+        scenario = f"adversarial({path.id})"
+        yield path, vec, *_cost(table, vec, table.adv, scenario, reference_total)
 
 
 def propagate_paths(
     graph: PipelineGraph, paths: Iterable["ExecutionPath"]
 ) -> Iterator[WorkloadVector]:
-    """Each path's targeted workload, in the order of ``paths``, one at a time.
-
-    Consecutive paths that share their first steps share the work of those
-    steps, so pass paths sorted by id (as :func:`enumerate_paths` lists
-    them). Only the workloads of the current path's prefixes are held.
-    """
-    order = topological_order(graph)
-    position = {cid: i for i, cid in enumerate(order)}
-    clean_keys = [(cid, None) for cid in order]
-    table = _EmissionTable(graph)
-    # stack[i]: the workload after the first i steps of the previous path,
-    # and the position in ``order`` of the next component to step.
-    stack = [(_initial(graph), 0)]
-    previous: tuple[_Key, ...] = ()
-    for path in paths:
-        keys = tuple(
-            (cid, None if label == EXIT else label) for cid, label in path.steps
-        )
-        shared = 0
-        for key, prior in zip(keys, previous):
-            if key != prior:
-                break
-            shared += 1
-        del stack[shared + 1:]
-        entries, pos = stack[-1]
-        for key in keys[shared:]:
-            entries = dict(entries)
-            at = position[key[0]]
-            _advance(entries, clean_keys[pos:at], table)
-            _advance(entries, (key,), table)
-            pos = at + 1
-            stack.append((entries, pos))
-        entries = dict(entries)
-        _advance(entries, clean_keys[pos:], table)
-        previous = keys
-        yield WorkloadVector(
-            entries=entries, scenario=f"adversarial({path.id})", target_path_id=path.id
-        )
+    """Each path's targeted workload, in the order of ``paths``, one at a time;
+    pass them sorted by id (as :func:`enumerate_paths` does) to share prefixes."""
+    table, paths = _Table(graph), list(paths)
+    for path, vec in zip(paths, _walk(table, [p.steps for p in paths])):
+        scenario = f"adversarial({path.id})"
+        yield WorkloadVector(dict(zip(table.ids, vec)), scenario, path.id)
 
 
 def propagate(
@@ -185,12 +211,10 @@ def propagate(
     (:func:`~pipevuln.ranking.resolve_path` turns a path id into one). The
     source always counts exactly one invocation.
     """
-    if scenario == CLEAN:
-        entries = _initial(graph)
-        keys = [(cid, None) for cid in topological_order(graph)]
-        _advance(entries, keys, _EmissionTable(graph))
-        return WorkloadVector(entries=entries, scenario=CLEAN)
-    return next(propagate_paths(graph, [scenario]))
+    if scenario != CLEAN:
+        return next(propagate_paths(graph, [scenario]))
+    table = _Table(graph)
+    return WorkloadVector(dict(zip(table.ids, next(_walk(table, [()])))), CLEAN)
 
 
 def cost(
@@ -212,46 +236,14 @@ def cost(
             clean reference is unbounded amplification.
     """
     if workload.entries.keys() != graph.components.keys():
-        raise ScenarioMismatchError(
-            "workload vector components do not match the graph"
-        )
-    adversarial = workload.adversarial
-    entries, specs = workload.entries, graph.components
-    per = {
-        cid: entries[cid]
-        * (specs[cid].adv_cost if adversarial else specs[cid].clean_cost)
-        for cid in sorted(specs)
-    }
-    total = sum(per.values())  # filled in sorted id order: a fixed sum order
-    if not math.isfinite(total):
-        culprit = next((c for c, v in per.items() if not math.isfinite(v)), None)
-        where = "sum overflowed" if culprit is None else f"component {culprit!r}"
-        raise BadValueError(
-            f"{workload.scenario}: total GFLOPs is not finite ({where})"
-        )
-    if reference is None:
-        amplification = 1.0
-    else:
-        if reference.per_component.keys() != graph.components.keys():
-            raise ScenarioMismatchError(
-                "reference breakdown components do not match the graph"
-            )
-        if reference.total_gflops > 0:
-            amplification = total / reference.total_gflops
-        else:
-            amplification = 1.0 if total == 0 else math.inf
-        if not math.isfinite(amplification):
-            raise BadValueError(
-                f"{workload.scenario}: FLOPs amplification is unbounded "
-                f"({total:g} GFLOPs over a clean total of "
-                f"{reference.total_gflops:g})"
-            )
-    return CostBreakdown(
-        per_component=per,
-        total_gflops=total,
-        scenario=workload.scenario,
-        amplification=amplification,
-    )
+        raise ScenarioMismatchError("workload vector components do not match the graph")
+    table = _Table(graph)
+    vec = [workload.entries[cid] for cid in table.ids]
+    costs = table.adv if workload.adversarial else table.clean
+    reference_total = None if reference is None else _reference_total(graph, reference)
+    total, amplification = _cost(table, vec, costs, workload.scenario, reference_total)
+    per_component = dict(zip(table.ids, map(mul, vec, costs)))
+    return CostBreakdown(per_component, total, workload.scenario, amplification)
 
 
 def clean_cost(graph: PipelineGraph) -> CostBreakdown:
@@ -260,20 +252,25 @@ def clean_cost(graph: PipelineGraph) -> CostBreakdown:
 
 
 def amplification_matrix(
-    graph: PipelineGraph, cap: int | None = None
+    graph: PipelineGraph,
+    cap: int | None = None,
+    reference: CostBreakdown | None = None,
 ) -> dict[str, CostBreakdown]:
     """Analytic cost breakdown of targeting each path, vs clean.
 
     Keys are path ids in ascending order; each value's ``amplification`` is
-    the adversarial total cost divided by the clean total. The argmax of
-    that ratio is the analytic cross-check for the ranking stage's selected
-    path.
+    the adversarial total cost divided by ``reference``'s total (the clean
+    cost, computed when omitted). The argmax of that ratio is the analytic
+    cross-check for the ranking stage's selected path.
     """
     from .ranking import enumerate_paths
 
-    reference = clean_cost(graph)
+    if reference is None:
+        reference = clean_cost(graph)
     paths = enumerate_paths(graph, cap=cap)
+    table = _Table(graph)
     return {
-        path.id: cost(graph, workload, reference)
-        for path, workload in zip(paths, propagate_paths(graph, paths))
+        path.id: CostBreakdown(dict(zip(table.ids, map(mul, vec, table.adv))),
+                               total, f"adversarial({path.id})", amplification)
+        for path, vec, total, amplification in _costed_paths(table, paths, reference)
     }

@@ -23,18 +23,14 @@ is its share of system-cost amplification:
 
 so a component whose incurred cost is invariant scores exactly zero, and
 the path score (the sum along the path) equals the path's cost-amplification
-excess over the clean reference. Both incurred costs and ``K`` are read from
-two :class:`~pipevuln.propagation.CostBreakdown` values: the clean one
-(``per_component`` and ``total_gflops``) and the one of the path's targeted
-workload, whose ``amplification`` is also kept as the path's FLOPs
-amplification.
+excess over the clean reference. The path's total adversarial cost over
+``K`` is kept as its FLOPs amplification.
 
-All paths are scored from one pass. :func:`enumerate_paths` lists them by
-id, so paths that share their first steps are neighbours, and
-:func:`~pipevuln.propagation.propagate_paths` computes the workload of each
-shared prefix once and streams one targeted workload per path; each is
-costed once and then dropped. A path's workload is the same float sums in
-the same order as propagating it alone, so scores are bit-identical to it.
+All paths are scored from one walk over the id-sorted paths, which computes
+each shared prefix's workload once (see :mod:`~pipevuln.propagation`). Each
+path's workload list is costed, its components scored and then dropped; the
+sums are those of propagating and costing the path alone, so scores are
+bit-identical to the one-path result.
 """
 
 from __future__ import annotations
@@ -42,13 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import (
-    MissingScoreError,
-    NoSuchPathError,
-    PathExplosionError,
-)
+from .errors import MissingScoreError, NoSuchPathError, PathExplosionError
 from .model import EXIT, PipelineGraph
-from .propagation import CostBreakdown, clean_cost, cost, propagate_paths
+from .propagation import _costed_paths, _Table, clean_cost
 
 #: Default ceiling on enumerated paths; graphs beyond it are out of scope.
 DEFAULT_PATH_CAP = 10_000
@@ -167,21 +159,6 @@ def resolve_path(graph: PipelineGraph, path_id: str) -> ExecutionPath:
     return ExecutionPath.make(steps)
 
 
-def component_score(
-    component: str, clean: CostBreakdown, targeted: CostBreakdown
-) -> float:
-    """Score one component from the clean and the targeted cost breakdowns.
-
-    Guarded so scores stay finite: a zero clean reference (an all-zero-cost
-    pipeline) scores zero.
-    """
-    reference = clean.total_gflops
-    if reference <= 0:
-        return 0.0
-    excess = targeted.per_component[component] - clean.per_component[component]
-    return excess / reference
-
-
 def compute_loss_weights(
     path: ExecutionPath, scores: Mapping[str, float]
 ) -> tuple[dict[str, float], bool]:
@@ -205,19 +182,22 @@ def compute_loss_weights(
 
 
 def _score_paths(graph: PipelineGraph, cap: int | None) -> list[RankedPath]:
-    """Every enumerated path, propagated (in one shared pass), costed and scored."""
+    """Every enumerated path, propagated (in one shared walk), costed and scored;
+    a zero clean reference (an all-zero-cost pipeline) scores zero."""
     clean = clean_cost(graph)
+    reference = clean.total_gflops
     paths = enumerate_paths(graph, cap=cap)
+    table = _Table(graph)
+    adv, index = table.adv, table.index
+    clean_incurred = [clean.per_component[cid] for cid in table.ids]
     entries = []
-    for path, workload in zip(paths, propagate_paths(graph, paths)):
-        targeted = cost(graph, workload, clean)
-        scores = {c: component_score(c, clean, targeted) for c in path.components}
-        entries.append(RankedPath(
-            path=path,
-            score=sum(scores.values()),
-            component_scores=scores,
-            flops_x=targeted.amplification,
-        ))
+    for path, vec, _, flops_x in _costed_paths(table, paths, clean):
+        scores = {
+            cid: (vec[i] * adv[i] - clean_incurred[i]) / reference
+            if reference > 0 else 0.0
+            for cid, i in zip(path.components, map(index.get, path.components))
+        }
+        entries.append(RankedPath(path, sum(scores.values()), scores, flops_x))
     return entries
 
 

@@ -171,6 +171,53 @@ def random_graph(rng: random.Random, max_nodes: int = 6) -> PipelineGraph:
     return build_graph(random_graph_doc(rng, max_nodes))
 
 
+def wide_layered_doc(seed: int, labels: int = 8) -> dict:
+    """A source and three layers of ``labels`` components: ``labels ** 3`` paths.
+
+    The source and each component of the first two layers gate ``labels``
+    labels onto a seeded permutation of the next layer. Adversarial rows are
+    sparse: per label, a flat mean (that label alone), a table that leaves
+    most labels out, or nothing (not steerable). Costs are non-integer, adv
+    costs fall below clean ones as well as above, and a quarter of the last
+    layer is non-neural, so products and sums round.
+    """
+    rng = random.Random(seed)
+    names = [f"c{i}" for i in range(labels)]
+    layers = [["src"]] + [[f"l{depth}{name}" for name in names] for depth in (1, 2, 3)]
+    doc: dict = {"components": [], "profiles": [], "gates": [], "edges": [],
+                 "source": "src"}
+    for depth, layer in enumerate(layers):
+        for cid in layer:
+            neural = depth < 3 or rng.random() < 0.75
+            clean = rng.uniform(0.5, 50.0) if neural else 0.0
+            doc["components"].append({
+                "id": cid, "kind": "neural" if neural else "non-neural",
+                "clean_cost_gflops": clean,
+                "adv_cost_gflops": clean * rng.uniform(0.5, 3.0),
+            })
+            if depth == 3:
+                continue
+            targets = list(layers[depth + 1])
+            rng.shuffle(targets)
+            doc["gates"].append({"component": cid, "routes": dict(zip(names, targets))})
+            doc["edges"] += [{"from": cid, "to": target, "label": name}
+                             for name, target in zip(names, targets)]
+            adv: dict = {}
+            for name in names:
+                draw = rng.random()
+                if draw < 0.25:
+                    adv[name] = rng.uniform(1.0, 9.0)
+                elif draw < 0.5:
+                    adv[name] = {other: rng.uniform(0.0, 4.0)
+                                 for other in rng.sample(names, 3)}
+            doc["profiles"].append({
+                "component": cid,
+                "clean_cardinality": {name: rng.uniform(0.05, 0.3) for name in names},
+                "adv_cardinality": adv,
+            })
+    return doc
+
+
 def random_sim_triple(rng: random.Random):
     """Random (graph, scenario, config) triple for simulator property suites."""
     from pipevuln.ranking import enumerate_paths

@@ -91,6 +91,19 @@ class TestExitCodes:
         assert err.startswith("E_NONTERMINATION") and "n_inputs" in err
         assert "Traceback" not in err
 
+    def test_config_declared_twice_is_schema_error(self, capsys, tmp_path,
+                                                   variant_spec_path):
+        # The second config of a name once won silently: batch 16 under none.
+        text = Path(variant_spec_path).read_text()
+        assert "  none: {}\n" in text
+        spec = tmp_path / "twice.yaml"
+        spec.write_text(text.replace(
+            "  none: {}\n", "  none: {}\n  none: {batch: {default: 16}}\n", 1))
+        code, out, err = run_cli(capsys, "validate", str(spec))
+        assert code == 1 and out == ""
+        assert err.startswith("E_SCHEMA: duplicate key 'none' at line ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", [7, {"a": 1}, "text", None])
     @pytest.mark.parametrize("section", ["components", "profiles", "gates", "edges"])
     def test_section_that_is_not_a_list_is_schema_error(self, capsys, tmp_path,
@@ -242,9 +255,8 @@ class TestPublicSurface:
         "CostBreakdown", "WorkloadVector", "amplification_matrix", "clean_cost",
         "cost", "expected_emission", "propagate",
         # ranking
-        "ExecutionPath", "PathRanking", "RankedPath", "component_score",
-        "compute_loss_weights", "enumerate_paths", "rank_and_select",
-        "resolve_path", "wrong_path_report",
+        "ExecutionPath", "PathRanking", "RankedPath", "compute_loss_weights",
+        "enumerate_paths", "rank_and_select", "resolve_path", "wrong_path_report",
         # simulation
         "Attenuation", "ConfidenceFilter", "DeploymentConfig", "EdgeStats",
         "InputFilter", "SimMetrics", "TrafficScenario", "percentile",
@@ -494,15 +506,13 @@ class TestOnePass:
     def test_paths_enumerated_and_propagated_once(
         self, capsys, calls, variant_spec_path, command, enumerations
     ):
-        n_paths = len(enumerate_paths(parse_spec_file(variant_spec_path).graph))
-        calls.clear()
         name, *extra = command.split()
         code, _, stderr = run_cli(capsys, name, variant_spec_path, *extra)
         assert code == 0, stderr
         assert calls["enumerate_paths"] == enumerations
-        if enumerations:
-            # The clean reference may be propagated twice; each path once.
-            assert calls["propagate"] <= n_paths + 2
+        # Public propagate runs once, for the clean reference; the paths
+        # are propagated in one shared walk.
+        assert calls["propagate"] == enumerations
 
     def test_report_checks_names_before_ranking(self, capsys, calls,
                                                 variant_spec_path):
@@ -520,7 +530,7 @@ class TestOnePass:
         code, _, stderr = run_cli(capsys, "rank", str(LAYERED_SPEC))
         assert code == 0, stderr
         assert calls["enumerate_paths"] == 1
-        assert calls["propagate"] <= 2
+        assert calls["propagate"] == 1
 
 
 class TestDeterminismAndAgreement:

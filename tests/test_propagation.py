@@ -28,6 +28,7 @@ from conftest import (
     random_graph,
     random_graph_doc,
     traffic_doc,
+    wide_layered_doc,
 )
 
 from test_ranking import oracle_argmax, oracle_paths, oracle_workload
@@ -377,3 +378,69 @@ class TestSharedWalkExactness:
         shuffled = paths[::-1] + paths[::3]
         for path, workload in zip(shuffled, propagate_paths(graph, shuffled)):
             assert workload.entries == naive_workload(graph, path)
+
+
+WIDE_GRAPH = build_graph(wide_layered_doc(9))
+
+
+class TestWideGraphExactness:
+    """At 512 paths, the one-walk ranking and matrix equal per-path costing.
+
+    Each expected figure comes from public single-path ``propagate`` plus
+    ``cost``, compared with ``==``: the walk must add the same products in
+    the same order.
+    """
+
+    def test_ranking_equals_single_path_cost(self):
+        clean = clean_cost(WIDE_GRAPH)
+        ranking = rank_and_select(WIDE_GRAPH)
+        assert len(ranking.entries) == 512
+        for entry in ranking.entries:
+            targeted = cost(WIDE_GRAPH, propagate(WIDE_GRAPH, entry.path), clean)
+            expected = [
+                (cid, (targeted.per_component[cid] - clean.per_component[cid])
+                 / clean.total_gflops)
+                for cid in entry.path.components
+            ]
+            assert list(entry.component_scores.items()) == expected
+            assert entry.score == sum(score for _, score in expected)
+            assert entry.flops_x == targeted.amplification
+            # The total adds the products in sorted-id order.
+            total = sum(targeted.per_component.values())
+            assert entry.flops_x == total / clean.total_gflops
+
+    def test_matrix_equals_single_path_cost(self):
+        clean = clean_cost(WIDE_GRAPH)
+        matrix = amplification_matrix(WIDE_GRAPH)
+        assert len(matrix) == 512
+        for pid, breakdown in matrix.items():
+            path = resolve_path(WIDE_GRAPH, pid)
+            expected = cost(WIDE_GRAPH, propagate(WIDE_GRAPH, path), clean)
+            assert list(breakdown.per_component.items()) == list(
+                expected.per_component.items()
+            )
+            assert breakdown == expected
+            assert breakdown.total_gflops == sum(breakdown.per_component.values())
+
+    def test_overflow_names_the_scenario_and_component_cost_names(self):
+        doc = wide_layered_doc(9)
+        for component in doc["components"]:
+            if component["id"].startswith("l3") and component["kind"] == "neural":
+                component["adv_cost_gflops"] = 1e308
+        graph = build_graph(doc)
+        clean = clean_cost(graph)
+        for path in enumerate_paths(graph):
+            try:
+                cost(graph, propagate(graph, path), clean)
+            except BadValueError as exc:
+                expected = str(exc)
+                break
+        # l3c1 and l3c3 both overflow on this path; the first by id is named.
+        assert expected == (
+            "E_BAD_VALUE: adversarial(src:c0->l1c4:c0->l2c3:c0->l3c5:EXIT): "
+            "total GFLOPs is not finite (component 'l3c1')"
+        )
+        for run in (rank_and_select, amplification_matrix):
+            with pytest.raises(BadValueError) as err:
+                run(graph)
+            assert str(err.value) == expected

@@ -19,10 +19,8 @@ from pipevuln.errors import (
     PathExplosionError,
 )
 from pipevuln.model import EXIT, build_graph
-from pipevuln.propagation import CostBreakdown
 from pipevuln.ranking import (
     ExecutionPath,
-    component_score,
     compute_loss_weights,
     enumerate_paths,
     rank_and_select,
@@ -200,40 +198,64 @@ class TestResolvePath:
 # ---------------------------------------------------------------------------
 
 
-def _breakdowns(
-    cid: str, clean_incurred: float, adv_incurred: float, reference: float
-) -> tuple[CostBreakdown, CostBreakdown]:
-    """One-entry clean and targeted breakdowns for scoring ``cid``."""
-    clean = CostBreakdown({cid: clean_incurred}, reference, "clean")
-    targeted = CostBreakdown({cid: adv_incurred}, adv_incurred, "adversarial")
-    return clean, targeted
+def _scores(
+    x_clean: float,
+    x_adv: float,
+    clean_items: float = 1.0,
+    adv_items: float = 1.0,
+    source_cost: float = 0.0,
+    kind: str = "neural",
+) -> dict[str, float]:
+    """Component scores of the one path of ``s -a-> x``.
+
+    ``s`` costs ``source_cost`` either way and emits ``clean_items`` items
+    to ``x`` per input, or ``adv_items`` when steered; ``x`` costs
+    ``x_clean`` per clean item and ``x_adv`` per adversarial one.
+    """
+    doc = {
+        "components": [
+            {"id": "s", "kind": "neural", "clean_cost_gflops": source_cost},
+            {"id": "x", "kind": kind, "clean_cost_gflops": x_clean,
+             "adv_cost_gflops": x_adv},
+        ],
+        "profiles": [{"component": "s", "clean_cardinality": {"a": clean_items},
+                      "adv_cardinality": {"a": adv_items}}],
+        "gates": [{"component": "s", "routes": {"a": "x"}}],
+        "edges": [{"from": "s", "to": "x", "label": "a"}],
+        "source": "s",
+    }
+    (entry,) = rank_and_select(build_graph(doc)).entries
+    assert entry.score == sum(entry.component_scores.values())
+    return entry.component_scores
 
 
 class TestComponentScore:
     def test_published_end_to_end_pair(self):
         # End-to-end clean 10.31 GF vs attacked 3389.76 GF: score is the
         # amplification factor 328.78 minus one.
-        clean, targeted = _breakdowns("od", 10.31 * 1.0, 3389.76 * 1.0, 10.31)
-        score = component_score("od", clean, targeted)
-        assert score == pytest.approx(327.78, abs=0.01)
+        scores = _scores(10.31, 3389.76)
+        assert scores["x"] == pytest.approx(327.78, abs=0.01)
         # The score is the end-to-end cost ratio minus one.
-        assert score == pytest.approx(3389.76 / 10.31 - 1.0)
+        assert scores["x"] == pytest.approx(3389.76 / 10.31 - 1.0)
+        assert scores["s"] == 0.0
 
     def test_invariant_component_scores_zero(self):
-        clean, targeted = _breakdowns("x", 7.0 * 2.0, 7.0 * 2.0, 50.0)
-        assert component_score("x", clean, targeted) == 0.0
+        # Clean reference 36 + 2 x 7 = 50; x incurs 14 either way.
+        scores = _scores(7.0, 7.0, clean_items=2.0, adv_items=2.0, source_cost=36.0)
+        assert scores == {"s": 0.0, "x": 0.0}
 
     def test_non_neural_scores_zero(self):
-        clean, targeted = _breakdowns("sum", 0.0 * 5.0, 0.0 * 500.0, 100.0)
-        assert component_score("sum", clean, targeted) == 0.0
+        scores = _scores(0.0, 0.0, clean_items=5.0, adv_items=500.0,
+                         source_cost=100.0, kind="non-neural")
+        assert scores["x"] == 0.0
 
     def test_zero_reference_guard(self):
-        clean, targeted = _breakdowns("x", 0.0 * 1.0, 0.0 * 1.0, 0.0)
-        assert component_score("x", clean, targeted) == 0.0
+        scores = _scores(0.0, 0.0)
+        assert scores == {"s": 0.0, "x": 0.0}
 
     def test_score_never_below_minus_one(self):
-        clean, targeted = _breakdowns("x", 9.0 * 3.0, 9.0 * 0.0, 27.0)
-        assert component_score("x", clean, targeted) >= -1.0
+        scores = _scores(9.0, 9.0, clean_items=3.0, adv_items=0.0)
+        assert scores["x"] == -1.0
 
 
 # ---------------------------------------------------------------------------

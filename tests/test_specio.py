@@ -137,7 +137,7 @@ class TestParseSpec:
     @pytest.mark.parametrize("old,new", [
         ("buffers: {\"a:x\": 2}", "path_budgets: {1: 0.5}"),
         ("buffers: {\"a:x\": 2}", "confidence: {clean: {1: 0.5}}"),
-        ("buffers: {\"a:x\": 2}", "batch: {1: 2}"),
+        ("batch: {default: 2}", "batch: {1: 2}"),
         ("  demo:", "  7:"),
         ("  tiny:", "  7:"),
     ])
@@ -147,6 +147,30 @@ class TestParseSpec:
         # could not be picked by --scenario.
         with pytest.raises(SchemaError, match="must be strings|must be a string"):
             parse_spec(MINIMAL_YAML.replace(old, new))
+
+    @pytest.mark.parametrize("old,new,key", [
+        ("  tiny:\n", "  tiny: {}\n  tiny:\n", "'tiny'"),
+        ("clean_cost_gflops: 2.0}", "clean_cost_gflops: 2.0, clean_cost_gflops: 9.0}",
+         "'clean_cost_gflops'"),
+        ("source: a\n", "source: a\nsource: b\n", "'source'"),
+    ])
+    def test_duplicate_key_is_schema_error(self, old, new, key):
+        # A key declared twice once kept its last value without a word.
+        text = MINIMAL_YAML.replace(old, new, 1)
+        with pytest.raises(SchemaError) as err:
+            parse_spec(text)
+        assert err.value.code == "E_SCHEMA"
+        assert f"duplicate key {key}" in str(err.value)
+
+    def test_merge_key_still_yields_to_a_key_beside_it(self):
+        text = MINIMAL_YAML.replace(
+            "  tiny:\n    batch: {default: 2}\n",
+            "  base: &base\n    batch: {default: 2}\n"
+            "  tiny:\n    <<: *base\n    batch: {default: 4}\n",
+        )
+        configs = parse_spec(text).configs
+        assert configs["base"].batch == {"default": 2}
+        assert configs["tiny"].batch == {"default": 4}
 
     def test_arrival_mapping_is_schema_error(self):
         text = MINIMAL_YAML.replace("back-to-back", "{fixed-interval: 0.25}")
