@@ -262,3 +262,62 @@ def random_sim_triple(rng: random.Random):
         ),
     )
     return graph, scenario, config
+
+
+#: Id prefixes around ``"@shared"`` in sort order: "0" and "-" sort before
+#: it, "_", "Z" and "a" after.
+MIXED_PREFIXES = ("0", "-", "_", "Z", "a")
+
+
+def random_mixed_sim_triple(rng: random.Random):
+    """Random triple whose runs exercise the simulator's tie-break orders.
+
+    ``random_sim_triple`` runs only neural ``c…`` components at costs and
+    intervals that almost never collide. Here ids carry the
+    ``MIXED_PREFIXES``, so a shared device restarts before or after the
+    per-component devices around it; most components, non-neural or neural,
+    have zero cost and zero overhead, so they complete at the instant they
+    start; and every service time and arrival interval is a dyadic fraction,
+    so arrivals and completions meet at the same instant.
+    """
+    from pipevuln.ranking import enumerate_paths
+    from pipevuln.simulate import DeploymentConfig, TrafficScenario
+
+    doc = random_graph_doc(rng, max_nodes=8)
+    names = {c["id"]: rng.choice(MIXED_PREFIXES) + c["id"] for c in doc["components"]}
+    for component in doc["components"]:
+        component["id"] = names[component["id"]]
+        draw = rng.random()
+        if draw < 0.4:
+            component.update(kind="non-neural", clean_cost_gflops=0.0,
+                             adv_cost_gflops=0.0, per_call_overhead_s=0.0)
+        elif draw < 0.7:
+            component.update(clean_cost_gflops=0.0, adv_cost_gflops=0.0,
+                             per_call_overhead_s=0.0)
+        else:
+            component.update(device_rate_gflops_s=rng.choice([1.0, 2.0, 4.0, 8.0]),
+                             per_call_overhead_s=rng.choice([0.0, 0.25, 0.5]))
+    for profile in doc["profiles"]:
+        profile["component"] = names[profile["component"]]
+    for gate in doc["gates"]:
+        gate["component"] = names[gate["component"]]
+        gate["routes"] = {label: names.get(target, target)
+                          for label, target in gate["routes"].items()}
+    for edge in doc["edges"]:
+        edge["from"], edge["to"] = names[edge["from"]], names[edge["to"]]
+    doc["source"] = names[doc["source"]]
+    graph = build_graph(doc)
+    mix = rng.choice([0.0, 0.5, 1.0])
+    scenario = TrafficScenario(
+        n_inputs=rng.randint(2, 12),
+        mix=mix,
+        target_path=rng.choice(enumerate_paths(graph)).id if mix > 0 else None,
+        interval_s=rng.choice([0.0, 0.25, 0.5, 1.0]),
+        seed=rng.randint(0, 2**32),
+    )
+    config = DeploymentConfig(
+        batch={"default": rng.choice([1, 2, 8])},
+        buffers={} if rng.random() < 0.5 else {"default": rng.choice([1, 2, 4])},
+        device_model=rng.choice(["per-component-server", "shared-single-device"]),
+    )
+    return graph, scenario, config

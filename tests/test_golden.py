@@ -5,7 +5,10 @@ case in ``CASES``; the exit code, stderr and stdout must equal the committed
 file ``tests/golden/<spec>.<case>.txt`` exactly. Fifty seeded
 ``random_sim_triple`` runs must reproduce the sorted-key JSON of their
 ``SimMetrics`` line for line; they cover the ``shared-single-device`` model,
-which no shipped spec uses. ``cited_figures.txt`` lists, by ``repr``, the
+which no shipped spec uses. Fifty ``random_mixed_sim_triple`` runs in
+``sim_mixed.jsonl`` pin the simulator's tie-break orders: an arrival before
+a completion at the same instant, a shared device's choice of member, and
+the device-id order of restarts around ``@shared``. ``cited_figures.txt`` lists, by ``repr``, the
 figures the acceptance suite checks against the paper (the walkthrough
 branch-score ratio, the throughput collapse, the buffering drop fraction)
 and each shipped spec's largest FLOPs amplification, so a change to any of
@@ -42,7 +45,12 @@ from pipevuln.ranking import enumerate_paths, rank_and_select
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec_file
 
-from conftest import LAYERED_SPEC, PIPELINES_DIR, random_sim_triple
+from conftest import (
+    LAYERED_SPEC,
+    PIPELINES_DIR,
+    random_mixed_sim_triple,
+    random_sim_triple,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SPECS = sorted(p.name for p in PIPELINES_DIR.iterdir())
@@ -59,6 +67,7 @@ FORMAT_CASES = tuple(
 ) + ("simulate_records", "matrix_seeds_csv")
 SIM_GOLDEN = GOLDEN_DIR / "sim_metrics.jsonl"
 SIM_SEEDS = range(50)
+MIXED_GOLDEN = GOLDEN_DIR / "sim_mixed.jsonl"
 LEDGER = GOLDEN_DIR / "cited_figures.txt"
 
 
@@ -101,8 +110,8 @@ def _run_cli(argv: list[str]) -> bytes:
     return text.encode("utf-8")
 
 
-def _sim_line(seed: int) -> str:
-    graph, scenario, config = random_sim_triple(random.Random(seed))
+def _sim_line(seed: int, triple=random_sim_triple) -> str:
+    graph, scenario, config = triple(random.Random(seed))
     return json.dumps(asdict(simulate(graph, scenario, config)), sort_keys=True)
 
 
@@ -170,6 +179,16 @@ def test_sim_metrics_match_golden(seed, sim_golden):
     assert _sim_line(seed) == sim_golden[seed]
 
 
+@pytest.fixture(scope="module")
+def mixed_golden() -> list[str]:
+    return MIXED_GOLDEN.read_text(encoding="utf-8").splitlines()
+
+
+@pytest.mark.parametrize("seed", SIM_SEEDS)
+def test_mixed_sim_metrics_match_golden(seed, mixed_golden):
+    assert _sim_line(seed, random_mixed_sim_triple) == mixed_golden[seed]
+
+
 def regenerate() -> None:
     GOLDEN_DIR.mkdir(exist_ok=True)
     runs = [(PIPELINES_DIR / spec, case) for spec in SPECS for case in CASES]
@@ -177,8 +196,10 @@ def regenerate() -> None:
     runs += [(FORMAT_SPEC, case) for case in FORMAT_CASES]
     for path, case in runs:
         _golden(path, case).write_bytes(_run_cli(_argv(path, case)))
-    lines = [_sim_line(seed) for seed in SIM_SEEDS]
-    SIM_GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for path, triple in ((SIM_GOLDEN, random_sim_triple),
+                         (MIXED_GOLDEN, random_mixed_sim_triple)):
+        lines = [_sim_line(seed, triple) for seed in SIM_SEEDS]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     LEDGER.write_text(_ledger(), encoding="utf-8")
 
 
