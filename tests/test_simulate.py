@@ -38,7 +38,13 @@ from pipevuln.simulate import (
 )
 from pipevuln.specio import parse_spec_file
 
-from conftest import PIPELINES_DIR, huge_mean_doc, random_sim_triple, traffic_doc
+from conftest import (
+    PIPELINES_DIR,
+    huge_mean_doc,
+    random_mixed_sim_triple,
+    random_sim_triple,
+    traffic_doc,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 SHIPPED_SPECS = sorted(p.name for p in PIPELINES_DIR.iterdir())
@@ -588,3 +594,24 @@ class TestPropertySuite:
                 )
             assert metrics.p50_s <= metrics.p95_s <= metrics.p99_s
             assert metrics.completed == scenario.n_inputs
+
+    @pytest.mark.parametrize("triple, seed, count", [
+        (random_sim_triple, 515, 200), (random_mixed_sim_triple, 516, 300),
+    ], ids=["random", "mixed"])
+    def test_workload_equals_dequeued_on_inbound_edges(self, triple, seed, count):
+        # Items are counted processed and dequeued when service starts, so
+        # each component serves exactly what left its inbound edges; the
+        # source, which has none, serves every admitted input.
+        rng = random.Random(seed)
+        for index in range(count):
+            graph, scenario, config = triple(rng)
+            metrics = simulate(graph, scenario, config)
+            flt = config.input_filter
+            dropped_inputs = (
+                metrics.filtered if flt is not None and flt.action == "drop-input" else 0
+            )
+            inbound = dict.fromkeys(graph.components, 0)
+            inbound[graph.source] = scenario.n_inputs - dropped_inputs
+            for edge in graph.edges.values():
+                inbound[edge.to_id] += metrics.edge_stats[edge.key].dequeued
+            assert metrics.workload == inbound, f"triple {index}"
