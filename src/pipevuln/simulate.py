@@ -11,6 +11,20 @@ Emitted counts are Poisson draws around the profile's mean cardinality,
 thinned by confidence survival, attenuated by input preprocessing, and
 capped by per-path budgets; arrivals at a full queue are tail-dropped.
 
+Event order. Input ``i`` arrives at ``i * interval_s``. Arrivals come from
+a counter beside the heap of completions, and an arrival precedes a
+completion at the same instant; completions at one instant pop in the order
+their services started. After a completion, the device that finished and
+the devices that received items restart in device-id order.
+
+Core. A run indexes components in sorted-id order and devices in sorted
+device-id order, ``"@shared"`` included, and keeps per-component lists:
+FIFO, batch limit, costs, overhead, rate, processed counts and emission
+rows, each taint's rows built on its first use. An item is a plain tuple
+``(seq, input id, adversarial, raw key, edge)``. Its lineage key is
+``mix(raw key)``, taken only where its component emits, so sink items
+never hash.
+
 Determinism. Every random draw is keyed by the scenario seed plus the item's
 lineage, never by event order. Each item carries a 64-bit integer key: an
 input's comes from (seed, input id), the draw for (item, label) uses
@@ -301,7 +315,7 @@ def _poisson_table(mean: float) -> tuple[int, list[float]]:
 def _poisson_draw(table: tuple[int, list[float]], key: int) -> int:
     """Inverse-CDF draw from a :func:`_poisson_table` at the uniform of ``key``."""
     lo, cdf = table
-    return lo + bisect_right(cdf, _uniform(key))
+    return lo + bisect_right(cdf, (key >> 11) * _UNIT)
 
 
 # Domain salts keep the subset, filter and lineage draws apart.
@@ -314,7 +328,7 @@ class _EdgeQueue:
 
     __slots__ = (
         "key", "capacity", "budget_cap", "budget_used",
-        "queued", "enqueued", "dequeued", "dropped",
+        "queued", "enqueued", "dropped",
     )
 
     def __init__(self, key: str, capacity: int | None, budget_cap: int | None):
@@ -324,7 +338,6 @@ class _EdgeQueue:
         self.budget_used = 0
         self.queued = 0
         self.enqueued = 0
-        self.dequeued = 0
         self.dropped = 0
 
     def offer(self, count: int) -> int:
@@ -347,29 +360,9 @@ class _EdgeQueue:
         return admitted
 
 
-class _Item:
-    __slots__ = ("input_id", "adv", "key", "seq", "edge")
-
-    def __init__(
-        self, input_id: int, adv: bool, key: int, seq: int, edge: _EdgeQueue
-    ):
-        self.input_id = input_id
-        self.adv = adv
-        self.key = key
-        self.seq = seq
-        self.edge = edge
-
-
-class _Device:
-    __slots__ = ("id", "members", "busy")
-
-    def __init__(self, device_id: str, members: list[str]):
-        self.id = device_id
-        self.members = members
-        self.busy = False
-
-
 class _Run:
+    """State of one run, indexed as "Core" in the module docstring says."""
+
     def __init__(
         self,
         graph: PipelineGraph,
@@ -394,33 +387,53 @@ class _Run:
             cid: label for cid, label in resolve_path(graph, pid).steps if label != EXIT
         }
         self.edge_queues = self._build_edge_queues()
-        self.fifo: dict[str, deque[_Item]] = {cid: deque() for cid in graph.components}
         self.source_queue = _EdgeQueue("@source", None, None)
-        self.devices = self._build_devices()
 
-        # Events are (time, seq, device, comp, batch) for a completion and
-        # (time, seq, None, input id, adversarial) for an arrival.
+        self.ids = ids = sorted(graph.components)
+        self.index = {cid: i for i, cid in enumerate(ids)}
+        specs = [graph.components[cid] for cid in ids]
+        self.fifo: list[deque[tuple]] = [deque() for _ in ids]
+        self.batch_limit = [
+            config.batch_size(cid) if spec.batchable else 1
+            for cid, spec in zip(ids, specs)
+        ]
+        self.clean_cost = [spec.clean_cost for spec in specs]
+        self.adv_cost = [spec.adv_cost for spec in specs]
+        self.overhead = [spec.per_call_overhead for spec in specs]
+        self.rate = [spec.device_rate for spec in specs]
+        self.gateless = [not graph.routes(cid) for cid in ids]
+        # Emission rows per component, [clean, adversarial], each built on use.
+        self.rows: list[list[list[tuple] | None]] = [[None, None] for _ in ids]
+        self.processed_clean = [0] * len(ids)
+        self.processed_adv = [0] * len(ids)
+
+        shared = config.device_model == SHARED_SINGLE_DEVICE
+        device_ids = [
+            "@shared" if shared and spec.kind == NEURAL else cid
+            for cid, spec in zip(ids, specs)
+        ]
+        slot = {device_id: i for i, device_id in enumerate(sorted(set(device_ids)))}
+        self.device_of = [slot[device_id] for device_id in device_ids]
+        self.members: list[list[int]] = [[] for _ in slot]
+        for comp, device in enumerate(self.device_of):
+            self.members[device].append(comp)
+        self.busy = [False] * len(slot)
+
+        # Completions are (time, seq, device, comp, batch); arrivals are not
+        # in the heap but come from a counter beside it.
         self.heap: list[tuple] = []
         self.seq = 0
         self.item_seq = 0
         self.offered = 0
         self.now = 0.0
-        self.batch_limit = {
-            cid: config.batch_size(cid) if spec.batchable else 1
-            for cid, spec in graph.components.items()
-        }
-        self.route_rows: dict[str, tuple[list[tuple], list[tuple]]] = {}
-        self.gateless = {cid for cid in graph.components if not graph.routes(cid)}
         self.tables: dict[float, tuple[int, list[float]]] = {}
 
         n = scenario.n_inputs
-        self.arrival_time = [0.0] * n
+        self.arrival_time = [i * scenario.interval_s for i in range(n)]
         self.outstanding = [0] * n
         self.last_exit: dict[int, float] = {}
         self.completed = 0
         self.filtered = 0
-        self.processed_clean = {cid: 0 for cid in graph.components}
-        self.processed_adv = {cid: 0 for cid in graph.components}
         self.latencies: dict[int, float] = {}
 
     # -- setup ------------------------------------------------------------
@@ -443,25 +456,6 @@ class _Run:
             )
         return queues
 
-    def _build_devices(self) -> dict[str, _Device]:
-        devices: dict[str, _Device] = {}
-        self.device_of: dict[str, str] = {}
-        shared_members: list[str] = []
-        for cid in sorted(self.graph.components):
-            spec = self.graph.components[cid]
-            if (
-                self.config.device_model == SHARED_SINGLE_DEVICE
-                and spec.kind == NEURAL
-            ):
-                shared_members.append(cid)
-                self.device_of[cid] = "@shared"
-            else:
-                devices[cid] = _Device(cid, [cid])
-                self.device_of[cid] = cid
-        if shared_members:
-            devices["@shared"] = _Device("@shared", shared_members)
-        return devices
-
     def _adversarial_inputs(self) -> set[int]:
         n = self.scenario.n_inputs
         count = int(round(self.scenario.mix * n))
@@ -476,81 +470,135 @@ class _Run:
 
     def execute(self) -> SimMetrics:
         adversarial = self._adversarial_inputs()
-        interval = self.scenario.interval_s
+        n = self.scenario.n_inputs
+        arrival_time = self.arrival_time
         heap = self.heap
-        # Arrivals go in (time, seq) order, so the list is already a heap.
-        for i in range(self.scenario.n_inputs):
-            self.arrival_time[i] = i * interval
-            heap.append((self.arrival_time[i], i, None, i, i in adversarial))
-        self.seq = len(heap)
-
+        heappop = heapq.heappop
+        busy = self.busy
+        rows_of = self.rows
+        gateless_of = self.gateless
+        outstanding = self.outstanding
+        last_exit = self.last_exit
+        latencies = self.latencies
+        start = self._start
         max_events = self.max_events
         events = 0
-        while heap:
-            now, _, device, first, second = heapq.heappop(heap)
-            self.now = now
+        arrived = 0
+        while heap or arrived < n:
             events += 1
             if events > max_events:
                 raise NonTerminationError(f"simulation exceeded {max_events} events")
-            if device is None:
-                self._handle_arrival(first, second)
+            # An arrival precedes a completion at the same instant.
+            if arrived < n and (not heap or arrival_time[arrived] <= heap[0][0]):
+                self.now = arrival_time[arrived]
+                self._handle_arrival(arrived, arrived in adversarial)
+                arrived += 1
+                continue
+            now, _, device, comp, batch = heappop(heap)
+            self.now = now
+            busy[device] = False
+            rows = rows_of[comp]
+            gateless = gateless_of[comp]
+            touched = {device}
+            for _, input_id, adv, raw, _ in batch:
+                if gateless:
+                    # Gateless component: the item itself exits here.
+                    last_exit[input_id] = now
+                taint_rows = rows[adv]
+                if taint_rows is None:
+                    taint_rows = self._route_rows(comp, adv)
+                if taint_rows:
+                    key = _mix(raw)
+                for salt, table, fifo, edge, target in taint_rows:
+                    draw_key = _mix(key ^ salt)
+                    survivors = _poisson_draw(table, draw_key)
+                    if survivors == 0:
+                        continue
+                    if fifo is None:
+                        last_exit[input_id] = now
+                        continue
+                    self.offered += survivors
+                    if self.offered > max_events:
+                        raise NonTerminationError(
+                            f"simulation offered more than {max_events} arrivals"
+                        )
+                    admitted = edge.offer(survivors)
+                    if admitted:
+                        seq = self.item_seq
+                        for j in range(admitted):
+                            fifo.append((seq + j, input_id, adv, draw_key + j, edge))
+                        self.item_seq = seq + admitted
+                        outstanding[input_id] += admitted
+                        touched.add(target)
+                outstanding[input_id] -= 1
+                if outstanding[input_id] == 0:
+                    self.completed += 1
+                    finish = last_exit.get(input_id, now)
+                    latencies[input_id] = finish - arrival_time[input_id]
+            # The devices that received items restart in device-id order.
+            if len(touched) == 1:
+                start(device)
             else:
-                self._handle_completion(device, first, second)
+                for restart in sorted(touched):
+                    start(restart)
         return self._collect()
 
     def _handle_arrival(self, input_id: int, adversarial: bool) -> None:
-        key = _mix(self.seed_key + input_id)
+        raw = self.seed_key + input_id
         flt = self.config.input_filter
         if adversarial and flt is not None and flt.p_detect > 0:
-            if _uniform(_mix(key ^ _FILTER_SALT)) < flt.p_detect:
+            if _uniform(_mix(_mix(raw) ^ _FILTER_SALT)) < flt.p_detect:
                 self.filtered += 1
                 if flt.action == DROP_INPUT:
                     self.completed += 1
                     return
                 adversarial = False
-        item = _Item(input_id, adversarial, key, self.item_seq, self.source_queue)
-        self.item_seq += 1
+        source = self.index[self.graph.source]
         self.outstanding[input_id] += 1
         self.source_queue.offer(1)
-        self.fifo[self.graph.source].append(item)
-        self._try_start(self.devices[self.device_of[self.graph.source]])
+        self.fifo[source].append(
+            (self.item_seq, input_id, adversarial, raw, self.source_queue)
+        )
+        self.item_seq += 1
+        self._start(self.device_of[source])
 
-    def _try_start(self, device: _Device) -> None:
-        if device.busy:
+    def _start(self, device: int) -> None:
+        """Start ``device`` on its next batch if it is idle and has work."""
+        if self.busy[device]:
             return
-        members = device.members
+        fifos = self.fifo
+        members = self.members[device]
         if len(members) == 1:
             comp = members[0]
-            fifo = self.fifo[comp]
-            if not fifo:
-                return
         else:
             # Shared device: serve the member whose FIFO head came first.
-            comp = min(
-                (cid for cid in members if self.fifo[cid]),
-                key=lambda cid: self.fifo[cid][0].seq,
-                default=None,
-            )
-            if comp is None:
+            heads = [(fifos[c][0][0], c) for c in members if fifos[c]]
+            if not heads:
                 return
-            fifo = self.fifo[comp]
-        spec = self.graph.components[comp]
+            comp = min(heads)[1]
+        fifo = fifos[comp]
+        if not fifo:
+            return
+        size = min(self.batch_limit[comp], len(fifo))
         popleft = fifo.popleft
-        batch = [popleft() for _ in range(min(self.batch_limit[comp], len(fifo)))]
+        batch = []
+        for _ in range(size):
+            batch.append(popleft())
+        clean_cost = self.clean_cost[comp]
+        adv_cost = self.adv_cost[comp]
         gflops = 0.0
         n_adv = 0
-        for item in batch:
-            item.edge.queued -= 1
-            item.edge.dequeued += 1
-            if item.adv:
+        for _, _, adv, _, edge in batch:
+            edge.queued -= 1
+            if adv:
                 n_adv += 1
-                gflops += spec.adv_cost
+                gflops += adv_cost
             else:
-                gflops += spec.clean_cost
+                gflops += clean_cost
         self.processed_adv[comp] += n_adv
-        self.processed_clean[comp] += len(batch) - n_adv
-        service = spec.per_call_overhead + gflops / spec.device_rate
-        device.busy = True
+        self.processed_clean[comp] += size - n_adv
+        service = self.overhead[comp] + gflops / self.rate[comp]
+        self.busy[device] = True
         heapq.heappush(self.heap, (self.now + service, self.seq, device, comp, batch))
         self.seq += 1
 
@@ -567,96 +615,41 @@ class _Run:
             table = self.tables[mean] = _poisson_table(mean)
         return table
 
-    def _route_rows(self, comp: str) -> tuple[list[tuple], list[tuple]]:
-        """Emission rows of ``comp`` for clean and for adversarial items.
+    def _route_rows(self, comp: int, adv: bool) -> list[tuple]:
+        """Emission rows of component ``comp`` for items of one taint.
 
-        A row is ``(label salt, table, fifo, edge, device id)`` in label
-        order, for labels whose surviving mean (targeting, attenuation and
+        A row is ``(label salt, table, fifo, edge, device)`` in label order,
+        for labels whose surviving mean (targeting, attenuation and
         confidence survival included) is positive; ``table`` is the Poisson
-        table of that mean, and ``fifo``, ``edge`` and ``device id``
-        are ``None`` on an exit label. Built on the component's first
-        completion.
+        table of that mean, and ``fifo``, ``edge`` and ``device`` are
+        ``None`` on an exit label. Built on the first completion of an item
+        of that taint, so a table that is never drawn is never built.
         """
-        profile = self.graph.profiles[comp]
-        targeted = self.targeting.get(comp)
+        cid = self.ids[comp]
+        profile = self.graph.profiles[cid]
         att = self.config.attenuation
         conf = self.config.confidence
-        clean_rows: list[tuple] = []
-        adv_rows: list[tuple] = []
-        for label, target in sorted(self.graph.routes(comp).items()):
-            salt = _text_key(label)
-            clean_mean = profile.clean_cardinality.get(label, 0.0)
-            adv_mean = expected_emission(profile, label, targeted)
-            if att is not None:
-                adv_mean = min(
-                    adv_mean, max(att.factor * adv_mean, att.residual_floor * clean_mean)
-                )
+        rows: list[tuple] = []
+        for label, target in sorted(self.graph.routes(cid).items()):
+            mean = clean_mean = profile.clean_cardinality.get(label, 0.0)
+            if adv:
+                mean = expected_emission(profile, label, self.targeting.get(cid))
+                if att is not None:
+                    floor = att.residual_floor * clean_mean
+                    mean = min(mean, max(att.factor * mean, floor))
+            if conf is not None:
+                mean *= conf.survival(label, adv)
+            if mean <= 0:
+                continue
             if target == EXIT:
-                fifo = edge = device_id = None
+                fifo = edge = device = None
             else:
-                fifo = self.fifo[target]
-                edge = self.edge_queues[(comp, label)]
-                device_id = self.device_of[target]
-            for rows, mean, adv in (
-                (clean_rows, clean_mean, False), (adv_rows, adv_mean, True)
-            ):
-                if conf is not None:
-                    mean *= conf.survival(label, adv)
-                if mean > 0:
-                    rows.append((salt, self._table(mean), fifo, edge, device_id))
-        rows = (clean_rows, adv_rows)
-        self.route_rows[comp] = rows
+                fifo = self.fifo[self.index[target]]
+                edge = self.edge_queues[(cid, label)]
+                device = self.device_of[self.index[target]]
+            rows.append((_text_key(label), self._table(mean), fifo, edge, device))
+        self.rows[comp][adv] = rows
         return rows
-
-    def _handle_completion(
-        self, device: _Device, comp: str, batch: list[_Item]
-    ) -> None:
-        device.busy = False
-        rows = self.route_rows.get(comp) or self._route_rows(comp)
-        gateless = comp in self.gateless
-        now = self.now
-        outstanding = self.outstanding
-        last_exit = self.last_exit
-        touched = {device.id}
-        for item in batch:
-            input_id = item.input_id
-            if gateless:
-                # Gateless component: the item itself exits here.
-                last_exit[input_id] = now
-            for salt, table, fifo, edge, device_id in rows[item.adv]:
-                key = _mix(item.key ^ salt)
-                survivors = _poisson_draw(table, key)
-                if survivors == 0:
-                    continue
-                if fifo is None:
-                    last_exit[input_id] = now
-                    continue
-                self.offered += survivors
-                if self.offered > self.max_events:
-                    raise NonTerminationError(
-                        f"simulation offered more than {self.max_events} arrivals"
-                    )
-                admitted = edge.offer(survivors)
-                if admitted:
-                    seq = self.item_seq
-                    adv = item.adv
-                    fifo.extend([
-                        _Item(input_id, adv, _mix(key + j), seq + j, edge)
-                        for j in range(admitted)
-                    ])
-                    self.item_seq = seq + admitted
-                    outstanding[input_id] += admitted
-                    touched.add(device_id)
-            outstanding[input_id] -= 1
-            if outstanding[input_id] == 0:
-                self.completed += 1
-                finish = last_exit.get(input_id, now)
-                self.latencies[input_id] = finish - self.arrival_time[input_id]
-        if len(touched) == 1:
-            self._try_start(device)
-        else:
-            for touched_id in sorted(touched):
-                self._try_start(self.devices[touched_id])
 
     # -- metrics -----------------------------------------------------------
 
@@ -673,24 +666,24 @@ class _Run:
         wall = self.now
         throughput = self.completed / wall if wall > 0 else 0.0
         workload = {
-            cid: self.processed_clean[cid] + self.processed_adv[cid]
-            for cid in sorted(self.graph.components)
+            cid: self.processed_clean[i] + self.processed_adv[i]
+            for i, cid in enumerate(self.ids)
         }
         edge_stats = {}
         total_dropped = 0
         for (from_id, label), eq in sorted(self.edge_queues.items()):
             edge_stats[eq.key] = EdgeStats(
                 enqueued=eq.enqueued,
-                dequeued=eq.dequeued,
+                # Every admitted item is dequeued or still queued.
+                dequeued=eq.enqueued - eq.dropped - eq.queued,
                 dropped=eq.dropped,
                 residual=eq.queued,
             )
             total_dropped += eq.dropped
         total_gflops = 0.0
-        for cid in sorted(self.graph.components):
-            spec = self.graph.components[cid]
-            total_gflops += self.processed_clean[cid] * spec.clean_cost
-            total_gflops += self.processed_adv[cid] * spec.adv_cost
+        for i in range(len(self.ids)):
+            total_gflops += self.processed_clean[i] * self.clean_cost[i]
+            total_gflops += self.processed_adv[i] * self.adv_cost[i]
         return _finite(SimMetrics(
             wall_time_s=wall,
             throughput_ips=throughput,

@@ -77,6 +77,27 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    def test_huge_mean_that_is_never_drawn_exits_0(self, capsys, tmp_path,
+                                                   variant_spec_path):
+        doc = yaml.safe_load(Path(variant_spec_path).read_text())
+        doc["profiles"][0]["adv_cardinality"]["car"]["car"] = 2.0e7
+        doc["configs"]["all_clean"] = {
+            "input_filter": {"p_detect": 1.0, "action": "treat-as-clean"},
+        }
+        spec = tmp_path / "huge_untaken.yaml"
+        spec.write_text(yaml.safe_dump(doc))
+        records = {}
+        for scenario, config in (("attacked", "all_clean"), ("clean", "none")):
+            code, out, err = run_cli(capsys, "simulate", str(spec), "--scenario",
+                                     scenario, "--config", config,
+                                     "--format", "records")
+            assert code == 0, err
+            records[scenario] = json.loads(out)
+            del records[scenario]["label"]
+        assert records["attacked"].pop("filtered") == 10
+        assert records["clean"].pop("filtered") == 0
+        assert records["attacked"] == records["clean"]
+
     def test_more_inputs_than_events_exits_1_before_allocating(
         self, capsys, tmp_path, traffic_spec_path
     ):

@@ -8,8 +8,9 @@ file ``tests/golden/<spec>.<case>.txt`` exactly. Fifty seeded
 which no shipped spec uses. Fifty ``random_mixed_sim_triple`` runs in
 ``sim_mixed.jsonl`` pin the simulator's tie-break orders: an arrival before
 a completion at the same instant, a shared device's choice of member, and
-the device-id order of restarts around ``@shared``. ``cited_figures.txt`` lists, by ``repr``, the
-figures the acceptance suite checks against the paper (the walkthrough
+the device-id order of restarts around ``@shared``. ``cited_figures.txt``
+lists, by ``repr``, the figures the acceptance suite checks against the
+paper (the walkthrough
 branch-score ratio, the throughput collapse, the buffering drop fraction)
 and each shipped spec's largest FLOPs amplification, so a change to any of
 them shows in review even while it stays inside its tolerance. Every

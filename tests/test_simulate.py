@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,6 +219,25 @@ class TestDeterminism:
         with pytest.raises(NonTerminationError) as err:
             simulate(graph, scenario, DeploymentConfig())
         assert err.value.code == "E_NONTERMINATION"
+
+    @pytest.mark.parametrize("car_mean", [None, 2.0e7])
+    def test_untaken_adversarial_table_is_never_built(self, car_mean, tmp_path):
+        # The filter admits every attacked input as clean, so the run equals
+        # the clean one but for ``filtered``, and od's adversarial rows are
+        # never drawn: a mean past the event bound there must not fail it.
+        doc = yaml.safe_load((PIPELINES_DIR / "traffic_variant.yaml").read_text())
+        if car_mean is not None:
+            doc["profiles"][0]["adv_cardinality"]["car"]["car"] = car_mean
+        path = tmp_path / "variant.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        spec = parse_spec_file(str(path))
+        all_clean = DeploymentConfig(
+            input_filter=InputFilter(p_detect=1.0, action="treat-as-clean")
+        )
+        attacked = simulate(spec.graph, spec.scenarios["attacked"], all_clean)
+        clean = simulate(spec.graph, spec.scenarios["clean"], DeploymentConfig())
+        assert attacked.filtered == spec.scenarios["attacked"].n_inputs
+        assert replace(attacked, filtered=0) == clean
 
     def test_offered_arrivals_count_against_the_bound(self):
         # A one-slot buffer keeps the events few while the offers are many.
@@ -607,9 +627,8 @@ class TestPropertySuite:
             graph, scenario, config = triple(rng)
             metrics = simulate(graph, scenario, config)
             flt = config.input_filter
-            dropped_inputs = (
-                metrics.filtered if flt is not None and flt.action == "drop-input" else 0
-            )
+            dropping = flt is not None and flt.action == "drop-input"
+            dropped_inputs = metrics.filtered if dropping else 0
             inbound = dict.fromkeys(graph.components, 0)
             inbound[graph.source] = scenario.n_inputs - dropped_inputs
             for edge in graph.edges.values():
