@@ -494,6 +494,7 @@ class _Run:
                 self._handle_arrival(arrived, arrived in adversarial)
                 arrived += 1
                 continue
+            # A completion: emit each item's children, then restart devices.
             now, _, device, comp, batch = heappop(heap)
             self.now = now
             busy[device] = False
