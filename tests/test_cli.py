@@ -76,7 +76,6 @@ class TestExitCodes:
         assert err.startswith("E_NONTERMINATION")
         assert "Traceback" not in err
 
-
     def test_huge_mean_that_is_never_drawn_exits_0(self, capsys, tmp_path,
                                                    variant_spec_path):
         doc = yaml.safe_load(Path(variant_spec_path).read_text())
