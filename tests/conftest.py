@@ -102,6 +102,32 @@ def huge_mean_doc() -> dict:
     }
 
 
+def exit_only_doc(mean: float, overhead: float, n_inputs: int = 1) -> dict:
+    """Source ``a`` gates label ``x`` into an exit-only server ``b``.
+
+    ``a`` serves one input in 0.25 + 3.0 / 8.0 = 0.625 s and emits a
+    Poisson(``mean``) number of ``x`` items; ``b`` is non-neural, costs
+    nothing and takes ``overhead`` seconds per item, one at a time.
+    """
+    return {
+        "components": [
+            {"id": "a", "kind": "neural", "clean_cost_gflops": 3.0,
+             "device_rate_gflops_s": 8.0, "per_call_overhead_s": 0.25},
+            {"id": "b", "kind": "non-neural", "clean_cost_gflops": 0.0,
+             "per_call_overhead_s": overhead, "batchable": False},
+        ],
+        "profiles": [
+            {"component": "a", "clean_cardinality": {"x": mean}},
+            {"component": "b"},
+        ],
+        "gates": [{"component": "a", "routes": {"x": "b"}}],
+        "edges": [{"from": "a", "to": "b", "label": "x"}],
+        "source": "a",
+        "scenarios": {"clean": {"n_inputs": n_inputs, "arrival": "back-to-back"}},
+        "configs": {"none": {}},
+    }
+
+
 @pytest.fixture
 def traffic_graph() -> PipelineGraph:
     return build_graph(traffic_doc())

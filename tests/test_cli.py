@@ -22,7 +22,7 @@ from pipevuln.ranking import enumerate_paths, rank_and_select
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec_file
 
-from conftest import LAYERED_SPEC, huge_mean_doc, traffic_doc
+from conftest import LAYERED_SPEC, exit_only_doc, huge_mean_doc, traffic_doc
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -109,6 +109,18 @@ class TestExitCodes:
                                "--scenario", "attacked", "--config", "none")
         assert code == 1
         assert err.startswith("E_NONTERMINATION") and "n_inputs" in err
+        assert "Traceback" not in err
+
+    def test_fan_out_past_the_bound_exits_1_with_one_line(self, capsys, tmp_path):
+        # Each input sends about 6e6 items to the exit-only server b, which
+        # serves them without events; the second input's offers cross the
+        # default bound of 1e7.
+        spec = tmp_path / "fan_out.yaml"
+        spec.write_text(yaml.safe_dump(exit_only_doc(6e6, 0.1, n_inputs=2)))
+        code, out, err = run_cli(capsys, "simulate", str(spec),
+                                 "--scenario", "clean", "--config", "none")
+        assert code == 1 and out == ""
+        assert err.startswith("E_NONTERMINATION: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_config_declared_twice_is_schema_error(self, capsys, tmp_path,

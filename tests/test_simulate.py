@@ -40,7 +40,9 @@ from pipevuln.simulate import (
 from pipevuln.specio import parse_spec_file
 
 from conftest import (
+    LAYERED_SPEC,
     PIPELINES_DIR,
+    exit_only_doc,
     huge_mean_doc,
     random_mixed_sim_triple,
     random_sim_triple,
@@ -48,6 +50,9 @@ from conftest import (
 )
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+#: Two paths of ``tests/specs/layered.yaml`` that share the edge src:a.
+LOG_PATH = "src:a->b1:log->c5:sum->f2:EXIT"
+X_PATH = "src:a->b1:x->d1:p->f1:EXIT"
 SHIPPED_SPECS = sorted(p.name for p in PIPELINES_DIR.iterdir())
 
 
@@ -345,6 +350,38 @@ class TestQueueing:
         assert shared.total_tflops == per_component.total_tflops
 
 
+class TestExitOnlyServers:
+    def test_lindley_schedule_sets_the_wall_time(self):
+        # Seed 2 draws 8 items of b; their services are added one at a time
+        # after a's 0.625 s, so the sum is not 0.625 + 8 * 0.1.
+        graph = build_graph(exit_only_doc(mean=7.0, overhead=0.1))
+        metrics = simulate(graph, TrafficScenario(n_inputs=1, seed=2),
+                           DeploymentConfig())
+        assert metrics.workload == {"a": 1, "b": 8}
+        expected = 0.25 + 3.0 / 8.0
+        for _ in range(metrics.workload["b"]):
+            expected += 0.1
+        assert expected != 0.625 + 8 * 0.1
+        # The last heap event is a's completion; b's last finish is later.
+        assert metrics.wall_time_s == expected
+        assert metrics.avg_e2e_s == expected
+
+    def test_exit_only_completions_count_as_events(self):
+        # Per input an arrival and a completion of a, then one event per item
+        # of b. The items of b are fewer offers than that, so the arrival
+        # bound holds and the event bound is the one that fires.
+        graph = build_graph(exit_only_doc(mean=8.0, overhead=0.1))
+        scenario = TrafficScenario(n_inputs=5)
+        unbounded = simulate(graph, scenario, DeploymentConfig())
+        events = 2 * 5 + unbounded.workload["b"]
+        with pytest.raises(NonTerminationError) as err:
+            simulate(graph, scenario, DeploymentConfig(), max_events=events - 1)
+        assert err.value.code == "E_NONTERMINATION"
+        assert f"simulation exceeded {events - 1} events" in str(err.value)
+        assert simulate(graph, scenario, DeploymentConfig(),
+                        max_events=events) == unbounded
+
+
 class TestLatencyAccounting:
     def test_throughput_identity(self):
         graph = build_graph(variant_doc())
@@ -444,6 +481,27 @@ class TestDefenses:
             forwarded = stats.dequeued + stats.residual
             assert forwarded <= cap
         assert metrics.edge_stats["od:car"].dropped > 0
+
+    @pytest.mark.parametrize("tight", [LOG_PATH, X_PATH])
+    def test_two_budgets_on_one_edge_keep_the_smaller_cap(self, tight):
+        # Both paths start on src:a, which is offered about 600 items.
+        graph = parse_spec_file(str(LAYERED_SPEC)).graph
+        scenario = TrafficScenario(n_inputs=200, mix=1.0, target_path=X_PATH)
+        loose = LOG_PATH if tight == X_PATH else X_PATH
+        config = DeploymentConfig(path_budgets={tight: 0.5, loose: 3.0})
+        stats = simulate(graph, scenario, config).edge_stats["src:a"]
+        assert stats.enqueued > 600 * 0.9
+        assert stats.dequeued == 100
+
+    def test_budget_cap_rounds_past_float_error(self):
+        # 0.57 * 100 is 56.99999999999999; the cap is 57 items.
+        graph = parse_spec_file(str(LAYERED_SPEC)).graph
+        scenario = TrafficScenario(n_inputs=100, mix=1.0, target_path=X_PATH)
+        config = DeploymentConfig(path_budgets={X_PATH: 0.57})
+        metrics = simulate(graph, scenario, config)
+        for key in ("src:a", "b1:x", "d1:p"):
+            assert metrics.edge_stats[key].enqueued > 57
+            assert metrics.edge_stats[key].dequeued == 57, key
 
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -614,6 +672,20 @@ class TestPropertySuite:
                 )
             assert metrics.p50_s <= metrics.p95_s <= metrics.p99_s
             assert metrics.completed == scenario.n_inputs
+
+    @pytest.mark.parametrize("triple, seed", [
+        (random_sim_triple, 519), (random_mixed_sim_triple, 520),
+    ], ids=["random", "mixed"])
+    def test_every_edge_ends_empty(self, triple, seed):
+        # A finished run has served every admitted item, so no edge keeps a
+        # residual; ``dequeued`` is derived from it, so this is what checks
+        # that each service takes its items off their edges' counts.
+        rng = random.Random(seed)
+        for index in range(200):
+            graph, scenario, config = triple(rng)
+            metrics = simulate(graph, scenario, config)
+            residual = {key: s.residual for key, s in metrics.edge_stats.items()}
+            assert set(residual.values()) <= {0}, f"triple {index}: {residual}"
 
     @pytest.mark.parametrize("triple, seed, count", [
         (random_sim_triple, 515, 200), (random_mixed_sim_triple, 516, 300),
