@@ -17,13 +17,20 @@ completion at the same instant; completions at one instant pop in the order
 their services started. After a completion, the device that finished and
 the devices that received items restart in device-id order.
 
+An exit-only server (no gate, not the source, alone on its device, batch
+limit 1, unbounded inbound edges) feeds nothing, so ``k`` items admitted to
+it at ``now`` are scheduled then by the Lindley recursion ``free = max(now,
+free) + service`` and count as ``k`` events, with no heap entry. An input
+finishes at its latest exit; the wall time is the later of the last event
+and the last exit-only finish.
+
 Core. A run indexes components in sorted-id order and devices in sorted
 device-id order, ``"@shared"`` included, and keeps per-component lists:
 FIFO, batch limit, costs, overhead, rate, processed counts and emission
-rows, each taint's rows built on its first use. An item is a plain tuple
-``(seq, input id, adversarial, raw key, edge)``. Its lineage key is
-``mix(raw key)``, taken only where its component emits, so sink items
-never hash.
+rows, each taint's rows built on its first use (an exit-only server's items
+are never built). An item is a plain tuple ``(seq, input id, adversarial,
+raw key, edge)``. Its lineage key is ``mix(raw key)``, taken only where its
+component emits, so sink items never hash.
 
 Determinism. Every random draw is keyed by the scenario seed plus the item's
 lineage, never by event order. Each item carries a 64-bit integer key: an
@@ -419,6 +426,16 @@ class _Run:
             self.members[device].append(comp)
         self.busy = [False] * len(slot)
 
+        # Exit-only servers (see "Event order") and their Lindley clocks.
+        bounded = {graph.edges[key].to_id
+                   for key, queue in self.edge_queues.items() if queue.capacity}
+        self.exit_only = [
+            self.gateless[c] and cid != graph.source and cid not in bounded
+            and self.batch_limit[c] == 1 and len(self.members[self.device_of[c]]) == 1
+            for c, cid in enumerate(ids)
+        ]
+        self.free = [0.0] * len(ids)
+
         # Completions are (time, seq, device, comp, batch); arrivals are not
         # in the heap but come from a counter beside it.
         self.heap: list[tuple] = []
@@ -481,6 +498,7 @@ class _Run:
         last_exit = self.last_exit
         latencies = self.latencies
         start = self._start
+        free_at = self.free
         max_events = self.max_events
         events = 0
         arrived = 0
@@ -502,7 +520,8 @@ class _Run:
             gateless = gateless_of[comp]
             touched = {device}
             for _, input_id, adv, raw, _ in batch:
-                if gateless:
+                # Keep the latest exit: an exit-only one may lie past ``now``.
+                if gateless and last_exit.get(input_id, now) <= now:
                     # Gateless component: the item itself exits here.
                     last_exit[input_id] = now
                 taint_rows = rows[adv]
@@ -515,8 +534,9 @@ class _Run:
                     survivors = _poisson_draw(table, draw_key)
                     if survivors == 0:
                         continue
-                    if fifo is None:
-                        last_exit[input_id] = now
+                    if edge is None:
+                        if last_exit.get(input_id, now) <= now:
+                            last_exit[input_id] = now
                         continue
                     self.offered += survivors
                     if self.offered > max_events:
@@ -524,13 +544,33 @@ class _Run:
                             f"simulation offered more than {max_events} arrivals"
                         )
                     admitted = edge.offer(survivors)
-                    if admitted:
-                        seq = self.item_seq
-                        for j in range(admitted):
-                            fifo.append((seq + j, input_id, adv, draw_key + j, edge))
-                        self.item_seq = seq + admitted
-                        outstanding[input_id] += admitted
-                        touched.add(target)
+                    if not admitted:
+                        continue
+                    if fifo is None:
+                        # An exit-only server: a Lindley schedule stands in
+                        # for its ``admitted`` completion events.
+                        server, service = target
+                        edge.queued -= admitted
+                        events += admitted
+                        if events > max_events:
+                            raise NonTerminationError(
+                                f"simulation exceeded {max_events} events"
+                            )
+                        processed = self.processed_adv if adv else self.processed_clean
+                        processed[server] += admitted
+                        free = max(now, free_at[server])
+                        for _ in range(admitted):
+                            free += service
+                        free_at[server] = free
+                        if last_exit.get(input_id, free) <= free:
+                            last_exit[input_id] = free
+                        continue
+                    seq = self.item_seq
+                    for j in range(admitted):
+                        fifo.append((seq + j, input_id, adv, draw_key + j, edge))
+                    self.item_seq = seq + admitted
+                    outstanding[input_id] += admitted
+                    touched.add(target)
                 outstanding[input_id] -= 1
                 if outstanding[input_id] == 0:
                     self.completed += 1
@@ -623,8 +663,10 @@ class _Run:
         for labels whose surviving mean (targeting, attenuation and
         confidence survival included) is positive; ``table`` is the Poisson
         table of that mean, and ``fifo``, ``edge`` and ``device`` are
-        ``None`` on an exit label. Built on the first completion of an item
-        of that taint, so a table that is never drawn is never built.
+        ``None`` on an exit label. A row into an exit-only server has no
+        ``fifo`` and holds ``(component index, service time)`` in place of
+        ``device``. Built on the first completion of an item of that taint,
+        so a table that is never drawn is never built.
         """
         cid = self.ids[comp]
         profile = self.graph.profiles[cid]
@@ -645,9 +687,15 @@ class _Run:
             if target == EXIT:
                 fifo = edge = device = None
             else:
-                fifo = self.fifo[self.index[target]]
+                t = self.index[target]
                 edge = self.edge_queues[(cid, label)]
-                device = self.device_of[self.index[target]]
+                if self.exit_only[t]:
+                    # ``_start``'s service time for a batch of one item.
+                    cost = self.adv_cost[t] if adv else self.clean_cost[t]
+                    service = self.overhead[t] + (0.0 + cost) / self.rate[t]
+                    fifo, device = None, (t, service)
+                else:
+                    fifo, device = self.fifo[t], self.device_of[t]
             rows.append((_text_key(label), self._table(mean), fifo, edge, device))
         self.rows[comp][adv] = rows
         return rows
@@ -663,8 +711,8 @@ class _Run:
             p99 = percentile(samples, 99)
         else:
             avg = p50 = p95 = p99 = 0.0
-        # Events pop in time order: the last one sets the wall time.
-        wall = self.now
+        # Events pop in time order; exit-only finishes may come later.
+        wall = max(self.now, *self.free)
         throughput = self.completed / wall if wall > 0 else 0.0
         workload = {
             cid: self.processed_clean[i] + self.processed_adv[i]

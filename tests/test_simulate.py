@@ -30,6 +30,7 @@ from pipevuln.simulate import (
     DeploymentConfig,
     InputFilter,
     TrafficScenario,
+    _Run,
     _mix,
     _poisson_draw,
     _poisson_table,
@@ -380,6 +381,28 @@ class TestExitOnlyServers:
         assert f"simulation exceeded {events - 1} events" in str(err.value)
         assert simulate(graph, scenario, DeploymentConfig(),
                         max_events=events) == unbounded
+
+    @pytest.mark.parametrize("triple, seed", [
+        (random_sim_triple, 517), (random_mixed_sim_triple, 518),
+    ], ids=["random", "mixed"])
+    def test_schedule_matches_the_event_path(self, triple, seed):
+        # A buffer that never fills changes nothing but makes every server
+        # take the event path, so both runs must agree on every metric.
+        rng = random.Random(seed)
+        with_exit_only = 0
+        for index in range(200):
+            graph, scenario, config = triple(rng)
+            unbounded = {
+                edge.key: 10**9 for edge in graph.edges.values()
+                if config.buffer_capacity(edge.key, edge.capacity) is None
+            }
+            events_only = replace(config, buffers={**config.buffers, **unbounded})
+            assert not any(_Run(graph, scenario, events_only, 10**7).exit_only)
+            with_exit_only += any(_Run(graph, scenario, config, 10**7).exit_only)
+            assert simulate(graph, scenario, config) == simulate(
+                graph, scenario, events_only
+            ), f"triple {index}"
+        assert with_exit_only >= 20
 
 
 class TestLatencyAccounting:
