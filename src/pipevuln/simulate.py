@@ -426,7 +426,7 @@ class _Run:
             self.members[device].append(comp)
         self.busy = [False] * len(slot)
 
-        # Exit-only servers (see "Event order") and their Lindley clocks.
+        # Exit-only servers (see the module docstring) and their Lindley clocks.
         bounded = {graph.edges[key].to_id
                    for key, queue in self.edge_queues.items() if queue.capacity}
         self.exit_only = [

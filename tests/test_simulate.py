@@ -526,7 +526,6 @@ class TestDefenses:
             assert metrics.edge_stats[key].enqueued > 57
             assert metrics.edge_stats[key].dequeued == 57, key
 
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_budget_and_residual_floor_rejected(self, bad):
         with pytest.raises(BadValueError):
