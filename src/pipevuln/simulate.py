@@ -30,7 +30,12 @@ FIFO, batch limit, costs, overhead, rate, processed counts and emission
 rows, each taint's rows built on its first use (an exit-only server's items
 are never built). An item is a plain tuple ``(seq, input id, adversarial,
 raw key, edge)``. Its lineage key is ``mix(raw key)``, taken only where its
-component emits, so sink items never hash.
+component emits, so sink items never hash. The completion loop writes out
+``_mix`` and ``_poisson_draw``, which stay the reference definitions; it
+restarts a solo device (one member, batch limit 1) in place, with
+``_start``'s effects, from a per-component list of one-item service times;
+and it admits to an exit-only server without ``offer`` unless a budget caps
+the inbound edge.
 
 Determinism. Every random draw is keyed by the scenario seed plus the item's
 lineage, never by event order. Each item carries a 64-bit integer key: an
@@ -408,6 +413,10 @@ class _Run:
         self.adv_cost = [spec.adv_cost for spec in specs]
         self.overhead = [spec.per_call_overhead for spec in specs]
         self.rate = [spec.device_rate for spec in specs]
+        # ``_start``'s service time for a batch of one item, [clean, adversarial].
+        self.service = [[spec.per_call_overhead + (0.0 + cost) / spec.device_rate
+                         for cost in (spec.clean_cost, spec.adv_cost)]
+                        for spec in specs]
         self.gateless = [not graph.routes(cid) for cid in ids]
         # Emission rows per component, [clean, adversarial], each built on use.
         self.rows: list[list[list[tuple] | None]] = [[None, None] for _ in ids]
@@ -426,7 +435,7 @@ class _Run:
             self.members[device].append(comp)
         self.busy = [False] * len(slot)
 
-        # Exit-only servers (see the module docstring) and their Lindley clocks.
+        # Exit-only servers, their Lindley clocks and solo devices (docstring).
         bounded = {graph.edges[key].to_id
                    for key, queue in self.edge_queues.items() if queue.capacity}
         self.exit_only = [
@@ -435,13 +444,14 @@ class _Run:
             for c, cid in enumerate(ids)
         ]
         self.free = [0.0] * len(ids)
+        self.solo = [len(comps) == 1 and self.batch_limit[comps[0]] == 1
+                     for comps in self.members]
 
         # Completions are (time, seq, device, comp, batch); arrivals are not
         # in the heap but come from a counter beside it.
         self.heap: list[tuple] = []
         self.seq = 0
         self.item_seq = 0
-        self.offered = 0
         self.now = 0.0
         self.tables: dict[float, tuple[int, list[float]]] = {}
 
@@ -491,7 +501,12 @@ class _Run:
         arrival_time = self.arrival_time
         heap = self.heap
         heappop = heapq.heappop
+        heappush = heapq.heappush
         busy = self.busy
+        fifos = self.fifo
+        solo = self.solo
+        service_of = self.service
+        processed_of = (self.processed_clean, self.processed_adv)
         rows_of = self.rows
         gateless_of = self.gateless
         outstanding = self.outstanding
@@ -502,6 +517,7 @@ class _Run:
         max_events = self.max_events
         events = 0
         arrived = 0
+        offered = 0
         while heap or arrived < n:
             events += 1
             if events > max_events:
@@ -528,42 +544,59 @@ class _Run:
                 if taint_rows is None:
                     taint_rows = self._route_rows(comp, adv)
                 if taint_rows:
-                    key = _mix(raw)
-                for salt, table, fifo, edge, target in taint_rows:
-                    draw_key = _mix(key ^ salt)
-                    survivors = _poisson_draw(table, draw_key)
+                    # key = _mix(raw), written out.
+                    z = (raw + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+                    key = z ^ (z >> 31)
+                for salt, (lo, cdf), fifo, edge, target in taint_rows:
+                    # draw_key = _mix(key ^ salt) and _poisson_draw, written out.
+                    z = ((key ^ salt) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+                    draw_key = z ^ (z >> 31)
+                    survivors = lo + bisect_right(cdf, (draw_key >> 11) * _UNIT)
                     if survivors == 0:
                         continue
                     if edge is None:
                         if last_exit.get(input_id, now) <= now:
                             last_exit[input_id] = now
                         continue
-                    self.offered += survivors
-                    if self.offered > max_events:
+                    offered += survivors
+                    if offered > max_events:
                         raise NonTerminationError(
                             f"simulation offered more than {max_events} arrivals"
                         )
-                    admitted = edge.offer(survivors)
-                    if not admitted:
-                        continue
                     if fifo is None:
-                        # An exit-only server: a Lindley schedule stands in
-                        # for its ``admitted`` completion events.
+                        # An exit-only server: a Lindley schedule stands in for
+                        # its completion events; only a budget drops its input.
+                        if edge.budget_cap is None:
+                            edge.enqueued += survivors
+                            admitted = survivors
+                        else:
+                            admitted = edge.offer(survivors)
+                            if not admitted:
+                                continue
+                            edge.queued -= admitted
                         server, service = target
-                        edge.queued -= admitted
                         events += admitted
                         if events > max_events:
                             raise NonTerminationError(
                                 f"simulation exceeded {max_events} events"
                             )
-                        processed = self.processed_adv if adv else self.processed_clean
-                        processed[server] += admitted
+                        processed_of[adv][server] += admitted
                         free = max(now, free_at[server])
-                        for _ in range(admitted):
+                        if admitted == 1:
                             free += service
+                        else:
+                            for _ in range(admitted):
+                                free += service
                         free_at[server] = free
                         if last_exit.get(input_id, free) <= free:
                             last_exit[input_id] = free
+                        continue
+                    admitted = edge.offer(survivors)
+                    if not admitted:
                         continue
                     seq = self.item_seq
                     for j in range(admitted):
@@ -578,7 +611,17 @@ class _Run:
                     latencies[input_id] = finish - arrival_time[input_id]
             # The devices that received items restart in device-id order.
             if len(touched) == 1:
-                start(device)
+                if not solo[device]:
+                    start(device)
+                elif fifos[comp]:
+                    # ``_start`` on a solo device, written out.
+                    _, _, adv, _, edge = item = fifos[comp].popleft()
+                    edge.queued -= 1
+                    processed_of[adv][comp] += 1
+                    busy[device] = True
+                    heappush(heap, (now + service_of[comp][adv], self.seq,
+                                    device, comp, [item]))
+                    self.seq += 1
             else:
                 for restart in sorted(touched):
                     start(restart)
@@ -690,10 +733,7 @@ class _Run:
                 t = self.index[target]
                 edge = self.edge_queues[(cid, label)]
                 if self.exit_only[t]:
-                    # ``_start``'s service time for a batch of one item.
-                    cost = self.adv_cost[t] if adv else self.clean_cost[t]
-                    service = self.overhead[t] + (0.0 + cost) / self.rate[t]
-                    fifo, device = None, (t, service)
+                    fifo, device = None, (t, self.service[t][adv])
                 else:
                     fifo, device = self.fifo[t], self.device_of[t]
             rows.append((_text_key(label), self._table(mean), fifo, edge, device))

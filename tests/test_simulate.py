@@ -28,12 +28,14 @@ from pipevuln.simulate import (
     Attenuation,
     ConfidenceFilter,
     DeploymentConfig,
+    EdgeStats,
     InputFilter,
     TrafficScenario,
     _Run,
     _mix,
     _poisson_draw,
     _poisson_table,
+    _text_key,
     percentile,
     run_matrix,
     simulate,
@@ -153,6 +155,23 @@ class TestSampler:
             key = _mix(i)
             draws = [_poisson_draw(table, key) for table in tables]
             assert draws == sorted(draws), key
+
+    @pytest.mark.parametrize("mean", [7.0, 900.0])
+    def test_loop_draw_matches_the_reference_helpers(self, mean):
+        # The completion loop writes out _mix and _poisson_draw: the count of
+        # b is one draw on label x of input 0's item at a, whether b is
+        # exit-only or, behind a buffer that never fills, a solo device.
+        graph = build_graph(exit_only_doc(mean, 0.1))
+        table = _poisson_table(mean)
+        spot = {(7.0, 2): 8, (900.0, 4): 932}
+        for config in (DeploymentConfig(), DeploymentConfig(buffers={"a:x": 10**9})):
+            for seed in range(6):
+                key = _mix(_mix(_mix(seed) + 0) ^ _text_key("x"))
+                expected = _poisson_draw(table, key)
+                assert spot.get((mean, seed), expected) == expected
+                scenario = TrafficScenario(n_inputs=1, seed=seed)
+                metrics = simulate(graph, scenario, config)
+                assert metrics.workload["b"] == expected, (seed, config.buffers)
 
     def test_cli_import_leaves_numpy_unloaded(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -404,6 +423,31 @@ class TestExitOnlyServers:
             ), f"triple {index}"
         assert with_exit_only >= 20
 
+    @pytest.mark.parametrize("triple, seed", [
+        (random_sim_triple, 519), (random_mixed_sim_triple, 520),
+    ], ids=["random", "mixed"])
+    def test_solo_restart_matches_start(self, triple, seed):
+        # A solo device restarted in the loop must have exactly _start's
+        # effects: with every solo flag off, each restart goes through it.
+        rng = random.Random(seed)
+        restarted = 0
+        for index in range(200):
+            graph, scenario, config = triple(rng)
+            run = _Run(graph, scenario, config, 10**7)
+            started = [0]
+
+            def counted(device, start=run._start, run=run, started=started):
+                before = run.seq
+                start(device)
+                started[0] += run.seq - before
+
+            run._start = counted
+            solo_off = _Run(graph, scenario, config, 10**7)
+            solo_off.solo = [False] * len(solo_off.solo)
+            assert run.execute() == solo_off.execute(), f"triple {index}"
+            restarted += run.seq > started[0]
+        assert restarted >= 20
+
 
 class TestLatencyAccounting:
     def test_throughput_identity(self):
@@ -504,6 +548,18 @@ class TestDefenses:
             forwarded = stats.dequeued + stats.residual
             assert forwarded <= cap
         assert metrics.edge_stats["od:car"].dropped > 0
+
+    def test_budget_drops_on_an_edge_into_an_exit_only_server(self):
+        # b is exit-only; the budget, not a buffer, drops on its inbound edge.
+        graph = build_graph(exit_only_doc(7.0, 0.1, n_inputs=10))
+        config = DeploymentConfig(path_budgets={"a:x->b:EXIT": 0.5})
+        assert _Run(graph, TrafficScenario(n_inputs=10), config, 10**7).exit_only[1]
+        metrics = simulate(graph, TrafficScenario(n_inputs=10, seed=2), config)
+        assert metrics.edge_stats["a:x"] == EdgeStats(
+            enqueued=62, dequeued=5, dropped=57, residual=0
+        )
+        assert metrics.workload["b"] == 5
+        assert metrics.wall_time_s == 6.25
 
     @pytest.mark.parametrize("tight", [LOG_PATH, X_PATH])
     def test_two_budgets_on_one_edge_keep_the_smaller_cap(self, tight):
