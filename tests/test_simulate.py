@@ -158,20 +158,30 @@ class TestSampler:
 
     @pytest.mark.parametrize("mean", [7.0, 900.0])
     def test_loop_draw_matches_the_reference_helpers(self, mean):
-        # The completion loop writes out _mix and _poisson_draw: the count of
-        # b is one draw on label x of input 0's item at a, whether b is
-        # exit-only or, behind a buffer that never fills, a solo device.
+        # The completion loop writes out _mix and _poisson_draw. Input 0's
+        # item at a draws the count of b on label x, and child j of that
+        # draw gets the raw key draw_key + j. b is exit-only, or, behind a
+        # buffer that never fills, a solo device whose FIFO holds the items.
         graph = build_graph(exit_only_doc(mean, 0.1))
         table = _poisson_table(mean)
         spot = {(7.0, 2): 8, (900.0, 4): 932}
         for config in (DeploymentConfig(), DeploymentConfig(buffers={"a:x": 10**9})):
             for seed in range(6):
-                key = _mix(_mix(_mix(seed) + 0) ^ _text_key("x"))
-                expected = _poisson_draw(table, key)
+                draw_key = _mix(_mix(_mix(seed) + 0) ^ _text_key("x"))
+                expected = _poisson_draw(table, draw_key)
                 assert spot.get((mean, seed), expected) == expected
-                scenario = TrafficScenario(n_inputs=1, seed=seed)
-                metrics = simulate(graph, scenario, config)
-                assert metrics.workload["b"] == expected, (seed, config.buffers)
+                run = _Run(graph, TrafficScenario(n_inputs=1, seed=seed), config, 10**7)
+                keys = []
+
+                def record(device, start=run._start, run=run, keys=keys):
+                    if not keys:
+                        keys.extend(item[3] for item in run.fifo[1])
+                    start(device)
+
+                run._start = record
+                assert run.execute().workload["b"] == expected, (seed, config.buffers)
+                if config.buffers:
+                    assert keys == [draw_key + j for j in range(expected)], seed
 
     def test_cli_import_leaves_numpy_unloaded(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
