@@ -563,8 +563,9 @@ class TestDefenses:
         # b is exit-only; the budget, not a buffer, drops on its inbound edge.
         graph = build_graph(exit_only_doc(7.0, 0.1, n_inputs=10))
         config = DeploymentConfig(path_budgets={"a:x->b:EXIT": 0.5})
-        assert _Run(graph, TrafficScenario(n_inputs=10), config, 10**7).exit_only[1]
-        metrics = simulate(graph, TrafficScenario(n_inputs=10, seed=2), config)
+        scenario = TrafficScenario(n_inputs=10, seed=2)
+        assert _Run(graph, scenario, config, 10**7).exit_only[1]
+        metrics = simulate(graph, scenario, config)
         assert metrics.edge_stats["a:x"] == EdgeStats(
             enqueued=62, dequeued=5, dropped=57, residual=0
         )
