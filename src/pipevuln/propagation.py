@@ -12,11 +12,12 @@ graph. A cost is one product sum, ``sum(map(mul, workload, costs))``, always
 added in sorted-id order: float addition is not associative, and the fixed
 order keeps a total bit-identical however its workload was reached.
 
-:func:`propagate_paths` propagates many paths in one walk. The workload after
-a path's first ``i`` steps depends only on those steps, so the walk keeps it
-on a stack for the following paths that share them; on id-sorted paths the
-work scales with the nodes of the path trie. Each path still gets the same
-float additions in the same order as propagating it alone. Ranking and
+The private walk (``_walk``) propagates many paths in one pass. The workload
+after a path's first ``i`` steps depends only on those steps, so the walk
+keeps it on a stack for the following paths that share them; on id-sorted
+paths the work scales with the nodes of the path trie. Each path still gets
+the same float additions in the same order as propagating it alone, which
+:func:`propagate` does with a walk of one path. Ranking and
 :func:`amplification_matrix` cost each path as the walk reaches it, through
 the same helpers as the dict-based :func:`propagate` and :func:`cost`.
 """
@@ -191,17 +192,6 @@ def _costed_paths(table: _Table, paths: list, reference: CostBreakdown) -> Itera
         yield path, vec, *_cost(table, vec, table.adv, scenario, reference_total)
 
 
-def propagate_paths(
-    graph: PipelineGraph, paths: Iterable["ExecutionPath"]
-) -> Iterator[WorkloadVector]:
-    """Each path's targeted workload, in the order of ``paths``, one at a time;
-    pass them sorted by id (as :func:`enumerate_paths` does) to share prefixes."""
-    table, paths = _Table(graph), list(paths)
-    for path, vec in zip(paths, _walk(table, [p.steps for p in paths])):
-        scenario = f"adversarial({path.id})"
-        yield WorkloadVector(dict(zip(table.ids, vec)), scenario, path.id)
-
-
 def propagate(
     graph: PipelineGraph, scenario: "str | ExecutionPath" = CLEAN
 ) -> WorkloadVector:
@@ -211,10 +201,13 @@ def propagate(
     (:func:`~pipevuln.ranking.resolve_path` turns a path id into one). The
     source always counts exactly one invocation.
     """
-    if scenario != CLEAN:
-        return next(propagate_paths(graph, [scenario]))
     table = _Table(graph)
-    return WorkloadVector(dict(zip(table.ids, next(_walk(table, [()])))), CLEAN)
+    if scenario == CLEAN:
+        return WorkloadVector(dict(zip(table.ids, next(_walk(table, [()])))), CLEAN)
+    vec = next(_walk(table, [scenario.steps]))
+    return WorkloadVector(
+        dict(zip(table.ids, vec)), f"adversarial({scenario.id})", scenario.id
+    )
 
 
 def cost(

@@ -14,8 +14,10 @@ capped by per-path budgets; arrivals at a full queue are tail-dropped.
 Event order. Input ``i`` arrives at ``i * interval_s``. Arrivals come from
 a counter beside the heap of completions, and an arrival precedes a
 completion at the same instant; completions at one instant pop in the order
-their services started. After a completion, the device that finished and
-the devices that received items restart in device-id order.
+their services started. Every service on the event path starts in one
+restart block after its event: an arrival restarts the source's device, and
+a completion the device that finished and the idle devices that received
+items, in device-id order.
 
 An exit-only server (no gate, not the source, alone on its device, batch
 limit 1, unbounded inbound edges) feeds nothing, so ``k`` items admitted to
@@ -31,11 +33,10 @@ rows, each taint's rows built on its first use (an exit-only server's items
 are never built). An item is a plain tuple ``(seq, input id, adversarial,
 raw key, edge)``. Its lineage key is ``mix(raw key)``, taken only where its
 component emits, so sink items never hash. The completion loop writes out
-``_mix`` and ``_poisson_draw``, which stay the reference definitions; it
-restarts a solo device (one member, batch limit 1) in place, with
-``_start``'s effects, from a per-component list of one-item service times;
-and it admits to an exit-only server without ``offer`` unless a budget caps
-the inbound edge.
+``_mix`` and ``_poisson_draw``, which stay the reference definitions, and
+admits to an exit-only server without ``offer`` unless a budget caps the
+inbound edge. The restart block serves a batch limit of 1 from a list of
+one-item service times and sums a larger batch's GFLOPs in batch order.
 
 Determinism. Every random draw is keyed by the scenario seed plus the item's
 lineage, never by event order. Each item carries a 64-bit integer key: an
@@ -75,7 +76,7 @@ from .errors import (
     PipelineError,
 )
 from .model import EXIT, NEURAL, PipelineGraph, topological_order
-from .propagation import expected_emission
+from .propagation import _Table, expected_emission
 from .ranking import resolve_path
 
 DROP_INPUT = "drop-input"
@@ -401,22 +402,25 @@ class _Run:
         self.edge_queues = self._build_edge_queues()
         self.source_queue = _EdgeQueue("@source", None, None)
 
-        self.ids = ids = sorted(graph.components)
-        self.index = {cid: i for i, cid in enumerate(ids)}
+        table = _Table(graph)
+        self.ids = ids = table.ids
+        self.index = table.index
         specs = [graph.components[cid] for cid in ids]
         self.fifo: list[deque[tuple]] = [deque() for _ in ids]
         self.batch_limit = [
             config.batch_size(cid) if spec.batchable else 1
             for cid, spec in zip(ids, specs)
         ]
-        self.clean_cost = [spec.clean_cost for spec in specs]
-        self.adv_cost = [spec.adv_cost for spec in specs]
+        self.clean_cost = table.clean
+        self.adv_cost = table.adv
         self.overhead = [spec.per_call_overhead for spec in specs]
         self.rate = [spec.device_rate for spec in specs]
-        # ``_start``'s service time for a batch of one item, [clean, adversarial].
-        self.service = [[spec.per_call_overhead + (0.0 + cost) / spec.device_rate
-                         for cost in (spec.clean_cost, spec.adv_cost)]
-                        for spec in specs]
+        # One-item service times [clean, adversarial] at batch limit 1, else None.
+        self.service = [
+            [spec.per_call_overhead + (0.0 + cost) / spec.device_rate
+             for cost in (spec.clean_cost, spec.adv_cost)] if limit == 1 else None
+            for spec, limit in zip(specs, self.batch_limit)
+        ]
         self.gateless = [not graph.routes(cid) for cid in ids]
         # Emission rows per component, [clean, adversarial], each built on use.
         self.rows: list[list[list[tuple] | None]] = [[None, None] for _ in ids]
@@ -433,26 +437,23 @@ class _Run:
         self.members: list[list[int]] = [[] for _ in slot]
         for comp, device in enumerate(self.device_of):
             self.members[device].append(comp)
+        # The one member of each device, or -1 for a device shared by several.
+        self.sole = [comps[0] if len(comps) == 1 else -1 for comps in self.members]
         self.busy = [False] * len(slot)
 
-        # Exit-only servers, their Lindley clocks and solo devices (docstring).
+        # Exit-only servers and their Lindley clocks (module docstring).
         bounded = {graph.edges[key].to_id
                    for key, queue in self.edge_queues.items() if queue.capacity}
         self.exit_only = [
             self.gateless[c] and cid != graph.source and cid not in bounded
-            and self.batch_limit[c] == 1 and len(self.members[self.device_of[c]]) == 1
+            and self.batch_limit[c] == 1 and self.sole[self.device_of[c]] == c
             for c, cid in enumerate(ids)
         ]
         self.free = [0.0] * len(ids)
-        self.solo = [len(comps) == 1 and self.batch_limit[comps[0]] == 1
-                     for comps in self.members]
 
         # Completions are (time, seq, device, comp, batch); arrivals are not
         # in the heap but come from a counter beside it.
         self.heap: list[tuple] = []
-        self.seq = 0
-        self.item_seq = 0
-        self.now = 0.0
         self.tables: dict[float, tuple[int, list[float]]] = {}
 
         n = scenario.n_inputs
@@ -504,7 +505,7 @@ class _Run:
         heappush = heapq.heappush
         busy = self.busy
         fifos = self.fifo
-        solo = self.solo
+        sole = self.sole
         service_of = self.service
         processed_of = (self.processed_clean, self.processed_adv)
         rows_of = self.rows
@@ -512,179 +513,164 @@ class _Run:
         outstanding = self.outstanding
         last_exit = self.last_exit
         latencies = self.latencies
-        start = self._start
         free_at = self.free
         max_events = self.max_events
-        events = 0
-        arrived = 0
-        offered = 0
+        input_filter = self.config.input_filter
+        source = self.index[self.graph.source]
+        source_device = self.device_of[source]
+        now = 0.0
+        events = arrived = offered = seq = item_seq = 0
         while heap or arrived < n:
             events += 1
             if events > max_events:
                 raise NonTerminationError(f"simulation exceeded {max_events} events")
             # An arrival precedes a completion at the same instant.
             if arrived < n and (not heap or arrival_time[arrived] <= heap[0][0]):
-                self.now = arrival_time[arrived]
-                self._handle_arrival(arrived, arrived in adversarial)
+                input_id = arrived
                 arrived += 1
-                continue
-            # A completion: emit each item's children, then restart devices.
-            now, _, device, comp, batch = heappop(heap)
-            self.now = now
-            busy[device] = False
-            rows = rows_of[comp]
-            gateless = gateless_of[comp]
-            touched = {device}
-            for _, input_id, adv, raw, _ in batch:
-                # Keep the latest exit: an exit-only one may lie past ``now``.
-                if gateless and last_exit.get(input_id, now) <= now:
-                    # Gateless component: the item itself exits here.
-                    last_exit[input_id] = now
-                taint_rows = rows[adv]
-                if taint_rows is None:
-                    taint_rows = self._route_rows(comp, adv)
-                if taint_rows:
-                    # key = _mix(raw), written out.
-                    z = (raw + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                    key = z ^ (z >> 31)
-                for salt, (lo, cdf), fifo, edge, target in taint_rows:
-                    # draw_key = _mix(key ^ salt) and _poisson_draw, written out.
-                    z = ((key ^ salt) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                    draw_key = z ^ (z >> 31)
-                    survivors = lo + bisect_right(cdf, (draw_key >> 11) * _UNIT)
-                    if survivors == 0:
-                        continue
-                    if edge is None:
-                        if last_exit.get(input_id, now) <= now:
-                            last_exit[input_id] = now
-                        continue
-                    offered += survivors
-                    if offered > max_events:
-                        raise NonTerminationError(
-                            f"simulation offered more than {max_events} arrivals"
-                        )
-                    if fifo is None:
-                        # An exit-only server: a Lindley schedule stands in for
-                        # its completion events; only a budget drops its input.
-                        if edge.budget_cap is None:
-                            edge.enqueued += survivors
-                            admitted = survivors
-                        else:
-                            admitted = edge.offer(survivors)
-                            if not admitted:
-                                continue
-                            edge.queued -= admitted
-                        server, service = target
-                        events += admitted
-                        if events > max_events:
+                now = arrival_time[input_id]
+                raw = self.seed_key + input_id
+                adv = input_id in adversarial
+                if adv and input_filter is not None and input_filter.p_detect > 0:
+                    if _uniform(_mix(_mix(raw) ^ _FILTER_SALT)) < input_filter.p_detect:
+                        self.filtered += 1
+                        if input_filter.action == DROP_INPUT:
+                            self.completed += 1
+                            continue
+                        adv = False
+                self.source_queue.offer(1)
+                fifos[source].append((item_seq, input_id, adv, raw, self.source_queue))
+                item_seq += 1
+                outstanding[input_id] += 1
+                touched = () if busy[source_device] else (source_device,)
+            else:
+                # A completion: emit each item's children.
+                now, _, device, comp, batch = heappop(heap)
+                busy[device] = False
+                rows = rows_of[comp]
+                gateless = gateless_of[comp]
+                touched = {device}
+                for _, input_id, adv, raw, _ in batch:
+                    # Keep the latest exit: an exit-only one may lie past ``now``.
+                    if gateless and last_exit.get(input_id, now) <= now:
+                        # Gateless component: the item itself exits here.
+                        last_exit[input_id] = now
+                    taint_rows = rows[adv]
+                    if taint_rows is None:
+                        taint_rows = self._route_rows(comp, adv)
+                    if taint_rows:
+                        # key = _mix(raw), written out.
+                        z = (raw + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+                        key = z ^ (z >> 31)
+                    for salt, (lo, cdf), fifo, edge, target in taint_rows:
+                        # draw_key = _mix(key ^ salt) and _poisson_draw, written out.
+                        z = ((key ^ salt) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+                        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+                        draw_key = z ^ (z >> 31)
+                        survivors = lo + bisect_right(cdf, (draw_key >> 11) * _UNIT)
+                        if survivors == 0:
+                            continue
+                        if edge is None:
+                            if last_exit.get(input_id, now) <= now:
+                                last_exit[input_id] = now
+                            continue
+                        offered += survivors
+                        if offered > max_events:
                             raise NonTerminationError(
-                                f"simulation exceeded {max_events} events"
+                                f"simulation offered more than {max_events} arrivals"
                             )
-                        processed_of[adv][server] += admitted
-                        free = max(now, free_at[server])
-                        if admitted == 1:
-                            free += service
-                        else:
-                            for _ in range(admitted):
+                        if fifo is None:
+                            # An exit-only server: a Lindley schedule stands in
+                            # for its completion events; only a budget drops
+                            # its input.
+                            if edge.budget_cap is None:
+                                edge.enqueued += survivors
+                                admitted = survivors
+                            else:
+                                admitted = edge.offer(survivors)
+                                if not admitted:
+                                    continue
+                                edge.queued -= admitted
+                            server, service = target
+                            events += admitted
+                            if events > max_events:
+                                raise NonTerminationError(
+                                    f"simulation exceeded {max_events} events"
+                                )
+                            processed_of[adv][server] += admitted
+                            free = max(now, free_at[server])
+                            if admitted == 1:
                                 free += service
-                        free_at[server] = free
-                        if last_exit.get(input_id, free) <= free:
-                            last_exit[input_id] = free
+                            else:
+                                for _ in range(admitted):
+                                    free += service
+                            free_at[server] = free
+                            if last_exit.get(input_id, free) <= free:
+                                last_exit[input_id] = free
+                            continue
+                        admitted = edge.offer(survivors)
+                        if not admitted:
+                            continue
+                        for j in range(admitted):
+                            fifo.append(
+                                (item_seq + j, input_id, adv, draw_key + j, edge))
+                        item_seq += admitted
+                        outstanding[input_id] += admitted
+                        if not busy[target]:
+                            touched.add(target)
+                    outstanding[input_id] -= 1
+                    if outstanding[input_id] == 0:
+                        self.completed += 1
+                        finish = last_exit.get(input_id, now)
+                        latencies[input_id] = finish - arrival_time[input_id]
+                if len(touched) > 1:
+                    touched = sorted(touched)
+            # Every service on the event path starts here: each idle device
+            # that the event touched takes its next batch, in device-id order.
+            for device in touched:
+                comp = sole[device]
+                if comp < 0:
+                    # Shared device: serve the member whose FIFO head came first.
+                    heads = [(fifos[c][0][0], c) for c in self.members[device]
+                             if fifos[c]]
+                    if not heads:
                         continue
-                    admitted = edge.offer(survivors)
-                    if not admitted:
-                        continue
-                    seq = self.item_seq
-                    for j in range(admitted):
-                        fifo.append((seq + j, input_id, adv, draw_key + j, edge))
-                    self.item_seq = seq + admitted
-                    outstanding[input_id] += admitted
-                    touched.add(target)
-                outstanding[input_id] -= 1
-                if outstanding[input_id] == 0:
-                    self.completed += 1
-                    finish = last_exit.get(input_id, now)
-                    latencies[input_id] = finish - arrival_time[input_id]
-            # The devices that received items restart in device-id order.
-            if len(touched) == 1:
-                if not solo[device]:
-                    start(device)
-                elif fifos[comp]:
-                    # ``_start`` on a solo device, written out.
-                    _, _, adv, _, edge = item = fifos[comp].popleft()
+                    comp = min(heads)[1]
+                fifo = fifos[comp]
+                if not fifo:
+                    continue
+                one = service_of[comp]
+                if one is not None:
+                    _, _, adv, _, edge = item = fifo.popleft()
                     edge.queued -= 1
                     processed_of[adv][comp] += 1
-                    busy[device] = True
-                    heappush(heap, (now + service_of[comp][adv], self.seq,
-                                    device, comp, [item]))
-                    self.seq += 1
-            else:
-                for restart in sorted(touched):
-                    start(restart)
+                    service = one[adv]
+                    batch = [item]
+                else:
+                    batch = []
+                    for _ in range(min(self.batch_limit[comp], len(fifo))):
+                        batch.append(fifo.popleft())
+                    clean_cost, adv_cost = self.clean_cost[comp], self.adv_cost[comp]
+                    gflops = 0.0
+                    n_adv = 0
+                    for _, _, adv, _, edge in batch:
+                        edge.queued -= 1
+                        if adv:
+                            n_adv += 1
+                            gflops += adv_cost
+                        else:
+                            gflops += clean_cost
+                    self.processed_adv[comp] += n_adv
+                    self.processed_clean[comp] += len(batch) - n_adv
+                    service = self.overhead[comp] + gflops / self.rate[comp]
+                busy[device] = True
+                heappush(heap, (now + service, seq, device, comp, batch))
+                seq += 1
+        self.now = now
         return self._collect()
-
-    def _handle_arrival(self, input_id: int, adversarial: bool) -> None:
-        raw = self.seed_key + input_id
-        flt = self.config.input_filter
-        if adversarial and flt is not None and flt.p_detect > 0:
-            if _uniform(_mix(_mix(raw) ^ _FILTER_SALT)) < flt.p_detect:
-                self.filtered += 1
-                if flt.action == DROP_INPUT:
-                    self.completed += 1
-                    return
-                adversarial = False
-        source = self.index[self.graph.source]
-        self.outstanding[input_id] += 1
-        self.source_queue.offer(1)
-        self.fifo[source].append(
-            (self.item_seq, input_id, adversarial, raw, self.source_queue)
-        )
-        self.item_seq += 1
-        self._start(self.device_of[source])
-
-    def _start(self, device: int) -> None:
-        """Start ``device`` on its next batch if it is idle and has work."""
-        if self.busy[device]:
-            return
-        fifos = self.fifo
-        members = self.members[device]
-        if len(members) == 1:
-            comp = members[0]
-        else:
-            # Shared device: serve the member whose FIFO head came first.
-            heads = [(fifos[c][0][0], c) for c in members if fifos[c]]
-            if not heads:
-                return
-            comp = min(heads)[1]
-        fifo = fifos[comp]
-        if not fifo:
-            return
-        size = min(self.batch_limit[comp], len(fifo))
-        popleft = fifo.popleft
-        batch = []
-        for _ in range(size):
-            batch.append(popleft())
-        clean_cost = self.clean_cost[comp]
-        adv_cost = self.adv_cost[comp]
-        gflops = 0.0
-        n_adv = 0
-        for _, _, adv, _, edge in batch:
-            edge.queued -= 1
-            if adv:
-                n_adv += 1
-                gflops += adv_cost
-            else:
-                gflops += clean_cost
-        self.processed_adv[comp] += n_adv
-        self.processed_clean[comp] += size - n_adv
-        service = self.overhead[comp] + gflops / self.rate[comp]
-        self.busy[device] = True
-        heapq.heappush(self.heap, (self.now + service, self.seq, device, comp, batch))
-        self.seq += 1
 
     def _table(self, mean: float) -> tuple[int, list[float]]:
         table = self.tables.get(mean)

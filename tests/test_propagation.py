@@ -12,12 +12,13 @@ from pipevuln.propagation import (
     CLEAN,
     CostBreakdown,
     WorkloadVector,
+    _Table,
+    _walk,
     amplification_matrix,
     clean_cost,
     cost,
     expected_emission,
     propagate,
-    propagate_paths,
 )
 from pipevuln.ranking import enumerate_paths, rank_and_select, resolve_path
 from pipevuln.specio import parse_spec_file
@@ -348,14 +349,17 @@ class TestSharedWalkExactness:
     )
     def test_walk_equals_naive_propagation(self, graph):
         paths = enumerate_paths(graph)
-        workloads = propagate_paths(graph, paths)
-        assert iter(workloads) is workloads  # streamed, one path at a time
-        for path, workload in zip(paths, workloads, strict=True):
+        table = _Table(graph)
+        walk = _walk(table, [p.steps for p in paths])
+        assert iter(walk) is walk  # streamed, one path at a time
+        for path, vec in zip(paths, walk, strict=True):
             # == on every float: the same sums in the same order.
-            assert workload.entries == naive_workload(graph, path)
+            entries = dict(zip(table.ids, vec))
+            assert entries == naive_workload(graph, path)
+            workload = propagate(graph, path)
+            assert workload.entries == entries
             assert workload.scenario == f"adversarial({path.id})"
             assert workload.target_path_id == path.id
-            assert propagate(graph, path).entries == workload.entries
         assert propagate(graph, CLEAN).entries == naive_workload(graph)
 
     @pytest.mark.parametrize(
@@ -376,8 +380,10 @@ class TestSharedWalkExactness:
         graph = parse_spec_file(str(LAYERED_SPEC)).graph
         paths = enumerate_paths(graph)
         shuffled = paths[::-1] + paths[::3]
-        for path, workload in zip(shuffled, propagate_paths(graph, shuffled)):
-            assert workload.entries == naive_workload(graph, path)
+        table = _Table(graph)
+        walk = _walk(table, [p.steps for p in shuffled])
+        for path, vec in zip(shuffled, walk, strict=True):
+            assert dict(zip(table.ids, vec)) == naive_workload(graph, path)
 
 
 WIDE_GRAPH = build_graph(wide_layered_doc(9))
