@@ -21,7 +21,7 @@ from .errors import BadValueError, PipelineError, SyntaxParseError
 from .model import PipelineGraph, topological_order
 from .propagation import amplification_matrix, clean_cost
 from .ranking import PathRanking, enumerate_paths, rank_and_select, wrong_path_report
-from .simulate import SimMetrics, metric_columns, metric_row, run_matrix, simulate
+from .simulate import SimMetrics, run_matrix, simulate
 from .specio import SpecDocument, build_report, parse_spec_file, report_to_json
 
 TABLE, CSV, RECORDS = "table", "csv", "records"
@@ -226,10 +226,21 @@ def _metrics_record(label: str, metrics: SimMetrics) -> dict:
 
 
 def _metrics_output(args, graph: PipelineGraph, labeled: list[tuple]) -> None:
+    """Write one row per label in ``--format``; a table adds edge sections."""
+    comp_order = topological_order(graph)
     text = _output(
         args,
-        metric_columns(graph),
-        lambda: [metric_row(graph, label, metrics) for label, metrics in labeled],
+        ["label", "wall_time_s", "throughput_ips", "avg_e2e_s", "p50_s", "p95_s",
+         "p99_s"]
+        + [f"workload_{cid}" for cid in comp_order]
+        + ["drops", "filtered", "total_tflops"],
+        lambda: [
+            [label, m.wall_time_s, m.throughput_ips, m.avg_e2e_s, m.p50_s, m.p95_s,
+             m.p99_s]
+            + [m.workload.get(cid, 0) for cid in comp_order]
+            + [m.drops, m.filtered, m.total_tflops]
+            for label, m in labeled
+        ],
         lambda: [_metrics_record(label, metrics) for label, metrics in labeled],
     )
     if args.format == TABLE:

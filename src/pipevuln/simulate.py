@@ -19,12 +19,12 @@ restart block after its event: an arrival restarts the source's device, and
 a completion the device that finished and the idle devices that received
 items, in device-id order.
 
-An exit-only server (no gate, not the source, alone on its device, batch
-limit 1, unbounded inbound edges) feeds nothing, so ``k`` items admitted to
-it at ``now`` are scheduled then by the Lindley recursion ``free = max(now,
+An exit-only server (no gate, alone on its device, batch limit 1,
+unbounded inbound edges) feeds nothing, so ``k`` items admitted to it at
+``now`` are scheduled then by the Lindley recursion ``free = max(now,
 free) + service`` and count as ``k`` events, with no heap entry. An input
-finishes at its latest exit; the wall time is the later of the last event
-and the last exit-only finish.
+finishes at its latest exit, or at its last completion if it has none; the
+wall time is the later of the last event and the last exit-only finish.
 
 Core. A run indexes components in sorted-id order and devices in sorted
 device-id order, ``"@shared"`` included, and keeps per-component lists:
@@ -75,7 +75,7 @@ from .errors import (
     NonTerminationError,
     PipelineError,
 )
-from .model import EXIT, NEURAL, PipelineGraph, topological_order
+from .model import EXIT, NEURAL, PipelineGraph
 from .propagation import _Table, expected_emission
 from .ranking import resolve_path
 
@@ -121,6 +121,12 @@ class TrafficScenario:
             raise BadValueError("scenario: fixed-interval needs a nonnegative interval")
 
 
+def _with_default(table: Mapping, key: str, fallback):
+    """``table[key]``, else its ``default`` entry, else ``fallback``; a
+    configured ``None`` is kept."""
+    return table[key] if key in table else table.get("default", fallback)
+
+
 @dataclass(frozen=True)
 class ConfidenceFilter:
     """Survival fractions for emitted detections, by label and taint.
@@ -132,8 +138,8 @@ class ConfidenceFilter:
     adversarial: Mapping[str, float] = field(default_factory=dict)
 
     def survival(self, label: str, adversarial: bool) -> float:
-        table = self.adversarial if adversarial else self.clean
-        return table.get(label, table.get("default", 1.0))
+        return _with_default(self.adversarial if adversarial else self.clean,
+                             label, 1.0)
 
     def __post_init__(self) -> None:
         for table in (self.clean, self.adversarial):
@@ -221,14 +227,10 @@ class DeploymentConfig:
             raise BadValueError(f"unknown device model {self.device_model!r}")
 
     def batch_size(self, component: str) -> int:
-        return self.batch.get(component, self.batch.get("default", 1))
+        return _with_default(self.batch, component, 1)
 
     def buffer_capacity(self, edge_key: str, graph_capacity: int | None) -> int | None:
-        if edge_key in self.buffers:
-            return self.buffers[edge_key]
-        if "default" in self.buffers:
-            return self.buffers["default"]
-        return graph_capacity
+        return _with_default(self.buffers, edge_key, graph_capacity)
 
 
 @dataclass(frozen=True)
@@ -245,8 +247,11 @@ class EdgeStats:
 class SimMetrics:
     """Metric suite of one simulation run.
 
-    Latency of a system input is the completion time of its last descendant
-    item minus its arrival time; dropped descendants do not extend it.
+    Latency of a system input runs from its arrival to its latest exit, or
+    to its last completion when nothing exited. An exit is a completion at a
+    gateless component, an emission on a label routed to EXIT, or an
+    exit-only server's finish; a gated item that emits nothing is not one,
+    and dropped descendants do not extend it.
     Workload counts are items processed per component; ``drops`` sums every
     edge's tail and budget drops; ``filtered`` counts inputs flagged by the
     input filter.
@@ -339,16 +344,12 @@ _FILTER_SALT = _text_key("input-filter")
 class _EdgeQueue:
     """Counters of one edge; its queued items wait in the target's FIFO."""
 
-    __slots__ = (
-        "key", "capacity", "budget_cap", "budget_used",
-        "queued", "enqueued", "dropped",
-    )
+    __slots__ = ("key", "capacity", "budget_cap", "queued", "enqueued", "dropped")
 
     def __init__(self, key: str, capacity: int | None, budget_cap: int | None):
         self.key = key
         self.capacity = capacity
         self.budget_cap = budget_cap
-        self.budget_used = 0
         self.queued = 0
         self.enqueued = 0
         self.dropped = 0
@@ -357,18 +358,19 @@ class _EdgeQueue:
         """Count ``count`` arrivals; admit as many as budget and capacity allow.
 
         Nothing dequeues between the arrivals of one emission, so the first
-        ``admitted`` of them enter and the rest are dropped. Admission keeps
-        ``queued <= capacity`` and ``budget_used <= budget_cap``, so
-        ``admitted`` is never negative.
+        ``admitted`` of them enter and the rest are dropped. Every admission
+        on a budgeted edge comes through here, so ``enqueued - dropped``
+        counts its admissions so far. Admission keeps ``queued <= capacity``
+        and ``enqueued - dropped <= budget_cap``, so ``admitted`` is never
+        negative.
         """
         admitted = count
         if self.budget_cap is not None:
-            admitted = min(admitted, self.budget_cap - self.budget_used)
+            admitted = min(admitted, self.budget_cap - self.enqueued + self.dropped)
         if self.capacity is not None:
             admitted = min(admitted, self.capacity - self.queued)
         self.enqueued += count
         self.dropped += count - admitted
-        self.budget_used += admitted
         self.queued += admitted
         return admitted
 
@@ -445,7 +447,7 @@ class _Run:
         bounded = {graph.edges[key].to_id
                    for key, queue in self.edge_queues.items() if queue.capacity}
         self.exit_only = [
-            self.gateless[c] and cid != graph.source and cid not in bounded
+            self.gateless[c] and cid not in bounded
             and self.batch_limit[c] == 1 and self.sole[self.device_of[c]] == c
             for c, cid in enumerate(ids)
         ]
@@ -462,7 +464,6 @@ class _Run:
         self.last_exit: dict[int, float] = {}
         self.completed = 0
         self.filtered = 0
-        self.latencies: dict[int, float] = {}
 
     # -- setup ------------------------------------------------------------
 
@@ -512,7 +513,6 @@ class _Run:
         gateless_of = self.gateless
         outstanding = self.outstanding
         last_exit = self.last_exit
-        latencies = self.latencies
         free_at = self.free
         max_events = self.max_events
         input_filter = self.config.input_filter
@@ -602,11 +602,8 @@ class _Run:
                                 )
                             processed_of[adv][server] += admitted
                             free = max(now, free_at[server])
-                            if admitted == 1:
+                            for _ in range(admitted):
                                 free += service
-                            else:
-                                for _ in range(admitted):
-                                    free += service
                             free_at[server] = free
                             if last_exit.get(input_id, free) <= free:
                                 last_exit[input_id] = free
@@ -624,8 +621,8 @@ class _Run:
                     outstanding[input_id] -= 1
                     if outstanding[input_id] == 0:
                         self.completed += 1
-                        finish = last_exit.get(input_id, now)
-                        latencies[input_id] = finish - arrival_time[input_id]
+                        # An input with no exit finishes at its last completion.
+                        last_exit.setdefault(input_id, now)
                 if len(touched) > 1:
                     touched = sorted(touched)
             # Every service on the event path starts here: each idle device
@@ -729,7 +726,9 @@ class _Run:
     # -- metrics -----------------------------------------------------------
 
     def _collect(self) -> SimMetrics:
-        samples = [self.latencies[i] for i in sorted(self.latencies)]
+        # Every input that completed, less those the filter dropped.
+        samples = [self.last_exit[i] - self.arrival_time[i]
+                   for i in sorted(self.last_exit)]
         if samples:
             avg = sum(samples) / len(samples)
             p50 = percentile(samples, 50)
@@ -849,57 +848,20 @@ def run_matrix(
     failing label in the message.
     """
     results: list[tuple[str, SimMetrics]] = []
-    seed_list = list(seeds) if seeds else None
     for sname, scenario in scenarios.items():
+        runs = [replace(scenario, seed=seed) for seed in seeds or ()] or [scenario]
         for cname, config in configs.items():
             label = f"{sname}/{cname}"
             try:
-                if seed_list is None or len(seed_list) <= 1:
-                    run_scenario = (
-                        replace(scenario, seed=seed_list[0])
-                        if seed_list
-                        else scenario
-                    )
-                    results.append(
-                        (label, simulate(graph, run_scenario, config, max_events))
-                    )
+                rows = [simulate(graph, run, config, max_events) for run in runs]
+                if len(rows) == 1:
+                    results.append((label, rows[0]))
                 else:
-                    rows: list[SimMetrics] = []
-                    for seed in seed_list:
-                        metrics = simulate(
-                            graph, replace(scenario, seed=seed), config, max_events
-                        )
-                        rows.append(metrics)
-                        results.append((f"{label}/seed={seed}", metrics))
+                    for run, metrics in zip(runs, rows):
+                        results.append((f"{label}/seed={run.seed}", metrics))
                     mean_row, std_row = _mean_std_rows(rows)
                     results.append((f"{label}/mean", mean_row))
                     results.append((f"{label}/std", std_row))
             except PipelineError as exc:
                 raise type(exc)(f"matrix cell {label}: {exc.message}") from exc
     return results
-
-
-def metric_columns(graph: PipelineGraph) -> list[str]:
-    """CSV header for metric rows: fixed fields plus one workload column
-    per component in topological order."""
-    return (
-        ["label", "wall_time_s", "throughput_ips", "avg_e2e_s",
-         "p50_s", "p95_s", "p99_s"]
-        + [f"workload_{cid}" for cid in topological_order(graph)]
-        + ["drops", "filtered", "total_tflops"]
-    )
-
-
-def metric_row(graph: PipelineGraph, label: str, metrics: SimMetrics) -> list:
-    values: list = [
-        label,
-        metrics.wall_time_s,
-        metrics.throughput_ips,
-        metrics.avg_e2e_s,
-        metrics.p50_s,
-        metrics.p95_s,
-        metrics.p99_s,
-    ]
-    values += [metrics.workload.get(cid, 0) for cid in topological_order(graph)]
-    values += [metrics.drops, metrics.filtered, metrics.total_tflops]
-    return values

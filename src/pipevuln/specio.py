@@ -257,6 +257,7 @@ def _check_references(
     configs: Mapping[str, DeploymentConfig],
 ) -> None:
     edge_keys = {e.key for e in graph.edges.values()}
+    labels = {"default"}.union(*(gate.routes for gate in graph.gates.values()))
     for name, scenario in scenarios.items():
         target = scenario.target_path
         if target is not None and not _is_path(graph, target):
@@ -273,6 +274,12 @@ def _check_references(
             if key != "default" and key not in edge_keys:
                 raise UnresolvedReferenceError(
                     f"config {name!r} buffers unknown edge {key!r}"
+                )
+        conf = config.confidence
+        for key in [*conf.clean, *conf.adversarial] if conf else ():
+            if key not in labels:
+                raise UnresolvedReferenceError(
+                    f"config {name!r} filters unknown label {key!r}"
                 )
         for pid in config.path_budgets:
             if not _is_path(graph, pid):

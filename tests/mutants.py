@@ -7,7 +7,8 @@ decision it breaks. Run from the root of a checkout::
     python tests/mutants.py NAME ...   # only the named ones
 
 The tree is copied once to a temporary directory. Each mutant is applied to
-the copy in turn and ``pytest -x -q tests`` runs there, which prints
+the copy in turn and ``pytest -x -q`` runs every test file there, the
+likeliest killers (``FIRST``) first and the rest after them, which prints
 "killed" when the suite fails and "survived" when it passes. A mutant
 marked ``equivalent`` cannot change any output (the reason says why), so it
 is expected to survive. The script exits 1 when an unmarked mutant survives
@@ -29,12 +30,23 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SIM = "src/pipevuln/simulate.py"
+SPECIO = "src/pipevuln/specio.py"
+RANKING = "src/pipevuln/ranking.py"
 # Line break plus the indentation of the lineage hashes in the completion loop.
 _NL = "\n" + " " * 24
 _KEY_GAMMA = "z = (raw + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF"
 _DRAW_GAMMA = "z = ((key ^ salt) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF"
 _ROUND1 = "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF"
 _ROUND2 = "z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF"
+
+
+# The goldens and the simulator tests kill most mutants in seconds; the CLI and
+# contract files, which start processes, run last.
+FIRST = [
+    "test_golden.py", "test_simulate.py", "test_propagation.py", "test_ranking.py",
+    "test_model.py", "test_specio.py", "test_acceptance.py", "test_cli.py",
+    "test_contract.py",
+]
 
 
 class Mutant(NamedTuple):
@@ -88,6 +100,10 @@ MUTANTS = [
     Mutant("budget-cap-no-epsilon", SIM,
            "budget * self.scenario.n_inputs + 1e-9", "budget * self.scenario.n_inputs",
            "a budget times n_inputs just below an integer rounds up to it"),
+    Mutant("budget-use-underived", SIM,
+           "self.budget_cap - self.enqueued + self.dropped",
+           "self.budget_cap - self.enqueued",
+           "a budget caps admissions, and dropped arrivals were not admitted"),
     Mutant("budget-check-inverted", SIM,
            "if edge.budget_cap is None:", "if edge.budget_cap is not None:",
            "an exit-only server's budgeted edge must go through offer"),
@@ -113,12 +129,12 @@ MUTANTS = [
            "free = max(now, free_at[server])", "free = free_at[server]",
            "an idle exit-only server starts at the admission time"),
     Mutant("exit-only-service-twice", SIM,
-           "if admitted == 1:\n"
+           "for _ in range(admitted):\n"
            "                                free += service\n",
-           "if admitted == 1:\n"
+           "for _ in range(admitted):\n"
            "                                free += service\n"
            "                                free += service\n",
-           "one admitted item takes one service time"),
+           "each admitted item takes one service time"),
     Mutant("exit-only-no-event-count", SIM,
            "                            events += admitted\n", "",
            "each exit-only completion counts against the event bound"),
@@ -126,8 +142,7 @@ MUTANTS = [
            "wall = max(self.now, *self.free)", "wall = self.now",
            "an exit-only finish after the last event sets the wall time"),
     Mutant("exit-only-bounded-edges", SIM,
-           "cid != graph.source and cid not in bounded",
-           "cid != graph.source",
+           "self.gateless[c] and cid not in bounded", "self.gateless[c]",
            "a bounded inbound edge needs the event path"),
     Mutant("exit-only-batched", SIM,
            "and self.batch_limit[c] == 1 and self.sole", "and self.sole",
@@ -136,12 +151,6 @@ MUTANTS = [
            "and self.batch_limit[c] == 1 and self.sole[self.device_of[c]] == c",
            "and self.batch_limit[c] == 1",
            "a server on a shared device needs the event path"),
-    Mutant("exit-only-source", SIM,
-           "self.gateless[c] and cid != graph.source and",
-           "self.gateless[c] and",
-           "the source is never exit-only",
-           equivalent="build_graph rejects edges into the source, so no emission "
-                      "row targets it"),
     # Latest exit of an input.
     Mutant("gateless-exit-unconditional", SIM,
            "if gateless and last_exit.get(input_id, now) <= now:", "if gateless:",
@@ -155,6 +164,13 @@ MUTANTS = [
     Mutant("exit-only-exit-unconditional", SIM,
            "if last_exit.get(input_id, free) <= free:", "if True:",
            "an exit-only finish must not move an input's later exit back"),
+    Mutant("no-exit-finish-at-zero", SIM,
+           "last_exit.setdefault(input_id, now)",
+           "last_exit.setdefault(input_id, 0.0)",
+           "an input with no exit finishes at its last completion"),
+    Mutant("latency-from-zero", SIM,
+           "self.last_exit[i] - self.arrival_time[i]", "self.last_exit[i]",
+           "latency runs from the input's arrival"),
     # Input filter.
     Mutant("drop-input-not-completed", SIM,
            "if input_filter.action == DROP_INPUT:\n"
@@ -172,6 +188,50 @@ MUTANTS = [
            "the loop's uniform is the top 53 bits of the draw key"),
     *_hash_mutants("key", _KEY_GAMMA, "key = z ^ (z >> 31)"),
     *_hash_mutants("draw", _DRAW_GAMMA, "draw_key = z ^ (z >> 31)"),
+    # Deployment settings.
+    Mutant("default-ignored", SIM,
+           'table.get("default", fallback)', "fallback",
+           "a setting missing for its key falls back to the default entry"),
+    Mutant("confidence-default-ignored", SIM,
+           "return _with_default(self.adversarial if adversarial else self.clean,\n"
+           "                             label, 1.0)",
+           "return (self.adversarial if adversarial else self.clean).get(label, 1.0)",
+           "a confidence label missing from its table falls back to default"),
+    Mutant("attenuation-no-floor", SIM,
+           "max(att.factor * mean, floor)", "att.factor * mean",
+           "attenuation keeps the residual floor of the clean mean"),
+    Mutant("non-batchable-batched", SIM,
+           "config.batch_size(cid) if spec.batchable else 1", "config.batch_size(cid)",
+           "a non-batchable component serves one item per call"),
+    # Metrics.
+    Mutant("percentile-rank-floor", SIM,
+           "rank = math.ceil(q / 100.0 * len(samples))",
+           "rank = math.floor(q / 100.0 * len(samples)) + 1",
+           "the nearest rank is ceil(q/100 * n)"),
+    Mutant("std-sample", SIM,
+           "/ len(values)\n        except", "/ (len(values) - 1)\n        except",
+           "the std row is the population std (ddof=0)"),
+    Mutant("single-seed-row-expanded", SIM,
+           "if len(rows) == 1:", "if len(rows) == 0:",
+           "one seed gives one unlabelled row, with no mean or std"),
+    # Spec references.
+    Mutant("confidence-label-unchecked", SPECIO,
+           "if key not in labels:", "if False:",
+           "a confidence label must be a gate label or default"),
+    Mutant("confidence-default-rejected", SPECIO,
+           'labels = {"default"}.union(', "labels = set().union(",
+           "a confidence table may carry a default entry"),
+    # Analysis.
+    Mutant("resolve-prefix-id", RANKING,
+           "    if node is not None:\n        raise NoSuchPathError",
+           "    if False:\n        raise NoSuchPathError",
+           "a path id must reach an exit, not stop at a prefix"),
+    Mutant("loss-weight-unclamped", RANKING,
+           "mass[cid] = max(scores[cid], 0.0)", "mass[cid] = scores[cid]",
+           "negative component scores carry no loss mass"),
+    Mutant("zero-reference-unguarded", RANKING,
+           "            if reference > 0 else 0.0\n", "",
+           "an all-zero-cost pipeline scores zero"),
 ]
 
 
@@ -185,7 +245,15 @@ def _copy_tree(dest: Path) -> None:
             shutil.copy2(source, dest / name)
 
 
-def _run(tree: Path, mutant: Mutant) -> bool:
+def _test_files(tree: Path) -> list[str]:
+    """Every test file but the list's own check, ``FIRST`` in its order first."""
+    names = sorted(p.name for p in (tree / "tests").glob("test_*.py"))
+    names.remove("test_mutant_list.py")
+    names.sort(key=lambda name: FIRST.index(name) if name in FIRST else len(FIRST))
+    return [f"tests/{name}" for name in names]
+
+
+def _run(tree: Path, mutant: Mutant, files: list[str]) -> bool:
     """Apply ``mutant`` to ``tree``, run the suite, restore; True if killed."""
     path = tree / mutant.file
     text = path.read_text()
@@ -198,7 +266,7 @@ def _run(tree: Path, mutant: Mutant) -> bool:
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "tests", "--ignore=tests/test_mutant_list.py"],
+             *files],
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     finally:
@@ -215,9 +283,10 @@ def main(names: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="pipevuln-mutants-") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
+        files = _test_files(tree)
         for mutant in chosen:
             started = time.perf_counter()
-            dead = _run(tree, mutant)
+            dead = _run(tree, mutant, files)
             killed += dead
             verdict = "killed" if dead else "survived"
             if dead == bool(mutant.equivalent):

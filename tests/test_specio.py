@@ -111,6 +111,34 @@ class TestParseSpec:
         with pytest.raises(UnresolvedReferenceError):
             parse_spec(text)
 
+    def test_unresolved_batch_component_is_ref_error(self):
+        text = MINIMAL_YAML.replace("batch: {default: 2}", "batch: {ghost: 2}")
+        with pytest.raises(UnresolvedReferenceError,
+                           match="config 'tiny' batches unknown component 'ghost'"):
+            parse_spec(text)
+
+    @pytest.mark.parametrize("taint", ["clean", "adversarial"])
+    def test_unresolved_confidence_label_is_ref_error(self, taint):
+        # A misspelt label once matched no emission and left the defense off.
+        text = MINIMAL_YAML.replace(
+            "batch: {default: 2}",
+            f"batch: {{default: 2}}\n    confidence: {{{taint}: {{xx: 0.5}}}}",
+        )
+        with pytest.raises(UnresolvedReferenceError) as err:
+            parse_spec(text)
+        assert err.value.code == "E_REF"
+        assert "config 'tiny' filters unknown label 'xx'" in str(err.value)
+
+    def test_confidence_default_and_gate_labels_resolve(self):
+        text = MINIMAL_YAML.replace(
+            "batch: {default: 2}",
+            "batch: {default: 2}\n"
+            "    confidence: {clean: {default: 0.5}, adversarial: {x: 0.25}}",
+        )
+        confidence = parse_spec(text).configs["tiny"].confidence
+        assert confidence.survival("x", False) == 0.5
+        assert confidence.survival("x", True) == 0.25
+
     def test_unresolved_budget_path_is_ref_error(self):
         text = MINIMAL_YAML.replace(
             'buffers: {"a:x": 2}',
