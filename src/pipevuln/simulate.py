@@ -23,8 +23,9 @@ An exit-only server (no gate, alone on its device, batch limit 1,
 unbounded inbound edges) feeds nothing, so ``k`` items admitted to it at
 ``now`` are scheduled then by the Lindley recursion ``free = max(now,
 free) + service`` and count as ``k`` events, with no heap entry. An input
-finishes at its latest exit, or at its last completion if it has none; the
-wall time is the later of the last event and the last exit-only finish.
+finishes at the latest completion of any of its items, exit-only finishes
+included; the wall time is the later of the last event and the last
+exit-only finish.
 
 Core. A run indexes components in sorted-id order and devices in sorted
 device-id order, ``"@shared"`` included, and keeps per-component lists:
@@ -247,14 +248,12 @@ class EdgeStats:
 class SimMetrics:
     """Metric suite of one simulation run.
 
-    Latency of a system input runs from its arrival to its latest exit, or
-    to its last completion when nothing exited. An exit is a completion at a
-    gateless component, an emission on a label routed to EXIT, or an
-    exit-only server's finish; a gated item that emits nothing is not one,
-    and dropped descendants do not extend it.
-    Workload counts are items processed per component; ``drops`` sums every
-    edge's tail and budget drops; ``filtered`` counts inputs flagged by the
-    input filter.
+    Latency of a system input runs from its arrival to the latest
+    completion of any of its items; dropped items do not extend it, and an
+    input the filter drops has none. Every admitted item is served, so
+    ``completed`` is ``n_inputs``. Workload counts are items processed per
+    component; ``drops`` sums every edge's tail and budget drops;
+    ``filtered`` counts inputs flagged by the input filter.
     """
 
     wall_time_s: float
@@ -423,7 +422,6 @@ class _Run:
              for cost in (spec.clean_cost, spec.adv_cost)] if limit == 1 else None
             for spec, limit in zip(specs, self.batch_limit)
         ]
-        self.gateless = [not graph.routes(cid) for cid in ids]
         # Emission rows per component, [clean, adversarial], each built on use.
         self.rows: list[list[list[tuple] | None]] = [[None, None] for _ in ids]
         self.processed_clean = [0] * len(ids)
@@ -447,7 +445,7 @@ class _Run:
         bounded = {graph.edges[key].to_id
                    for key, queue in self.edge_queues.items() if queue.capacity}
         self.exit_only = [
-            self.gateless[c] and cid not in bounded
+            not graph.routes(cid) and cid not in bounded
             and self.batch_limit[c] == 1 and self.sole[self.device_of[c]] == c
             for c, cid in enumerate(ids)
         ]
@@ -460,9 +458,7 @@ class _Run:
 
         n = scenario.n_inputs
         self.arrival_time = [i * scenario.interval_s for i in range(n)]
-        self.outstanding = [0] * n
-        self.last_exit: dict[int, float] = {}
-        self.completed = 0
+        self.finish: dict[int, float] = {}
         self.filtered = 0
 
     # -- setup ------------------------------------------------------------
@@ -510,9 +506,7 @@ class _Run:
         service_of = self.service
         processed_of = (self.processed_clean, self.processed_adv)
         rows_of = self.rows
-        gateless_of = self.gateless
-        outstanding = self.outstanding
-        last_exit = self.last_exit
+        finish = self.finish
         free_at = self.free
         max_events = self.max_events
         input_filter = self.config.input_filter
@@ -535,26 +529,22 @@ class _Run:
                     if _uniform(_mix(_mix(raw) ^ _FILTER_SALT)) < input_filter.p_detect:
                         self.filtered += 1
                         if input_filter.action == DROP_INPUT:
-                            self.completed += 1
                             continue
                         adv = False
                 self.source_queue.offer(1)
                 fifos[source].append((item_seq, input_id, adv, raw, self.source_queue))
                 item_seq += 1
-                outstanding[input_id] += 1
                 touched = () if busy[source_device] else (source_device,)
             else:
                 # A completion: emit each item's children.
                 now, _, device, comp, batch = heappop(heap)
                 busy[device] = False
                 rows = rows_of[comp]
-                gateless = gateless_of[comp]
                 touched = {device}
                 for _, input_id, adv, raw, _ in batch:
-                    # Keep the latest exit: an exit-only one may lie past ``now``.
-                    if gateless and last_exit.get(input_id, now) <= now:
-                        # Gateless component: the item itself exits here.
-                        last_exit[input_id] = now
+                    # Keep the latest finish: an exit-only one may lie past ``now``.
+                    if finish.get(input_id, now) <= now:
+                        finish[input_id] = now
                     taint_rows = rows[adv]
                     if taint_rows is None:
                         taint_rows = self._route_rows(comp, adv)
@@ -572,10 +562,6 @@ class _Run:
                         draw_key = z ^ (z >> 31)
                         survivors = lo + bisect_right(cdf, (draw_key >> 11) * _UNIT)
                         if survivors == 0:
-                            continue
-                        if edge is None:
-                            if last_exit.get(input_id, now) <= now:
-                                last_exit[input_id] = now
                             continue
                         offered += survivors
                         if offered > max_events:
@@ -605,8 +591,8 @@ class _Run:
                             for _ in range(admitted):
                                 free += service
                             free_at[server] = free
-                            if last_exit.get(input_id, free) <= free:
-                                last_exit[input_id] = free
+                            if finish.get(input_id, free) <= free:
+                                finish[input_id] = free
                             continue
                         admitted = edge.offer(survivors)
                         if not admitted:
@@ -615,14 +601,8 @@ class _Run:
                             fifo.append(
                                 (item_seq + j, input_id, adv, draw_key + j, edge))
                         item_seq += admitted
-                        outstanding[input_id] += admitted
                         if not busy[target]:
                             touched.add(target)
-                    outstanding[input_id] -= 1
-                    if outstanding[input_id] == 0:
-                        self.completed += 1
-                        # An input with no exit finishes at its last completion.
-                        last_exit.setdefault(input_id, now)
                 if len(touched) > 1:
                     touched = sorted(touched)
             # Every service on the event path starts here: each idle device
@@ -686,10 +666,10 @@ class _Run:
         """Emission rows of component ``comp`` for items of one taint.
 
         A row is ``(label salt, table, fifo, edge, device)`` in label order,
-        for labels whose surviving mean (targeting, attenuation and
-        confidence survival included) is positive; ``table`` is the Poisson
-        table of that mean, and ``fifo``, ``edge`` and ``device`` are
-        ``None`` on an exit label. A row into an exit-only server has no
+        for labels routed to a component whose surviving mean (targeting,
+        attenuation and confidence survival included) is positive; ``table``
+        is the Poisson table of that mean. A label routed to EXIT builds no
+        items, so it has no row. A row into an exit-only server has no
         ``fifo`` and holds ``(component index, service time)`` in place of
         ``device``. Built on the first completion of an item of that taint,
         so a table that is never drawn is never built.
@@ -700,6 +680,8 @@ class _Run:
         conf = self.config.confidence
         rows: list[tuple] = []
         for label, target in sorted(self.graph.routes(cid).items()):
+            if target == EXIT:
+                continue
             mean = clean_mean = profile.clean_cardinality.get(label, 0.0)
             if adv:
                 mean = expected_emission(profile, label, self.targeting.get(cid))
@@ -710,15 +692,12 @@ class _Run:
                 mean *= conf.survival(label, adv)
             if mean <= 0:
                 continue
-            if target == EXIT:
-                fifo = edge = device = None
+            t = self.index[target]
+            edge = self.edge_queues[(cid, label)]
+            if self.exit_only[t]:
+                fifo, device = None, (t, self.service[t][adv])
             else:
-                t = self.index[target]
-                edge = self.edge_queues[(cid, label)]
-                if self.exit_only[t]:
-                    fifo, device = None, (t, self.service[t][adv])
-                else:
-                    fifo, device = self.fifo[t], self.device_of[t]
+                fifo, device = self.fifo[t], self.device_of[t]
             rows.append((_text_key(label), self._table(mean), fifo, edge, device))
         self.rows[comp][adv] = rows
         return rows
@@ -726,9 +705,9 @@ class _Run:
     # -- metrics -----------------------------------------------------------
 
     def _collect(self) -> SimMetrics:
-        # Every input that completed, less those the filter dropped.
-        samples = [self.last_exit[i] - self.arrival_time[i]
-                   for i in sorted(self.last_exit)]
+        # Every input but those the filter dropped.
+        samples = [self.finish[i] - self.arrival_time[i]
+                   for i in sorted(self.finish)]
         if samples:
             avg = sum(samples) / len(samples)
             p50 = percentile(samples, 50)
@@ -738,7 +717,9 @@ class _Run:
             avg = p50 = p95 = p99 = 0.0
         # Events pop in time order; exit-only finishes may come later.
         wall = max(self.now, *self.free)
-        throughput = self.completed / wall if wall > 0 else 0.0
+        # Every admitted item is served, so every input completes.
+        completed = self.scenario.n_inputs
+        throughput = completed / wall if wall > 0 else 0.0
         workload = {
             cid: self.processed_clean[i] + self.processed_adv[i]
             for i, cid in enumerate(self.ids)
@@ -765,7 +746,7 @@ class _Run:
             p50_s=p50,
             p95_s=p95,
             p99_s=p99,
-            completed=self.completed,
+            completed=completed,
             workload=workload,
             edge_stats=edge_stats,
             drops=total_dropped,

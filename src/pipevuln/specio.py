@@ -265,10 +265,14 @@ def _check_references(
                 f"scenario {name!r} targets unknown path {target!r}"
             )
     for name, config in configs.items():
-        for key in config.batch:
+        for key, size in config.batch.items():
             if key != "default" and key not in graph.components:
                 raise UnresolvedReferenceError(
                     f"config {name!r} batches unknown component {key!r}"
+                )
+            if key != "default" and size > 1 and not graph.components[key].batchable:
+                raise BadValueError(
+                    f"config {name!r} batches non-batchable component {key!r}"
                 )
         for key in config.buffers:
             if key != "default" and key not in edge_keys:

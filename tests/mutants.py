@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIM = "src/pipevuln/simulate.py"
 SPECIO = "src/pipevuln/specio.py"
 RANKING = "src/pipevuln/ranking.py"
+PROPAGATION = "src/pipevuln/propagation.py"
 # Line break plus the indentation of the lineage hashes in the completion loop.
 _NL = "\n" + " " * 24
 _KEY_GAMMA = "z = (raw + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF"
@@ -142,7 +143,7 @@ MUTANTS = [
            "wall = max(self.now, *self.free)", "wall = self.now",
            "an exit-only finish after the last event sets the wall time"),
     Mutant("exit-only-bounded-edges", SIM,
-           "self.gateless[c] and cid not in bounded", "self.gateless[c]",
+           "not graph.routes(cid) and cid not in bounded", "not graph.routes(cid)",
            "a bounded inbound edge needs the event path"),
     Mutant("exit-only-batched", SIM,
            "and self.batch_limit[c] == 1 and self.sole", "and self.sole",
@@ -151,37 +152,32 @@ MUTANTS = [
            "and self.batch_limit[c] == 1 and self.sole[self.device_of[c]] == c",
            "and self.batch_limit[c] == 1",
            "a server on a shared device needs the event path"),
-    # Latest exit of an input.
-    Mutant("gateless-exit-unconditional", SIM,
-           "if gateless and last_exit.get(input_id, now) <= now:", "if gateless:",
-           "a gateless exit must not move an input's later exit back"),
-    Mutant("label-exit-unconditional", SIM,
-           "if edge is None:\n"
-           "                            if last_exit.get(input_id, now) <= now:",
-           "if edge is None:\n"
-           "                            if True:",
-           "an exit label must not move an input's later exit back"),
+    # Latest completion of an input.
+    Mutant("event-path-finish-unconditional", SIM,
+           "if finish.get(input_id, now) <= now:", "if True:",
+           "a completion must not move an input's later exit-only finish back"),
     Mutant("exit-only-exit-unconditional", SIM,
-           "if last_exit.get(input_id, free) <= free:", "if True:",
-           "an exit-only finish must not move an input's later exit back"),
-    Mutant("no-exit-finish-at-zero", SIM,
-           "last_exit.setdefault(input_id, now)",
-           "last_exit.setdefault(input_id, 0.0)",
-           "an input with no exit finishes at its last completion"),
+           "if finish.get(input_id, free) <= free:", "if True:",
+           "an exit-only finish must not move an input's later finish back"),
     Mutant("latency-from-zero", SIM,
-           "self.last_exit[i] - self.arrival_time[i]", "self.last_exit[i]",
+           "self.finish[i] - self.arrival_time[i]", "self.finish[i]",
            "latency runs from the input's arrival"),
+    Mutant("completed-from-finishes", SIM,
+           "completed = self.scenario.n_inputs", "completed = len(self.finish)",
+           "an input the filter drops still counts as completed"),
+    # Event order.
+    Mutant("completion-before-arrival", SIM,
+           "arrival_time[arrived] <= heap[0][0]", "arrival_time[arrived] < heap[0][0]",
+           "an arrival precedes a completion at the same instant"),
     # Input filter.
-    Mutant("drop-input-not-completed", SIM,
-           "if input_filter.action == DROP_INPUT:\n"
-           "                            self.completed += 1\n",
-           "if input_filter.action == DROP_INPUT:\n",
-           "a dropped input still counts as completed"),
     Mutant("filter-at-or-below", SIM,
            "< input_filter.p_detect:", "<= input_filter.p_detect:",
            "an input is detected when its uniform is below p_detect",
            equivalent="the two differ only when a uniform equals p_detect exactly"),
     # Lineage draw.
+    Mutant("table-span-narrow", SIM,
+           "_TABLE_SDS = 12.0", "_TABLE_SDS = 6.0",
+           "a Poisson table leaves out less mass than one uniform step"),
     Mutant("draw-uniform-shift", SIM,
            "bisect_right(cdf, (draw_key >> 11) * _UNIT)",
            "bisect_right(cdf, (draw_key >> 12) * _UNIT)",
@@ -208,6 +204,9 @@ MUTANTS = [
            "rank = math.ceil(q / 100.0 * len(samples))",
            "rank = math.floor(q / 100.0 * len(samples)) + 1",
            "the nearest rank is ceil(q/100 * n)"),
+    Mutant("non-finite-metric-kept", SIM,
+           "if isinstance(value, float) and not math.isfinite(value):", "if False:",
+           "a non-finite simulated metric is a bad value, never printed"),
     Mutant("std-sample", SIM,
            "/ len(values)\n        except", "/ (len(values) - 1)\n        except",
            "the std row is the population std (ddof=0)"),
@@ -215,6 +214,13 @@ MUTANTS = [
            "if len(rows) == 1:", "if len(rows) == 0:",
            "one seed gives one unlabelled row, with no mean or std"),
     # Spec references.
+    Mutant("yaml-duplicate-key-kept", SPECIO,
+           "if key in seen:", "if False:",
+           "a YAML mapping that declares a key twice is a schema error"),
+    Mutant("non-batchable-batch-accepted", SPECIO,
+           "and size > 1 and not graph.components[key].batchable:",
+           "and False:",
+           "a batch size above 1 for a non-batchable component is a bad value"),
     Mutant("confidence-label-unchecked", SPECIO,
            "if key not in labels:", "if False:",
            "a confidence label must be a gate label or default"),
@@ -222,6 +228,24 @@ MUTANTS = [
            'labels = {"default"}.union(', "labels = set().union(",
            "a confidence table may carry a default entry"),
     # Analysis.
+    Mutant("walk-prefix-kept", PROPAGATION,
+           "del stack[shared + 1:]", "del stack[shared + 2:]",
+           "a walk resumes from the workload of its shared prefix only"),
+    Mutant("walk-zero-count-stepped", PROPAGATION,
+           "        if count:\n", "        if True:\n",
+           "a component with no workload adds nothing downstream",
+           equivalent="count * mean is 0.0 when count is 0, every mean is finite, "
+           "and adding 0.0 to a workload, never -0.0, leaves it unchanged"),
+    Mutant("total-not-finite-kept", PROPAGATION,
+           "if not math.isfinite(total):", "if False:",
+           "a non-finite FLOPs total is a bad value"),
+    Mutant("amplification-not-finite-kept", PROPAGATION,
+           "if not math.isfinite(amplification):", "if False:",
+           "an unbounded amplification is a bad value"),
+    Mutant("ranking-tie-largest-id", RANKING,
+           "return -entry.score, entry.path.id",
+           "return -entry.score, [-ord(c) for c in entry.path.id]",
+           "equal scores rank and select the smallest path id first"),
     Mutant("resolve-prefix-id", RANKING,
            "    if node is not None:\n        raise NoSuchPathError",
            "    if False:\n        raise NoSuchPathError",

@@ -219,9 +219,9 @@ class TestNonFiniteResults:
         # Each run is finite; the squared spread of their times is not.
         spec = _scaled_traffic_spec(tmp_path, pipelines_dir, 1.0e160)
         code, out, err = run_cli(capsys, "matrix", spec, "--scenario", "attacked",
-                                 "--config", "buffered", "--seeds", "0,1")
+                                 "--config", "none", "--seeds", "0,1")
         assert code == 1
-        assert err.startswith("E_BAD_VALUE: matrix cell attacked/buffered")
+        assert err.startswith("E_BAD_VALUE: matrix cell attacked/none")
         assert out == ""
 
     def test_records_output_refuses_non_finite_json(self):

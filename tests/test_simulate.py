@@ -297,6 +297,16 @@ class TestDeterminism:
             simulate(graph, scenario, DeploymentConfig())
         assert err.value.code == "E_NONTERMINATION"
 
+    def test_huge_mean_routed_to_exit_builds_no_items(self):
+        # A label routed to EXIT makes no items, so its mean is never drawn
+        # and cannot pass the event bound.
+        doc = exit_only_doc(mean=2.0, overhead=0.1)
+        doc["profiles"][0]["clean_cardinality"]["done"] = 1e12
+        doc["gates"][0]["routes"]["done"] = EXIT
+        graph = build_graph(doc)
+        metrics = simulate(graph, TrafficScenario(n_inputs=1), DeploymentConfig())
+        assert metrics.completed == 1 and metrics.workload["a"] == 1
+
     @pytest.mark.parametrize("car_mean", [None, 2.0e7])
     def test_untaken_adversarial_table_is_never_built(self, car_mean, tmp_path):
         # The filter admits every attacked input as clean, so the run equals
@@ -502,6 +512,45 @@ class TestLatencyAccounting:
         metrics = simulate(graph, attacked_scenario(graph, n=12, mix=0.5),
                            DeploymentConfig())
         assert metrics.p50_s <= metrics.p95_s <= metrics.p99_s
+
+    def test_input_finishes_at_its_last_completion(self):
+        # a emits done (mean 1) to EXIT and x (mean 2) to b, which is gated
+        # but emits nothing. At seed 4 b serves the input's 4 items, 1 s
+        # each, after a's 1 s: the input finishes with the last of them,
+        # not when a's done exits.
+        component = {"kind": "non-neural", "clean_cost_gflops": 0.0,
+                     "per_call_overhead_s": 1.0, "batchable": False}
+        graph = build_graph({
+            "components": [{"id": "a", **component}, {"id": "b", **component}],
+            "profiles": [
+                {"component": "a", "clean_cardinality": {"done": 1.0, "x": 2.0}},
+                {"component": "b"},
+            ],
+            "gates": [{"component": "a", "routes": {"done": EXIT, "x": "b"}},
+                      {"component": "b", "routes": {"y": EXIT}}],
+            "edges": [{"from": "a", "to": "b", "label": "x"}],
+            "source": "a",
+        })
+        metrics = simulate(graph, TrafficScenario(n_inputs=1, seed=4),
+                           DeploymentConfig())
+        assert metrics.workload == {"a": 1, "b": 4}
+        assert metrics.wall_time_s == 5.0
+        assert metrics.avg_e2e_s == metrics.p99_s == 5.0
+
+    @pytest.mark.parametrize("triple, seed", [
+        (random_sim_triple, 519), (random_mixed_sim_triple, 520),
+    ], ids=["random", "mixed"])
+    def test_back_to_back_tail_latency_is_the_wall_time(self, triple, seed):
+        # Every input arrives at 0, so the latest finish is the wall time,
+        # and with at most 100 samples the nearest-rank p99 is the latest.
+        # A run whose inputs the filter all dropped reads 0 for both.
+        rng = random.Random(seed)
+        for index in range(300):
+            graph, scenario, config = triple(rng)
+            scenario = replace(scenario, interval_s=0.0)
+            metrics = simulate(graph, scenario, config)
+            assert metrics.completed == scenario.n_inputs, f"triple {index}"
+            assert metrics.p99_s == metrics.wall_time_s, f"triple {index}"
 
     def test_dropped_descendants_do_not_extend_latency(self):
         # With a tiny buffer most crops drop at the plate-reader edge;

@@ -117,6 +117,19 @@ class TestParseSpec:
                            match="config 'tiny' batches unknown component 'ghost'"):
             parse_spec(text)
 
+    def test_batching_a_non_batchable_component_is_bad_value(self):
+        # The simulator serves a non-batchable component one item per call,
+        # so a larger batch for it would be ignored without a word.
+        text = MINIMAL_YAML.replace("clean_cost_gflops: 3.0}",
+                                    "clean_cost_gflops: 3.0, batchable: false}")
+        with pytest.raises(BadValueError) as err:
+            parse_spec(text.replace("batch: {default: 2}", "batch: {b: 16}"))
+        assert str(err.value) == (
+            "E_BAD_VALUE: config 'tiny' batches non-batchable component 'b'"
+        )
+        for batch in ("{b: 1}", "{default: 16}"):
+            parse_spec(text.replace("batch: {default: 2}", f"batch: {batch}"))
+
     @pytest.mark.parametrize("taint", ["clean", "adversarial"])
     def test_unresolved_confidence_label_is_ref_error(self, taint):
         # A misspelt label once matched no emission and left the defense off.
