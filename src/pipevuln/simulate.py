@@ -5,8 +5,8 @@ all its inbound edges in admission order; an edge keeps only counters, and
 its ``queued`` count drives its capacity check. A service call takes
 ``min(batch, queued)`` items from the front of the FIFO (greedy flush, no
 timeout) and runs for ``per_call_overhead + sum(item GFLOPs) / device_rate``
-seconds. Admitted items are numbered in rising order over the run; a shared
-device next serves the member whose FIFO head has the lowest number.
+seconds. Admissions are numbered in rising order over the run; a shared
+device next serves the member whose FIFO head was admitted first.
 Emitted counts are Poisson draws around the profile's mean cardinality,
 thinned by confidence survival, attenuated by input preprocessing, and
 capped by per-path budgets; arrivals at a full queue are tail-dropped.
@@ -31,13 +31,23 @@ Core. A run indexes components in sorted-id order and devices in sorted
 device-id order, ``"@shared"`` included, and keeps per-component lists:
 FIFO, batch limit, costs, overhead, rate, processed counts and emission
 rows, each taint's rows built on its first use (an exit-only server's items
-are never built). An item is a plain tuple ``(seq, input id, adversarial,
-raw key, edge)``. Its lineage key is ``mix(raw key)``, taken only where its
-component emits, so sink items never hash. The completion loop writes out
-``_mix`` and ``_poisson_draw``, which stay the reference definitions, and
-admits to an exit-only server without ``offer`` unless a budget caps the
-inbound edge. The restart block serves a batch limit of 1 from a list of
-one-item service times and sums a larger batch's GFLOPs in batch order.
+are never built). A FIFO entry is a run of siblings: the children admitted
+from one draw share input, taint and edge and have consecutive raw keys, so
+they wait as one list ``[seq, count, input id, adversarial, raw key of the
+first, edge]``, and a source input is a run of one. Queue memory therefore
+grows with admissions, not with the items a fan-out admits. ``seq`` numbers
+the admission; no item of another run lies between a run's items in
+admission order, so comparing runs by ``seq`` orders their head items. A
+service takes items from the head run and splits it when the batch ends
+inside it: the batch gets a portion of the same shape, and the run left
+queued keeps its ``seq`` and advances its raw key. An item's lineage key is
+``mix(raw key)``, taken only where its component emits, so sink items never
+hash. The completion loop writes out ``_mix`` and ``_poisson_draw``, which
+stay the reference definitions, hashes item ``j`` of a portion as ``raw +
+j``, and admits to an exit-only server without ``offer`` unless a budget
+caps the inbound edge. The restart block serves a batch limit of 1 from a
+list of one-item service times and sums a larger batch's GFLOPs one item at
+a time in batch order.
 
 Determinism. Every random draw is keyed by the scenario seed plus the item's
 lineage, never by event order. Each item carries a 64-bit integer key: an
@@ -57,8 +67,8 @@ one knob changed) are meaningful. Total FLOPs are tallied from
 per-component processed counts in sorted component order, so equal item
 trees give exactly equal totals.
 
-A single run is strictly single-threaded; independent runs may execute
-concurrently and `run_matrix` merges results in deterministic label order.
+A run is single-threaded, and `run_matrix` runs its cells one after
+another in declaration order.
 """
 
 from __future__ import annotations
@@ -341,7 +351,8 @@ _FILTER_SALT = _text_key("input-filter")
 
 
 class _EdgeQueue:
-    """Counters of one edge; its queued items wait in the target's FIFO."""
+    """Counters of one edge; its queued items wait in the target's FIFO,
+    in runs (module docstring), and ``queued`` counts items, not runs."""
 
     __slots__ = ("key", "capacity", "budget_cap", "queued", "enqueued", "dropped")
 
@@ -407,7 +418,9 @@ class _Run:
         self.ids = ids = table.ids
         self.index = table.index
         specs = [graph.components[cid] for cid in ids]
-        self.fifo: list[deque[tuple]] = [deque() for _ in ids]
+        # Each FIFO holds runs of siblings, [seq, count, input id,
+        # adversarial, raw key of the first, edge], in admission order.
+        self.fifo: list[deque[list]] = [deque() for _ in ids]
         self.batch_limit = [
             config.batch_size(cid) if spec.batchable else 1
             for cid, spec in zip(ids, specs)
@@ -451,8 +464,9 @@ class _Run:
         ]
         self.free = [0.0] * len(ids)
 
-        # Completions are (time, seq, device, comp, batch); arrivals are not
-        # in the heap but come from a counter beside it.
+        # Completions are (time, seq, device, comp, batch), the batch a
+        # sequence of run-shaped portions; arrivals are not in the heap but
+        # come from a counter beside it.
         self.heap: list[tuple] = []
         self.tables: dict[float, tuple[int, list[float]]] = {}
 
@@ -509,11 +523,12 @@ class _Run:
         finish = self.finish
         free_at = self.free
         max_events = self.max_events
+        mask = _MASK64
         input_filter = self.config.input_filter
         source = self.index[self.graph.source]
         source_device = self.device_of[source]
         now = 0.0
-        events = arrived = offered = seq = item_seq = 0
+        events = arrived = offered = seq = seq_in = 0
         while heap or arrived < n:
             events += 1
             if events > max_events:
@@ -532,77 +547,81 @@ class _Run:
                             continue
                         adv = False
                 self.source_queue.offer(1)
-                fifos[source].append((item_seq, input_id, adv, raw, self.source_queue))
-                item_seq += 1
+                fifos[source].append([seq_in, 1, input_id, adv, raw, self.source_queue])
+                seq_in += 1
                 touched = () if busy[source_device] else (source_device,)
             else:
-                # A completion: emit each item's children.
+                # A completion: emit the children of each item of each portion.
                 now, _, device, comp, batch = heappop(heap)
                 busy[device] = False
                 rows = rows_of[comp]
                 touched = {device}
-                for _, input_id, adv, raw, _ in batch:
+                for _, count, input_id, adv, raw, _ in batch:
                     # Keep the latest finish: an exit-only one may lie past ``now``.
                     if finish.get(input_id, now) <= now:
                         finish[input_id] = now
                     taint_rows = rows[adv]
                     if taint_rows is None:
                         taint_rows = self._route_rows(comp, adv)
-                    if taint_rows:
-                        # key = _mix(raw), written out.
-                        z = (raw + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+                    if not taint_rows:
+                        continue
+                    for j in range(count):
+                        # key = _mix(raw + j), written out.
+                        z = (raw + j + 0x9E3779B97F4A7C15) & mask
+                        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
                         key = z ^ (z >> 31)
-                    for salt, (lo, cdf), fifo, edge, target in taint_rows:
-                        # draw_key = _mix(key ^ salt) and _poisson_draw, written out.
-                        z = ((key ^ salt) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-                        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                        draw_key = z ^ (z >> 31)
-                        survivors = lo + bisect_right(cdf, (draw_key >> 11) * _UNIT)
-                        if survivors == 0:
-                            continue
-                        offered += survivors
-                        if offered > max_events:
-                            raise NonTerminationError(
-                                f"simulation offered more than {max_events} arrivals"
-                            )
-                        if fifo is None:
-                            # An exit-only server: a Lindley schedule stands in
-                            # for its completion events; only a budget drops
-                            # its input.
-                            if edge.budget_cap is None:
-                                edge.enqueued += survivors
-                                admitted = survivors
-                            else:
-                                admitted = edge.offer(survivors)
-                                if not admitted:
-                                    continue
-                                edge.queued -= admitted
-                            server, service = target
-                            events += admitted
-                            if events > max_events:
+                        for salt, (lo, cdf), fifo, edge, target in taint_rows:
+                            # draw_key = _mix(key ^ salt) and _poisson_draw,
+                            # written out.
+                            z = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask
+                            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                            draw_key = z ^ (z >> 31)
+                            survivors = lo + bisect_right(cdf, (draw_key >> 11) * _UNIT)
+                            if survivors == 0:
+                                continue
+                            offered += survivors
+                            if offered > max_events:
                                 raise NonTerminationError(
-                                    f"simulation exceeded {max_events} events"
+                                    f"simulation offered more than {max_events} "
+                                    "arrivals"
                                 )
-                            processed_of[adv][server] += admitted
-                            free = max(now, free_at[server])
-                            for _ in range(admitted):
-                                free += service
-                            free_at[server] = free
-                            if finish.get(input_id, free) <= free:
-                                finish[input_id] = free
-                            continue
-                        admitted = edge.offer(survivors)
-                        if not admitted:
-                            continue
-                        for j in range(admitted):
+                            if fifo is None:
+                                # An exit-only server: a Lindley schedule stands
+                                # in for its completion events; only a budget
+                                # drops its input.
+                                if edge.budget_cap is None:
+                                    edge.enqueued += survivors
+                                    admitted = survivors
+                                else:
+                                    admitted = edge.offer(survivors)
+                                    if not admitted:
+                                        continue
+                                    edge.queued -= admitted
+                                server, service = target
+                                events += admitted
+                                if events > max_events:
+                                    raise NonTerminationError(
+                                        f"simulation exceeded {max_events} events"
+                                    )
+                                processed_of[adv][server] += admitted
+                                free = max(now, free_at[server])
+                                for _ in range(admitted):
+                                    free += service
+                                free_at[server] = free
+                                if finish.get(input_id, free) <= free:
+                                    finish[input_id] = free
+                                continue
+                            admitted = edge.offer(survivors)
+                            if not admitted:
+                                continue
+                            # The admitted children wait as one run.
                             fifo.append(
-                                (item_seq + j, input_id, adv, draw_key + j, edge))
-                        item_seq += admitted
-                        if not busy[target]:
-                            touched.add(target)
+                                [seq_in, admitted, input_id, adv, draw_key, edge])
+                            seq_in += 1
+                            if not busy[target]:
+                                touched.add(target)
                 if len(touched) > 1:
                     touched = sorted(touched)
             # Every service on the event path starts here: each idle device
@@ -621,27 +640,48 @@ class _Run:
                     continue
                 one = service_of[comp]
                 if one is not None:
-                    _, _, adv, _, edge = item = fifo.popleft()
-                    edge.queued -= 1
+                    head = fifo[0]
+                    if head[1] <= 1:
+                        fifo.popleft()
+                    else:
+                        # Serve the run's first item; the rest stay queued.
+                        part = head[:]
+                        part[1] = 1
+                        head[1] -= 1
+                        head[4] += 1
+                        head = part
+                    adv = head[3]
+                    head[5].queued -= 1
                     processed_of[adv][comp] += 1
                     service = one[adv]
-                    batch = [item]
+                    batch = (head,)
                 else:
                     batch = []
-                    for _ in range(min(self.batch_limit[comp], len(fifo))):
-                        batch.append(fifo.popleft())
-                    clean_cost, adv_cost = self.clean_cost[comp], self.adv_cost[comp]
+                    room = self.batch_limit[comp]
+                    costs = (self.clean_cost[comp], self.adv_cost[comp])
                     gflops = 0.0
-                    n_adv = 0
-                    for _, _, adv, _, edge in batch:
-                        edge.queued -= 1
-                        if adv:
-                            n_adv += 1
-                            gflops += adv_cost
+                    while room and fifo:
+                        head = fifo[0]
+                        take = head[1]
+                        if take <= room:
+                            fifo.popleft()
                         else:
-                            gflops += clean_cost
-                    self.processed_adv[comp] += n_adv
-                    self.processed_clean[comp] += len(batch) - n_adv
+                            # Split the run: the batch takes its first items.
+                            take = room
+                            part = head[:]
+                            part[1] = take
+                            head[1] -= take
+                            head[4] += take
+                            head = part
+                        room -= take
+                        batch.append(head)
+                        adv = head[3]
+                        head[5].queued -= take
+                        processed_of[adv][comp] += take
+                        # One addition per item, in batch order.
+                        cost = costs[adv]
+                        for _ in range(take):
+                            gflops += cost
                     service = self.overhead[comp] + gflops / self.rate[comp]
                 busy[device] = True
                 heappush(heap, (now + service, seq, device, comp, batch))

@@ -8,7 +8,8 @@ decision it breaks. Run from the root of a checkout::
 
 The tree is copied once to a temporary directory. Each mutant is applied to
 the copy in turn and ``pytest -x -q`` runs every test file there, the
-likeliest killers (``FIRST``) first and the rest after them, which prints
+goldens first, then the mutated module's own ``test_<module>.py``, then the
+other likeliest killers (``FIRST``) and the rest after them, which prints
 "killed" when the suite fails and "survived" when it passes. A mutant
 marked ``equivalent`` cannot change any output (the reason says why), so it
 is expected to survive. The script exits 1 when an unmarked mutant survives
@@ -33,12 +34,10 @@ SIM = "src/pipevuln/simulate.py"
 SPECIO = "src/pipevuln/specio.py"
 RANKING = "src/pipevuln/ranking.py"
 PROPAGATION = "src/pipevuln/propagation.py"
-# Line break plus the indentation of the lineage hashes in the completion loop.
-_NL = "\n" + " " * 24
-_KEY_GAMMA = "z = (raw + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF"
-_DRAW_GAMMA = "z = ((key ^ salt) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF"
-_ROUND1 = "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF"
-_ROUND2 = "z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF"
+_KEY_GAMMA = "z = (raw + j + 0x9E3779B97F4A7C15) & mask"
+_DRAW_GAMMA = "z = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask"
+_ROUND1 = "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask"
+_ROUND2 = "z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask"
 
 
 # The goldens and the simulator tests kill most mutants in seconds; the CLI and
@@ -59,19 +58,21 @@ class Mutant(NamedTuple):
     equivalent: str | None = None
 
 
-def _hash_mutants(which: str, gamma: str, final: str) -> list[Mutant]:
-    """The six constants of one written-out SplitMix64 hash."""
+def _hash_mutants(which: str, gamma: str, final: str, indent: int) -> list[Mutant]:
+    """The six constants of one written-out SplitMix64 hash, whose lines in
+    the completion loop are indented by ``indent`` spaces."""
+    nl = "\n" + " " * indent
     changes = [
         ("gamma", gamma, gamma.replace("7C15", "7C17")),
-        ("shift-30", gamma + _NL + _ROUND1,
-         gamma + _NL + _ROUND1.replace(">> 30", ">> 29")),
-        ("multiplier-1", gamma + _NL + _ROUND1,
-         gamma + _NL + _ROUND1.replace("1CE4E5B9", "1CE4E5BB")),
-        ("shift-27", _ROUND2 + _NL + final,
-         _ROUND2.replace(">> 27", ">> 26") + _NL + final),
-        ("multiplier-2", _ROUND2 + _NL + final,
-         _ROUND2.replace("133111EB", "133111ED") + _NL + final),
-        ("shift-31", _NL + final, _NL + final.replace(">> 31", ">> 32")),
+        ("shift-30", gamma + nl + _ROUND1,
+         gamma + nl + _ROUND1.replace(">> 30", ">> 29")),
+        ("multiplier-1", gamma + nl + _ROUND1,
+         gamma + nl + _ROUND1.replace("1CE4E5B9", "1CE4E5BB")),
+        ("shift-27", _ROUND2 + nl + final,
+         _ROUND2.replace(">> 27", ">> 26") + nl + final),
+        ("multiplier-2", _ROUND2 + nl + final,
+         _ROUND2.replace("133111EB", "133111ED") + nl + final),
+        ("shift-31", nl + final, nl + final.replace(">> 31", ">> 32")),
     ]
     return [
         Mutant(f"{which}-hash-{part}", SIM, old, new,
@@ -83,17 +84,13 @@ def _hash_mutants(which: str, gamma: str, final: str) -> list[Mutant]:
 MUTANTS = [
     # Queue and edge accounting.
     Mutant("one-item-keeps-queued", SIM,
-           "_, _, adv, _, edge = item = fifo.popleft()\n"
-           "                    edge.queued -= 1\n",
-           "_, _, adv, _, edge = item = fifo.popleft()\n",
+           "                    head[5].queued -= 1\n", "",
            "a batch of one must leave its edge's queued count"),
     Mutant("batch-keeps-queued", SIM,
-           "for _, _, adv, _, edge in batch:\n"
-           "                        edge.queued -= 1\n",
-           "for _, _, adv, _, edge in batch:\n",
+           "                        head[5].queued -= take\n", "",
            "a larger batch must leave its edges' queued counts"),
     Mutant("exit-only-keeps-queued", SIM,
-           "                                edge.queued -= admitted\n", "",
+           "                                    edge.queued -= admitted\n", "",
            "a budgeted admission to an exit-only server must not stay queued"),
     Mutant("budget-cap-max", SIM,
            "min(budget_caps.get(key, cap), cap)", "max(budget_caps.get(key, cap), cap)",
@@ -119,9 +116,24 @@ MUTANTS = [
            "comp = min(heads)[1]", "comp = max(heads)[1]",
            "a shared device serves the member whose FIFO head came first"),
     Mutant("batch-clean-cost", SIM,
-           "                            gflops += adv_cost\n",
-           "                            gflops += clean_cost\n",
+           "cost = costs[adv]", "cost = costs[0]",
            "an adversarial item in a batch costs the adversarial GFLOPs"),
+    # Runs of siblings in a FIFO.
+    Mutant("run-seq-shared", SIM,
+           "edge])\n                            seq_in += 1\n", "edge])\n",
+           "each admitted run gets its own number for the shared-device head scan"),
+    Mutant("one-split-raw-kept", SIM,
+           "                        head[4] += 1\n", "",
+           "the run left queued after a batch of one starts at the next raw key"),
+    Mutant("batch-split-raw-kept", SIM,
+           "                            head[4] += take\n", "",
+           "the run left queued after a split batch starts past the taken keys"),
+    Mutant("one-run-popped-early", SIM,
+           "if head[1] <= 1:", "if head[1] <= 2:",
+           "a batch of one pops its run only when the run is used up"),
+    Mutant("batch-exact-fit-split", SIM,
+           "if take <= room:", "if take < room:",
+           "a run that exactly fills the batch leaves no empty run queued"),
     # Exit-only servers.
     Mutant("exit-only-clean-service", SIM,
            "(t, self.service[t][adv])", "(t, self.service[t][0])",
@@ -131,13 +143,13 @@ MUTANTS = [
            "an idle exit-only server starts at the admission time"),
     Mutant("exit-only-service-twice", SIM,
            "for _ in range(admitted):\n"
-           "                                free += service\n",
+           "                                    free += service\n",
            "for _ in range(admitted):\n"
-           "                                free += service\n"
-           "                                free += service\n",
+           "                                    free += service\n"
+           "                                    free += service\n",
            "each admitted item takes one service time"),
     Mutant("exit-only-no-event-count", SIM,
-           "                            events += admitted\n", "",
+           "                                events += admitted\n", "",
            "each exit-only completion counts against the event bound"),
     Mutant("wall-time-from-heap", SIM,
            "wall = max(self.now, *self.free)", "wall = self.now",
@@ -182,8 +194,21 @@ MUTANTS = [
            "bisect_right(cdf, (draw_key >> 11) * _UNIT)",
            "bisect_right(cdf, (draw_key >> 12) * _UNIT)",
            "the loop's uniform is the top 53 bits of the draw key"),
-    *_hash_mutants("key", _KEY_GAMMA, "key = z ^ (z >> 31)"),
-    *_hash_mutants("draw", _DRAW_GAMMA, "draw_key = z ^ (z >> 31)"),
+    *_hash_mutants("key", _KEY_GAMMA, "key = z ^ (z >> 31)", 24),
+    *_hash_mutants("draw", _DRAW_GAMMA, "draw_key = z ^ (z >> 31)", 28),
+    # Adversarial subset and input filter.
+    Mutant("subset-count-truncated", SIM,
+           "count = int(round(self.scenario.mix * n))",
+           "count = int(self.scenario.mix * n)",
+           "the adversarial count is mix * n_inputs rounded half to even"),
+    Mutant("subset-filter-salt", SIM,
+           '_SUBSET_SALT = _text_key("adversarial-subset")',
+           '_SUBSET_SALT = _text_key("input-filter")',
+           "the adversarial subset draws apart from the input filter"),
+    Mutant("filter-subset-salt", SIM,
+           '_FILTER_SALT = _text_key("input-filter")',
+           '_FILTER_SALT = _text_key("adversarial-subset")',
+           "the input filter draws apart from the adversarial subset"),
     # Deployment settings.
     Mutant("default-ignored", SIM,
            'table.get("default", fallback)', "fallback",
@@ -269,11 +294,13 @@ def _copy_tree(dest: Path) -> None:
             shutil.copy2(source, dest / name)
 
 
-def _test_files(tree: Path) -> list[str]:
-    """Every test file but the list's own check, ``FIRST`` in its order first."""
+def _test_files(tree: Path, mutated: str) -> list[str]:
+    """Every test file but the list's own check: the goldens, then the test
+    file named after the ``mutated`` source file, then ``FIRST`` in order."""
     names = sorted(p.name for p in (tree / "tests").glob("test_*.py"))
     names.remove("test_mutant_list.py")
-    names.sort(key=lambda name: FIRST.index(name) if name in FIRST else len(FIRST))
+    order = [FIRST[0], f"test_{Path(mutated).name}", *FIRST[1:]]
+    names.sort(key=lambda name: order.index(name) if name in order else len(order))
     return [f"tests/{name}" for name in names]
 
 
@@ -307,10 +334,9 @@ def main(names: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="pipevuln-mutants-") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
-        files = _test_files(tree)
         for mutant in chosen:
             started = time.perf_counter()
-            dead = _run(tree, mutant, files)
+            dead = _run(tree, mutant, _test_files(tree, mutant.file))
             killed += dead
             verdict = "killed" if dead else "survived"
             if dead == bool(mutant.equivalent):

@@ -123,6 +123,21 @@ class TestExitCodes:
         assert err.startswith("E_NONTERMINATION: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_fan_out_into_the_event_path_exits_1_with_one_line(self, capsys,
+                                                              tmp_path):
+        # A buffer that never fills puts b on the event path, so the first
+        # input's 6e6 items wait in b's FIFO, as one run, until the second
+        # input's offers cross the bound.
+        doc = exit_only_doc(6e6, 0.1, n_inputs=2)
+        doc["configs"]["none"] = {"buffers": {"a:x": 10**9}}
+        spec = tmp_path / "fan_out_queued.yaml"
+        spec.write_text(yaml.safe_dump(doc))
+        code, out, err = run_cli(capsys, "simulate", str(spec),
+                                 "--scenario", "clean", "--config", "none")
+        assert code == 1 and out == ""
+        assert err.startswith("E_NONTERMINATION: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_config_declared_twice_is_schema_error(self, capsys, tmp_path,
                                                    variant_spec_path):
         # The second config of a name once won silently: batch 16 under none.

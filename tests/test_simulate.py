@@ -197,21 +197,22 @@ class TestSampler:
         # item at a draws the count of b on label x, and child j of that
         # draw gets the raw key draw_key + j. b is exit-only, or, behind a
         # buffer that never fills, a server on the event path whose FIFO holds
-        # the items.
+        # the items as one run.
         graph = build_graph(exit_only_doc(mean, 0.1))
         table = _poisson_table(mean)
         spot = {(7.0, 2): 8, (900.0, 4): 932}
 
         class KeyRecorder(deque):
-            """A FIFO that records the raw key of each item appended."""
+            """A FIFO that records the raw key of each item of each run appended."""
 
             def __init__(self):
                 super().__init__()
                 self.keys = []
 
-            def append(self, item):
-                self.keys.append(item[3])
-                super().append(item)
+            def append(self, run):
+                _, count, _, _, raw, _ = run
+                self.keys.extend(raw + j for j in range(count))
+                super().append(run)
 
         for config in (DeploymentConfig(), DeploymentConfig(buffers={"a:x": 10**9})):
             for seed in range(6):
@@ -497,6 +498,33 @@ class TestExitOnlyServers:
                 graph, scenario, events_only
             ), f"triple {index}"
         assert with_exit_only >= 20
+
+    def test_a_fan_out_on_the_event_path_waits_as_one_run(self):
+        # Behind a buffer that never fills, b takes the event path. Input 0
+        # admits about 6e6 items to b; input 1's offers cross the arrival
+        # bound while b has served only a few of them.
+        graph = build_graph(exit_only_doc(6e6, 0.1, n_inputs=2))
+        config = DeploymentConfig(buffers={"a:x": 10**9})
+
+        class PeakFifo(deque):
+            """A FIFO that counts its appends and its longest length."""
+
+            appends = peak = 0
+
+            def append(self, run):
+                super().append(run)
+                self.appends += 1
+                self.peak = max(self.peak, len(self))
+
+        run = _Run(graph, TrafficScenario(n_inputs=2), config, 10**7)
+        fifo = run.fifo[1] = PeakFifo()
+        with pytest.raises(NonTerminationError, match="offered more than"):
+            run.execute()
+        assert fifo.peak <= fifo.appends == 1
+        (_, count, input_id, adv, _, edge), = fifo
+        assert (input_id, adv) == (0, False)
+        assert edge.queued == count > 5 * 10**6
+        assert edge.enqueued == count + run.processed_clean[1]
 
 
 class TestLatencyAccounting:
