@@ -276,6 +276,8 @@ def _seed(text: str) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    if args.seed is not None and args.seeds is not None:
+        raise SyntaxParseError("give --seed or --seeds, not both")
     spec = parse_spec_file(args.spec)
     scenarios = spec.scenarios
     configs = spec.configs

@@ -19,13 +19,13 @@ restart block after its event: an arrival restarts the source's device, and
 a completion the device that finished and the idle devices that received
 items, in device-id order.
 
-An exit-only server (no gate, alone on its device, batch limit 1,
-unbounded inbound edges) feeds nothing, so ``k`` items admitted to it at
-``now`` are scheduled then by the Lindley recursion ``free = max(now,
-free) + service`` and count as ``k`` events, with no heap entry. An input
-finishes at the latest completion of any of its items, exit-only finishes
-included; the wall time is the later of the last event and the last
-exit-only finish.
+An exit-only server (no gate, alone on its device, batch limit 1, no
+buffer or path budget on an inbound edge) feeds nothing and drops nothing,
+so ``k`` items offered to it at ``now`` are all admitted, scheduled then by
+the Lindley recursion ``free = max(now, free) + service`` and count as
+``k`` events, with no heap entry. An input finishes at the latest
+completion of any of its items, exit-only finishes included; the wall time
+is the later of the last event and the last exit-only finish.
 
 Core. A run indexes components in sorted-id order and devices in sorted
 device-id order, ``"@shared"`` included, and keeps per-component lists:
@@ -44,10 +44,10 @@ queued keeps its ``seq`` and advances its raw key. An item's lineage key is
 ``mix(raw key)``, taken only where its component emits, so sink items never
 hash. The completion loop writes out ``_mix`` and ``_poisson_draw``, which
 stay the reference definitions, hashes item ``j`` of a portion as ``raw +
-j``, and admits to an exit-only server without ``offer`` unless a budget
-caps the inbound edge. The restart block serves a batch limit of 1 from a
-list of one-item service times and sums a larger batch's GFLOPs one item at
-a time in batch order.
+j``, and admits to an exit-only server without ``offer``: its edges have
+no limit to check. The restart block serves a batch limit of 1 from a list
+of one-item service times and sums a larger batch's GFLOPs one item at a
+time in batch order.
 
 Determinism. Every random draw is keyed by the scenario seed plus the item's
 lineage, never by event order. Each item carries a 64-bit integer key: an
@@ -369,9 +369,10 @@ class _EdgeQueue:
 
         Nothing dequeues between the arrivals of one emission, so the first
         ``admitted`` of them enter and the rest are dropped. Every admission
-        on a budgeted edge comes through here, so ``enqueued - dropped``
-        counts its admissions so far. Admission keeps ``queued <= capacity``
-        and ``enqueued - dropped <= budget_cap``, so ``admitted`` is never
+        on a buffered or budgeted edge comes through here (an edge into an
+        exit-only server has neither), so ``enqueued - dropped`` counts its
+        admissions so far. Admission keeps ``queued <= capacity`` and
+        ``enqueued - dropped <= budget_cap``, so ``admitted`` is never
         negative.
         """
         admitted = count
@@ -455,10 +456,10 @@ class _Run:
         self.busy = [False] * len(slot)
 
         # Exit-only servers and their Lindley clocks (module docstring).
-        bounded = {graph.edges[key].to_id
-                   for key, queue in self.edge_queues.items() if queue.capacity}
+        limited = {graph.edges[key].to_id for key, queue in self.edge_queues.items()
+                   if queue.capacity or queue.budget_cap is not None}
         self.exit_only = [
-            not graph.routes(cid) and cid not in bounded
+            not graph.routes(cid) and cid not in limited
             and self.batch_limit[c] == 1 and self.sole[self.device_of[c]] == c
             for c, cid in enumerate(ids)
         ]
@@ -482,10 +483,8 @@ class _Run:
         for pid, budget in sorted(self.config.path_budgets.items()):
             path = resolve_path(self.graph, pid)
             cap = int(math.floor(budget * self.scenario.n_inputs + 1e-9))
-            for cid, label in path.steps:
-                if label == EXIT or self.graph.routes(cid).get(label) == EXIT:
-                    continue
-                key = (cid, label)
+            # An exit step keys a cap that no edge looks up.
+            for key in path.steps:
                 budget_caps[key] = min(budget_caps.get(key, cap), cap)
         queues: dict[tuple[str, str], _EdgeQueue] = {}
         for (from_id, label), edge in sorted(self.graph.edges.items()):
@@ -588,26 +587,19 @@ class _Run:
                                     "arrivals"
                                 )
                             if fifo is None:
-                                # An exit-only server: a Lindley schedule stands
-                                # in for its completion events; only a budget
-                                # drops its input.
-                                if edge.budget_cap is None:
-                                    edge.enqueued += survivors
-                                    admitted = survivors
-                                else:
-                                    admitted = edge.offer(survivors)
-                                    if not admitted:
-                                        continue
-                                    edge.queued -= admitted
+                                # An exit-only server: its inbound edge admits
+                                # every item, and a Lindley schedule stands in
+                                # for its completion events.
+                                edge.enqueued += survivors
                                 server, service = target
-                                events += admitted
+                                events += survivors
                                 if events > max_events:
                                     raise NonTerminationError(
                                         f"simulation exceeded {max_events} events"
                                     )
-                                processed_of[adv][server] += admitted
+                                processed_of[adv][server] += survivors
                                 free = max(now, free_at[server])
-                                for _ in range(admitted):
+                                for _ in range(survivors):
                                     free += service
                                 free_at[server] = free
                                 if finish.get(input_id, free) <= free:

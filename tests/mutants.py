@@ -89,9 +89,6 @@ MUTANTS = [
     Mutant("batch-keeps-queued", SIM,
            "                        head[5].queued -= take\n", "",
            "a larger batch must leave its edges' queued counts"),
-    Mutant("exit-only-keeps-queued", SIM,
-           "                                    edge.queued -= admitted\n", "",
-           "a budgeted admission to an exit-only server must not stay queued"),
     Mutant("budget-cap-max", SIM,
            "min(budget_caps.get(key, cap), cap)", "max(budget_caps.get(key, cap), cap)",
            "two budgets on one edge keep the smaller cap"),
@@ -102,9 +99,6 @@ MUTANTS = [
            "self.budget_cap - self.enqueued + self.dropped",
            "self.budget_cap - self.enqueued",
            "a budget caps admissions, and dropped arrivals were not admitted"),
-    Mutant("budget-check-inverted", SIM,
-           "if edge.budget_cap is None:", "if edge.budget_cap is not None:",
-           "an exit-only server's budgeted edge must go through offer"),
     # Restart block.
     Mutant("batch-of-one-widened", SIM,
            "if limit == 1 else None", "if limit <= 2 else None",
@@ -142,21 +136,28 @@ MUTANTS = [
            "free = max(now, free_at[server])", "free = free_at[server]",
            "an idle exit-only server starts at the admission time"),
     Mutant("exit-only-service-twice", SIM,
-           "for _ in range(admitted):\n"
+           "for _ in range(survivors):\n"
            "                                    free += service\n",
-           "for _ in range(admitted):\n"
+           "for _ in range(survivors):\n"
            "                                    free += service\n"
            "                                    free += service\n",
            "each admitted item takes one service time"),
     Mutant("exit-only-no-event-count", SIM,
-           "                                events += admitted\n", "",
+           "                                events += survivors\n", "",
            "each exit-only completion counts against the event bound"),
     Mutant("wall-time-from-heap", SIM,
            "wall = max(self.now, *self.free)", "wall = self.now",
            "an exit-only finish after the last event sets the wall time"),
     Mutant("exit-only-bounded-edges", SIM,
-           "not graph.routes(cid) and cid not in bounded", "not graph.routes(cid)",
+           "not graph.routes(cid) and cid not in limited", "not graph.routes(cid)",
            "a bounded inbound edge needs the event path"),
+    Mutant("exit-only-budgeted-edges", SIM,
+           "if queue.capacity or queue.budget_cap is not None}",
+           "if queue.capacity}",
+           "a budgeted inbound edge needs the event path"),
+    Mutant("exit-only-zero-budget", SIM,
+           "or queue.budget_cap is not None}", "or queue.budget_cap}",
+           "a budget of 0 limits its edge too"),
     Mutant("exit-only-batched", SIM,
            "and self.batch_limit[c] == 1 and self.sole", "and self.sole",
            "a batched server needs the event path"),
@@ -252,6 +253,10 @@ MUTANTS = [
     Mutant("confidence-default-rejected", SPECIO,
            'labels = {"default"}.union(', "labels = set().union(",
            "a confidence table may carry a default entry"),
+    Mutant("unknown-path-resolves", SPECIO,
+           "        return False\n    return True\n",
+           "        return True\n    return True\n",
+           "a path id that names no path is a reference error at parse time"),
     # Analysis.
     Mutant("walk-prefix-kept", PROPAGATION,
            "del stack[shared + 1:]", "del stack[shared + 2:]",

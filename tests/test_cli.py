@@ -177,6 +177,15 @@ class TestExitCodes:
         assert err.startswith("E_SYNTAX") and "name required" in err
         assert out == ""
 
+    def test_matrix_with_seed_and_seeds_is_syntax_error(self, capsys,
+                                                         traffic_spec_path):
+        # --seed once gave way to --seeds without a word.
+        code, out, err = run_cli(capsys, "matrix", traffic_spec_path,
+                                 "--seed", "5", "--seeds", "1")
+        assert code == 1
+        assert err == "E_SYNTAX: give --seed or --seeds, not both\n"
+        assert out == ""
+
     def test_bad_seed_list_is_coded_error(self, capsys, traffic_spec_path):
         code, _, err = run_cli(capsys, "matrix", traffic_spec_path,
                                "--seeds", "1,x")

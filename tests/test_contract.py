@@ -11,6 +11,10 @@ the clean total. ``tests/specs/layered.yaml`` (no scenarios or configs)
 runs the analytic subcommands only. ``n_inputs`` is clamped to 50 so that
 every simulation stays small. Hypothesis runs derandomized, so the
 examples are the same on every run.
+
+Two generated shapes, a 1,500-deep chain and a 16-label fan-out, run every
+subcommand unmutated; they are written as JSON lines, which parse in a
+fraction of the time their YAML form takes.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -148,3 +153,91 @@ def test_mutated_spec_exits_0_or_1_with_a_coded_error(tmp_path_factory, mutation
         else:
             assert not NON_FINITE.search(out), (argv, out)
             _check_records(argv[0], out)
+
+
+def _jsonl(doc: dict) -> str:
+    """``doc`` as a JSON-lines spec, one record per line."""
+    records = [{"type": section[:-1], **rec}
+               for section in ("components", "profiles", "gates", "edges")
+               for rec in doc[section]]
+    records.append({"type": "source", "id": doc["source"]})
+    for section in ("scenarios", "configs"):
+        records += [{"type": section[:-1], "name": name, **rec}
+                    for name, rec in doc[section].items()]
+    return "".join(json.dumps(rec) + "\n" for rec in records)
+
+
+def _generated_doc(edges: list[tuple[str, str, str]], target: str,
+                   adv_mean: float) -> dict:
+    """A spec whose edges ``(from, label, to)`` each carry 1 item per clean
+    item and ``adv_mean`` per adversarial one.
+
+    The configs put a batch, a path budget on ``target`` and a shared device
+    on top of the bare deployment.
+    """
+    routes: dict[str, dict[str, str]] = {}
+    for source, label, sink in edges:
+        routes.setdefault(source, {})[label] = sink
+    ids = sorted({cid for source, _, sink in edges for cid in (source, sink)})
+    component = {"kind": "neural", "clean_cost_gflops": 1.0,
+                 "adv_cost_gflops": 2.0, "device_rate_gflops_s": 1000.0,
+                 "per_call_overhead_s": 0.001, "batchable": True}
+    return {
+        "components": [{"id": cid, **component} for cid in ids],
+        "profiles": [
+            {"component": cid,
+             "clean_cardinality": {label: 1.0 for label in routes.get(cid, {})},
+             "adv_cardinality": {label: adv_mean for label in routes.get(cid, {})}}
+            for cid in ids
+        ],
+        "gates": [{"component": cid, "routes": routes[cid]} for cid in sorted(routes)],
+        "edges": [{"from": source, "to": sink, "label": label}
+                  for source, label, sink in edges],
+        "source": edges[0][0],
+        "scenarios": {
+            "clean": {"n_inputs": 3, "seed": 1},
+            "attacked": {"n_inputs": 3, "mix": 1.0, "target_path": target,
+                         "seed": 1},
+        },
+        "configs": {
+            "none": {},
+            "batched": {"batch": {"default": 4}},
+            "budget": {"path_budgets": {target: 0.5}},
+            "shared": {"device_model": "shared-single-device"},
+        },
+    }
+
+
+def _chain_doc(depth: int) -> dict:
+    ids = [f"c{i:04d}" for i in range(depth)]
+    target = "->".join(f"{cid}:x" for cid in ids[:-1]) + f"->{ids[-1]}:EXIT"
+    # An adversarial mean above 1 would grow geometrically along the chain.
+    return _generated_doc([(a, "x", b) for a, b in zip(ids, ids[1:])], target, 1.0)
+
+
+def _fan_out_doc(width: int) -> dict:
+    edges = [("a", f"l{i:02d}", f"s{i:02d}") for i in range(width)]
+    _, label, sink = edges[width // 2]
+    return _generated_doc(edges, f"a:{label}->{sink}:EXIT", 4.0)
+
+
+@pytest.mark.parametrize("doc", [_chain_doc(1500), _fan_out_doc(16)],
+                         ids=["chain-1500", "fan-out-16"])
+def test_generated_shape_runs_every_subcommand(tmp_path, doc):
+    spec = tmp_path / "generated.jsonl"
+    spec.write_text(_jsonl(doc))
+    for argv in (
+        ["validate"],
+        ["paths", "--format", "csv"],
+        ["rank", "--format", "records"],
+        ["weights", "--format", "records"],
+        ["amplify", "--format", "records"],
+        ["simulate", "--scenario", "attacked", "--config", "budget"],
+        ["matrix", "--format", "csv"],
+        ["report", "--scenario", "attacked", "--config", "none"],
+    ):
+        argv = [argv[0], str(spec), *argv[1:]]
+        code, out, err = _run(argv)
+        assert code == 0, (argv, err)
+        assert out and not NON_FINITE.search(out), argv
+        _check_records(argv[0], out)

@@ -667,16 +667,32 @@ class TestDefenses:
         assert metrics.edge_stats["od:car"].dropped > 0
 
     def test_budget_drops_on_an_edge_into_an_exit_only_server(self):
-        # b is exit-only; the budget, not a buffer, drops on its inbound edge.
+        # b is exit-only with no budget. The budget limits its inbound edge,
+        # so b takes the event path, where offer drops past the cap.
         graph = build_graph(exit_only_doc(7.0, 0.1, n_inputs=10))
-        config = DeploymentConfig(path_budgets={"a:x->b:EXIT": 0.5})
         scenario = TrafficScenario(n_inputs=10, seed=2)
-        assert _Run(graph, scenario, config, 10**7).exit_only[1]
+        assert _Run(graph, scenario, DeploymentConfig(), 10**7).exit_only[1]
+        config = DeploymentConfig(path_budgets={"a:x->b:EXIT": 0.5})
+        assert not _Run(graph, scenario, config, 10**7).exit_only[1]
         metrics = simulate(graph, scenario, config)
         assert metrics.edge_stats["a:x"] == EdgeStats(
             enqueued=62, dequeued=5, dropped=57, residual=0
         )
         assert metrics.workload["b"] == 5
+        assert metrics.wall_time_s == 6.25
+
+    def test_zero_budget_drops_everything_into_a_sink(self):
+        # A cap of 0 still limits the edge: b serves nothing.
+        graph = build_graph(exit_only_doc(7.0, 0.1, n_inputs=10))
+        scenario = TrafficScenario(n_inputs=10, seed=2)
+        config = DeploymentConfig(path_budgets={"a:x->b:EXIT": 0.0})
+        assert not _Run(graph, scenario, config, 10**7).exit_only[1]
+        metrics = simulate(graph, scenario, config)
+        assert metrics.edge_stats["a:x"] == EdgeStats(
+            enqueued=62, dequeued=0, dropped=62, residual=0
+        )
+        assert metrics.workload == {"a": 10, "b": 0}
+        assert metrics.drops == 62
         assert metrics.wall_time_s == 6.25
 
     @pytest.mark.parametrize("tight", [LOG_PATH, X_PATH])
