@@ -19,6 +19,7 @@ fraction of the time their YAML form takes.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
@@ -80,7 +81,7 @@ MUTATIONS = st.one_of(
 
 
 def _mutated(name: str, path: tuple, value) -> dict:
-    doc = yaml.safe_load(next(s for s in SPECS if s.name == name).read_text())
+    doc = copy.deepcopy(DOCS[name])
     parent = doc
     for key in path[:-1]:
         parent = parent[key]

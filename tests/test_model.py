@@ -13,6 +13,7 @@ from pipevuln.errors import (
     DanglingReferenceError,
     DuplicateIdError,
     NoSourceError,
+    PipelineError,
     SchemaError,
 )
 from pipevuln.model import build_graph, topological_order
@@ -157,6 +158,29 @@ class TestBuildGraph:
         doc["profiles"] = [p for p in doc["profiles"] if p["component"] != "sum"]
         graph = build_graph(doc)
         assert graph.profiles["sum"].clean_cardinality == {}
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("components", 0), 5,
+         "E_SCHEMA: component record must be a mapping, got int"),
+        (("components", 0, "kind"), "quantum",
+         "E_BAD_VALUE: component 'od': kind must be one of ('neural', 'non-neural'), "
+         "got 'quantum'"),
+        (("components", 0, "clean_cost_gflops"), "100",
+         "E_SCHEMA: component 'od'.clean_cost_gflops must be a number"),
+        (("components", 0, "batchable"), "yes",
+         "E_SCHEMA: component 'od'.batchable must be a boolean"),
+        (("profiles", 0, "adv_cardinality", "car"), {"car": 5.0, "ghost": 1.0},
+         "E_DANGLING: profile 'od' references label 'ghost' absent from its gate"),
+    ])
+    def test_bad_record_is_a_coded_error(self, path, value, message):
+        doc = traffic_doc()
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(PipelineError) as err:
+            build_graph(doc)
+        assert str(err.value) == message
 
 
 class TestDeepChain:

@@ -151,6 +151,19 @@ class TestCost:
             cost(traffic_graph, bad)
         assert err.value.code == "E_SCENARIO_MISMATCH"
 
+    @pytest.mark.parametrize("analysis", ["cost", "amplification_matrix"])
+    def test_mismatched_reference_raises(self, traffic_graph, analysis):
+        reference = CostBreakdown({"nope": 1.0}, 1.0, "clean")
+        with pytest.raises(ScenarioMismatchError) as err:
+            if analysis == "cost":
+                cost(traffic_graph, propagate(traffic_graph, CLEAN), reference)
+            else:
+                amplification_matrix(traffic_graph, reference=reference)
+        assert str(err.value) == (
+            "E_SCENARIO_MISMATCH: reference breakdown components do not match "
+            "the graph"
+        )
+
     @pytest.mark.parametrize("counts,where", [
         ({"od": 1.0, "lpr": float("inf")}, "component 'lpr'"),
         ({"od": 1.7e306, "pr": 1e307}, "sum overflowed"),

@@ -724,6 +724,42 @@ class TestDefenses:
             Attenuation(factor=0.5, residual_floor=bad)
 
 
+class TestRecordChecks:
+    """Each record rejects a bad value when it is built, with a coded line."""
+
+    @pytest.mark.parametrize("record,kwargs,message", [
+        (TrafficScenario, {"n_inputs": 0}, "scenario: n_inputs must be >= 1"),
+        (TrafficScenario, {"n_inputs": 1, "mix": 0.5},
+         "scenario: adversarial mix requires a target_path"),
+        (TrafficScenario, {"n_inputs": 1, "interval_s": -1.0},
+         "scenario: fixed-interval needs a nonnegative interval"),
+        (TrafficScenario, {"n_inputs": 1, "interval_s": math.nan},
+         "scenario: fixed-interval needs a nonnegative interval"),
+        (ConfidenceFilter, {"clean": {"car": 1.5}},
+         "confidence survival for 'car' must be within [0, 1]"),
+        (ConfidenceFilter, {"adversarial": {"car": -0.1}},
+         "confidence survival for 'car' must be within [0, 1]"),
+        (Attenuation, {"factor": 1.5}, "attenuation factor must be within [0, 1]"),
+        (Attenuation, {"factor": -0.5}, "attenuation factor must be within [0, 1]"),
+        (InputFilter, {"p_detect": 1.5}, "input filter p_detect must be within [0, 1]"),
+        (InputFilter, {"p_detect": -0.5},
+         "input filter p_detect must be within [0, 1]"),
+        (InputFilter, {"p_detect": 0.5, "action": "shrug"},
+         "unknown input filter action 'shrug'"),
+        (DeploymentConfig, {"batch": {"od": 0}},
+         "batch size for 'od' must be an integer >= 1"),
+        (DeploymentConfig, {"buffers": {"od:car": 1.5}},
+         "buffer capacity for 'od:car' must be an integer"),
+        (DeploymentConfig, {"buffers": {"od:car": 0}},
+         "buffer capacity for 'od:car' must be positive"),
+        (DeploymentConfig, {"device_model": "gpu"}, "unknown device model 'gpu'"),
+    ])
+    def test_bad_value_is_rejected_when_built(self, record, kwargs, message):
+        with pytest.raises(BadValueError) as err:
+            record(**kwargs)
+        assert str(err.value) == f"E_BAD_VALUE: {message}"
+
+
 ORACLE_SEEDS = (0, 1, 2, 3, 4)
 
 

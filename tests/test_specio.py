@@ -9,12 +9,22 @@ import yaml
 
 from pipevuln.errors import (
     BadValueError,
+    PipelineError,
     SchemaError,
     SyntaxParseError,
     UnresolvedReferenceError,
 )
+from pipevuln.model import ComponentSpec, EdgeSpec
 from pipevuln.ranking import enumerate_paths
+from pipevuln.simulate import (
+    Attenuation,
+    ConfidenceFilter,
+    DeploymentConfig,
+    InputFilter,
+    TrafficScenario,
+)
 from pipevuln.specio import (
+    _load_jsonl,
     _load_yaml,
     build_report,
     parse_spec,
@@ -51,6 +61,34 @@ configs:
 calibration: |
   demo values (assumed).
 """
+
+#: Every record leaves out every optional key.
+BARE_YAML = """
+components:
+  - {id: a, kind: neural}
+  - {id: b, kind: neural, clean_cost_gflops: 2.5}
+gates:
+  - {component: a, routes: {x: b}}
+edges:
+  - {from: a, to: b, label: x}
+source: a
+scenarios:
+  bare: {n_inputs: 2}
+configs:
+  bare: {}
+  nulls: {confidence: null, attenuation: null, input_filter: null}
+  defenses: {confidence: {}, attenuation: {}, input_filter: {}}
+"""
+
+JSONL = ('{"type": "component", "id": "a", "kind": "neural"}\n'
+         '{"type": "source", "id": "a"}\n')
+
+
+def _with(**sections) -> str:
+    """``MINIMAL_YAML`` with the given top-level sections replaced."""
+    doc = yaml.safe_load(MINIMAL_YAML)
+    doc.update(sections)
+    return yaml.safe_dump(doc, sort_keys=False)
 
 
 class TestParseSpec:
@@ -217,6 +255,119 @@ class TestParseSpec:
         text = MINIMAL_YAML.replace("back-to-back", "{fixed-interval: 0.25}")
         with pytest.raises(SchemaError, match="arrival is malformed"):
             parse_spec(text)
+
+
+class TestDefaults:
+    """A record that leaves out an optional key reads that key's default."""
+
+    def test_components_and_edges(self):
+        graph = parse_spec(BARE_YAML).graph
+        assert graph.components == {
+            "a": ComponentSpec(id="a", kind="neural", clean_cost=0.0, adv_cost=0.0,
+                               device_rate=1.0, per_call_overhead=0.0,
+                               batchable=True),
+            # A missing adversarial cost equals the clean cost.
+            "b": ComponentSpec(id="b", kind="neural", clean_cost=2.5, adv_cost=2.5,
+                               device_rate=1.0, per_call_overhead=0.0,
+                               batchable=True),
+        }
+        assert graph.edges == {
+            ("a", "x"): EdgeSpec(from_id="a", to_id="b", label="x", capacity=None),
+        }
+
+    def test_scenario_is_back_to_back_at_seed_0_and_clean(self):
+        assert parse_spec(BARE_YAML).scenarios == {"bare": TrafficScenario(
+            n_inputs=2, mix=0.0, target_path=None, interval_s=0.0, seed=0,
+        )}
+
+    def test_configs(self):
+        spec = parse_spec(BARE_YAML)
+        bare = DeploymentConfig(
+            batch={}, buffers={}, confidence=None, attenuation=None,
+            input_filter=None, path_budgets={}, device_model="per-component-server",
+        )
+        assert spec.configs["bare"] == bare
+        assert spec.configs["nulls"] == bare
+        assert spec.configs["defenses"] == DeploymentConfig(
+            confidence=ConfidenceFilter(clean={}, adversarial={}),
+            attenuation=Attenuation(factor=1.0, residual_floor=0.0),
+            input_filter=InputFilter(p_detect=0.0, action="drop-input"),
+        )
+        assert spec.calibration == ""
+
+
+class TestCodedErrors:
+    """Each check below ends a parse with one coded line."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("~\n", "E_SYNTAX: empty spec document"),
+        ("- a\n- b\n", "E_SYNTAX: spec document must be a mapping at top level"),
+        (MINIMAL_YAML.replace("    n_inputs: 3\n", ""),
+         "E_SCHEMA: scenario 'demo' is missing n_inputs"),
+        (MINIMAL_YAML.replace("back-to-back", '"fixed-interval:soon"'),
+         "E_SCHEMA: scenario 'demo'.arrival has a bad interval"),
+        (MINIMAL_YAML.replace('"a:x->b:EXIT"', "5"),
+         "E_SCHEMA: scenario 'demo'.target_path must be a string"),
+        (_with(scenarios=[1]),
+         "E_SCHEMA: scenarios section must be a mapping of names to records"),
+        (_with(scenarios={"demo": None}),
+         "E_SCHEMA: scenario 'demo' must be a mapping, got NoneType"),
+        (_with(configs={"tiny": None}),
+         "E_SCHEMA: config 'tiny' must be a mapping, got NoneType"),
+        (_with(configs={"tiny": {"attenuation": {"factr": 0.5}}}),
+         "E_SCHEMA: config 'tiny'.attenuation has unknown key(s): factr"),
+        (_with(configs={"tiny": {"attenuation": 5}}),
+         "E_SCHEMA: config 'tiny'.attenuation must be a mapping, got int"),
+        (_with(configs={"tiny": {"attenuation": {"factor": "1"}}}),
+         "E_SCHEMA: config 'tiny'.attenuation.factor must be a number"),
+        (_with(configs={"tiny": {"input_filter": {"action": None}}}),
+         "E_SCHEMA: config 'tiny'.input_filter.action must be a string"),
+        (_with(configs={"tiny": {"confidence": {"clean": None}}}),
+         "E_SCHEMA: config 'tiny'.confidence.clean must be a mapping, got NoneType"),
+        (_with(configs={"tiny": {"batch": {"a": 2.0}}}),
+         "E_SCHEMA: config 'tiny'.batch['a'] must be an integer"),
+        (_with(configs={"tiny": {"device_model": 3}}),
+         "E_SCHEMA: config 'tiny'.device_model must be a string"),
+        (_with(calibration=5), "E_SCHEMA: calibration section must be free text"),
+    ])
+    def test_yaml(self, text, message):
+        with pytest.raises(PipelineError) as err:
+            parse_spec(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("extra,message", [
+        ('{"type": "scenario", "n_inputs": 1}\n',
+         "E_SCHEMA: line 3: scenario record needs a name"),
+        ('{"type": "config", "name": ""}\n',
+         "E_SCHEMA: line 3: config record needs a name"),
+        ('{"type": "config", "name": "x"}\n{"type": "config", "name": "x"}\n',
+         "E_SCHEMA: line 4: duplicate config name 'x'"),
+        ('{"type": "scenario", "name": "s", "n_inputs": 1}\n'
+         '{"type": "scenario", "name": "s", "n_inputs": 2}\n',
+         "E_SCHEMA: line 4: duplicate scenario name 's'"),
+    ])
+    def test_jsonl(self, extra, message):
+        with pytest.raises(SchemaError) as err:
+            parse_spec(JSONL + extra)
+        assert str(err.value) == message
+
+    def test_jsonl_invalid_json_names_its_line(self):
+        with pytest.raises(SyntaxParseError) as err:
+            parse_spec(JSONL + "{oops}\n")
+        assert str(err.value).startswith("E_SYNTAX: line 3: invalid JSON: ")
+
+    def test_jsonl_record_that_is_not_an_object(self):
+        # parse_spec only sends lines that open with a brace here, and those
+        # decode to objects; the check guards any other caller.
+        with pytest.raises(SyntaxParseError) as err:
+            _load_jsonl("[1]\n")
+        assert str(err.value) == "E_SYNTAX: line 1: record must be an object"
+
+    def test_jsonl_blank_lines_are_skipped(self):
+        spec = parse_spec(JSONL.replace("\n", "\n\n   \n", 1))
+        bare = parse_spec(JSONL)
+        assert (spec.graph, spec.scenarios, spec.configs) == (
+            bare.graph, bare.scenarios, bare.configs)
 
 
 class TestJsonl:
