@@ -288,8 +288,8 @@ def _cmd_matrix(args) -> int:
         configs = {args.config: _pick(spec.configs, args.config,
                                       "config", args.spec)}
     seeds = None
-    if args.seeds:
-        seeds = [_seed(s) for s in args.seeds.split(",") if s.strip()]
+    if args.seeds is not None:
+        seeds = [_seed(s) for s in args.seeds.split(",")]
     elif args.seed is not None:
         seeds = [args.seed]
     labeled = run_matrix(spec.graph, scenarios, configs, seeds=seeds)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Container, Mapping
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from .errors import (
@@ -127,15 +127,6 @@ class PipelineGraph:
 # Record coercion (raw mappings -> typed records)
 # ---------------------------------------------------------------------------
 
-_COMPONENT_KEYS = {
-    "id",
-    "kind",
-    "clean_cost_gflops",
-    "adv_cost_gflops",
-    "device_rate_gflops_s",
-    "per_call_overhead_s",
-    "batchable",
-}
 _PROFILE_KEYS = {"component", "clean_cardinality", "adv_cardinality"}
 _GATE_KEYS = {"component", "routes"}
 _EDGE_KEYS = {"from", "to", "label", "capacity"}
@@ -187,35 +178,27 @@ def _capacity(value: Any, what: str) -> int | None:
     return value
 
 
-def _opt_number(rec: Mapping, key: str, what: str, default: float) -> float:
-    return _number(rec[key], f"{what}.{key}") if key in rec else default
-
-
-def _opt_int(rec: Mapping, key: str, what: str, default: int) -> int:
-    return _integer(rec[key], f"{what}.{key}") if key in rec else default
-
-
-def _opt_bool(rec: Mapping, key: str, what: str, default: bool) -> bool:
-    if key not in rec:
-        return default
-    value = rec[key]
+def _boolean(value: Any, what: str) -> bool:
     if not isinstance(value, bool):
-        raise SchemaError(f"{what}.{key} must be a boolean")
+        raise SchemaError(f"{what} must be a boolean")
     return value
 
 
-def _opt_str(rec: Mapping, key: str, what: str, default: str | None) -> str | None:
-    """``rec[key]``, a string; null is accepted only where the default is null."""
-    value = rec.get(key, default)
-    if value is None and default is None:
-        return None
+def _string(value: Any, what: str) -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"{what}.{key} must be a string")
+        raise SchemaError(f"{what} must be a string")
     return value
 
 
-def _check_keys(rec: Mapping, allowed: set[str], what: str) -> None:
-    unknown = set(rec) - allowed
+def _given(rec: Mapping, what: str, readers: Mapping) -> dict[str, Any]:
+    """``readers`` (spec key -> ``(field, reader)``) applied to the keys that
+    ``rec`` gives; a key left out is not passed, so its record default holds."""
+    return {name: read(rec[key], f"{what}.{key}")
+            for key, (name, read) in readers.items() if key in rec}
+
+
+def _check_keys(rec: Mapping, allowed: Container[str], what: str) -> None:
+    unknown = {key for key in rec if key not in allowed}
     if unknown:
         names = ", ".join(sorted(map(str, unknown)))
         raise SchemaError(f"{what} has unknown key(s): {names}")
@@ -232,21 +215,25 @@ def _card_map(obj: Any, what: str, read: Callable[[Any, str], Any] = _number) ->
     return out
 
 
+#: Optional component keys: spec key -> (ComponentSpec field, reader).
+_COMPONENT_FIELDS = {
+    "clean_cost_gflops": ("clean_cost", _number),
+    "adv_cost_gflops": ("adv_cost", _number),
+    "device_rate_gflops_s": ("device_rate", _number),
+    "per_call_overhead_s": ("per_call_overhead", _number),
+    "batchable": ("batchable", _boolean),
+}
+_COMPONENT_KEYS = {"id", "kind", *_COMPONENT_FIELDS}
+
+
 def _coerce_component(rec: Mapping) -> ComponentSpec:
     cid = _need_str(rec, "id", "component")
     what = f"component {cid!r}"
     _check_keys(rec, _COMPONENT_KEYS, what)
     kind = _need_str(rec, "kind", what)
-    clean = _opt_number(rec, "clean_cost_gflops", what, 0.0)
-    return ComponentSpec(
-        id=cid,
-        kind=kind,
-        clean_cost=clean,
-        adv_cost=_opt_number(rec, "adv_cost_gflops", what, clean),
-        device_rate=_opt_number(rec, "device_rate_gflops_s", what, 1.0),
-        per_call_overhead=_opt_number(rec, "per_call_overhead_s", what, 0.0),
-        batchable=_opt_bool(rec, "batchable", what, True),
-    )
+    spec = ComponentSpec(cid, kind, **_given(rec, what, _COMPONENT_FIELDS))
+    # A missing adversarial cost equals the clean cost.
+    return spec if "adv_cost_gflops" in rec else replace(spec, adv_cost=spec.clean_cost)
 
 
 def _coerce_profile(rec: Mapping) -> BehaviorProfile:

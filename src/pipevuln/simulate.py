@@ -170,7 +170,7 @@ class Attenuation:
     ``residual_floor`` times the clean cardinality survives preprocessing.
     """
 
-    factor: float
+    factor: float = 1.0
     residual_floor: float = 0.0
 
     def __post_init__(self) -> None:
@@ -189,7 +189,7 @@ class InputFilter:
     with clean behavior, and count toward the filtered total either way.
     """
 
-    p_detect: float
+    p_detect: float = 0.0
     action: str = DROP_INPUT
 
     def __post_init__(self) -> None:
@@ -854,12 +854,17 @@ def run_matrix(
 ) -> list[tuple[str, SimMetrics]]:
     """One labeled metrics row per (scenario, config) pair.
 
-    With more than one seed, each pair expands to per-seed rows followed by
-    mean and std rows (the scenario's own seed is replaced; aggregate rows
-    carry float-valued counts). Output order is scenario-major in
-    declaration order; any cell failure aborts the whole matrix with the
-    failing label in the message.
+    ``seeds``, when given, replace each scenario's own seed; they must be
+    distinct, and an empty list is a bad value. With more than one seed,
+    each pair expands to per-seed rows followed by mean and std rows
+    (aggregate rows carry float-valued counts). Output order is
+    scenario-major in declaration order; any cell failure aborts the whole
+    matrix with the failing label in the message.
     """
+    if seeds is not None and not seeds:
+        raise BadValueError("matrix: the seed list is empty")
+    if seeds is not None and len(set(seeds)) < len(seeds):
+        raise BadValueError(f"matrix: seeds must be distinct, got {list(seeds)}")
     results: list[tuple[str, SimMetrics]] = []
     for sname, scenario in scenarios.items():
         runs = [replace(scenario, seed=seed) for seed in seeds or ()] or [scenario]

@@ -21,6 +21,7 @@ import hashlib
 import json
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from functools import partial
 from typing import Any
 
 import yaml
@@ -38,17 +39,15 @@ from .model import (
     _capacity,
     _card_map,
     _check_keys,
+    _given,
     _integer,
     _need_mapping,
-    _opt_int,
-    _opt_number,
-    _opt_str,
+    _number,
+    _string,
     build_graph,
 )
 from .ranking import resolve_path
 from .simulate import (
-    DROP_INPUT,
-    PER_COMPONENT_SERVER,
     Attenuation,
     ConfidenceFilter,
     DeploymentConfig,
@@ -56,11 +55,6 @@ from .simulate import (
     TrafficScenario,
 )
 
-_SCENARIO_KEYS = {"n_inputs", "mix", "target_path", "arrival", "seed"}
-_CONFIG_KEYS = {
-    "batch", "buffers", "confidence", "attenuation",
-    "input_filter", "path_budgets", "device_model",
-}
 _RECORD_TYPES = {
     "component", "profile", "gate", "edge",
     "source", "scenario", "config", "calibration",
@@ -170,77 +164,77 @@ def _load_jsonl(text: str) -> dict:
     return doc
 
 
+def _interval(arrival: Any, what: str) -> float:
+    """The seconds between arrivals that an ``arrival`` string names."""
+    if not isinstance(arrival, str):
+        raise SchemaError(f"{what} is malformed")
+    if arrival == "back-to-back":
+        return 0.0
+    if not arrival.startswith("fixed-interval:"):
+        raise SchemaError(f"{what} must be 'back-to-back' or "
+                          f"'fixed-interval:<seconds>'")
+    try:
+        return float(arrival.split(":", 1)[1])
+    except ValueError as exc:
+        raise SchemaError(f"{what} has a bad interval") from exc
+
+
+def _path_id(value: Any, what: str) -> str | None:
+    return None if value is None else _string(value, what)
+
+
+def _record(cls: type, readers: Mapping, value: Any, what: str) -> Any:
+    """``value`` read as a ``cls`` record, or ``None`` when it is null."""
+    if value is None:
+        return None
+    _check_keys(_need_mapping(value, what), readers, what)
+    return cls(**_given(value, what, readers))
+
+
+# Reader tables, spec key -> (record field, reader), in reading order. The
+# two arrival spellings end in ``_interval``: the record keeps the interval.
+_SCENARIO = {
+    "arrival": ("interval_s", _interval),
+    "n_inputs": ("n_inputs", _integer),
+    "mix": ("mix", _number),
+    "target_path": ("target_path", _path_id),
+    "seed": ("seed", _integer),
+}
+_confidence = partial(_record, ConfidenceFilter, {
+    "clean": ("clean", _card_map),
+    "adversarial": ("adversarial", _card_map),
+})
+_attenuation = partial(_record, Attenuation, {
+    "factor": ("factor", _number),
+    "residual_floor": ("residual_floor", _number),
+})
+_input_filter = partial(_record, InputFilter, {
+    "p_detect": ("p_detect", _number),
+    "action": ("action", _string),
+})
+_CONFIG = {
+    "confidence": ("confidence", _confidence),
+    "attenuation": ("attenuation", _attenuation),
+    "input_filter": ("input_filter", _input_filter),
+    "batch": ("batch", partial(_card_map, read=_integer)),
+    "buffers": ("buffers", partial(_card_map, read=_capacity)),
+    "path_budgets": ("path_budgets", _card_map),
+    "device_model": ("device_model", _string),
+}
+
+
 def _coerce_scenario(name: str, rec: Any) -> TrafficScenario:
     what = f"scenario {name!r}"
-    _check_keys(_need_mapping(rec, what), _SCENARIO_KEYS, what)
+    _check_keys(_need_mapping(rec, what), _SCENARIO, what)
     if "n_inputs" not in rec:
         raise SchemaError(f"{what} is missing n_inputs")
-    # The two arrival spellings end here: the record keeps only the interval.
-    arrival = rec.get("arrival", "back-to-back")
-    if not isinstance(arrival, str):
-        raise SchemaError(f"{what}.arrival is malformed")
-    interval = 0.0
-    if arrival.startswith("fixed-interval:"):
-        try:
-            interval = float(arrival.split(":", 1)[1])
-        except ValueError as exc:
-            raise SchemaError(f"{what}.arrival has a bad interval") from exc
-    elif arrival != "back-to-back":
-        raise SchemaError(f"{what}.arrival must be 'back-to-back' or "
-                          f"'fixed-interval:<seconds>'")
-    return TrafficScenario(
-        n_inputs=_opt_int(rec, "n_inputs", what, 0),
-        mix=_opt_number(rec, "mix", what, 0.0),
-        target_path=_opt_str(rec, "target_path", what, None),
-        interval_s=interval,
-        seed=_opt_int(rec, "seed", what, 0),
-    )
-
-
-def _block(rec: Mapping, key: str, allowed: set[str], what: str) -> Mapping | None:
-    """The sub-record ``rec[key]`` with only ``allowed`` keys, or ``None``
-    when it is absent or null."""
-    block = rec.get(key)
-    if block is None:
-        return None
-    what = f"{what}.{key}"
-    _check_keys(_need_mapping(block, what), allowed, what)
-    return block
+    return TrafficScenario(**_given(rec, what, _SCENARIO))
 
 
 def _coerce_config(name: str, rec: Any) -> DeploymentConfig:
     what = f"config {name!r}"
-    _check_keys(_need_mapping(rec, what), _CONFIG_KEYS, what)
-    confidence = attenuation = input_filter = None
-    block = _block(rec, "confidence", {"clean", "adversarial"}, what)
-    if block is not None:
-        confidence = ConfidenceFilter(**{
-            key: _card_map(block.get(key, {}), f"{what}.confidence.{key}")
-            for key in ("clean", "adversarial")
-        })
-    block = _block(rec, "attenuation", {"factor", "residual_floor"}, what)
-    if block is not None:
-        attenuation = Attenuation(
-            factor=_opt_number(block, "factor", f"{what}.attenuation", 1.0),
-            residual_floor=_opt_number(
-                block, "residual_floor", f"{what}.attenuation", 0.0
-            ),
-        )
-    block = _block(rec, "input_filter", {"p_detect", "action"}, what)
-    if block is not None:
-        input_filter = InputFilter(
-            p_detect=_opt_number(block, "p_detect", f"{what}.input_filter", 0.0),
-            action=_opt_str(block, "action", f"{what}.input_filter", DROP_INPUT),
-        )
-    return DeploymentConfig(
-        batch=_card_map(rec.get("batch", {}), f"{what}.batch", _integer),
-        buffers=_card_map(rec.get("buffers", {}), f"{what}.buffers", _capacity),
-        confidence=confidence,
-        attenuation=attenuation,
-        input_filter=input_filter,
-        path_budgets=_card_map(rec.get("path_budgets", {}), f"{what}.path_budgets"),
-        device_model=_opt_str(rec, "device_model", what, PER_COMPONENT_SERVER),
-    )
+    # Unlike a defense sub-record, a config itself may not be null.
+    return _record(DeploymentConfig, _CONFIG, _need_mapping(rec, what), what)
 
 
 def _is_path(graph: PipelineGraph, path_id: str) -> bool:

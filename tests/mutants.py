@@ -32,6 +32,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 SIM = "src/pipevuln/simulate.py"
 SPECIO = "src/pipevuln/specio.py"
+MODEL = "src/pipevuln/model.py"
 RANKING = "src/pipevuln/ranking.py"
 PROPAGATION = "src/pipevuln/propagation.py"
 _KEY_GAMMA = "z = (raw + j + 0x9E3779B97F4A7C15) & mask"
@@ -239,6 +240,30 @@ MUTANTS = [
     Mutant("single-seed-row-expanded", SIM,
            "if len(rows) == 1:", "if len(rows) == 0:",
            "one seed gives one unlabelled row, with no mean or std"),
+    Mutant("seeds-empty-accepted", SIM,
+           "    if seeds is not None and not seeds:\n"
+           "        raise BadValueError(\"matrix: the seed list is empty\")\n", "",
+           "an empty seed list is a bad value, not the scenario's own seed"),
+    Mutant("seeds-repeat-accepted", SIM,
+           "if seeds is not None and len(set(seeds)) < len(seeds):",
+           "if False:",
+           "a repeated seed is a bad value, not a duplicate row"),
+    # Spec defaults.
+    Mutant("attenuation-factor-default-zero", SIM,
+           "factor: float = 1.0", "factor: float = 0.0",
+           "an attenuation that leaves out its factor keeps the whole gain"),
+    Mutant("filter-p-detect-default-half", SIM,
+           "p_detect: float = 0.0", "p_detect: float = 0.5",
+           "an input filter that leaves out p_detect detects nothing"),
+    Mutant("adv-cost-not-clean-cost", MODEL,
+           'return spec if "adv_cost_gflops" in rec else replace(spec, '
+           "adv_cost=spec.clean_cost)",
+           "return spec",
+           "a component that leaves out its adversarial cost costs its clean cost"),
+    Mutant("sub-record-keys-unchecked", SPECIO,
+           "_check_keys(_need_mapping(value, what), readers, what)",
+           "_need_mapping(value, what)",
+           "a sub-record with a key its table lacks is a schema error"),
     # Spec references.
     Mutant("yaml-duplicate-key-kept", SPECIO,
            "if key in seen:", "if False:",

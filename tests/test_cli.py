@@ -193,6 +193,22 @@ class TestExitCodes:
         assert err.startswith("E_BAD_VALUE") and "'x'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("seeds,message", [
+        (",", "--seeds: '' is not an integer"),
+        ("", "--seeds: '' is not an integer"),
+        ("1,,2", "--seeds: '' is not an integer"),
+        ("1,", "--seeds: '' is not an integer"),
+        ("1,1", "matrix: seeds must be distinct, got [1, 1]"),
+    ])
+    def test_blank_or_repeated_seed_is_bad_value(self, capsys, traffic_spec_path,
+                                                 seeds, message):
+        # A blank list once ran the scenario's own seed, and a repeated seed
+        # printed two seed=1 rows and a std of 0.
+        code, out, err = run_cli(capsys, "matrix", traffic_spec_path,
+                                 "--scenario", "clean", "--config", "none",
+                                 "--seeds", seeds)
+        assert (code, out, err) == (1, "", f"E_BAD_VALUE: {message}\n")
+
     @pytest.mark.parametrize("target", ["missing/out.txt", "."])
     def test_unwritable_out_is_coded_error(self, capsys, tmp_path,
                                            traffic_spec_path, target):

@@ -903,6 +903,21 @@ class TestRunMatrix:
             run_matrix(graph, {"bad": bad}, {"none": DeploymentConfig()})
         assert "bad/none" in str(err.value)
 
+    @pytest.mark.parametrize("seeds,message", [
+        ([], "matrix: the seed list is empty"),
+        ((), "matrix: the seed list is empty"),
+        ([1, 1], "matrix: seeds must be distinct, got [1, 1]"),
+        ([3, 1, 3], "matrix: seeds must be distinct, got [3, 1, 3]"),
+    ])
+    def test_empty_or_repeated_seeds_are_bad_values(self, seeds, message):
+        # An empty list once ran the scenario's own seed, and a repeated seed
+        # gave duplicate rows and a std of 0.
+        graph = build_graph(variant_doc())
+        with pytest.raises(BadValueError) as err:
+            run_matrix(graph, {"clean": clean_scenario(n=2)},
+                       {"none": DeploymentConfig()}, seeds=seeds)
+        assert str(err.value) == f"E_BAD_VALUE: {message}"
+
 
 class TestPropertySuite:
     def test_conservation_and_invariants_on_random_triples(self):

@@ -295,6 +295,14 @@ class TestDefaults:
         )
         assert spec.calibration == ""
 
+    def test_records_built_in_python_take_the_same_defaults(self):
+        spec = parse_spec(BARE_YAML)
+        assert spec.configs["bare"] == DeploymentConfig()
+        assert spec.configs["defenses"] == DeploymentConfig(
+            confidence=ConfidenceFilter(), attenuation=Attenuation(),
+            input_filter=InputFilter(),
+        )
+
 
 class TestCodedErrors:
     """Each check below ends a parse with one coded line."""
