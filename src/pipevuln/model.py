@@ -127,9 +127,6 @@ class PipelineGraph:
 # Record coercion (raw mappings -> typed records)
 # ---------------------------------------------------------------------------
 
-_PROFILE_KEYS = {"component", "clean_cardinality", "adv_cardinality"}
-_GATE_KEYS = {"component", "routes"}
-_EDGE_KEYS = {"from", "to", "label", "capacity"}
 _PIPELINE_KEYS = {"components", "profiles", "gates", "edges", "source"}
 # Sections owned by other layers; tolerated so a whole document can be passed.
 _EXTRA_KEYS = {"scenarios", "configs", "calibration"}
@@ -236,38 +233,54 @@ def _coerce_component(rec: Mapping) -> ComponentSpec:
     return spec if "adv_cost_gflops" in rec else replace(spec, adv_cost=spec.clean_cost)
 
 
+def _adv_cardinality(obj: Any, what: str) -> dict[str, dict[str, float]]:
+    """Target label -> emission table; a flat number ``n`` for target ``t``
+    reads as ``{t: n}`` (``BehaviorProfile``)."""
+    adv = {}
+    for label, value in _need_mapping(obj, what).items():
+        if not isinstance(label, str):
+            raise SchemaError(f"{what} labels must be strings")
+        if not isinstance(value, Mapping):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SchemaError(f"{what}[{label!r}] must be a number or mapping")
+            value = {label: value}
+        adv[label] = _card_map(value, f"{what}[{label!r}]")
+    return adv
+
+
+def _routes(obj: Any, what: str) -> dict[str, str]:
+    routes = {}
+    for label, target in _need_mapping(obj, what).items():
+        if not isinstance(label, str) or not isinstance(target, str):
+            raise SchemaError(f"{what} entries must map string to string")
+        routes[label] = target
+    return routes
+
+
+#: Optional profile, gate and edge keys: spec key -> (record field, reader).
+_PROFILE_FIELDS = {
+    "clean_cardinality": ("clean_cardinality", _card_map),
+    "adv_cardinality": ("adv_cardinality", _adv_cardinality),
+}
+_PROFILE_KEYS = {"component", *_PROFILE_FIELDS}
+_GATE_FIELDS = {"routes": ("routes", _routes)}
+_GATE_KEYS = {"component", *_GATE_FIELDS}
+_EDGE_FIELDS = {"capacity": ("capacity", _capacity)}
+_EDGE_KEYS = {"from", "to", "label", *_EDGE_FIELDS}
+
+
 def _coerce_profile(rec: Mapping) -> BehaviorProfile:
     comp = _need_str(rec, "component", "profile")
     what = f"profile for {comp!r}"
     _check_keys(rec, _PROFILE_KEYS, what)
-    clean = _card_map(rec.get("clean_cardinality", {}), f"{what}.clean_cardinality")
-    adv_raw = _need_mapping(rec.get("adv_cardinality", {}), f"{what}.adv_cardinality")
-    adv: dict[str, dict[str, float]] = {}
-    for label, value in adv_raw.items():
-        if not isinstance(label, str):
-            raise SchemaError(f"{what}.adv_cardinality labels must be strings")
-        if not isinstance(value, Mapping):
-            # A flat entry: the target label alone, every other one at zero.
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(
-                    f"{what}.adv_cardinality[{label!r}] must be a number or mapping"
-                )
-            value = {label: value}
-        adv[label] = _card_map(value, f"{what}.adv_cardinality[{label!r}]")
-    return BehaviorProfile(component=comp, clean_cardinality=clean, adv_cardinality=adv)
+    return BehaviorProfile(comp, **_given(rec, what, _PROFILE_FIELDS))
 
 
 def _coerce_gate(rec: Mapping) -> GateSpec:
     comp = _need_str(rec, "component", "gate")
     what = f"gate for {comp!r}"
     _check_keys(rec, _GATE_KEYS, what)
-    routes_raw = _need_mapping(rec.get("routes", {}), f"{what}.routes")
-    routes: dict[str, str] = {}
-    for label, target in routes_raw.items():
-        if not isinstance(label, str) or not isinstance(target, str):
-            raise SchemaError(f"{what}.routes entries must map string to string")
-        routes[label] = target
-    return GateSpec(component=comp, routes=routes)
+    return GateSpec(comp, **_given(rec, what, _GATE_FIELDS))
 
 
 def _coerce_edge(rec: Mapping) -> EdgeSpec:
@@ -277,8 +290,7 @@ def _coerce_edge(rec: Mapping) -> EdgeSpec:
     to_id = _need_str(rec, "to", what)
     label = _need_str(rec, "label", what)
     what = f"edge {from_id}:{label}"
-    capacity = _capacity(rec.get("capacity"), f"{what}.capacity")
-    return EdgeSpec(from_id=from_id, to_id=to_id, label=label, capacity=capacity)
+    return EdgeSpec(from_id, to_id, label, **_given(rec, what, _EDGE_FIELDS))
 
 
 # ---------------------------------------------------------------------------

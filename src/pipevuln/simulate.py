@@ -19,6 +19,18 @@ restart block after its event: an arrival restarts the source's device, and
 a completion the device that finished and the idle devices that received
 items, in device-id order.
 
+An exit-feeding server is alone on its device, has batch limit 1 and routes
+every label to EXIT or to an exit-only server (below). When the restart
+block starts one and the event touched no other device, the server runs
+through its FIFO: it completes its head items in place while each
+completion time is strictly earlier than both the heap's top entry and the
+next arrival, and the first service that is not goes on the heap. Each such
+completion is the event the heap would pop next, and its emissions reach
+only exit-only servers, which push no event and restart no device. So the
+event order, the order of the heap's entries, the event and offer counts
+with their bound checks, the draws and the finish times are those of the
+heap.
+
 An exit-only server (no gate, alone on its device, batch limit 1, no
 buffer or path budget on an inbound edge) feeds nothing and drops nothing,
 so ``k`` items offered to it at ``now`` are all admitted, scheduled then by
@@ -45,9 +57,12 @@ queued keeps its ``seq`` and advances its raw key. An item's lineage key is
 hash. The completion loop writes out ``_mix`` and ``_poisson_draw``, which
 stay the reference definitions, hashes item ``j`` of a portion as ``raw +
 j``, and admits to an exit-only server without ``offer``: its edges have
-no limit to check. The restart block serves a batch limit of 1 from a list
-of one-item service times and sums a larger batch's GFLOPs one item at a
-time in batch order.
+no limit to check. An input's finish is written once per portion. The
+restart block serves a batch limit of 1 from a list of one-item service
+times and sums a larger batch's GFLOPs one item at a time in batch order.
+Its run-through loop takes an exit-feeding server's FIFO one run at a
+time: it hashes item ``done`` of the run as ``raw + done``, writes out the
+same draw and exit-only admission, and splits the run where it stops.
 
 Determinism. Every random draw is keyed by the scenario seed plus the item's
 lineage, never by event order. Each item carries a 64-bit integer key: an
@@ -464,6 +479,13 @@ class _Run:
             for c, cid in enumerate(ids)
         ]
         self.free = [0.0] * len(ids)
+        # Exit-feeding servers run through their FIFOs (module docstring).
+        self.exit_feeding = [
+            self.sole[self.device_of[c]] == c and self.batch_limit[c] == 1
+            and all(target == EXIT or self.exit_only[self.index[target]]
+                    for target in graph.routes(cid).values())
+            for c, cid in enumerate(ids)
+        ]
 
         # Completions are (time, seq, device, comp, batch), the batch a
         # sequence of run-shaped portions; arrivals are not in the heap but
@@ -517,11 +539,14 @@ class _Run:
         fifos = self.fifo
         sole = self.sole
         service_of = self.service
+        exit_feeding = self.exit_feeding
         processed_of = (self.processed_clean, self.processed_adv)
         rows_of = self.rows
         finish = self.finish
         free_at = self.free
         max_events = self.max_events
+        too_many_events = f"simulation exceeded {max_events} events"
+        too_many_offers = f"simulation offered more than {max_events} arrivals"
         mask = _MASK64
         input_filter = self.config.input_filter
         source = self.index[self.graph.source]
@@ -531,7 +556,7 @@ class _Run:
         while heap or arrived < n:
             events += 1
             if events > max_events:
-                raise NonTerminationError(f"simulation exceeded {max_events} events")
+                raise NonTerminationError(too_many_events)
             # An arrival precedes a completion at the same instant.
             if arrived < n and (not heap or arrival_time[arrived] <= heap[0][0]):
                 input_id = arrived
@@ -556,15 +581,16 @@ class _Run:
                 rows = rows_of[comp]
                 touched = {device}
                 for _, count, input_id, adv, raw, _ in batch:
-                    # Keep the latest finish: an exit-only one may lie past ``now``.
-                    if finish.get(input_id, now) <= now:
-                        finish[input_id] = now
+                    # The input's latest finish so far, written once below:
+                    # an exit-only one may lie past ``now``.
+                    last = finish.get(input_id, now)
+                    if last < now:
+                        last = now
                     taint_rows = rows[adv]
                     if taint_rows is None:
                         taint_rows = self._route_rows(comp, adv)
-                    if not taint_rows:
-                        continue
-                    for j in range(count):
+                    # A sink's items draw nothing, so they are never hashed.
+                    for j in range(count if taint_rows else 0):
                         # key = _mix(raw + j), written out.
                         z = (raw + j + 0x9E3779B97F4A7C15) & mask
                         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
@@ -582,10 +608,7 @@ class _Run:
                                 continue
                             offered += survivors
                             if offered > max_events:
-                                raise NonTerminationError(
-                                    f"simulation offered more than {max_events} "
-                                    "arrivals"
-                                )
+                                raise NonTerminationError(too_many_offers)
                             if fifo is None:
                                 # An exit-only server: its inbound edge admits
                                 # every item, and a Lindley schedule stands in
@@ -594,16 +617,16 @@ class _Run:
                                 server, service = target
                                 events += survivors
                                 if events > max_events:
-                                    raise NonTerminationError(
-                                        f"simulation exceeded {max_events} events"
-                                    )
+                                    raise NonTerminationError(too_many_events)
                                 processed_of[adv][server] += survivors
-                                free = max(now, free_at[server])
+                                free = free_at[server]
+                                if free < now:
+                                    free = now
                                 for _ in range(survivors):
                                     free += service
                                 free_at[server] = free
-                                if finish.get(input_id, free) <= free:
-                                    finish[input_id] = free
+                                if last < free:
+                                    last = free
                                 continue
                             admitted = edge.offer(survivors)
                             if not admitted:
@@ -614,6 +637,7 @@ class _Run:
                             seq_in += 1
                             if not busy[target]:
                                 touched.add(target)
+                    finish[input_id] = last
                 if len(touched) > 1:
                     touched = sorted(touched)
             # Every service on the event path starts here: each idle device
@@ -631,6 +655,76 @@ class _Run:
                 if not fifo:
                     continue
                 one = service_of[comp]
+                if exit_feeding[comp] and len(touched) == 1:
+                    # Run through (module docstring): complete the head items
+                    # here, one FIFO run at a time, while each would pop
+                    # before the heap's top entry and the next arrival.
+                    top = heap[0][0] if heap else math.inf
+                    due = arrival_time[arrived] if arrived < n else math.inf
+                    rows = rows_of[comp]
+                    while fifo:
+                        head = fifo[0]
+                        _, count, input_id, adv, raw, _ = head
+                        step = one[adv]
+                        taint_rows = rows[adv]
+                        processed = processed_of[adv]
+                        last = finish.get(input_id, now)
+                        done = 0
+                        t = now + step
+                        while done < count and t < top and t < due:
+                            events += 1
+                            if events > max_events:
+                                raise NonTerminationError(too_many_events)
+                            if taint_rows is None:
+                                taint_rows = self._route_rows(comp, adv)
+                            if taint_rows:
+                                # Item ``done`` of the run, as in the
+                                # completion loop; every row leads to an
+                                # exit-only server.
+                                z = (raw + done + 0x9E3779B97F4A7C15) & mask
+                                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                                item_key = z ^ (z >> 31)
+                                for salt, (lo, cdf), _, edge, exit_server in taint_rows:
+                                    z = ((item_key ^ salt) + 0x9E3779B97F4A7C15) & mask
+                                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                                    z ^= z >> 31
+                                    survivors = lo + bisect_right(cdf, (z >> 11) * _UNIT)
+                                    if survivors == 0:
+                                        continue
+                                    offered += survivors
+                                    if offered > max_events:
+                                        raise NonTerminationError(too_many_offers)
+                                    edge.enqueued += survivors
+                                    server, service = exit_server
+                                    events += survivors
+                                    if events > max_events:
+                                        raise NonTerminationError(too_many_events)
+                                    processed[server] += survivors
+                                    free = free_at[server]
+                                    if free < t:
+                                        free = t
+                                    for _ in range(survivors):
+                                        free += service
+                                    free_at[server] = free
+                                    if last < free:
+                                        last = free
+                            done += 1
+                            now = t
+                            t += step
+                        if not done:
+                            break
+                        processed[comp] += done
+                        head[5].queued -= done
+                        finish[input_id] = last if now < last else now
+                        if done < count:
+                            head[1] -= done
+                            head[4] += done
+                            break
+                        fifo.popleft()
+                    if not fifo:
+                        continue
                 if one is not None:
                     head = fifo[0]
                     if head[1] <= 1:

@@ -37,6 +37,8 @@ RANKING = "src/pipevuln/ranking.py"
 PROPAGATION = "src/pipevuln/propagation.py"
 _KEY_GAMMA = "z = (raw + j + 0x9E3779B97F4A7C15) & mask"
 _DRAW_GAMMA = "z = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask"
+_RUN_KEY_GAMMA = "z = (raw + done + 0x9E3779B97F4A7C15) & mask"
+_RUN_DRAW_GAMMA = "z = ((item_key ^ salt) + 0x9E3779B97F4A7C15) & mask"
 _ROUND1 = "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask"
 _ROUND2 = "z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask"
 
@@ -60,8 +62,9 @@ class Mutant(NamedTuple):
 
 
 def _hash_mutants(which: str, gamma: str, final: str, indent: int) -> list[Mutant]:
-    """The six constants of one written-out SplitMix64 hash, whose lines in
-    the completion loop are indented by ``indent`` spaces."""
+    """The six constants of one written-out SplitMix64 hash, whose lines are
+    indented by ``indent`` spaces: the key or draw hash of the completion
+    loop, or its copy in the run-through loop (``run-key``, ``run-draw``)."""
     nl = "\n" + " " * indent
     changes = [
         ("gamma", gamma, gamma.replace("7C15", "7C17")),
@@ -77,7 +80,7 @@ def _hash_mutants(which: str, gamma: str, final: str, indent: int) -> list[Mutan
     ]
     return [
         Mutant(f"{which}-hash-{part}", SIM, old, new,
-               f"the loop's {which} hash must equal _mix")
+               f"the written-out {which} hash must equal _mix")
         for part, old, new in changes
     ]
 
@@ -134,17 +137,20 @@ MUTANTS = [
            "(t, self.service[t][adv])", "(t, self.service[t][0])",
            "an adversarial item at an exit-only server takes its own service time"),
     Mutant("exit-only-no-clock-max", SIM,
-           "free = max(now, free_at[server])", "free = free_at[server]",
+           "if free < now:", "if False:",
            "an idle exit-only server starts at the admission time"),
     Mutant("exit-only-service-twice", SIM,
-           "for _ in range(survivors):\n"
+           "free = now\n"
+           "                                for _ in range(survivors):\n"
            "                                    free += service\n",
-           "for _ in range(survivors):\n"
+           "free = now\n"
+           "                                for _ in range(survivors):\n"
            "                                    free += service\n"
            "                                    free += service\n",
            "each admitted item takes one service time"),
     Mutant("exit-only-no-event-count", SIM,
-           "                                events += survivors\n", "",
+           "= target\n                                events += survivors\n",
+           "= target\n",
            "each exit-only completion counts against the event bound"),
     Mutant("wall-time-from-heap", SIM,
            "wall = max(self.now, *self.free)", "wall = self.now",
@@ -168,10 +174,15 @@ MUTANTS = [
            "a server on a shared device needs the event path"),
     # Latest completion of an input.
     Mutant("event-path-finish-unconditional", SIM,
-           "if finish.get(input_id, now) <= now:", "if True:",
+           "if last < now:", "if True:",
            "a completion must not move an input's later exit-only finish back"),
     Mutant("exit-only-exit-unconditional", SIM,
-           "if finish.get(input_id, free) <= free:", "if True:",
+           "if last < free:\n"
+           "                                    last = free\n"
+           "                                continue\n",
+           "if True:\n"
+           "                                    last = free\n"
+           "                                continue\n",
            "an exit-only finish must not move an input's later finish back"),
     Mutant("latency-from-zero", SIM,
            "self.finish[i] - self.arrival_time[i]", "self.finish[i]",
@@ -198,6 +209,61 @@ MUTANTS = [
            "the loop's uniform is the top 53 bits of the draw key"),
     *_hash_mutants("key", _KEY_GAMMA, "key = z ^ (z >> 31)", 24),
     *_hash_mutants("draw", _DRAW_GAMMA, "draw_key = z ^ (z >> 31)", 28),
+    # Run-through of exit-feeding servers: the completions taken without
+    # the heap, and the copies of the completion loop's decisions they use.
+    Mutant("exit-feeding-shared", SIM,
+           "self.sole[self.device_of[c]] == c and self.batch_limit[c] == 1\n",
+           "self.batch_limit[c] == 1\n",
+           "a server on a shared device completes its items through the heap"),
+    Mutant("exit-feeding-batched", SIM,
+           "== c and self.batch_limit[c] == 1\n", "== c\n",
+           "a batched server completes its items through the heap"),
+    Mutant("exit-feeding-event-path-target", SIM,
+           "target == EXIT or self.exit_only[self.index[target]]", "True",
+           "a server that feeds an event-path server completes through the heap"),
+    Mutant("run-through-many-touched", SIM,
+           "if exit_feeding[comp] and len(touched) == 1:", "if exit_feeding[comp]:",
+           "devices restarted after a run-through one would start late"),
+    Mutant("run-through-top-tie", SIM,
+           "and t < top and", "and t <= top and",
+           "a completion that ties the heap's top pops after it"),
+    Mutant("run-through-arrival-tie", SIM,
+           "and t < due:", "and t <= due:",
+           "a completion that ties the next arrival pops after it"),
+    Mutant("run-through-no-event-count", SIM,
+           "                            events += 1\n", "",
+           "each completion taken without the heap is an event"),
+    Mutant("run-through-exit-no-event-count", SIM,
+           "= exit_server\n                                    events += survivors\n",
+           "= exit_server\n",
+           "each exit-only completion counts against the event bound"),
+    Mutant("run-through-no-clock-max", SIM,
+           "if free < t:", "if False:",
+           "an idle exit-only server starts at the completion time"),
+    Mutant("run-through-exit-unconditional", SIM,
+           "if last < free:\n"
+           "                                        last = free\n"
+           "                            done += 1\n",
+           "if True:\n"
+           "                                        last = free\n"
+           "                            done += 1\n",
+           "an exit-only finish must not move an input's later finish back"),
+    Mutant("run-through-finish-at-completion", SIM,
+           "finish[input_id] = last if now < last else now",
+           "finish[input_id] = now",
+           "an input finishes at its last exit-only finish, not at the feeder's"),
+    Mutant("run-through-keeps-queued", SIM,
+           "                        head[5].queued -= done\n", "",
+           "items completed without the heap leave their edge's queued count"),
+    Mutant("run-through-split-raw-kept", SIM,
+           "                            head[4] += done\n", "",
+           "the run left queued starts past the keys completed without the heap"),
+    Mutant("run-through-draw-uniform-shift", SIM,
+           "bisect_right(cdf, (z >> 11) * _UNIT)",
+           "bisect_right(cdf, (z >> 12) * _UNIT)",
+           "the run-through uniform is the top 53 bits of the draw key"),
+    *_hash_mutants("run-key", _RUN_KEY_GAMMA, "item_key = z ^ (z >> 31)", 32),
+    *_hash_mutants("run-draw", _RUN_DRAW_GAMMA, "z ^= z >> 31", 36),
     # Adversarial subset and input filter.
     Mutant("subset-count-truncated", SIM,
            "count = int(round(self.scenario.mix * n))",

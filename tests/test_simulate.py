@@ -105,6 +105,25 @@ def restart_order_doc() -> dict:
     }
 
 
+def overhead_doc(overheads: dict, gates: dict, means: dict) -> dict:
+    """Source ``a`` and zero-cost non-neural components that take their
+    overhead per item; ``gates`` gives each gated component's routes and
+    ``means`` its clean emission means."""
+    return {
+        "components": [
+            {"id": cid, "kind": "non-neural", "clean_cost_gflops": 0.0,
+             "per_call_overhead_s": overhead, "batchable": False}
+            for cid, overhead in overheads.items()
+        ],
+        "profiles": [{"component": cid, "clean_cardinality": means.get(cid, {})}
+                     for cid in overheads],
+        "gates": [{"component": c, "routes": r} for c, r in gates.items()],
+        "edges": [{"from": c, "to": to, "label": label}
+                  for c, r in gates.items() for label, to in r.items() if to != EXIT],
+        "source": "a",
+    }
+
+
 def car_path_id(graph) -> str:
     return next(p.id for p in enumerate_paths(graph) if "car" in p.id)
 
@@ -190,6 +209,20 @@ class TestSampler:
             key = _mix(i)
             draws = [_poisson_draw(table, key) for table in tables]
             assert draws == sorted(draws), key
+
+    def test_run_through_draw_takes_the_uniform_of_the_whole_hash(self):
+        # a is exit-feeding, so its one item completes in the run-through
+        # loop. At seed 2 this mean puts the table's step past 3 items
+        # 1.3e-10 above the uniform of a's draw; off by one in the hash's
+        # last shift, the uniform moves 2.6e-10 and the draw is 4.
+        mean = 3.0832319615592745
+        lo, cdf = table = _poisson_table(mean)
+        draw_key = _mix(_mix(_mix(2) + 0) ^ _text_key("x"))
+        assert 0 < cdf[3 - lo] - (draw_key >> 11) * 2.0**-53 < 2e-10
+        graph = build_graph(exit_only_doc(mean, 0.1))
+        run = _Run(graph, TrafficScenario(n_inputs=1, seed=2), DeploymentConfig(), 10**7)
+        assert run.exit_feeding[run.index["a"]]
+        assert run.execute().workload["b"] == _poisson_draw(table, draw_key) == 3
 
     @pytest.mark.parametrize("mean", [7.0, 900.0])
     def test_loop_draw_matches_the_reference_helpers(self, mean):
@@ -525,6 +558,63 @@ class TestExitOnlyServers:
         assert (input_id, adv) == (0, False)
         assert edge.queued == count > 5 * 10**6
         assert edge.enqueued == count + run.processed_clean[1]
+
+
+class TestExitFeedingServers:
+    """A server alone on its device, at batch limit 1, whose routes all end
+    at EXIT or an exit-only server completes its items without the heap
+    while each completion comes strictly first. Every service time and
+    interval below is dyadic, so float sums meet exactly, and each test
+    asserts the per-input latencies and wall time of the heap-only
+    simulator."""
+
+    @staticmethod
+    def _run(doc: dict, seed: int):
+        graph = build_graph(doc)
+        scenario = TrafficScenario(n_inputs=2, interval_s=1.0, seed=seed)
+        run = _Run(graph, scenario, DeploymentConfig(), 10**7)
+        metrics = run.execute()
+        assert [run.exit_feeding[run.index[cid]] for cid in ("a", "f")] == [False, True]
+        latencies = [run.finish[i] - run.arrival_time[i] for i in sorted(run.finish)]
+        return metrics, latencies
+
+    def test_completion_on_the_next_arrival_waits_for_it(self):
+        # a (0.25 s) sends x to f and y to b; f (0.25 s) sends z to b, an
+        # exit-only server (0.25 s). f's completion at 1.0 ties input 1's
+        # arrival, which goes first, so a's completion of input 1 at 1.25
+        # started before f's next one and pops first: input 1's y reaches b
+        # before input 0's z.
+        doc = overhead_doc({"a": 0.25, "f": 0.25, "b": 0.25},
+                           {"a": {"x": "f", "y": "b"}, "f": {"z": "b"}},
+                           {"a": {"x": 4.0, "y": 1.0}, "f": {"z": 1.0}})
+        metrics, latencies = self._run(doc, seed=7)
+        assert metrics.workload == {"a": 2, "b": 6, "f": 7}
+        assert latencies == [1.75, 1.25]
+        assert metrics.wall_time_s == 2.25
+
+    def test_completion_on_another_devices_completion_waits_for_it(self):
+        # a takes 0.75 s and f 0.5 s. a completes input 1 at 1.75, the
+        # instant of f's second completion, which started later: input 1's
+        # y reaches b before input 0's z.
+        doc = overhead_doc({"a": 0.75, "f": 0.5, "b": 0.25},
+                           {"a": {"x": "f", "y": "b"}, "f": {"z": "b"}},
+                           {"a": {"x": 2.0, "y": 1.0}, "f": {"z": 1.0}})
+        metrics, latencies = self._run(doc, seed=15)
+        assert metrics.workload == {"a": 2, "b": 6, "f": 5}
+        assert latencies == [2.5, 2.25]
+        assert metrics.wall_time_s == 3.25
+
+    def test_two_exit_only_servers_and_an_exit(self):
+        # f sends p to b1 (1 s), q to b2 (0.25 s) and r to EXIT. Input 1's
+        # last item of b1 ends at 5.5; its later items of f reach only b2,
+        # which ends sooner, so the input finishes with b1.
+        doc = overhead_doc({"a": 0.25, "f": 0.25, "b1": 1.0, "b2": 0.25},
+                           {"a": {"x": "f"}, "f": {"p": "b1", "q": "b2", "r": EXIT}},
+                           {"a": {"x": 3.0}, "f": {"p": 1.0, "q": 1.0, "r": 1.0}})
+        metrics, latencies = self._run(doc, seed=1)
+        assert metrics.workload == {"a": 2, "b1": 5, "b2": 6, "f": 7}
+        assert latencies == [3.5, 4.5]
+        assert metrics.wall_time_s == 5.5
 
 
 class TestLatencyAccounting:
@@ -935,6 +1025,23 @@ class TestPropertySuite:
                 )
             assert metrics.p50_s <= metrics.p95_s <= metrics.p99_s
             assert metrics.completed == scenario.n_inputs
+
+    @pytest.mark.parametrize("triple, seed, floor", [
+        (random_sim_triple, 521, 40), (random_mixed_sim_triple, 522, 75),
+    ], ids=["random", "mixed"])
+    def test_run_through_matches_the_heap(self, triple, seed, floor):
+        # The same run with every exit-feeding flag cleared takes each
+        # completion from the heap. Of 300 triples, 53 random and 99 mixed
+        # ones build an exit-feeding server that is not exit-only.
+        rng = random.Random(seed)
+        feeding = 0
+        for index in range(300):
+            graph, scenario, config = triple(rng)
+            run, heap_only = (_Run(graph, scenario, config, 10**7) for _ in range(2))
+            feeding += any(f and not e for f, e in zip(run.exit_feeding, run.exit_only))
+            heap_only.exit_feeding = [False] * len(heap_only.ids)
+            assert run.execute() == heap_only.execute(), f"triple {index}"
+        assert feeding >= floor
 
     @pytest.mark.parametrize("triple, seed, count", [
         (random_sim_triple, 515, 200), (random_mixed_sim_triple, 516, 300),

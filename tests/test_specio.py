@@ -14,7 +14,7 @@ from pipevuln.errors import (
     SyntaxParseError,
     UnresolvedReferenceError,
 )
-from pipevuln.model import ComponentSpec, EdgeSpec
+from pipevuln.model import BehaviorProfile, ComponentSpec, EdgeSpec, GateSpec
 from pipevuln.ranking import enumerate_paths
 from pipevuln.simulate import (
     Attenuation,
@@ -67,8 +67,11 @@ BARE_YAML = """
 components:
   - {id: a, kind: neural}
   - {id: b, kind: neural, clean_cost_gflops: 2.5}
+profiles:
+  - {component: b}
 gates:
   - {component: a, routes: {x: b}}
+  - {component: b}
 edges:
   - {from: a, to: b, label: x}
 source: a
@@ -275,6 +278,12 @@ class TestDefaults:
             ("a", "x"): EdgeSpec(from_id="a", to_id="b", label="x", capacity=None),
         }
 
+    def test_profiles_and_gates(self):
+        graph = parse_spec(BARE_YAML).graph
+        assert graph.profiles["b"] == BehaviorProfile(
+            component="b", clean_cardinality={}, adv_cardinality={})
+        assert graph.gates["b"] == GateSpec(component="b", routes={})
+
     def test_scenario_is_back_to_back_at_seed_0_and_clean(self):
         assert parse_spec(BARE_YAML).scenarios == {"bare": TrafficScenario(
             n_inputs=2, mix=0.0, target_path=None, interval_s=0.0, seed=0,
@@ -387,10 +396,12 @@ class TestJsonl:
         assert jsonl_spec.configs == yaml_spec.configs
         assert jsonl_spec.calibration == yaml_spec.calibration
 
-    def test_bad_json_line_is_syntax_error(self):
+    def test_brace_text_with_a_non_json_first_line_is_read_as_yaml(self):
+        # Only text whose first line decodes as a typed JSON record takes the
+        # JSON-lines reader; this one is flow-style YAML, and broken.
         with pytest.raises(SyntaxParseError) as err:
             parse_spec('{"type": "component", "id": "a"\n')
-        assert "line 1" in str(err.value)
+        assert str(err.value).startswith("E_SYNTAX: invalid YAML: ")
 
     def test_unknown_record_type_is_schema_error(self):
         with pytest.raises(SchemaError):
