@@ -40,13 +40,16 @@ completion of any of its items, exit-only finishes included; the wall time
 is the later of the last event and the last exit-only finish.
 
 Core. A run indexes components in sorted-id order and devices in sorted
-device-id order, ``"@shared"`` included, and keeps per-component lists:
-FIFO, batch limit, costs, overhead, rate, processed counts and emission
-rows, each taint's rows built on its first use (an exit-only server's items
-are never built). A FIFO entry is a run of siblings: the children admitted
-from one draw share input, taint and edge and have consecutive raw keys, so
-they wait as one list ``[seq, count, input id, adversarial, raw key of the
-first, edge]``, and a source input is a run of one. Queue memory therefore
+device-id order; the shared device sorts where ``"@shared"`` would among
+the component ids, under a key that no component id equals, so a
+component named ``@shared`` keeps a device of its own. It keeps
+per-component lists: FIFO, batch limit, costs, overhead, rate, processed
+counts and emission rows, each taint's rows built on its first use (an
+exit-only server's items are never built). A FIFO entry is a run of
+siblings: the children admitted from one draw share input, taint and edge
+and have consecutive raw keys, so they wait as one list ``[seq, count,
+input id, adversarial, raw key of the first, edge]``, and a source input
+is a run of one. Queue memory therefore
 grows with admissions, not with the items a fan-out admits. ``seq`` numbers
 the admission; no item of another run lies between a run's items in
 admission order, so comparing runs by ``seq`` orders their head items. A
@@ -57,12 +60,14 @@ queued keeps its ``seq`` and advances its raw key. An item's lineage key is
 hash. The completion loop writes out ``_mix`` and ``_poisson_draw``, which
 stay the reference definitions, hashes item ``j`` of a portion as ``raw +
 j``, and admits to an exit-only server without ``offer``: its edges have
-no limit to check. An input's finish is written once per portion. The
-restart block serves a batch limit of 1 from a list of one-item service
-times and sums a larger batch's GFLOPs one item at a time in batch order.
-Its run-through loop takes an exit-feeding server's FIFO one run at a
-time: it hashes item ``done`` of the run as ``raw + done``, writes out the
-same draw and exit-only admission, and splits the run where it stops.
+no limit to check. An input's finish is written once per portion. Every
+event-path service starts in the batch loop of the restart block, batch
+limit 1 included, which sums a batch's GFLOPs one item at a time in batch
+order. Its run-through loop takes an exit-feeding server's FIFO one run at
+a time: it hashes item ``done`` of the run as ``raw + done``, writes out
+the same draw and exit-only admission, and splits the run where it stops.
+The run-through step and the exit-only schedule read a list of one-item
+service times, equal bit for bit to the batch loop's for one item.
 
 Determinism. Every random draw is keyed by the scenario seed plus the item's
 lineage, never by event order. Each item carries a 64-bit integer key: an
@@ -445,11 +450,12 @@ class _Run:
         self.adv_cost = table.adv
         self.overhead = [spec.per_call_overhead for spec in specs]
         self.rate = [spec.device_rate for spec in specs]
-        # One-item service times [clean, adversarial] at batch limit 1, else None.
+        # One-item service times [clean, adversarial], as the batch loop
+        # of the restart block computes them.
         self.service = [
             [spec.per_call_overhead + (0.0 + cost) / spec.device_rate
-             for cost in (spec.clean_cost, spec.adv_cost)] if limit == 1 else None
-            for spec, limit in zip(specs, self.batch_limit)
+             for cost in (spec.clean_cost, spec.adv_cost)]
+            for spec in specs
         ]
         # Emission rows per component, [clean, adversarial], each built on use.
         self.rows: list[list[list[tuple] | None]] = [[None, None] for _ in ids]
@@ -457,8 +463,10 @@ class _Run:
         self.processed_adv = [0] * len(ids)
 
         shared = config.device_model == SHARED_SINGLE_DEVICE
+        # A device key no component id can equal; "@shared" keeps its
+        # place among the ids in sorted order.
         device_ids = [
-            "@shared" if shared and spec.kind == NEURAL else cid
+            ("@shared", 0) if shared and spec.kind == NEURAL else (cid, 1)
             for cid, spec in zip(ids, specs)
         ]
         slot = {device_id: i for i, device_id in enumerate(sorted(set(device_ids)))}
@@ -504,7 +512,13 @@ class _Run:
         budget_caps: dict[tuple[str, str], int] = {}
         for pid, budget in sorted(self.config.path_budgets.items()):
             path = resolve_path(self.graph, pid)
-            cap = int(math.floor(budget * self.scenario.n_inputs + 1e-9))
+            cap = budget * self.scenario.n_inputs + 1e-9
+            if not math.isfinite(cap):
+                raise BadValueError(
+                    f"path budget for {pid!r} times n_inputs "
+                    f"{self.scenario.n_inputs} overflows"
+                )
+            cap = int(math.floor(cap))
             # An exit step keys a cap that no edge looks up.
             for key in path.steps:
                 budget_caps[key] = min(budget_caps.get(key, cap), cap)
@@ -654,24 +668,25 @@ class _Run:
                 fifo = fifos[comp]
                 if not fifo:
                     continue
-                one = service_of[comp]
                 if exit_feeding[comp] and len(touched) == 1:
                     # Run through (module docstring): complete the head items
                     # here, one FIFO run at a time, while each would pop
                     # before the heap's top entry and the next arrival.
-                    top = heap[0][0] if heap else math.inf
-                    due = arrival_time[arrived] if arrived < n else math.inf
+                    bound = heap[0][0] if heap else math.inf
+                    if arrived < n and arrival_time[arrived] < bound:
+                        bound = arrival_time[arrived]
+                    steps = service_of[comp]
                     rows = rows_of[comp]
                     while fifo:
                         head = fifo[0]
                         _, count, input_id, adv, raw, _ = head
-                        step = one[adv]
+                        step = steps[adv]
                         taint_rows = rows[adv]
                         processed = processed_of[adv]
                         last = finish.get(input_id, now)
                         done = 0
                         t = now + step
-                        while done < count and t < top and t < due:
+                        while done < count and t < bound:
                             events += 1
                             if events > max_events:
                                 raise NonTerminationError(too_many_events)
@@ -725,50 +740,33 @@ class _Run:
                         fifo.popleft()
                     if not fifo:
                         continue
-                if one is not None:
+                batch = []
+                room = self.batch_limit[comp]
+                costs = (self.clean_cost[comp], self.adv_cost[comp])
+                gflops = 0.0
+                while room and fifo:
                     head = fifo[0]
-                    if head[1] <= 1:
+                    take = head[1]
+                    if take <= room:
                         fifo.popleft()
                     else:
-                        # Serve the run's first item; the rest stay queued.
+                        # Split the run: the batch takes its first items.
+                        take = room
                         part = head[:]
-                        part[1] = 1
-                        head[1] -= 1
-                        head[4] += 1
+                        part[1] = take
+                        head[1] -= take
+                        head[4] += take
                         head = part
+                    room -= take
+                    batch.append(head)
                     adv = head[3]
-                    head[5].queued -= 1
-                    processed_of[adv][comp] += 1
-                    service = one[adv]
-                    batch = (head,)
-                else:
-                    batch = []
-                    room = self.batch_limit[comp]
-                    costs = (self.clean_cost[comp], self.adv_cost[comp])
-                    gflops = 0.0
-                    while room and fifo:
-                        head = fifo[0]
-                        take = head[1]
-                        if take <= room:
-                            fifo.popleft()
-                        else:
-                            # Split the run: the batch takes its first items.
-                            take = room
-                            part = head[:]
-                            part[1] = take
-                            head[1] -= take
-                            head[4] += take
-                            head = part
-                        room -= take
-                        batch.append(head)
-                        adv = head[3]
-                        head[5].queued -= take
-                        processed_of[adv][comp] += take
-                        # One addition per item, in batch order.
-                        cost = costs[adv]
-                        for _ in range(take):
-                            gflops += cost
-                    service = self.overhead[comp] + gflops / self.rate[comp]
+                    head[5].queued -= take
+                    processed_of[adv][comp] += take
+                    # One addition per item, in batch order.
+                    cost = costs[adv]
+                    for _ in range(take):
+                        gflops += cost
+                service = self.overhead[comp] + gflops / self.rate[comp]
                 busy[device] = True
                 heappush(heap, (now + service, seq, device, comp, batch))
                 seq += 1

@@ -84,6 +84,8 @@ def _looks_like_jsonl(text: str) -> bool:
     # line-delimited path, so their diagnostics carry line numbers.
     try:
         first = json.loads(lines[0])
+    except RecursionError:
+        return True  # too deep to decode: the JSON-lines reader reports it
     except json.JSONDecodeError:
         return False
     return isinstance(first, dict) and "type" in first
@@ -140,7 +142,7 @@ def _load_jsonl(text: str) -> dict:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SyntaxParseError(f"line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict):
             raise SyntaxParseError(f"line {lineno}: record must be an object")

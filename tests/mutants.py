@@ -87,29 +87,33 @@ def _hash_mutants(which: str, gamma: str, final: str, indent: int) -> list[Mutan
 
 MUTANTS = [
     # Queue and edge accounting.
-    Mutant("one-item-keeps-queued", SIM,
-           "                    head[5].queued -= 1\n", "",
-           "a batch of one must leave its edge's queued count"),
     Mutant("batch-keeps-queued", SIM,
-           "                        head[5].queued -= take\n", "",
-           "a larger batch must leave its edges' queued counts"),
+           "                    head[5].queued -= take\n", "",
+           "a batch must leave its edges' queued counts"),
     Mutant("budget-cap-max", SIM,
            "min(budget_caps.get(key, cap), cap)", "max(budget_caps.get(key, cap), cap)",
            "two budgets on one edge keep the smaller cap"),
     Mutant("budget-cap-no-epsilon", SIM,
            "budget * self.scenario.n_inputs + 1e-9", "budget * self.scenario.n_inputs",
            "a budget times n_inputs just below an integer rounds up to it"),
+    Mutant("budget-cap-overflow-kept", SIM,
+           "if not math.isfinite(cap):", "if False:",
+           "a budget whose cap overflows is a bad value, not a traceback"),
     Mutant("budget-use-underived", SIM,
            "self.budget_cap - self.enqueued + self.dropped",
            "self.budget_cap - self.enqueued",
            "a budget caps admissions, and dropped arrivals were not admitted"),
     # Restart block.
-    Mutant("batch-of-one-widened", SIM,
-           "if limit == 1 else None", "if limit <= 2 else None",
-           "a batch limit of 2 must take two items per service"),
+    Mutant("batch-limit-one", SIM,
+           "room = self.batch_limit[comp]", "room = 1",
+           "a batch takes up to the component's batch limit"),
     Mutant("restart-unsorted", SIM,
            "touched = sorted(touched)", "touched = list(touched)",
            "touched devices restart in device-id order"),
+    Mutant("shared-device-key-is-an-id", SIM,
+           '("@shared", 0) if shared and spec.kind == NEURAL else (cid, 1)',
+           '"@shared" if shared and spec.kind == NEURAL else cid',
+           "a component named @shared keeps a device of its own"),
     Mutant("shared-head-max", SIM,
            "comp = min(heads)[1]", "comp = max(heads)[1]",
            "a shared device serves the member whose FIFO head came first"),
@@ -120,15 +124,9 @@ MUTANTS = [
     Mutant("run-seq-shared", SIM,
            "edge])\n                            seq_in += 1\n", "edge])\n",
            "each admitted run gets its own number for the shared-device head scan"),
-    Mutant("one-split-raw-kept", SIM,
-           "                        head[4] += 1\n", "",
-           "the run left queued after a batch of one starts at the next raw key"),
     Mutant("batch-split-raw-kept", SIM,
-           "                            head[4] += take\n", "",
+           "                        head[4] += take\n", "",
            "the run left queued after a split batch starts past the taken keys"),
-    Mutant("one-run-popped-early", SIM,
-           "if head[1] <= 1:", "if head[1] <= 2:",
-           "a batch of one pops its run only when the run is used up"),
     Mutant("batch-exact-fit-split", SIM,
            "if take <= room:", "if take < room:",
            "a run that exactly fills the batch leaves no empty run queued"),
@@ -224,12 +222,16 @@ MUTANTS = [
     Mutant("run-through-many-touched", SIM,
            "if exit_feeding[comp] and len(touched) == 1:", "if exit_feeding[comp]:",
            "devices restarted after a run-through one would start late"),
-    Mutant("run-through-top-tie", SIM,
-           "and t < top and", "and t <= top and",
-           "a completion that ties the heap's top pops after it"),
-    Mutant("run-through-arrival-tie", SIM,
-           "and t < due:", "and t <= due:",
-           "a completion that ties the next arrival pops after it"),
+    Mutant("run-through-tie", SIM,
+           "and t < bound:", "and t <= bound:",
+           "a completion that ties the heap's top or the next arrival pops after it"),
+    Mutant("run-through-bound-no-arrival", SIM,
+           "                    if arrived < n and arrival_time[arrived] < bound:\n"
+           "                        bound = arrival_time[arrived]\n", "",
+           "a completion after the next arrival waits for it"),
+    Mutant("run-through-bound-no-top", SIM,
+           "bound = heap[0][0] if heap else math.inf", "bound = math.inf",
+           "a completion after the heap's top entry waits for it"),
     Mutant("run-through-no-event-count", SIM,
            "                            events += 1\n", "",
            "each completion taken without the heap is an event"),
@@ -331,6 +333,13 @@ MUTANTS = [
            "_need_mapping(value, what)",
            "a sub-record with a key its table lacks is a schema error"),
     # Spec references.
+    Mutant("jsonl-deep-first-line-to-yaml", SPECIO,
+           "return True  # too deep", "return False  # too deep",
+           "a first line too deep to decode takes the JSON-lines reader"),
+    Mutant("jsonl-deep-line-uncaught", SPECIO,
+           "except (json.JSONDecodeError, RecursionError) as exc:",
+           "except json.JSONDecodeError as exc:",
+           "a JSON line too deep to decode is a syntax error, not a traceback"),
     Mutant("yaml-duplicate-key-kept", SPECIO,
            "if key in seen:", "if False:",
            "a YAML mapping that declares a key twice is a schema error"),

@@ -76,6 +76,17 @@ class TestExitCodes:
         assert err.startswith("E_NONTERMINATION")
         assert "Traceback" not in err
 
+    def test_budget_that_overflows_exits_1_without_traceback(self, capsys, tmp_path):
+        doc = exit_only_doc(7.0, 0.1, n_inputs=10)
+        doc["configs"]["huge"] = {"path_budgets": {"a:x->b:EXIT": 1.0e308}}
+        spec = tmp_path / "huge_budget.yaml"
+        spec.write_text(yaml.safe_dump(doc))
+        code, _, err = run_cli(capsys, "simulate", str(spec),
+                               "--scenario", "clean", "--config", "huge")
+        assert code == 1
+        assert err.startswith("E_BAD_VALUE: path budget for 'a:x->b:EXIT'")
+        assert "Traceback" not in err
+
     def test_huge_mean_that_is_never_drawn_exits_0(self, capsys, tmp_path,
                                                    variant_spec_path):
         doc = yaml.safe_load(Path(variant_spec_path).read_text())

@@ -479,6 +479,34 @@ class TestQueueing:
         assert shared.total_tflops == per_component.total_tflops
 
 
+    @pytest.mark.parametrize("name", ["@shared", "post"])
+    def test_a_component_named_at_shared_keeps_its_own_device(self, name):
+        # Neural a (1 s per input) feeds three items, seed 1, to a
+        # non-neural server (5 s each): on its own device it serves them
+        # from 1, 2 and 3 s, back to back, whatever its name.
+        graph = build_graph({
+            "components": [
+                {"id": "a", "kind": "neural", "clean_cost_gflops": 0.0,
+                 "per_call_overhead_s": 1.0},
+                {"id": name, "kind": "non-neural", "clean_cost_gflops": 0.0,
+                 "per_call_overhead_s": 5.0, "batchable": False},
+            ],
+            "profiles": [{"component": "a", "clean_cardinality": {"x": 1.0}},
+                         {"component": name}],
+            "gates": [{"component": "a", "routes": {"x": name}}],
+            "edges": [{"from": "a", "to": name, "label": "x"}],
+            "source": "a",
+        })
+        scenario = TrafficScenario(n_inputs=3, seed=1)
+        config = DeploymentConfig(device_model="shared-single-device")
+        run = _Run(graph, scenario, config, 10**7)
+        assert run.device_of[run.index["a"]] != run.device_of[run.index[name]]
+        metrics = simulate(graph, scenario, config)
+        assert metrics.workload == {"a": 3, name: 3}
+        assert metrics.wall_time_s == 16.0
+        assert metrics.avg_e2e_s == 11.0
+
+
 class TestExitOnlyServers:
     def test_lindley_schedule_sets_the_wall_time(self):
         # Seed 2 draws 8 items of b; their services are added one at a time
@@ -805,6 +833,15 @@ class TestDefenses:
         for key in ("src:a", "b1:x", "d1:p"):
             assert metrics.edge_stats[key].enqueued > 57
             assert metrics.edge_stats[key].dequeued == 57, key
+
+    def test_budget_that_overflows_times_n_inputs_is_bad_value(self):
+        graph = build_graph(exit_only_doc(7.0, 0.1, n_inputs=10))
+        config = DeploymentConfig(path_budgets={"a:x->b:EXIT": 1.0e308})
+        with pytest.raises(BadValueError) as err:
+            simulate(graph, TrafficScenario(n_inputs=10), config)
+        assert str(err.value) == (
+            "E_BAD_VALUE: path budget for 'a:x->b:EXIT' times n_inputs 10 overflows"
+        )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_budget_and_residual_floor_rejected(self, bad):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 import yaml
@@ -406,6 +407,19 @@ class TestJsonl:
     def test_unknown_record_type_is_schema_error(self):
         with pytest.raises(SchemaError):
             parse_spec('{"type": "widget", "id": "a"}\n')
+
+    @pytest.mark.parametrize("first", [True, False], ids=["first-line", "later-line"])
+    def test_nesting_past_the_recursion_limit_is_syntax_error(self, first):
+        # A first line too deep to decode still takes the JSON-lines reader.
+        depth = sys.getrecursionlimit() + 100
+        deep = '{"type": "component", "x": ' + "[" * depth + "]" * depth + "}"
+        source = '{"type": "source", "id": "a"}'
+        lines = [deep, source] if first else [source, deep]
+        with pytest.raises(SyntaxParseError) as err:
+            parse_spec("\n".join(lines) + "\n")
+        line = 1 if first else 2
+        assert str(err.value).startswith(f"E_SYNTAX: line {line}: invalid JSON: ")
+        assert "recursion" in str(err.value)
 
 
 class TestReports:
