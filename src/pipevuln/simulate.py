@@ -55,32 +55,34 @@ the admission; no item of another run lies between a run's items in
 admission order, so comparing runs by ``seq`` orders their head items. A
 service takes items from the head run and splits it when the batch ends
 inside it: the batch gets a portion of the same shape, and the run left
-queued keeps its ``seq`` and advances its raw key. An item's lineage key is
-``mix(raw key)``, taken only where its component emits, so sink items never
-hash. The completion loop writes out ``_mix`` and ``_poisson_draw``, which
-stay the reference definitions, hashes item ``j`` of a portion as ``raw +
-j``, and admits to an exit-only server without ``offer``: its edges have
-no limit to check. An input's finish is written once per portion. Every
-event-path service starts in the batch loop of the restart block, batch
-limit 1 included, which sums a batch's GFLOPs one item at a time in batch
-order. Its run-through loop takes an exit-feeding server's FIFO one run at
-a time: it hashes item ``done`` of the run as ``raw + done``, writes out
-the same draw and exit-only admission, and splits the run where it stops.
-The run-through step and the exit-only schedule read a list of one-item
+queued keeps its ``seq`` and advances its raw key. An item's key is its
+raw key, so item ``j`` of a portion is ``raw + j`` and no item is hashed
+before it draws; a sink's items draw nothing. A draw is one hash, and
+``_mix`` with ``_poisson_draw`` is written out twice, in the completion
+loop and in the run-through; the two functions stay the reference
+definitions. The completion loop admits to an exit-only server without
+``offer``: its edges have no limit to check. An input's finish is written
+once per portion. Every event-path service starts in the batch loop of the
+restart block, batch limit 1 included, which sums a batch's GFLOPs one
+item at a time in batch order. Its run-through loop takes an exit-feeding
+server's FIFO one run at a time: item ``done`` of the run is ``raw +
+done``, it writes out the same draw and exit-only admission, and it splits
+the run where it stops. The run-through step and the exit-only schedule read a list of one-item
 service times, equal bit for bit to the batch loop's for one item.
 
 Determinism. Every random draw is keyed by the scenario seed plus the item's
-lineage, never by event order. Each item carries a 64-bit integer key: an
-input's comes from (seed, input id), the draw for (item, label) uses
-``k = mix(item key ^ label salt)``, and child ``j`` of that draw gets
-``mix(k + j)``, where ``mix`` is the SplitMix64 output function (a
-counter-based generator: one hash per draw, no generator state). The
+lineage, never by event order. Each item carries an integer key: input
+``i``'s is ``mix(seed) + i``, the draw for (item, label) is ``k = mix(item
+key ^ label salt)``, and child ``j`` of that draw gets the key ``k + j``,
+where ``mix`` is the SplitMix64 output function taken modulo 2**64 (a
+counter-based generator: one keyed hash per draw, no generator state). The
 uniform ``(k >> 11) * 2**-53`` is mapped through an inverse-CDF table built
 once per run for each distinct Poisson mean. Confidence thinning is one draw
 at ``mean * survival`` with the same uniform: a thinned Poisson is Poisson,
 and for a fixed uniform the inverse CDF does not decrease as the mean grows,
 so relief is monotone item by item. The adversarial subset and the input
-filter draw from their own domain salts. Identical (graph, scenario, config)
+filter draw from their own domain salts: the filter's draw for input
+``i`` is ``mix(key ^ filter salt)``. Identical (graph, scenario, config)
 inputs therefore produce bit-identical metrics, the emission tree is
 invariant to batch sizes and scheduling, and coupled comparisons (same seed,
 one knob changed) are meaningful. Total FLOPs are tallied from
@@ -579,7 +581,7 @@ class _Run:
                 raw = self.seed_key + input_id
                 adv = input_id in adversarial
                 if adv and input_filter is not None and input_filter.p_detect > 0:
-                    if _uniform(_mix(_mix(raw) ^ _FILTER_SALT)) < input_filter.p_detect:
+                    if _uniform(_mix(raw ^ _FILTER_SALT)) < input_filter.p_detect:
                         self.filtered += 1
                         if input_filter.action == DROP_INPUT:
                             continue
@@ -603,13 +605,8 @@ class _Run:
                     taint_rows = rows[adv]
                     if taint_rows is None:
                         taint_rows = self._route_rows(comp, adv)
-                    # A sink's items draw nothing, so they are never hashed.
-                    for j in range(count if taint_rows else 0):
-                        # key = _mix(raw + j), written out.
-                        z = (raw + j + 0x9E3779B97F4A7C15) & mask
-                        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-                        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-                        key = z ^ (z >> 31)
+                    # A sink's items draw nothing: the loop skips them.
+                    for key in range(raw, raw + count if taint_rows else raw):
                         for salt, (lo, cdf), fifo, edge, target in taint_rows:
                             # draw_key = _mix(key ^ salt) and _poisson_draw,
                             # written out.
@@ -696,10 +693,7 @@ class _Run:
                                 # Item ``done`` of the run, as in the
                                 # completion loop; every row leads to an
                                 # exit-only server.
-                                z = (raw + done + 0x9E3779B97F4A7C15) & mask
-                                z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-                                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-                                item_key = z ^ (z >> 31)
+                                item_key = raw + done
                                 for salt, (lo, cdf), _, edge, exit_server in taint_rows:
                                     z = ((item_key ^ salt) + 0x9E3779B97F4A7C15) & mask
                                     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask

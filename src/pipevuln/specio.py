@@ -119,8 +119,41 @@ class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         super().flatten_mapping(node)
 
 
+#: The deepest YAML nesting read, in collections. libyaml's loader
+#: recurses once per level and overflows the C stack near 30,000 levels.
+_MAX_YAML_DEPTH = 1000
+_OPENS = (yaml.MappingStartEvent, yaml.SequenceStartEvent)
+_CLOSES = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
+
+
+def _check_depth(text: str) -> None:
+    """Reject nesting past ``_MAX_YAML_DEPTH`` before libyaml loads it.
+
+    A flow collection opens with a bracket or is a single pair inside one,
+    and down a chain of block collections every second one starts at least
+    a column further right. So twice the bracket count plus the longest
+    line, plus one, bounds the depth, and only a text past the limit by
+    that count has its events scanned, up to the first level too deep.
+    """
+    longest = max(map(len, text.splitlines()), default=0)
+    if 2 * (text.count("[") + text.count("{") + longest) + 1 <= _MAX_YAML_DEPTH:
+        return
+    depth = 0
+    for event in yaml.parse(text, Loader=_YAML_LOADER):
+        if isinstance(event, _OPENS):
+            depth += 1
+            if depth > _MAX_YAML_DEPTH:
+                raise SyntaxParseError(
+                    f"invalid YAML: nested deeper than {_MAX_YAML_DEPTH} levels "
+                    f"at line {event.start_mark.line + 1}"
+                )
+        elif isinstance(event, _CLOSES):
+            depth -= 1
+
+
 def _load_yaml(text: str) -> dict:
     try:
+        _check_depth(text)
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise SyntaxParseError(f"invalid YAML: {exc}") from exc
@@ -144,8 +177,6 @@ def _load_jsonl(text: str) -> dict:
             record = json.loads(line)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise SyntaxParseError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise SyntaxParseError(f"line {lineno}: record must be an object")
         rtype = record.pop("type", None)
         if rtype not in _RECORD_TYPES:
             raise SchemaError(f"line {lineno}: unknown record type {rtype!r}")

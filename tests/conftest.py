@@ -290,6 +290,18 @@ def random_sim_triple(rng: random.Random):
     return graph, scenario, config
 
 
+def random_budget_sim_triple(rng: random.Random):
+    """``random_sim_triple`` with path budgets: each of one or two of its
+    paths is capped at 0, 0.5, 1 or 3 items per input."""
+    from pipevuln.ranking import enumerate_paths
+
+    graph, scenario, config = random_sim_triple(rng)
+    paths = [path.id for path in enumerate_paths(graph)]
+    chosen = rng.sample(paths, k=min(len(paths), rng.choice([1, 2])))
+    budgets = {pid: rng.choice([0.0, 0.5, 1.0, 3.0]) for pid in chosen}
+    return graph, scenario, replace(config, path_budgets=budgets)
+
+
 #: Id prefixes around ``"@shared"`` in sort order: "0" and "-" sort before
 #: it, "_", "Z" and "a" after.
 MIXED_PREFIXES = ("0", "-", "_", "Z", "a")

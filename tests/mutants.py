@@ -35,9 +35,7 @@ SPECIO = "src/pipevuln/specio.py"
 MODEL = "src/pipevuln/model.py"
 RANKING = "src/pipevuln/ranking.py"
 PROPAGATION = "src/pipevuln/propagation.py"
-_KEY_GAMMA = "z = (raw + j + 0x9E3779B97F4A7C15) & mask"
 _DRAW_GAMMA = "z = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask"
-_RUN_KEY_GAMMA = "z = (raw + done + 0x9E3779B97F4A7C15) & mask"
 _RUN_DRAW_GAMMA = "z = ((item_key ^ salt) + 0x9E3779B97F4A7C15) & mask"
 _ROUND1 = "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask"
 _ROUND2 = "z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask"
@@ -63,8 +61,8 @@ class Mutant(NamedTuple):
 
 def _hash_mutants(which: str, gamma: str, final: str, indent: int) -> list[Mutant]:
     """The six constants of one written-out SplitMix64 hash, whose lines are
-    indented by ``indent`` spaces: the key or draw hash of the completion
-    loop, or its copy in the run-through loop (``run-key``, ``run-draw``)."""
+    indented by ``indent`` spaces: the draw hash of the completion loop, or
+    its copy in the run-through loop (``run-draw``)."""
     nl = "\n" + " " * indent
     changes = [
         ("gamma", gamma, gamma.replace("7C15", "7C17")),
@@ -193,6 +191,12 @@ MUTANTS = [
            "arrival_time[arrived] <= heap[0][0]", "arrival_time[arrived] < heap[0][0]",
            "an arrival precedes a completion at the same instant"),
     # Input filter.
+    Mutant("filter-draw-hashed-key", SIM,
+           "_mix(raw ^ _FILTER_SALT)", "_mix(_mix(raw) ^ _FILTER_SALT)",
+           "the input filter draws from the input's key, not a hash of it"),
+    Mutant("filter-draw-unsalted", SIM,
+           "_mix(raw ^ _FILTER_SALT)", "_mix(raw)",
+           "the input filter draws with its own salt"),
     Mutant("filter-at-or-below", SIM,
            "< input_filter.p_detect:", "<= input_filter.p_detect:",
            "an input is detected when its uniform is below p_detect",
@@ -205,7 +209,14 @@ MUTANTS = [
            "bisect_right(cdf, (draw_key >> 11) * _UNIT)",
            "bisect_right(cdf, (draw_key >> 12) * _UNIT)",
            "the loop's uniform is the top 53 bits of the draw key"),
-    *_hash_mutants("key", _KEY_GAMMA, "key = z ^ (z >> 31)", 24),
+    Mutant("item-key-shared", SIM,
+           "for key in range(raw, raw + count if taint_rows else raw):",
+           "for key in [raw] * (count if taint_rows else 0):",
+           "item j of a portion draws with the key raw + j"),
+    Mutant("item-key-offset", SIM,
+           "for key in range(raw, raw + count if taint_rows else raw):",
+           "for key in range(raw + 1, raw + 1 + count if taint_rows else raw):",
+           "a portion's first item draws with the portion's raw key"),
     *_hash_mutants("draw", _DRAW_GAMMA, "draw_key = z ^ (z >> 31)", 28),
     # Run-through of exit-feeding servers: the completions taken without
     # the heap, and the copies of the completion loop's decisions they use.
@@ -264,7 +275,9 @@ MUTANTS = [
            "bisect_right(cdf, (z >> 11) * _UNIT)",
            "bisect_right(cdf, (z >> 12) * _UNIT)",
            "the run-through uniform is the top 53 bits of the draw key"),
-    *_hash_mutants("run-key", _RUN_KEY_GAMMA, "item_key = z ^ (z >> 31)", 32),
+    Mutant("run-item-key-shared", SIM,
+           "item_key = raw + done", "item_key = raw",
+           "item done of a run draws with the key raw + done"),
     *_hash_mutants("run-draw", _RUN_DRAW_GAMMA, "z ^= z >> 31", 36),
     # Adversarial subset and input filter.
     Mutant("subset-count-truncated", SIM,
@@ -332,6 +345,19 @@ MUTANTS = [
            "_check_keys(_need_mapping(value, what), readers, what)",
            "_need_mapping(value, what)",
            "a sub-record with a key its table lacks is a schema error"),
+    # YAML nesting depth.
+    Mutant("yaml-depth-unchecked", SPECIO,
+           "        _check_depth(text)\n", "",
+           "YAML nested past the limit is a syntax error, not a libyaml crash"),
+    Mutant("yaml-depth-at-limit-rejected", SPECIO,
+           "if depth > _MAX_YAML_DEPTH:", "if depth >= _MAX_YAML_DEPTH:",
+           "YAML nested exactly to the limit is read"),
+    Mutant("yaml-depth-never-closes", SPECIO,
+           "            depth -= 1\n", "            pass\n",
+           "a closed collection leaves the depth"),
+    Mutant("yaml-depth-bound-halved", SPECIO,
+           'if 2 * (text.count("[")', 'if (text.count("[")',
+           "a single-pair flow mapping opens without a bracket"),
     # Spec references.
     Mutant("jsonl-deep-first-line-to-yaml", SPECIO,
            "return True  # too deep", "return False  # too deep",

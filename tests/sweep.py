@@ -23,7 +23,9 @@ change and compares the lines. From the root of a checkout::
 
 pytest does not collect this file. The generators set no path budget, so
 no run here puts a budget on an edge into a gateless, batch-1, sole-device
-server; the ``budget`` cells of the goldens cover that case. An
+server; the ``budget`` cells of the goldens and the
+``random_budget_sim_triple`` runs of
+``test_simulate.py::TestReferenceSimulator`` cover that case. An
 exit-feeding server that is not exit-only, which completes items without
 the heap (``simulate`` module docstring), is built by 685 of the 3,000
 random triples (22.8%) and 1,059 of the 3,000 mixed ones (35.3%);

@@ -7,6 +7,9 @@ import csv
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -475,6 +478,20 @@ class TestSubcommands:
 
 
 class TestSpecBoundsAndRules:
+    def test_flow_nesting_of_30000_levels_is_syntax_error(self, tmp_path):
+        # libyaml's loader overflows the C stack on this text, so it runs in
+        # a child process: a crash there fails the test, not the suite.
+        spec = tmp_path / "deep.yaml"
+        spec.write_text("components: " + "[" * 30_000 + "]" * 30_000)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        done = subprocess.run([sys.executable, "-m", "pipevuln.cli", "validate", str(spec)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 1
+        assert done.stderr == (
+            "E_SYNTAX: invalid YAML: nested deeper than 1000 levels at line 1\n")
+
     @pytest.mark.parametrize("name,renamed", [
         ('"pr"', '"p:r"'),  # component id
         ('"pr"', '"p->r"'),

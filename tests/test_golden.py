@@ -21,9 +21,10 @@ shipped spec and render each subcommand that takes ``--format`` in each
 format, table ``matrix`` with its edge sections and multi-seed mean and std
 rows included.
 
-The simulator draws from its counter-hash stream (SplitMix64 keys mapped
-through inverse-CDF Poisson tables), so these files pin that stream:
-changing it is a deliberate re-baseline. After a deliberate output change,
+The simulator draws from its counter-hash stream (one SplitMix64 hash of
+an item's key and a label's salt per draw, mapped through inverse-CDF
+Poisson tables), so these files pin that stream: changing it is a
+deliberate re-baseline. After a deliberate output change,
 regenerate every golden file with
 
     PYTHONPATH=src python tests/test_golden.py

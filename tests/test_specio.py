@@ -25,7 +25,7 @@ from pipevuln.simulate import (
     TrafficScenario,
 )
 from pipevuln.specio import (
-    _load_jsonl,
+    _MAX_YAML_DEPTH,
     _load_yaml,
     build_report,
     parse_spec,
@@ -374,13 +374,6 @@ class TestCodedErrors:
             parse_spec(JSONL + "{oops}\n")
         assert str(err.value).startswith("E_SYNTAX: line 3: invalid JSON: ")
 
-    def test_jsonl_record_that_is_not_an_object(self):
-        # parse_spec only sends lines that open with a brace here, and those
-        # decode to objects; the check guards any other caller.
-        with pytest.raises(SyntaxParseError) as err:
-            _load_jsonl("[1]\n")
-        assert str(err.value) == "E_SYNTAX: line 1: record must be an object"
-
     def test_jsonl_blank_lines_are_skipped(self):
         spec = parse_spec(JSONL.replace("\n", "\n\n   \n", 1))
         bare = parse_spec(JSONL)
@@ -420,6 +413,44 @@ class TestJsonl:
         line = 1 if first else 2
         assert str(err.value).startswith(f"E_SYNTAX: line {line}: invalid JSON: ")
         assert "recursion" in str(err.value)
+
+
+class TestYamlDepth:
+    """Nesting past ``_MAX_YAML_DEPTH`` collections is a syntax error before
+    libyaml loads the text; the top-level mapping counts as one."""
+
+    # Each form nests k collections under ``components``. A single-pair
+    # mapping in a flow sequence opens without a brace, and "pairs" puts
+    # each level on a line of its own, so it has half a bracket per level
+    # and no long line.
+    FORMS = {
+        "flow": lambda k: "components: " + "[" * k + "]" * k + "\n",
+        "braces": lambda k: "components: " + "{a: " * k + "1" + "}" * k + "\n",
+        "block": lambda k: "components:\n" + "- " * k + "1\n",
+        "pairs": lambda k: "components: " + "[a: \n" * (k // 2)
+        + ("[]" if k % 2 else "1") + "\n]" * (k // 2) + "\n",
+    }
+    #: The line of the first collection past the limit.
+    LINES = {"flow": 1, "braces": 1, "block": 2, "pairs": _MAX_YAML_DEPTH // 2}
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_nesting_at_the_limit_is_read(self, form):
+        with pytest.raises(SchemaError):
+            parse_spec(self.FORMS[form](_MAX_YAML_DEPTH - 1))
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_nesting_past_the_limit_is_syntax_error(self, form):
+        with pytest.raises(SyntaxParseError) as err:
+            parse_spec(self.FORMS[form](_MAX_YAML_DEPTH))
+        assert str(err.value) == (
+            f"E_SYNTAX: invalid YAML: nested deeper than {_MAX_YAML_DEPTH} "
+            f"levels at line {self.LINES[form]}")
+
+    def test_many_shallow_collections_are_read(self):
+        # More brackets than the limit, so the events are scanned; each
+        # list closes before the next opens.
+        with pytest.raises(SchemaError, match="must be a mapping, got list"):
+            parse_spec("components: [" + "[], " * _MAX_YAML_DEPTH + "]\n")
 
 
 class TestReports:
