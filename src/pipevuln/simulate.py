@@ -57,17 +57,33 @@ service takes items from the head run and splits it when the batch ends
 inside it: the batch gets a portion of the same shape, and the run left
 queued keeps its ``seq`` and advances its raw key. An item's key is its
 raw key, so item ``j`` of a portion is ``raw + j`` and no item is hashed
-before it draws; a sink's items draw nothing. A draw is one hash, and
-``_mix`` with ``_poisson_draw`` is written out twice, in the completion
-loop and in the run-through; the two functions stay the reference
-definitions. The completion loop admits to an exit-only server without
-``offer``: its edges have no limit to check. An input's finish is written
-once per portion. Every event-path service starts in the batch loop of the
-restart block, batch limit 1 included, which sums a batch's GFLOPs one
-item at a time in batch order. Its run-through loop takes an exit-feeding
-server's FIFO one run at a time: item ``done`` of the run is ``raw +
-done``, it writes out the same draw and exit-only admission, and it splits
-the run where it stops. The run-through step and the exit-only schedule read a list of one-item
+before it draws; a sink's items draw nothing. The completion loop admits
+to an exit-only server without ``offer``: its edges have no limit to
+check. An input's finish is written once per portion. Every event-path
+service starts in the batch loop of the restart block, batch limit 1
+included, which sums a batch's GFLOPs one item at a time in batch order.
+
+Run-level draws. When every emission row of a portion leads to an
+exit-only server, and always in the run-through, the items are drawn as a
+run: ``_draws``, a comprehension, gives one label's draws of items ``raw``
+to ``raw + count - 1``, and the run's counts, ``enqueued`` and
+``processed`` are added once. Each exit-only server's Lindley clock still
+adds one service per admitted item, item by item, at the item's
+completion time; rows into one server add an item's draws together, the
+same clock, since the first of them leaves ``free`` past that time. The
+run-through takes an exit-feeding server's FIFO one run at a time: the
+completion times of its next items, each a step added to the one before,
+are cut where the next would not be earlier than the heap's top entry or
+the next arrival, and the run is split where it stops. A run is drawn in
+slices of at most ``_SLICE`` items, so its lists do not grow with its
+length. The bounds are checked once per slice; a slice that crosses one
+raises the error that the per-item checks raise first (``_overrun``): an
+item's own event, then, row by row, its offers and its events. The first
+item's event check also comes before its rows are built, so a mean past
+the bound is reported only after it. Portions with a row into a FIFO keep
+a per-item loop. So SplitMix64 is written out twice, in ``_draws`` and in
+that loop; ``_mix`` and ``_poisson_draw`` stay the reference definitions.
+The run-through step and the exit-only schedule read a list of one-item
 service times, equal bit for bit to the batch loop's for one item.
 
 Determinism. Every random draw is keyed by the scenario seed plus the item's
@@ -76,8 +92,19 @@ lineage, never by event order. Each item carries an integer key: input
 key ^ label salt)``, and child ``j`` of that draw gets the key ``k + j``,
 where ``mix`` is the SplitMix64 output function taken modulo 2**64 (a
 counter-based generator: one keyed hash per draw, no generator state). The
-uniform ``(k >> 11) * 2**-53`` is mapped through an inverse-CDF table built
-once per run for each distinct Poisson mean. Confidence thinning is one draw
+uniform ``u = (k >> 11) * 2**-53`` is mapped through the inverse-CDF table
+of the Poisson mean. The table's guide has 256 cells, indexed by ``k >>
+56``; since ``u`` keeps the top 53 bits of ``k``, it lies in ``[c/256,
+(c+1)/256)`` for ``c = k >> 56``. Cell ``c`` holds ``lo + bisect_right(cdf,
+c/256)``, which is the draw of every ``u`` in it unless a CDF entry lies
+strictly inside the cell; such a cell holds -1 and the draw bisects. So
+guided draws equal the bisection's bit for bit (the indexed search of Chen
+& Asau, 1974). Tables come from a process-wide memo of the last
+``_TABLE_MEMO`` (32) means, so runs share them; a table spans about 24 sd,
+and at the default bound of 10**7 events the largest mean, 10**7, takes
+75,921 entries, about 2.5 MB, so the memo holds at most about 79 MB. The
+bound on a mean is checked before the memo is asked, since the memo is
+shared by runs with other bounds. Confidence thinning is one draw
 at ``mean * survival`` with the same uniform: a thinned Poisson is Poisson,
 and for a fixed uniform the inverse CDF does not decrease as the mean grows,
 so relief is monotone item by item. The adversarial subset and the input
@@ -97,9 +124,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
+from itertools import accumulate, compress, repeat, takewhile
+from operator import add, mul, ne, sub, truediv
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -125,6 +155,14 @@ _GAMMA = 0x9E3779B97F4A7C15
 _UNIT = 2.0 ** -53
 # A table spans mean +/- (12 sd + 12): the Poisson mass outside is below 1e-26.
 _TABLE_SDS = 12.0
+# Poisson tables kept by the process-wide memo (module docstring).
+_TABLE_MEMO = 32
+# Items drawn at once by a run-level draw: its lists never grow past this.
+_SLICE = 1024
+# The edges c/256 of the 256 cells of a table's guide.
+_CELL_EDGES = [c / 256 for c in range(257)]
+_TOO_MANY_EVENTS = "simulation exceeded {} events"
+_TOO_MANY_OFFERS = "simulation offered more than {} arrivals"
 
 
 @dataclass(frozen=True)
@@ -340,31 +378,69 @@ def _uniform(key: int) -> float:
     return (key >> 11) * _UNIT
 
 
-def _poisson_table(mean: float) -> tuple[int, list[float]]:
-    """Inverse-CDF table ``(lo, cdf)`` of Poisson(``mean``), ``mean > 0``.
+@lru_cache(maxsize=_TABLE_MEMO)
+def _poisson_table(mean: float) -> tuple[int, list[float], list[int]]:
+    """Inverse-CDF table ``(lo, cdf, guide)`` of Poisson(``mean``), ``mean > 0``.
 
     ``lo + bisect_right(cdf, u)`` is the draw for a uniform ``u`` in [0, 1).
     The pmf is taken in log space: ``exp(-mean)`` underflows to 0.0 for a
     mean past about 745, so a recurrence from ``k = 0`` would fail there.
     The sums are normalised so that the last entry is 1.0 and every
     ``u < 1`` lands inside the table.
+
+    ``guide`` has one cell per interval ``[c/256, (c+1)/256)``: the draw of
+    every ``u`` in it when no ``cdf`` entry lies strictly inside, else -1.
+    The uniform of a key ``z`` lies in cell ``z >> 56`` (module docstring).
     """
     spread = _TABLE_SDS * math.sqrt(mean) + _TABLE_SDS
     lo = max(0, math.floor(mean - spread))
     hi = math.ceil(mean + spread)
-    log_mean = math.log(mean)
-    total = 0.0
-    sums = []
-    for k in range(lo, hi + 1):
-        total += math.exp(k * log_mean - mean - math.lgamma(k + 1))
-        sums.append(total)
-    return lo, [value / total for value in sums]
+    # exp(k * log(mean) - mean - lgamma(k + 1)) for k = lo .. hi, summed in
+    # order and divided by the total.
+    log_pmf = map(sub, map(sub, map(mul, range(lo, hi + 1), repeat(math.log(mean))),
+                           repeat(mean)),
+                  map(math.lgamma, range(lo + 1, hi + 2)))
+    sums = list(accumulate(map(math.exp, log_pmf)))
+    cdf = list(map(truediv, sums, repeat(sums[-1])))
+    # Cell c holds lo plus the count of entries at or below c/256, or -1
+    # when an entry lies strictly inside it, that is, when fewer entries lie
+    # at or below c/256 than below (c+1)/256.
+    at_or_below = list(map(bisect_right, repeat(cdf), _CELL_EDGES[:-1]))
+    below_next = map(bisect_left, repeat(cdf), _CELL_EDGES[1:])
+    guide = list(map(add, at_or_below, repeat(lo)))
+    for c in compress(range(256), map(ne, at_or_below, below_next)):
+        guide[c] = -1
+    return lo, cdf, guide
 
 
-def _poisson_draw(table: tuple[int, list[float]], key: int) -> int:
-    """Inverse-CDF draw from a :func:`_poisson_table` at the uniform of ``key``."""
-    lo, cdf = table
+def _poisson_draw(table: tuple[int, list[float], list[int]], key: int) -> int:
+    """Inverse-CDF draw from a :func:`_poisson_table` at the uniform of
+    ``key``, by bisection: the reference that the guided draws equal."""
+    lo, cdf, _ = table
     return lo + bisect_right(cdf, (key >> 11) * _UNIT)
+
+
+def _draws(salt: int, lo: int, cdf: list[float], guide: list[int], key: int,
+           count: int) -> list[int]:
+    """The draws on one label of the items keyed ``key`` to ``key + count -
+    1``: ``_poisson_draw((lo, cdf, guide), _mix(item key ^ salt))``, written
+    out, with the guide in front of the bisection."""
+    mask = _MASK64
+    return [g if (g := guide[z >> 56]) >= 0 else lo + bisect_right(cdf, (z >> 11) * _UNIT)
+            for item in range(key, key + count)
+            for z in [((item ^ salt) + 0x9E3779B97F4A7C15) & mask]
+            for z in [((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask]
+            for z in [((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask]
+            for z in [z ^ (z >> 31)]]
+
+
+def _completions(now: float, step: float, count: int, bound: float) -> list[float]:
+    """Completion times of up to ``count`` items served back to back from
+    ``now``, each ``step`` added to the one before, while they are earlier
+    than ``bound``: at most ``_SLICE`` of them, and at least one when ``now
+    + step < bound``."""
+    return list(takewhile(bound.__gt__, accumulate(
+        repeat(step, min(count, _SLICE) - 1), initial=now + step)))
 
 
 # Domain salts keep the subset, filter and lineage draws apart.
@@ -459,8 +535,9 @@ class _Run:
              for cost in (spec.clean_cost, spec.adv_cost)]
             for spec in specs
         ]
-        # Emission rows per component, [clean, adversarial], each built on use.
-        self.rows: list[list[list[tuple] | None]] = [[None, None] for _ in ids]
+        # Emission rows and exit plan per component, [clean, adversarial],
+        # each built on use (``_route_rows``).
+        self.rows: list[list[tuple | None]] = [[None, None] for _ in ids]
         self.processed_clean = [0] * len(ids)
         self.processed_adv = [0] * len(ids)
 
@@ -501,7 +578,6 @@ class _Run:
         # sequence of run-shaped portions; arrivals are not in the heap but
         # come from a counter beside it.
         self.heap: list[tuple] = []
-        self.tables: dict[float, tuple[int, list[float]]] = {}
 
         n = scenario.n_inputs
         self.arrival_time = [i * scenario.interval_s for i in range(n)]
@@ -561,8 +637,8 @@ class _Run:
         finish = self.finish
         free_at = self.free
         max_events = self.max_events
-        too_many_events = f"simulation exceeded {max_events} events"
-        too_many_offers = f"simulation offered more than {max_events} arrivals"
+        too_many_events = _TOO_MANY_EVENTS.format(max_events)
+        too_many_offers = _TOO_MANY_OFFERS.format(max_events)
         mask = _MASK64
         input_filter = self.config.input_filter
         source = self.index[self.graph.source]
@@ -602,19 +678,29 @@ class _Run:
                     last = finish.get(input_id, now)
                     if last < now:
                         last = now
-                    taint_rows = rows[adv]
-                    if taint_rows is None:
-                        taint_rows = self._route_rows(comp, adv)
-                    # A sink's items draw nothing: the loop skips them.
-                    for key in range(raw, raw + count if taint_rows else raw):
-                        for salt, (lo, cdf), fifo, edge, target in taint_rows:
-                            # draw_key = _mix(key ^ salt) and _poisson_draw,
-                            # written out.
+                    taint_rows, exits = rows[adv] or self._route_rows(comp, adv)
+                    if exits is not None:
+                        # Every row leads to an exit-only server: draw the
+                        # portion as a run, every item completing now. A
+                        # sink's items draw nothing.
+                        for key in range(raw, raw + count if taint_rows else raw, _SLICE):
+                            size = min(_SLICE, raw + count - key)
+                            events, offered, last = self._exit_run(
+                                taint_rows, exits, adv, key, [now] * size, 0,
+                                events, offered, last)
+                        finish[input_id] = last
+                        continue
+                    for key in range(raw, raw + count):
+                        for salt, lo, cdf, guide, fifo, edge, target in taint_rows:
+                            # draw_key = _mix(key ^ salt) and the guided
+                            # _poisson_draw, written out.
                             z = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask
                             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
                             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
                             draw_key = z ^ (z >> 31)
-                            survivors = lo + bisect_right(cdf, (draw_key >> 11) * _UNIT)
+                            survivors = guide[draw_key >> 56]
+                            if survivors < 0:
+                                survivors = lo + bisect_right(cdf, (draw_key >> 11) * _UNIT)
                             if survivors == 0:
                                 continue
                             offered += survivors
@@ -667,8 +753,8 @@ class _Run:
                     continue
                 if exit_feeding[comp] and len(touched) == 1:
                     # Run through (module docstring): complete the head items
-                    # here, one FIFO run at a time, while each would pop
-                    # before the heap's top entry and the next arrival.
+                    # here, a slice of a FIFO run at a time, while each would
+                    # pop before the heap's top entry and the next arrival.
                     bound = heap[0][0] if heap else math.inf
                     if arrived < n and arrival_time[arrived] < bound:
                         bound = arrival_time[arrived]
@@ -678,53 +764,31 @@ class _Run:
                         head = fifo[0]
                         _, count, input_id, adv, raw, _ = head
                         step = steps[adv]
-                        taint_rows = rows[adv]
-                        processed = processed_of[adv]
                         last = finish.get(input_id, now)
+                        taint = rows[adv]
                         done = 0
-                        t = now + step
-                        while done < count and t < bound:
-                            events += 1
-                            if events > max_events:
-                                raise NonTerminationError(too_many_events)
-                            if taint_rows is None:
-                                taint_rows = self._route_rows(comp, adv)
-                            if taint_rows:
-                                # Item ``done`` of the run, as in the
-                                # completion loop; every row leads to an
-                                # exit-only server.
-                                item_key = raw + done
-                                for salt, (lo, cdf), _, edge, exit_server in taint_rows:
-                                    z = ((item_key ^ salt) + 0x9E3779B97F4A7C15) & mask
-                                    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-                                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-                                    z ^= z >> 31
-                                    survivors = lo + bisect_right(cdf, (z >> 11) * _UNIT)
-                                    if survivors == 0:
-                                        continue
-                                    offered += survivors
-                                    if offered > max_events:
-                                        raise NonTerminationError(too_many_offers)
-                                    edge.enqueued += survivors
-                                    server, service = exit_server
-                                    events += survivors
-                                    if events > max_events:
-                                        raise NonTerminationError(too_many_events)
-                                    processed[server] += survivors
-                                    free = free_at[server]
-                                    if free < t:
-                                        free = t
-                                    for _ in range(survivors):
-                                        free += service
-                                    free_at[server] = free
-                                    if last < free:
-                                        last = free
-                            done += 1
-                            now = t
-                            t += step
+                        while done < count and now + step < bound:
+                            times = _completions(now, step, count - done, bound)
+                            if taint is None:
+                                # The first item's event check comes before
+                                # its rows are built.
+                                if events >= max_events:
+                                    raise NonTerminationError(too_many_events)
+                                taint = self._route_rows(comp, adv)
+                            if taint[0]:
+                                events, offered, last = self._exit_run(
+                                    *taint, adv, raw + done, times, 1,
+                                    events, offered, last)
+                            else:
+                                # A sink's items draw nothing.
+                                events += len(times)
+                                if events > max_events:
+                                    raise NonTerminationError(too_many_events)
+                            done += len(times)
+                            now = times[-1]
                         if not done:
                             break
-                        processed[comp] += done
+                        processed_of[adv][comp] += done
                         head[5].queued -= done
                         finish[input_id] = last if now < last else now
                         if done < count:
@@ -767,36 +831,106 @@ class _Run:
         self.now = now
         return self._collect()
 
-    def _table(self, mean: float) -> tuple[int, list[float]]:
-        table = self.tables.get(mean)
-        if table is None:
-            # A larger mean would offer more arrivals than the bound allows
-            # and needs a table of about 24 * sqrt(mean) entries.
-            if mean > self.max_events:
-                raise NonTerminationError(
-                    f"emission mean {mean:g} exceeds the bound of "
-                    f"{self.max_events} events"
-                )
-            table = self.tables[mean] = _poisson_table(mean)
-        return table
+    def _exit_run(self, rows, exits, adv, key, times, per_item,
+                  events, offered, last):
+        """Draw and admit the children of a run's items keyed ``key``,
+        ``key + 1``, ..., item ``i`` completing at ``times[i]``, when every
+        row leads to an exit-only server.
 
-    def _route_rows(self, comp: int, adv: bool) -> list[tuple]:
-        """Emission rows of component ``comp`` for items of one taint.
+        Counts, ``enqueued`` and ``processed`` are added once for the run,
+        and each item adds ``per_item`` events of its own. Each server's
+        Lindley clock adds one service per admitted item, in item order;
+        rows into one server add their draws of an item together. Returns
+        ``events``, ``offered`` and ``last``, the input's latest finish.
+        """
+        size = len(times)
+        draws = []
+        added = 0
+        for salt, lo, cdf, guide, _, edge, _ in rows:
+            counts = _draws(salt, lo, cdf, guide, key, size)
+            draws.append(counts)
+            total = sum(counts)
+            edge.enqueued += total
+            added += total
+        # A run that crosses a bound raises, so its counts need no undoing.
+        if (events + per_item * size + added > self.max_events
+                or offered + added > self.max_events):
+            raise self._overrun(draws, size, per_item, events, offered)
+        processed = self.processed_adv if adv else self.processed_clean
+        free_at = self.free
+        for server, service, first, others in exits:
+            counts = draws[first]
+            if others:
+                # Rows into one server: an item's draws are added together.
+                counts = [sum(column) for column in
+                          zip(counts, *(draws[p] for p in others))]
+            total = sum(counts)
+            if not total:
+                continue
+            processed[server] += total
+            free = free_at[server]
+            for t, survivors in compress(zip(times, counts), counts):
+                if free < t:
+                    free = t
+                for _ in range(survivors):
+                    free += service
+            free_at[server] = free
+            if last < free:
+                last = free
+        return events + per_item * size + added, offered + added, last
 
-        A row is ``(label salt, table, fifo, edge, device)`` in label order,
-        for labels routed to a component whose surviving mean (targeting,
-        attenuation and confidence survival included) is positive; ``table``
-        is the Poisson table of that mean. A label routed to EXIT builds no
+    def _overrun(self, draws, count, per_item, events, offered) -> NonTerminationError:
+        """The error of the first bound check that ``count`` items with these
+        ``draws`` fail, checked as the completion loop does: the item's own
+        ``per_item`` events, then, row by row, its offers and its events."""
+        bound = self.max_events
+        for i in range(count):
+            events += per_item
+            if events > bound:
+                return NonTerminationError(_TOO_MANY_EVENTS.format(bound))
+            for counts in draws:
+                if counts[i]:
+                    offered += counts[i]
+                    if offered > bound:
+                        return NonTerminationError(_TOO_MANY_OFFERS.format(bound))
+                    events += counts[i]
+                    if events > bound:
+                        return NonTerminationError(_TOO_MANY_EVENTS.format(bound))
+        raise AssertionError("no bound is crossed")
+
+    def _table(self, mean: float) -> tuple[int, list[float], list[int]]:
+        # A larger mean would offer more arrivals than the bound allows and
+        # needs a table of about 24 * sqrt(mean) entries. The memo is shared
+        # by runs with other bounds, so the check comes first.
+        if mean > self.max_events:
+            raise NonTerminationError(
+                f"emission mean {mean:g} exceeds the bound of "
+                f"{self.max_events} events"
+            )
+        return _poisson_table(mean)
+
+    def _route_rows(self, comp: int, adv: bool) -> tuple[list[tuple], list | None]:
+        """Emission rows of component ``comp`` for items of one taint, and
+        their exit plan.
+
+        A row is ``(label salt, lo, cdf, guide, fifo, edge, device)`` in
+        label order, for labels routed to a component whose surviving mean
+        (targeting, attenuation and confidence survival included) is
+        positive; ``lo, cdf, guide`` is the Poisson table of that mean. A label routed to EXIT builds no
         items, so it has no row. A row into an exit-only server has no
         ``fifo`` and holds ``(component index, service time)`` in place of
-        ``device``. Built on the first completion of an item of that taint,
-        so a table that is never drawn is never built.
+        ``device``. When every row leads to an exit-only server, the plan
+        lists ``(server, service time, first row, other rows)`` per server,
+        rows given by position; otherwise it is ``None``. Built on the first
+        completion of an item of that taint, so a table that is never drawn
+        is never built.
         """
         cid = self.ids[comp]
         profile = self.graph.profiles[cid]
         att = self.config.attenuation
         conf = self.config.confidence
         rows: list[tuple] = []
+        exits: dict[int, list[int]] | None = {}
         for label, target in sorted(self.graph.routes(cid).items()):
             if target == EXIT:
                 continue
@@ -814,11 +948,17 @@ class _Run:
             edge = self.edge_queues[(cid, label)]
             if self.exit_only[t]:
                 fifo, device = None, (t, self.service[t][adv])
+                if exits is not None:
+                    exits.setdefault(t, []).append(len(rows))
             else:
                 fifo, device = self.fifo[t], self.device_of[t]
-            rows.append((_text_key(label), self._table(mean), fifo, edge, device))
-        self.rows[comp][adv] = rows
-        return rows
+                exits = None
+            rows.append((_text_key(label), *self._table(mean), fifo, edge, device))
+        plan = None if exits is None else [
+            (*rows[first][6], first, others) for first, *others in exits.values()
+        ]
+        entry = self.rows[comp][adv] = (rows, plan)
+        return entry
 
     # -- metrics -----------------------------------------------------------
 

@@ -36,7 +36,6 @@ MODEL = "src/pipevuln/model.py"
 RANKING = "src/pipevuln/ranking.py"
 PROPAGATION = "src/pipevuln/propagation.py"
 _DRAW_GAMMA = "z = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask"
-_RUN_DRAW_GAMMA = "z = ((item_key ^ salt) + 0x9E3779B97F4A7C15) & mask"
 _ROUND1 = "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask"
 _ROUND2 = "z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask"
 
@@ -59,22 +58,18 @@ class Mutant(NamedTuple):
     equivalent: str | None = None
 
 
-def _hash_mutants(which: str, gamma: str, final: str, indent: int) -> list[Mutant]:
-    """The six constants of one written-out SplitMix64 hash, whose lines are
-    indented by ``indent`` spaces: the draw hash of the completion loop, or
-    its copy in the run-through loop (``run-draw``)."""
-    nl = "\n" + " " * indent
+def _hash_mutants(which: str, lines: list[str]) -> list[Mutant]:
+    """The six constants of one written-out SplitMix64 hash, given by its
+    four consecutive ``lines`` (without indentation): the draw hash of the
+    completion loop, or its copy in the ``_draws`` kernel."""
+    gamma, round1, round2, final = lines
     changes = [
         ("gamma", gamma, gamma.replace("7C15", "7C17")),
-        ("shift-30", gamma + nl + _ROUND1,
-         gamma + nl + _ROUND1.replace(">> 30", ">> 29")),
-        ("multiplier-1", gamma + nl + _ROUND1,
-         gamma + nl + _ROUND1.replace("1CE4E5B9", "1CE4E5BB")),
-        ("shift-27", _ROUND2 + nl + final,
-         _ROUND2.replace(">> 27", ">> 26") + nl + final),
-        ("multiplier-2", _ROUND2 + nl + final,
-         _ROUND2.replace("133111EB", "133111ED") + nl + final),
-        ("shift-31", nl + final, nl + final.replace(">> 31", ">> 32")),
+        ("shift-30", round1, round1.replace(">> 30", ">> 29")),
+        ("multiplier-1", round1, round1.replace("1CE4E5B9", "1CE4E5BB")),
+        ("shift-27", round2, round2.replace(">> 27", ">> 26")),
+        ("multiplier-2", round2, round2.replace("133111EB", "133111ED")),
+        ("shift-31", final, final.replace(">> 31", ">> 32")),
     ]
     return [
         Mutant(f"{which}-hash-{part}", SIM, old, new,
@@ -210,14 +205,59 @@ MUTANTS = [
            "bisect_right(cdf, (draw_key >> 12) * _UNIT)",
            "the loop's uniform is the top 53 bits of the draw key"),
     Mutant("item-key-shared", SIM,
-           "for key in range(raw, raw + count if taint_rows else raw):",
-           "for key in [raw] * (count if taint_rows else 0):",
+           "for key in range(raw, raw + count):", "for key in [raw] * count:",
            "item j of a portion draws with the key raw + j"),
     Mutant("item-key-offset", SIM,
-           "for key in range(raw, raw + count if taint_rows else raw):",
-           "for key in range(raw + 1, raw + 1 + count if taint_rows else raw):",
+           "for key in range(raw, raw + count):",
+           "for key in range(raw + 1, raw + 1 + count):",
            "a portion's first item draws with the portion's raw key"),
-    *_hash_mutants("draw", _DRAW_GAMMA, "draw_key = z ^ (z >> 31)", 28),
+    *_hash_mutants("draw", [_DRAW_GAMMA, _ROUND1 + "\n", _ROUND2 + "\n",
+                            "draw_key = z ^ (z >> 31)"]),
+    # The guide in front of the bisection, and the process-wide table memo.
+    Mutant("guide-low-edge-left", SIM,
+           "map(bisect_right, repeat(cdf), _CELL_EDGES[:-1])",
+           "map(bisect_left, repeat(cdf), _CELL_EDGES[:-1])",
+           "an entry on a cell's low edge does not split the cell"),
+    Mutant("guide-high-edge-right", SIM,
+           "map(bisect_left, repeat(cdf), _CELL_EDGES[1:])",
+           "map(bisect_right, repeat(cdf), _CELL_EDGES[1:])",
+           "an entry on a cell's high edge does not split the cell"),
+    Mutant("guide-high-edge-is-low", SIM,
+           "repeat(cdf), _CELL_EDGES[1:])", "repeat(cdf), _CELL_EDGES[:-1])",
+           "a cell ends at (c+1)/256"),
+    Mutant("guide-split-kept", SIM,
+           "        guide[c] = -1\n", "        guide[c] = guide[c]\n",
+           "a split cell falls back to the bisection"),
+    Mutant("guide-kernel-cell-bits", SIM,
+           "(g := guide[z >> 56])", "(g := guide[z >> 57])",
+           "a draw key's cell is its top 8 bits"),
+    Mutant("guide-loop-cell-bits", SIM,
+           "survivors = guide[draw_key >> 56]", "survivors = guide[draw_key >> 57]",
+           "a draw key's cell is its top 8 bits"),
+    Mutant("guide-kernel-fallback-taken", SIM,
+           "(g := guide[z >> 56]) >= 0 else", "(g := guide[z >> 56]) >= -1 else",
+           "a split cell's -1 is not a draw"),
+    Mutant("guide-loop-fallback-taken", SIM,
+           "if survivors < 0:", "if survivors < -1:",
+           "a split cell's -1 is not a draw"),
+    Mutant("table-memo-off", SIM,
+           "_TABLE_MEMO = 32", "_TABLE_MEMO = 0",
+           "runs share one table per mean"),
+    Mutant("table-memo-before-bound", SIM,
+           "        if mean > self.max_events:\n"
+           "            raise NonTerminationError(\n"
+           "                f\"emission mean {mean:g} exceeds the bound of \"\n"
+           "                f\"{self.max_events} events\"\n"
+           "            )\n"
+           "        return _poisson_table(mean)\n",
+           "        table = _poisson_table(mean)\n"
+           "        if mean > self.max_events:\n"
+           "            raise NonTerminationError(\n"
+           "                f\"emission mean {mean:g} exceeds the bound of \"\n"
+           "                f\"{self.max_events} events\"\n"
+           "            )\n"
+           "        return table\n",
+           "a mean past the bound builds no table"),
     # Run-through of exit-feeding servers: the completions taken without
     # the heap, and the copies of the completion loop's decisions they use.
     Mutant("exit-feeding-shared", SIM,
@@ -234,7 +274,11 @@ MUTANTS = [
            "if exit_feeding[comp] and len(touched) == 1:", "if exit_feeding[comp]:",
            "devices restarted after a run-through one would start late"),
     Mutant("run-through-tie", SIM,
-           "and t < bound:", "and t <= bound:",
+           "while done < count and now + step < bound:",
+           "while done < count and now + step <= bound:",
+           "a completion that ties the heap's top or the next arrival pops after it"),
+    Mutant("run-through-slice-tie", SIM,
+           "takewhile(bound.__gt__,", "takewhile(bound.__ge__,",
            "a completion that ties the heap's top or the next arrival pops after it"),
     Mutant("run-through-bound-no-arrival", SIM,
            "                    if arrived < n and arrival_time[arrived] < bound:\n"
@@ -244,23 +288,17 @@ MUTANTS = [
            "bound = heap[0][0] if heap else math.inf", "bound = math.inf",
            "a completion after the heap's top entry waits for it"),
     Mutant("run-through-no-event-count", SIM,
-           "                            events += 1\n", "",
+           "raw + done, times, 1,", "raw + done, times, 0,",
            "each completion taken without the heap is an event"),
-    Mutant("run-through-exit-no-event-count", SIM,
-           "= exit_server\n                                    events += survivors\n",
-           "= exit_server\n",
-           "each exit-only completion counts against the event bound"),
-    Mutant("run-through-no-clock-max", SIM,
-           "if free < t:", "if False:",
-           "an idle exit-only server starts at the completion time"),
-    Mutant("run-through-exit-unconditional", SIM,
-           "if last < free:\n"
-           "                                        last = free\n"
-           "                            done += 1\n",
-           "if True:\n"
-           "                                        last = free\n"
-           "                            done += 1\n",
-           "an exit-only finish must not move an input's later finish back"),
+    Mutant("run-through-sink-no-event-count", SIM,
+           "                                events += len(times)\n", "",
+           "each completion of a sink taken without the heap is an event"),
+    Mutant("run-through-rows-before-event-check", SIM,
+           "                                if events >= max_events:\n"
+           "                                    raise NonTerminationError(too_many_events)\n"
+           "                                taint = self._route_rows(comp, adv)\n",
+           "                                taint = self._route_rows(comp, adv)\n",
+           "the first item's event check comes before its rows are built"),
     Mutant("run-through-finish-at-completion", SIM,
            "finish[input_id] = last if now < last else now",
            "finish[input_id] = now",
@@ -271,14 +309,86 @@ MUTANTS = [
     Mutant("run-through-split-raw-kept", SIM,
            "                            head[4] += done\n", "",
            "the run left queued starts past the keys completed without the heap"),
-    Mutant("run-through-draw-uniform-shift", SIM,
+    # Run-level draws: the kernel, the per-run accounting and the replay
+    # of the per-item bound checks.
+    Mutant("kernel-draw-uniform-shift", SIM,
            "bisect_right(cdf, (z >> 11) * _UNIT)",
            "bisect_right(cdf, (z >> 12) * _UNIT)",
-           "the run-through uniform is the top 53 bits of the draw key"),
+           "the kernel's uniform is the top 53 bits of the draw key"),
+    Mutant("kernel-item-key-shared", SIM,
+           "for item in range(key, key + count)", "for item in [key] * count",
+           "item j of a run draws with the key of its first item plus j"),
     Mutant("run-item-key-shared", SIM,
-           "item_key = raw + done", "item_key = raw",
-           "item done of a run draws with the key raw + done"),
-    *_hash_mutants("run-draw", _RUN_DRAW_GAMMA, "z ^= z >> 31", 36),
+           "raw + done, times, 1,", "raw, times, 1,",
+           "the run-through's items after the first slice start past its keys"),
+    Mutant("exit-portion-slices-overlap", SIM,
+           "[now] * size, 0,", "[now] * count, 0,",
+           "each slice of a portion draws its own items"),
+    *_hash_mutants("kernel", [
+        "for z in [((item ^ salt) + 0x9E3779B97F4A7C15) & mask]",
+        "for z in [((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask]",
+        "for z in [((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask]",
+        "for z in [z ^ (z >> 31)]"]),
+    Mutant("exit-plan-with-a-fifo-row", SIM,
+           "                exits = None\n", "",
+           "a portion with a row into a FIFO takes the per-item loop"),
+    Mutant("run-exits-keep-enqueued", SIM,
+           "            edge.enqueued += total\n", "",
+           "a run's draws are offered on their edges"),
+    Mutant("run-exits-processed-once", SIM,
+           "processed[server] += total", "processed[server] += 1",
+           "each admitted item is processed"),
+    Mutant("run-exits-no-event-count", SIM,
+           "return events + per_item * size + added,", "return events + per_item * size,",
+           "each exit-only completion counts against the event bound"),
+    Mutant("run-exits-no-offer-count", SIM,
+           "offered + added, last", "offered, last",
+           "a run's draws count against the arrival bound"),
+    Mutant("run-exits-offers-unchecked", SIM,
+           "                or offered + added > self.max_events):",
+           "                or False):",
+           "a run that offers past the bound raises"),
+    Mutant("run-exits-rows-unsummed", SIM,
+           "            if others:\n", "            if False:\n",
+           "rows into one exit-only server add an item's draws together"),
+    Mutant("run-exits-zero-items-clocked", SIM,
+           "compress(zip(times, counts), counts)", "zip(times, counts)",
+           "an item that admits nothing leaves the clock alone",
+           equivalent="completion times never decrease and every later admission "
+           "or finish takes the later of the clock and its own time, so moving the "
+           "clock up to an earlier item's time changes no output"),
+    Mutant("run-exits-no-clock-max", SIM,
+           "if free < t:", "if False:",
+           "an idle exit-only server starts at the item's completion time"),
+    Mutant("run-exit-service-twice", SIM,
+           "                    free += service\n            free_at[server] = free\n",
+           "                    free += service\n                    free += service\n"
+           "            free_at[server] = free\n",
+           "each admitted item takes one service time"),
+    Mutant("run-exit-unconditional", SIM,
+           "if last < free:\n                last = free\n        return",
+           "if True:\n                last = free\n        return",
+           "an exit-only finish must not move an input's later finish back"),
+    Mutant("replay-events-before-offers", SIM,
+           "                    offered += counts[i]\n"
+           "                    if offered > bound:\n"
+           "                        return NonTerminationError(_TOO_MANY_OFFERS.format(bound))\n"
+           "                    events += counts[i]\n"
+           "                    if events > bound:\n"
+           "                        return NonTerminationError(_TOO_MANY_EVENTS.format(bound))\n",
+           "                    events += counts[i]\n"
+           "                    if events > bound:\n"
+           "                        return NonTerminationError(_TOO_MANY_EVENTS.format(bound))\n"
+           "                    offered += counts[i]\n"
+           "                    if offered > bound:\n"
+           "                        return NonTerminationError(_TOO_MANY_OFFERS.format(bound))\n",
+           "a row's offers are checked before its events"),
+    Mutant("replay-no-item-event", SIM,
+           "            events += per_item\n", "",
+           "the replay counts each item's own event first"),
+    Mutant("run-slice-unbounded", SIM,
+           "_SLICE = 1024", "_SLICE = 10**9",
+           "a long run is drawn in slices"),
     # Adversarial subset and input filter.
     Mutant("subset-count-truncated", SIM,
            "count = int(round(self.scenario.mix * n))",

@@ -13,15 +13,19 @@ The cases:
   seed 1 with its ``attacked`` scenario cut to 8 inputs;
 * ``matrix``: ``run_matrix`` over every scenario x config cell of the
   ``defense_matrix`` spec, each scenario cut to at most 10 inputs, at
-  seed 1.
+  seed 1;
+* ``none/100``, ``b16_buf100/100`` and ``shared_b16/100``: the first three
+  at perfbench's 100 inputs.
 
-It prints one line per case and the sha256 of every case's metrics, so
-two trees that print the same digest simulated the same outputs. From
-the root of a checkout::
+The Poisson-table memo is cleared before each case, so each case builds
+its own tables, as a fresh process does. It prints one line per case and
+the sha256 of the metrics of the first four cases, so two trees that print
+the same digest simulated the same outputs, and the same for the 100-input
+cases. From the root of a checkout::
 
     PYTHONPATH=src python tests/opcount.py
 
-pytest does not collect this file. A run takes a few seconds.
+pytest does not collect this file. A run takes about a minute.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from pipevuln.specio import parse_spec  # noqa: E402
 
 SEED = 1
 ATTACK_INPUTS = 8
+BENCH_INPUTS = 100
 MATRIX_INPUTS = 10
 # The package exports a ``simulate`` function under the module's name.
 SIM = importlib.import_module("pipevuln.simulate")
@@ -71,6 +76,7 @@ class _Counter:
 
 def _counted(run) -> tuple[float, list]:
     """Bytecodes per processed item of ``run()``, and the metrics it returns."""
+    SIM._poisson_table.cache_clear()
     counter = _Counter()
     sys.settrace(counter)
     try:
@@ -86,34 +92,39 @@ def _spec(name: str):
     return parse_spec(yaml.safe_dump(work.specs[work.setup_spec], sort_keys=False))
 
 
-def cases() -> list[tuple[str, object]]:
-    """``(name, run)`` pairs; ``run()`` returns a list of ``SimMetrics``."""
+def _attack_cases(n_inputs: int, suffix: str) -> list[tuple[str, object]]:
     attack = _spec("attack_sim")
-    scenario = replace(attack.scenarios["attacked"], n_inputs=ATTACK_INPUTS)
-    out = [
-        (name, lambda config=attack.configs[name]: [
+    scenario = replace(attack.scenarios["attacked"], n_inputs=n_inputs)
+    return [
+        (name + suffix, lambda config=attack.configs[name]: [
             SIM.simulate(attack.graph, scenario, config)])
         for name in ("none", "b16_buf100", "shared_b16")
     ]
+
+
+def cases() -> list[list[tuple[str, object]]]:
+    """Two groups of ``(name, run)`` pairs, each digested on its own;
+    ``run()`` returns a list of ``SimMetrics``."""
     matrix = _spec("defense_matrix")
     scenarios = {
         name: replace(run, n_inputs=min(run.n_inputs, MATRIX_INPUTS))
         for name, run in matrix.scenarios.items()
     }
-    out.append(("matrix", lambda: [
+    first = _attack_cases(ATTACK_INPUTS, "") + [("matrix", lambda: [
         metrics for _, metrics in
-        SIM.run_matrix(matrix.graph, scenarios, matrix.configs, seeds=[SEED])]))
-    return out
+        SIM.run_matrix(matrix.graph, scenarios, matrix.configs, seeds=[SEED])])]
+    return [first, _attack_cases(BENCH_INPUTS, f"/{BENCH_INPUTS}")]
 
 
 def main() -> None:
-    digest = hashlib.sha256()
-    for name, run in cases():
-        per_item, results = _counted(run)
-        print(f"{name:<12} {per_item:8.2f} bytecodes per processed item")
-        for metrics in results:
-            digest.update(repr(metrics).encode() + b"\n")
-    print(f"metrics sha256 {digest.hexdigest()}")
+    for group, label in zip(cases(), ("metrics", f"{BENCH_INPUTS}-input metrics")):
+        digest = hashlib.sha256()
+        for name, run in group:
+            per_item, results = _counted(run)
+            print(f"{name:<16} {per_item:8.2f} bytecodes per processed item")
+            for metrics in results:
+                digest.update(repr(metrics).encode() + b"\n")
+        print(f"{label} sha256 {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ server; the ``budget`` cells of the goldens and the
 exit-feeding server that is not exit-only, which completes items without
 the heap (``simulate`` module docstring), is built by 685 of the 3,000
 random triples (22.8%) and 1,059 of the 3,000 mixed ones (35.3%);
-``test_simulate.py::TestPropertySuite::test_run_through_matches_the_heap``
+``test_simulate.py::TestPropertySuite::test_run_through_matches_the_reference``
 holds a floor on that count for its own triples.
 """
 

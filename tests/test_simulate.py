@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 from dataclasses import fields, replace
 from pathlib import Path
@@ -35,6 +36,7 @@ from pipevuln.simulate import (
     SimMetrics,
     TrafficScenario,
     _Run,
+    _draws,
     _mix,
     _poisson_draw,
     _poisson_table,
@@ -189,7 +191,7 @@ class TestPercentile:
 class TestSampler:
     def test_table_matches_exact_poisson_cdf(self):
         for lam in (0.01, 0.6, 1.0, 4.0, 40.0):
-            lo, cdf = _poisson_table(lam)
+            lo, cdf, _ = _poisson_table(lam)
             assert lo == 0
             pmf = [math.exp(-lam) * lam**k / math.factorial(k) for k in range(len(cdf))]
             for k, value in enumerate(cdf):
@@ -216,11 +218,11 @@ class TestSampler:
 
     def test_run_through_draw_takes_the_uniform_of_the_whole_hash(self):
         # a is exit-feeding, so its one item completes in the run-through
-        # loop. At seed 5 this mean puts the table's step past 3 items
+        # and draws with _draws. At seed 5 this mean puts the table's step past 3 items
         # 1.05e-10 above the uniform of a's draw; off by one in the hash's
         # last shift, the uniform moves 2.1e-10 and the draw is 4.
         mean = 1.289877641336022
-        lo, cdf = table = _poisson_table(mean)
+        lo, cdf, _ = table = _poisson_table(mean)
         draw_key = _mix((_mix(5) + 0) ^ _text_key("x"))
         assert 0 < cdf[3 - lo] - (draw_key >> 11) * 2.0**-53 < 2e-10
         graph = build_graph(exit_only_doc(mean, 0.1))
@@ -230,12 +232,13 @@ class TestSampler:
 
     @pytest.mark.parametrize("mean", [7.0, 900.0])
     def test_loop_draw_matches_the_reference_helpers(self, mean):
-        # The completion loop writes out _mix and _poisson_draw. Input 0's
-        # item at a, whose key is its raw key mix(seed) + 0, draws the count
-        # of b on label x with one hash, and child j of that draw gets the
-        # raw key draw_key + j. b is exit-only, or, behind a buffer that
-        # never fills, a server on the event path whose FIFO holds the items
-        # as one run.
+        # The simulator writes out _mix and the guided _poisson_draw twice.
+        # Input 0's item at a, whose key is its raw key mix(seed) + 0, draws
+        # the count of b on label x with one hash, and child j of that draw
+        # gets the raw key draw_key + j. b is exit-only, so a runs through
+        # and draws with _draws; or, behind a buffer that never fills, b is
+        # a server on the event path whose FIFO holds the items as one run,
+        # and a draws in the completion loop.
         graph = build_graph(exit_only_doc(mean, 0.1))
         table = _poisson_table(mean)
         spot = {(7.0, 2): 9, (900.0, 4): 910}
@@ -299,6 +302,210 @@ class TestSampler:
             capture_output=True, text=True, env=env, check=True,
         )
         assert done.stdout.strip() == "False"
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _unmix(z: int) -> int:
+    """The state whose SplitMix64 output ``_mix`` is ``z``."""
+
+    def unshift(y: int, shift: int) -> int:
+        x = y
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK64
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK64
+    z = unshift(z, 30)
+    return (z - 0x9E3779B97F4A7C15) & _MASK64
+
+
+#: Means of both kinds of table (``lo`` 0 and above), 557.97 being the
+#: attacked car mean under confidence 0.599. At 3.465735902799727, about
+#: 5 ln 2, the table's first entry is 1/32 exactly, the edge of cell 8.
+CELL_EDGE_MEAN = 3.465735902799727
+GUIDE_MEANS = [1e-300, 1 / 16, 0.6, 1.0, 4.0, CELL_EDGE_MEAN, 931.5 * 0.599,
+               931.5, 1e6]
+
+
+class TestGuidedDraws:
+    """A table's guide answers a draw from the top 8 bits of its key, and
+    ``_draws`` falls back to the bisection only in a cell that a CDF entry
+    splits, so it equals ``_poisson_draw`` at every key."""
+
+    def test_unmix_inverts_mix(self):
+        for z in (0, 1, _MASK64, 0x8000_0000_0000_0000, _mix(12345)):
+            assert _mix(_unmix(z)) == z
+
+    @pytest.mark.parametrize("mean", GUIDE_MEANS)
+    def test_guided_draws_equal_the_bisection(self, mean):
+        table = _poisson_table(mean)
+        salt = _text_key("x")
+        # Both ends of every cell: draw keys c << 56 and ((c + 1) << 56) - 1.
+        for c in range(256):
+            for z in (c << 56, ((c + 1) << 56) - 1):
+                key = _unmix(z) ^ salt
+                assert _draws(salt, *table, key, 1) == [_poisson_draw(table, z)], (c, z)
+        rng = random.Random(mean)
+        for _ in range(5):
+            start = rng.getrandbits(64)
+            want = [_poisson_draw(table, _mix(k ^ salt)) for k in range(start, start + 400)]
+            assert _draws(salt, *table, start, 400) == want
+
+    @pytest.mark.parametrize("mean", GUIDE_MEANS)
+    def test_a_cell_falls_back_only_when_an_entry_splits_it(self, mean):
+        lo, cdf, guide = _poisson_table(mean)
+        assert len(guide) == 256
+        # v * 256 is exact, so an entry lies strictly inside cell c when its
+        # scaled value has c as floor and is not c itself.
+        split = {math.floor(v * 256) for v in cdf if v * 256 != math.floor(v * 256)}
+        assert {c for c in range(256) if guide[c] < 0} == split
+        for c in set(range(256)) - split:
+            assert guide[c] == _poisson_draw((lo, cdf, guide), c << 56) >= lo
+        if mean == CELL_EDGE_MEAN:
+            assert cdf[0] == 8 / 256 and 8 not in split
+
+
+class TestTableMemo:
+    """Poisson tables are memoised for the process; the bound on an emission
+    mean is checked before the memo is asked."""
+
+    def test_matrix_builds_one_table_per_mean(self):
+        spec = parse_spec_file(str(PIPELINES_DIR / "traffic_variant.yaml"))
+        _poisson_table.cache_clear()
+        first = run_matrix(spec.graph, spec.scenarios, spec.configs)
+        assert _poisson_table.cache_info().misses == 7
+        assert run_matrix(spec.graph, spec.scenarios, spec.configs) == first
+        assert _poisson_table.cache_info().misses == 7
+
+    def test_the_mean_bound_comes_before_the_memo(self):
+        graph = build_graph(exit_only_doc(7.0, 0.1))
+        scenario = TrafficScenario(n_inputs=1)
+        _poisson_table.cache_clear()
+        # A rejected mean builds no table.
+        with pytest.raises(NonTerminationError, match="emission mean 7 exceeds"):
+            simulate(graph, scenario, DeploymentConfig(), max_events=5)
+        assert _poisson_table.cache_info().currsize == 0
+        # A table memoised under a larger bound does not pass a smaller one.
+        simulate(graph, scenario, DeploymentConfig())
+        assert _poisson_table.cache_info().currsize == 1
+        with pytest.raises(NonTerminationError, match="emission mean 7 exceeds"):
+            simulate(graph, scenario, DeploymentConfig(), max_events=5)
+
+
+#: Bound errors as their kind letters, one per max_events from 1 up to the
+#: first bound a run passes ("."), as the parent of run-level draws raised
+#: them: E "exceeded N events", O "offered more than N arrivals", M "emission
+#: mean exceeds", I "scenario n_inputs exceeds".
+_KIND_TEXT = {
+    "E": "simulation exceeded {bound} events",
+    "O": "simulation offered more than {bound} arrivals",
+    "M": "emission mean {mean:g} exceeds the bound of {bound} events",
+    "I": "scenario n_inputs {n} exceeds the bound of {bound} events",
+}
+
+
+def _bound_messages(graph, scenario, config, mean: float, kinds: str) -> None:
+    """Assert the message that each max_events from 1 raises, as ``kinds``
+    spells it."""
+    for bound, kind in enumerate(kinds, start=1):
+        if kind == ".":
+            simulate(graph, scenario, config, max_events=bound)
+            continue
+        with pytest.raises(NonTerminationError) as err:
+            simulate(graph, scenario, config, max_events=bound)
+        want = _KIND_TEXT[kind].format(bound=bound, mean=mean, n=scenario.n_inputs)
+        assert err.value.message == want, bound
+
+
+class TestBoundReplay:
+    """A run drawn at once checks its bounds once; when it crosses one, the
+    error is the one the per-item checks raise first: an item's own event,
+    then, row by row, its offers and its events. Each expected sequence was
+    recorded from the per-item simulator."""
+
+    @pytest.mark.parametrize("n_inputs, seed, kinds", [
+        # Input 0 completes in the run-through: its event check comes
+        # before its rows, whose mean 7 is past a bound of 1.
+        (1, 0, "EMMMMMOEE."),
+        (3, 0, "IIEMMMOEEEEEOEEEEEEOOOOOOOEEEEEE."),
+    ])
+    def test_exit_only_doc(self, n_inputs, seed, kinds):
+        graph = build_graph(exit_only_doc(7.0, 0.1, n_inputs=n_inputs))
+        _bound_messages(graph, TrafficScenario(n_inputs=n_inputs, seed=seed),
+                        DeploymentConfig(), 7.0, kinds)
+
+    @pytest.mark.parametrize("config, runs", [
+        # lpr runs through its 930 items of one input in one go.
+        (DeploymentConfig(), [(1, "E"), (2, "M"), (932, "O"), (1915, "E"), (1918, ".")]),
+        # lpr serves batches of 16 that feed ret, an exit-only server.
+        (DeploymentConfig(batch={"default": 16}, device_model="shared-single-device"),
+         [(1, "E"), (2, "M"), (932, "O"), (1916, ".")]),
+    ], ids=["none", "shared_b16"])
+    def test_attacked_traffic_variant(self, config, runs):
+        spec = parse_spec_file(str(PIPELINES_DIR / "traffic_variant.yaml"))
+        scenario = replace(spec.scenarios["attacked"], n_inputs=1, seed=1)
+        kinds = "".join(kind * (end - start) for (start, kind), (end, _) in
+                        zip(runs, runs[1:])) + "."
+        _bound_messages(spec.graph, scenario, config, 931.5, kinds)
+
+
+class TestRunMemory:
+    """A run drawn at once is drawn in slices, so its memory does not grow
+    with its length."""
+
+    @pytest.mark.parametrize("batch", [1, 4096])
+    def test_a_run_past_a_slice_matches_the_reference(self, batch):
+        # a admits about 3,000 items to f as one run. At batch limit 1, f
+        # runs through them; at 4,096 it serves them as one portion. Either
+        # way they are drawn in three slices.
+        doc = overhead_doc({"a": 0.25, "f": 0.25, "b": 0.125},
+                           {"a": {"x": "f"}, "f": {"y": "b"}},
+                           {"a": {"x": 3000.0}, "f": {"y": 0.5}})
+        doc["components"][1]["batchable"] = True
+        graph = build_graph(doc)
+        config = DeploymentConfig(batch={"f": batch})
+        for seed in range(3):
+            scenario = TrafficScenario(n_inputs=2, interval_s=0.5, seed=seed)
+            run = _Run(graph, scenario, config, 10**7)
+            assert run.exit_feeding[run.index["f"]] == (batch == 1)
+            metrics = run.execute()
+            assert metrics.workload["f"] > 5000
+            assert metrics == reference_simulate(graph, scenario, config), seed
+
+    @pytest.mark.parametrize("mean, sink", [(1e6, True), (2e4, False)])
+    def test_a_long_run_into_an_exit_feeding_server(self, mean, sink):
+        # a admits about mean items to f as one run. Behind a buffer that
+        # never fills, f is a sink on the event path; otherwise it feeds b,
+        # an exit-only server. Either way f is exit-feeding and runs through.
+        if sink:
+            doc = overhead_doc({"a": 0.25, "f": 0.25}, {"a": {"x": "f"}},
+                               {"a": {"x": mean}})
+            config = DeploymentConfig(buffers={"a:x": 10**9})
+        else:
+            doc = overhead_doc({"a": 0.25, "f": 0.25, "b": 0.125},
+                               {"a": {"x": "f"}, "f": {"y": "b"}},
+                               {"a": {"x": mean}, "f": {"y": 0.5}})
+            config = DeploymentConfig()
+        graph = build_graph(doc)
+        scenario = TrafficScenario(n_inputs=1)
+        run = _Run(graph, scenario, config, 10**7)
+        assert run.exit_feeding[run.index["f"]]
+        # The memo keeps the tables, so the traced run builds none.
+        expected = run.execute()
+        tracemalloc.start()
+        try:
+            metrics = simulate(graph, scenario, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert metrics == expected
+        assert metrics.workload["f"] > 0.99 * mean
+        assert peak < 256 * 1024
 
 
 class TestDeterminism:
@@ -569,22 +776,16 @@ class TestExitOnlyServers:
     @pytest.mark.parametrize("triple, seed", [
         (random_sim_triple, 517), (random_mixed_sim_triple, 518),
     ], ids=["random", "mixed"])
-    def test_schedule_matches_the_event_path(self, triple, seed):
-        # A buffer that never fills changes nothing but makes every server
-        # take the event path, so both runs must agree on every metric.
+    def test_schedule_matches_the_reference(self, triple, seed):
+        # The reference serves every item of an exit-only server as a heap
+        # event of its own, so both must agree on every metric.
         rng = random.Random(seed)
         with_exit_only = 0
         for index in range(200):
             graph, scenario, config = triple(rng)
-            unbounded = {
-                edge.key: 10**9 for edge in graph.edges.values()
-                if config.buffer_capacity(edge.key, edge.capacity) is None
-            }
-            events_only = replace(config, buffers={**config.buffers, **unbounded})
-            assert not any(_Run(graph, scenario, events_only, 10**7).exit_only)
             with_exit_only += any(_Run(graph, scenario, config, 10**7).exit_only)
-            assert simulate(graph, scenario, config) == simulate(
-                graph, scenario, events_only
+            assert simulate(graph, scenario, config) == reference_simulate(
+                graph, scenario, config
             ), f"triple {index}"
         assert with_exit_only >= 20
 
@@ -659,6 +860,22 @@ class TestExitFeedingServers:
         assert metrics.workload == {"a": 2, "b": 6, "f": 5}
         assert latencies == [2.5, 2.25]
         assert metrics.wall_time_s == 3.25
+
+    def test_rows_into_one_exit_only_server_add_their_draws(self):
+        # f sends p and q to b, so b's clock takes each item's two draws
+        # together, where the reference serves them one event at a time.
+        doc = overhead_doc({"a": 0.25, "f": 0.25, "b": 0.125},
+                           {"a": {"x": "f"}, "f": {"p": "b", "q": "b"}},
+                           {"a": {"x": 3.0}, "f": {"p": 1.0, "q": 2.0}})
+        graph = build_graph(doc)
+        run = _Run(graph, TrafficScenario(n_inputs=1), DeploymentConfig(), 10**7)
+        f, b = run.index["f"], run.index["b"]
+        assert run.exit_feeding[f]
+        assert run._route_rows(f, False)[1] == [(b, 0.125, 0, [1])]
+        for seed in range(40):
+            scenario = TrafficScenario(n_inputs=3, interval_s=0.5, seed=seed)
+            assert simulate(graph, scenario, DeploymentConfig()) == reference_simulate(
+                graph, scenario, DeploymentConfig()), seed
 
     def test_two_exit_only_servers_and_an_exit(self):
         # f sends p to b1 (1 s), q to b2 (0.25 s) and r to EXIT. Input 1's
@@ -1094,18 +1311,19 @@ class TestPropertySuite:
     @pytest.mark.parametrize("triple, seed, floor", [
         (random_sim_triple, 521, 40), (random_mixed_sim_triple, 522, 75),
     ], ids=["random", "mixed"])
-    def test_run_through_matches_the_heap(self, triple, seed, floor):
-        # The same run with every exit-feeding flag cleared takes each
-        # completion from the heap. Of 300 triples, 53 random and 99 mixed
-        # ones build an exit-feeding server that is not exit-only.
+    def test_run_through_matches_the_reference(self, triple, seed, floor):
+        # The reference takes each completion from its heap. Of 300
+        # triples, 53 random and 99 mixed ones build an exit-feeding server
+        # that is not exit-only.
         rng = random.Random(seed)
         feeding = 0
         for index in range(300):
             graph, scenario, config = triple(rng)
-            run, heap_only = (_Run(graph, scenario, config, 10**7) for _ in range(2))
+            run = _Run(graph, scenario, config, 10**7)
             feeding += any(f and not e for f, e in zip(run.exit_feeding, run.exit_only))
-            heap_only.exit_feeding = [False] * len(heap_only.ids)
-            assert run.execute() == heap_only.execute(), f"triple {index}"
+            assert run.execute() == reference_simulate(
+                graph, scenario, config
+            ), f"triple {index}"
         assert feeding >= floor
 
     @pytest.mark.parametrize("triple, seed, count", [
