@@ -391,6 +391,7 @@ def _poisson_table(mean: float) -> tuple[int, list[float], list[int]]:
     ``guide`` has one cell per interval ``[c/256, (c+1)/256)``: the draw of
     every ``u`` in it when no ``cdf`` entry lies strictly inside, else -1.
     The uniform of a key ``z`` lies in cell ``z >> 56`` (module docstring).
+    The memo hands every caller the same lists, which nothing changes.
     """
     spread = _TABLE_SDS * math.sqrt(mean) + _TABLE_SDS
     lo = max(0, math.floor(mean - spread))
@@ -916,14 +917,14 @@ class _Run:
         A row is ``(label salt, lo, cdf, guide, fifo, edge, device)`` in
         label order, for labels routed to a component whose surviving mean
         (targeting, attenuation and confidence survival included) is
-        positive; ``lo, cdf, guide`` is the Poisson table of that mean. A label routed to EXIT builds no
-        items, so it has no row. A row into an exit-only server has no
-        ``fifo`` and holds ``(component index, service time)`` in place of
-        ``device``. When every row leads to an exit-only server, the plan
-        lists ``(server, service time, first row, other rows)`` per server,
-        rows given by position; otherwise it is ``None``. Built on the first
-        completion of an item of that taint, so a table that is never drawn
-        is never built.
+        positive; ``lo, cdf, guide`` is the Poisson table of that mean. A
+        label routed to EXIT builds no items, so it has no row. A row into
+        an exit-only server has no ``fifo`` and holds ``(component index,
+        service time)`` in place of ``device``. When every row leads to an
+        exit-only server, the plan lists ``(server, service time, first
+        row, other rows)`` per server, rows given by position; otherwise it
+        is ``None``. Built on the first completion of an item of that
+        taint, so a table that is never drawn is never built.
         """
         cid = self.ids[comp]
         profile = self.graph.profiles[cid]

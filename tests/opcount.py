@@ -25,7 +25,7 @@ cases. From the root of a checkout::
 
     PYTHONPATH=src python tests/opcount.py
 
-pytest does not collect this file. A run takes about a minute.
+pytest does not collect this file. A run takes about ten seconds.
 """
 
 from __future__ import annotations

@@ -218,9 +218,9 @@ class TestSampler:
 
     def test_run_through_draw_takes_the_uniform_of_the_whole_hash(self):
         # a is exit-feeding, so its one item completes in the run-through
-        # and draws with _draws. At seed 5 this mean puts the table's step past 3 items
-        # 1.05e-10 above the uniform of a's draw; off by one in the hash's
-        # last shift, the uniform moves 2.1e-10 and the draw is 4.
+        # and draws with _draws. At seed 5 this mean puts the table's step
+        # past 3 items 1.05e-10 above the uniform of a's draw; off by one in
+        # the hash's last shift, the uniform moves 2.1e-10 and the draw is 4.
         mean = 1.289877641336022
         lo, cdf, _ = table = _poisson_table(mean)
         draw_key = _mix((_mix(5) + 0) ^ _text_key("x"))
