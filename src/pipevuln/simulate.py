@@ -63,28 +63,33 @@ check. An input's finish is written once per portion. Every event-path
 service starts in the batch loop of the restart block, batch limit 1
 included, which sums a batch's GFLOPs one item at a time in batch order.
 
-Run-level draws. When every emission row of a portion leads to an
-exit-only server, and always in the run-through, the items are drawn as a
-run: ``_draws``, a comprehension, gives one label's draws of items ``raw``
-to ``raw + count - 1``, and the run's counts, ``enqueued`` and
-``processed`` are added once. Each exit-only server's Lindley clock still
-adds one service per admitted item, item by item, at the item's
-completion time; rows into one server add an item's draws together, the
-same clock, since the first of them leaves ``free`` past that time. The
-run-through takes an exit-feeding server's FIFO one run at a time: the
-completion times of its next items, each a step added to the one before,
-are cut where the next would not be earlier than the heap's top entry or
-the next arrival, and the run is split where it stops. A run is drawn in
-slices of at most ``_SLICE`` items, so its lists do not grow with its
-length. The bounds are checked once per slice; a slice that crosses one
-raises the error that the per-item checks raise first (``_overrun``): an
-item's own event, then, row by row, its offers and its events. The first
-item's event check also comes before its rows are built, so a mean past
-the bound is reported only after it. Portions with a row into a FIFO keep
-a per-item loop. So SplitMix64 is written out twice, in ``_draws`` and in
-that loop; ``_mix`` and ``_poisson_draw`` stay the reference definitions.
-The run-through step and the exit-only schedule read a list of one-item
-service times, equal bit for bit to the batch loop's for one item.
+Run-level draws. When every emission row of a portion leads to an exit-only
+server, and always in the run-through, the items are drawn as a run:
+``_draws`` gives one label's draws of items ``raw`` to ``raw + count - 1``,
+and the run's counts, ``enqueued`` and ``processed`` are added once. Each
+exit-only server's Lindley clock still adds one service per admitted item,
+item by item, at the item's completion time; rows into one server add an
+item's draws together, the same clock, since the first of them leaves
+``free`` past that time. The run-through takes an exit-feeding server's
+FIFO one run at a time: the completion times of its next items, each a step
+added to the one before, are cut where the next would not be earlier than
+the heap's top entry or the next arrival, and the run is split where it
+stops. A run is drawn in slices of at most ``_SLICE`` items, so its lists
+do not grow with its length. The bounds are checked once per slice; a slice
+that crosses one raises the error that the per-item checks raise first
+(``_overrun``): an item's own event, then, row by row, its offers and its
+events. The first item's event check also comes before its rows are built,
+so a mean past the bound is reported only after it. Portions with a row
+into a FIFO keep a per-item loop with its own written-out SplitMix64.
+``_draws`` hashes a slice in the 16-byte lanes of one int: lane ``i`` holds
+``key + i``, as ``ones * key + ramp``, and ``ones`` repeats salt, gamma and
+mask in each lane. Masking to 64 bits after each add or multiply and before
+each multiply keeps each product below 2**128, so no lane carries into the
+next, and lane ``i``'s low word is ``_mix((key + i) ^ salt)`` bit for bit.
+Byte 7 of a lane is its guide cell; only a lane in a split cell bisects.
+``_mix`` and ``_poisson_draw`` stay the reference definitions. The
+run-through step and the exit-only schedule read a list of one-item service
+times, equal bit for bit to the batch loop's for one item.
 
 Determinism. Every random draw is keyed by the scenario seed plus the item's
 lineage, never by event order. Each item carries an integer key: input
@@ -159,6 +164,9 @@ _TABLE_SDS = 12.0
 _TABLE_MEMO = 32
 # Items drawn at once by a run-level draw: its lists never grow past this.
 _SLICE = 1024
+# The 16-byte lanes of ``_draws``, holding 1 and the lane number.
+_ONES = (1).to_bytes(16, "little") * _SLICE
+_RAMP = b"".join(i.to_bytes(16, "little") for i in range(_SLICE))
 # The edges c/256 of the 256 cells of a table's guide.
 _CELL_EDGES = [c / 256 for c in range(257)]
 _TOO_MANY_EVENTS = "simulation exceeded {} events"
@@ -423,16 +431,23 @@ def _poisson_draw(table: tuple[int, list[float], list[int]], key: int) -> int:
 
 def _draws(salt: int, lo: int, cdf: list[float], guide: list[int], key: int,
            count: int) -> list[int]:
-    """The draws on one label of the items keyed ``key`` to ``key + count -
-    1``: ``_poisson_draw((lo, cdf, guide), _mix(item key ^ salt))``, written
-    out, with the guide in front of the bisection."""
-    mask = _MASK64
-    return [g if (g := guide[z >> 56]) >= 0 else lo + bisect_right(cdf, (z >> 11) * _UNIT)
-            for item in range(key, key + count)
-            for z in [((item ^ salt) + 0x9E3779B97F4A7C15) & mask]
-            for z in [((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask]
-            for z in [((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask]
-            for z in [z ^ (z >> 31)]]
+    """``_poisson_draw((lo, cdf, guide), _mix(k ^ salt))`` for the keys ``k``
+    from ``key`` to ``key + count - 1``, hashed in lanes (module docstring)."""
+    size = 16 * count
+    ones = int.from_bytes(_ONES[:size], "little")
+    mask = ones * _MASK64
+    z = ((ones * key + int.from_bytes(_RAMP[:size], "little") ^ ones * salt)
+         + ones * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask
+    lanes = (z ^ z >> 31).to_bytes(size, "little")
+    counts = list(map(guide.__getitem__, lanes[7::16]))
+    i = 0
+    for _ in range(counts.count(-1)):
+        i = counts.index(-1, i)
+        word = int.from_bytes(lanes[16 * i:16 * i + 8], "little")
+        counts[i] = lo + bisect_right(cdf, (word >> 11) * _UNIT)
+    return counts
 
 
 def _completions(now: float, step: float, count: int, bound: float) -> list[float]:

@@ -38,6 +38,9 @@ PROPAGATION = "src/pipevuln/propagation.py"
 _DRAW_GAMMA = "z = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask"
 _ROUND1 = "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask"
 _ROUND2 = "z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask"
+_LANE_GAMMA = "+ ones * 0x9E3779B97F4A7C15) & mask"
+_LANE_ROUND1 = "z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask"
+_LANE_ROUND2 = "z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask"
 
 
 # The goldens and the simulator tests kill most mutants in seconds; the CLI and
@@ -60,8 +63,8 @@ class Mutant(NamedTuple):
 
 def _hash_mutants(which: str, lines: list[str]) -> list[Mutant]:
     """The six constants of one written-out SplitMix64 hash, given by its
-    four consecutive ``lines`` (without indentation): the draw hash of the
-    completion loop, or its copy in the ``_draws`` kernel."""
+    four ``lines`` (without indentation): the draw hash of the completion
+    loop, or the packed hash of the ``_draws`` kernel."""
     gamma, round1, round2, final = lines
     changes = [
         ("gamma", gamma, gamma.replace("7C15", "7C17")),
@@ -229,13 +232,13 @@ MUTANTS = [
            "        guide[c] = -1\n", "        guide[c] = guide[c]\n",
            "a split cell falls back to the bisection"),
     Mutant("guide-kernel-cell-bits", SIM,
-           "(g := guide[z >> 56])", "(g := guide[z >> 57])",
+           "lanes = (z ^ z >> 31).to_bytes(", "lanes = ((z ^ z >> 31) >> 1).to_bytes(",
            "a draw key's cell is its top 8 bits"),
     Mutant("guide-loop-cell-bits", SIM,
            "survivors = guide[draw_key >> 56]", "survivors = guide[draw_key >> 57]",
            "a draw key's cell is its top 8 bits"),
     Mutant("guide-kernel-fallback-taken", SIM,
-           "(g := guide[z >> 56]) >= 0 else", "(g := guide[z >> 56]) >= -1 else",
+           "range(counts.count(-1))", "range(counts.count(-2))",
            "a split cell's -1 is not a draw"),
     Mutant("guide-loop-fallback-taken", SIM,
            "if survivors < 0:", "if survivors < -1:",
@@ -312,23 +315,54 @@ MUTANTS = [
     # Run-level draws: the kernel, the per-run accounting and the replay
     # of the per-item bound checks.
     Mutant("kernel-draw-uniform-shift", SIM,
-           "bisect_right(cdf, (z >> 11) * _UNIT)",
-           "bisect_right(cdf, (z >> 12) * _UNIT)",
+           "bisect_right(cdf, (word >> 11) * _UNIT)",
+           "bisect_right(cdf, (word >> 12) * _UNIT)",
            "the kernel's uniform is the top 53 bits of the draw key"),
     Mutant("kernel-item-key-shared", SIM,
-           "for item in range(key, key + count)", "for item in [key] * count",
+           'ones * key + int.from_bytes(_RAMP[:size], "little") ^', "ones * key ^",
            "item j of a run draws with the key of its first item plus j"),
+    Mutant("kernel-ramp-offset", SIM,
+           "i.to_bytes(16, \"little\") for i in range(_SLICE)",
+           "(i + 1).to_bytes(16, \"little\") for i in range(_SLICE)",
+           "lane i holds the key of the run's first item plus i"),
     Mutant("run-item-key-shared", SIM,
            "raw + done, times, 1,", "raw, times, 1,",
            "the run-through's items after the first slice start past its keys"),
     Mutant("exit-portion-slices-overlap", SIM,
            "[now] * size, 0,", "[now] * count, 0,",
            "each slice of a portion draws its own items"),
-    *_hash_mutants("kernel", [
-        "for z in [((item ^ salt) + 0x9E3779B97F4A7C15) & mask]",
-        "for z in [((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask]",
-        "for z in [((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask]",
-        "for z in [z ^ (z >> 31)]"]),
+    *_hash_mutants("kernel", [_LANE_GAMMA, _LANE_ROUND1, _LANE_ROUND2,
+                              "lanes = (z ^ z >> 31).to_bytes("]),
+    # The packed hash: 128-bit lanes, masked to 64 bits around each
+    # multiply, read at the byte and word that hold the draw key.
+    Mutant("kernel-lane-width", SIM,
+           '_ONES = (1).to_bytes(16, "little") * _SLICE',
+           '_ONES = (1).to_bytes(8, "little") * 2 * _SLICE',
+           "a lane is 128 bits wide, so a product of two 64-bit words stays in it"),
+    Mutant("kernel-salt-in-one-lane", SIM,
+           "^ ones * salt)", "^ salt)",
+           "every lane is salted"),
+    Mutant("kernel-add-unmasked", SIM,
+           _LANE_GAMMA, _LANE_GAMMA.replace(") & mask", ")"),
+           "bit 64 of the salted key plus gamma is dropped, as _mix drops it"),
+    Mutant("kernel-mask-before-multiply-1", SIM,
+           "((z ^ z >> 30) & mask) *", "(z ^ z >> 30) *",
+           "bits shifted in from the next lane are masked off before a multiply"),
+    Mutant("kernel-mask-before-multiply-2", SIM,
+           "((z ^ z >> 27) & mask) *", "(z ^ z >> 27) *",
+           "bits shifted in from the next lane are masked off before a multiply"),
+    Mutant("kernel-product-unmasked-1", SIM,
+           _LANE_ROUND1, _LANE_ROUND1.removesuffix(" & mask"),
+           "a lane's product is cut to 64 bits before its next shift"),
+    Mutant("kernel-product-unmasked-2", SIM,
+           _LANE_ROUND2, _LANE_ROUND2.removesuffix(" & mask"),
+           "a lane's product is cut to 64 bits before its last shift"),
+    Mutant("kernel-lane-byte-offset", SIM,
+           "lanes[7::16]", "lanes[6::16]",
+           "byte 7 of a lane holds the draw key's top 8 bits"),
+    Mutant("kernel-split-word-high", SIM,
+           "lanes[16 * i:16 * i + 8]", "lanes[16 * i + 8:16 * i + 16]",
+           "a split lane bisects at its low word; the high word holds shifted-in bits"),
     Mutant("exit-plan-with-a-fifo-row", SIM,
            "                exits = None\n", "",
            "a portion with a row into a FIFO takes the per-item loop"),

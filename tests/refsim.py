@@ -14,7 +14,9 @@ plainly as they read, with none of the simulator's shortcuts:
 It reuses only ``_mix``, ``_text_key``, ``_poisson_table``, ``_poisson_draw``
 and the record types, so a fault in code that the simulator's fast paths
 share with its heap path shows as a difference here. ``reference_simulate``
-takes the arguments of ``simulate`` and returns an equal ``SimMetrics``.
+takes the arguments of ``simulate`` and returns an equal ``SimMetrics``;
+``reference_run`` also returns each device's busy seconds, the sum of the
+service times of the calls it starts, added in start order from 0.0.
 """
 
 from __future__ import annotations
@@ -87,6 +89,13 @@ def reference_simulate(graph, scenario, config,
                        max_events: int = DEFAULT_MAX_EVENTS) -> SimMetrics:
     """The ``SimMetrics`` of one run; a run that ``simulate`` rejects raises
     an error with the same code here."""
+    return reference_run(graph, scenario, config, max_events)[0]
+
+
+def reference_run(graph, scenario, config, max_events: int = DEFAULT_MAX_EVENTS
+                  ) -> tuple[SimMetrics, dict[tuple[str, int], float]]:
+    """The ``SimMetrics`` of one run and the busy seconds of each device,
+    keyed ``(component id, 1)`` or, for the shared device, ``("@shared", 0)``."""
     n = scenario.n_inputs
     if n > max_events:
         raise NonTerminationError("more inputs than events")
@@ -119,6 +128,7 @@ def reference_simulate(graph, scenario, config,
     for cid in ids:
         members.setdefault(device[cid], []).append(cid)
     busy = dict.fromkeys(members, False)
+    busy_s = dict.fromkeys(members, 0.0)
     limit = {cid: config.batch_size(cid) if specs[cid].batchable else 1
              for cid in ids}
     # A FIFO item is (admission number, input id, adversarial, key, edge).
@@ -225,6 +235,7 @@ def reference_simulate(graph, scenario, config,
                 gflops += spec.adv_cost if adv else spec.clean_cost
             busy[dev] = True
             service = spec.per_call_overhead + gflops / spec.device_rate
+            busy_s[dev] += service
             heapq.heappush(heap, (now + service, starts, dev, cid, batch))
             starts += 1
 
@@ -238,7 +249,7 @@ def reference_simulate(graph, scenario, config,
     for cid in ids:
         total_gflops += processed[cid][0] * specs[cid].clean_cost
         total_gflops += processed[cid][1] * specs[cid].adv_cost
-    return SimMetrics(
+    metrics = SimMetrics(
         wall_time_s=now,
         throughput_ips=n / now if now > 0 else 0.0,
         avg_e2e_s=sum(samples) / len(samples) if samples else 0.0,
@@ -257,3 +268,4 @@ def reference_simulate(graph, scenario, config,
         filtered=filtered,
         total_tflops=total_gflops / 1000.0,
     )
+    return metrics, busy_s

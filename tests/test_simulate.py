@@ -28,6 +28,9 @@ from pipevuln.model import EXIT, build_graph
 from pipevuln.propagation import CLEAN, expected_emission, propagate
 from pipevuln.ranking import enumerate_paths, resolve_path
 from pipevuln.simulate import (
+    PER_COMPONENT_SERVER,
+    SHARED_SINGLE_DEVICE,
+    _SLICE,
     Attenuation,
     ConfidenceFilter,
     DeploymentConfig,
@@ -57,7 +60,7 @@ from conftest import (
     random_sim_triple,
     traffic_doc,
 )
-from refsim import reference_simulate
+from refsim import reference_run, reference_simulate
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 #: Two paths of ``tests/specs/layered.yaml`` that share the edge src:a.
@@ -355,6 +358,38 @@ class TestGuidedDraws:
             start = rng.getrandbits(64)
             want = [_poisson_draw(table, _mix(k ^ salt)) for k in range(start, start + 400)]
             assert _draws(salt, *table, start, 400) == want
+
+    @pytest.mark.parametrize("mean", [0.6, 931.5, 1e6])
+    @pytest.mark.parametrize("key, count", [
+        (2**64 - 3, 8), (2**64 + 5, 8), (0x0123_4567_89AB_CDEF, 1),
+        (0x0123_4567_89AB_CDEF, 2), (2**63 - 500, 1023), (2**64 - 700, _SLICE),
+    ])
+    def test_packed_lanes_equal_the_reference(self, mean, key, count):
+        # Item keys that cross 2**64 or start past it (input keys are
+        # mix(seed) + i), one and two lanes, and 1,023 and _SLICE lanes.
+        table = _poisson_table(mean)
+        salt = _text_key("x")
+        want = [_poisson_draw(table, _mix(k ^ salt)) for k in range(key, key + count)]
+        assert _draws(salt, *table, key, count) == want
+        if mean > 1:
+            # Counts past 255: no path may assume that a count fits a byte.
+            assert min(want) > 255
+        if mean == 931.5:
+            assert max(table[2]) > 255
+
+    @pytest.mark.parametrize("mean", [0.6, 4.0, 931.5])
+    @pytest.mark.parametrize("lane", [0, 15])
+    def test_a_split_cell_in_the_first_or_last_lane(self, mean, lane):
+        table = _poisson_table(mean)
+        salt = _text_key("x")
+        split = [c for c in range(256) if table[2][c] < 0]
+        # The draw key of item ``lane`` of 16 lies inside the last split cell.
+        z = (split[-1] << 56) | 0x00AB_CDEF_0123_4567
+        key = (_unmix(z) ^ salt) - lane
+        assert key >= 0
+        want = [_poisson_draw(table, _mix(k ^ salt)) for k in range(key, key + 16)]
+        assert want[lane] == _poisson_draw(table, z)
+        assert _draws(salt, *table, key, 16) == want
 
     @pytest.mark.parametrize("mean", GUIDE_MEANS)
     def test_a_cell_falls_back_only_when_an_entry_splits_it(self, mean):
@@ -1359,20 +1394,40 @@ class TestReferenceSimulator:
     @staticmethod
     def _same(graph, scenario, config, what: str, max_events: int = 10**7) -> bool:
         """Assert both simulators return equal metrics or raise the same
-        code; True when they returned metrics."""
+        code, and that no device of the reference is busy for longer than
+        the run (the utilisation law); True when they returned metrics."""
         outcomes = []
-        for run in (simulate, reference_simulate):
+        for run in (simulate, reference_run):
             try:
                 outcomes.append(run(graph, scenario, config, max_events))
             except PipelineError as exc:
                 outcomes.append(exc.code)
         got, want = outcomes
-        if isinstance(got, SimMetrics) and isinstance(want, SimMetrics):
+        if isinstance(got, SimMetrics) and isinstance(want, tuple):
+            want, busy = want
             for f in fields(SimMetrics):
                 assert getattr(got, f.name) == getattr(want, f.name), (what, f.name)
+            # Exact in floating point: each device's busy seconds and its
+            # completion times add the same services, the latter with gaps.
+            assert max(busy.values()) <= want.wall_time_s, what
             return True
         assert got == want, what
         return False
+
+    @pytest.mark.parametrize("model", [PER_COMPONENT_SERVER, SHARED_SINGLE_DEVICE])
+    def test_busy_seconds_add_each_device_s_services(self, model):
+        # a serves 4 inputs back to back, 0.625 s each, and is a device of
+        # its own or the shared one; b serves each of its items in 0.1 s.
+        graph = build_graph(exit_only_doc(7.0, 0.1, n_inputs=4))
+        scenario = TrafficScenario(n_inputs=4, seed=3)
+        metrics, busy = reference_run(graph, scenario,
+                                      DeploymentConfig(device_model=model))
+        first = ("@shared", 0) if model == SHARED_SINGLE_DEVICE else ("a", 1)
+        assert busy.keys() == {first, ("b", 1)}
+        assert busy[first] == 2.5 < metrics.wall_time_s
+        assert metrics.workload["b"] > 0
+        assert busy[("b", 1)] == pytest.approx(0.1 * metrics.workload["b"])
+        assert busy[("b", 1)] <= metrics.wall_time_s
 
     @pytest.mark.parametrize("spec_name", SHIPPED_SPECS)
     def test_every_shipped_cell(self, spec_name):
