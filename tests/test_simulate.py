@@ -235,7 +235,8 @@ class TestSampler:
 
     @pytest.mark.parametrize("mean", [7.0, 900.0])
     def test_loop_draw_matches_the_reference_helpers(self, mean):
-        # The simulator writes out _mix and the guided _poisson_draw twice.
+        # The simulator writes out _mix and the guided _poisson_draw in the
+        # completion loop and packs them into lanes in _draws.
         # Input 0's item at a, whose key is its raw key mix(seed) + 0, draws
         # the count of b on label x with one hash, and child j of that draw
         # gets the raw key draw_key + j. b is exit-only, so a runs through
@@ -1407,8 +1408,9 @@ class TestReferenceSimulator:
             want, busy = want
             for f in fields(SimMetrics):
                 assert getattr(got, f.name) == getattr(want, f.name), (what, f.name)
-            # Exact in floating point: each device's busy seconds and its
-            # completion times add the same services, the latter with gaps.
+            # Exact in floating point: a device's last completion adds its
+            # services in the same order, and its idle gaps, and rounding
+            # does not decrease as an addend grows.
             assert max(busy.values()) <= want.wall_time_s, what
             return True
         assert got == want, what
