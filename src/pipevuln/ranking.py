@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import MissingScoreError, NoSuchPathError, PathExplosionError
+from .errors import BadValueError, MissingScoreError, NoSuchPathError, PathExplosionError
 from .model import EXIT, PipelineGraph
 from .propagation import _costed_paths, _Table, clean_cost
 
@@ -104,11 +104,14 @@ def enumerate_paths(
     """All label-consistent source-to-exit walks, ordered by path id.
 
     Raises:
+        BadValueError: a ``cap`` below 1, which every graph would exceed.
         PathExplosionError: more than ``cap`` paths (default
             :data:`DEFAULT_PATH_CAP`) — the graph is outside the intended
             scale of exhaustive enumeration.
     """
     limit = DEFAULT_PATH_CAP if cap is None else cap
+    if limit < 1:
+        raise BadValueError(f"path cap must be >= 1, got {limit}")
     paths: list[ExecutionPath] = []
     stack: list[tuple[str, tuple[tuple[str, str], ...]]] = [(graph.source, ())]
     while stack:

@@ -63,24 +63,25 @@ check. An input's finish is written once per portion. Every event-path
 service starts in the batch loop of the restart block, batch limit 1
 included, which sums a batch's GFLOPs one item at a time in batch order.
 
-Run-level draws. When every emission row of a portion leads to an exit-only
-server, and always in the run-through, the items are drawn as a run:
-``_draws`` gives one label's draws of items ``raw`` to ``raw + count - 1``,
-and the run's counts, ``enqueued`` and ``processed`` are added once. Each
-exit-only server's Lindley clock still adds one service per admitted item,
-item by item, at the item's completion time; rows into one server add an
-item's draws together, the same clock, since the first of them leaves
-``free`` past that time. The run-through takes an exit-feeding server's
-FIFO one run at a time: the completion times of its next items, each a step
-added to the one before, are cut where the next would not be earlier than
-the heap's top entry or the next arrival, and the run is split where it
-stops. A run is drawn in slices of at most ``_SLICE`` items, so its lists
-do not grow with its length. The bounds are checked once per slice; a slice
-that crosses one raises the error that the per-item checks raise first
-(``_overrun``): an item's own event, then, row by row, its offers and its
-events. The first item's event check also comes before its rows are built,
-so a mean past the bound is reported only after it. Portions with a row
-into a FIFO keep a per-item loop with its own written-out SplitMix64.
+Run-level draws. A portion's rows into exit-only servers, and in the
+run-through all rows, are drawn as a run: ``_draws`` gives one label's
+draws of items ``raw`` to ``raw + count - 1``, and the run's counts,
+``enqueued`` and ``processed`` are added once. A portion's rows into FIFOs
+are then drawn item by item, with a written-out SplitMix64. Every item of a
+portion completes at ``now``, so drawing its exit rows first moves no clock
+and changes no draw. Each exit-only server's Lindley clock still adds one
+service per admitted item, item by item, at the item's completion time;
+rows into one server add an item's draws together, the same clock, since
+the first of them leaves ``free`` past that time. The run-through takes an
+exit-feeding server's FIFO one run at a time: the completion times of its
+next items, each a step added to the one before, are cut where the next
+would not be earlier than the heap's top entry or the next arrival, and the
+run is split where it stops. A run is drawn in slices of at most ``_SLICE``
+items, so its lists do not grow with its length. The bounds are checked
+once per slice. The event and arrival bounds raise one error, so the order
+of the checks within a slice, or between a portion's exit and FIFO rows,
+does not show; the first item's event check comes before its rows are
+built, so a mean past the bound is reported only after it.
 ``_draws`` hashes a slice in the 16-byte lanes of one int: lane ``i`` holds
 ``key + i``, as ``ones * key + ramp``, and ``ones`` repeats salt, gamma and
 mask in each lane. Masking to 64 bits after each add or multiply and before
@@ -169,8 +170,7 @@ _ONES = (1).to_bytes(16, "little") * _SLICE
 _RAMP = b"".join(i.to_bytes(16, "little") for i in range(_SLICE))
 # The edges c/256 of the 256 cells of a table's guide.
 _CELL_EDGES = [c / 256 for c in range(257)]
-_TOO_MANY_EVENTS = "simulation exceeded {} events"
-_TOO_MANY_OFFERS = "simulation offered more than {} arrivals"
+_TOO_MANY = "simulation exceeded the bound of {} events or arrivals"
 
 
 @dataclass(frozen=True)
@@ -551,8 +551,8 @@ class _Run:
              for cost in (spec.clean_cost, spec.adv_cost)]
             for spec in specs
         ]
-        # Emission rows and exit plan per component, [clean, adversarial],
-        # each built on use (``_route_rows``).
+        # Emission rows per component, [clean, adversarial], each built on
+        # use (``_route_rows``).
         self.rows: list[list[tuple | None]] = [[None, None] for _ in ids]
         self.processed_clean = [0] * len(ids)
         self.processed_adv = [0] * len(ids)
@@ -651,10 +651,8 @@ class _Run:
         processed_of = (self.processed_clean, self.processed_adv)
         rows_of = self.rows
         finish = self.finish
-        free_at = self.free
         max_events = self.max_events
-        too_many_events = _TOO_MANY_EVENTS.format(max_events)
-        too_many_offers = _TOO_MANY_OFFERS.format(max_events)
+        too_many = _TOO_MANY.format(max_events)
         mask = _MASK64
         input_filter = self.config.input_filter
         source = self.index[self.graph.source]
@@ -664,7 +662,7 @@ class _Run:
         while heap or arrived < n:
             events += 1
             if events > max_events:
-                raise NonTerminationError(too_many_events)
+                raise NonTerminationError(too_many)
             # An arrival precedes a completion at the same instant.
             if arrived < n and (not heap or arrival_time[arrived] <= heap[0][0]):
                 input_id = arrived
@@ -694,20 +692,21 @@ class _Run:
                     last = finish.get(input_id, now)
                     if last < now:
                         last = now
-                    taint_rows, exits = rows[adv] or self._route_rows(comp, adv)
-                    if exits is not None:
-                        # Every row leads to an exit-only server: draw the
-                        # portion as a run, every item completing now. A
-                        # sink's items draw nothing.
-                        for key in range(raw, raw + count if taint_rows else raw, _SLICE):
+                    exits, plan, fifo_rows = rows[adv] or self._route_rows(comp, adv)
+                    if exits:
+                        # The rows into exit-only servers draw the portion
+                        # as a run, every item completing now.
+                        for key in range(raw, raw + count, _SLICE):
                             size = min(_SLICE, raw + count - key)
                             events, offered, last = self._exit_run(
-                                taint_rows, exits, adv, key, [now] * size, 0,
+                                exits, plan, adv, key, [now] * size, 0,
                                 events, offered, last)
-                        finish[input_id] = last
+                    finish[input_id] = last
+                    if not fifo_rows:
                         continue
+                    # The rows into FIFOs draw item by item.
                     for key in range(raw, raw + count):
-                        for salt, lo, cdf, guide, fifo, edge, target in taint_rows:
+                        for salt, lo, cdf, guide, edge, fifo, target in fifo_rows:
                             # draw_key = _mix(key ^ salt) and the guided
                             # _poisson_draw, written out.
                             z = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask
@@ -721,26 +720,7 @@ class _Run:
                                 continue
                             offered += survivors
                             if offered > max_events:
-                                raise NonTerminationError(too_many_offers)
-                            if fifo is None:
-                                # An exit-only server: its inbound edge admits
-                                # every item, and a Lindley schedule stands in
-                                # for its completion events.
-                                edge.enqueued += survivors
-                                server, service = target
-                                events += survivors
-                                if events > max_events:
-                                    raise NonTerminationError(too_many_events)
-                                processed_of[adv][server] += survivors
-                                free = free_at[server]
-                                if free < now:
-                                    free = now
-                                for _ in range(survivors):
-                                    free += service
-                                free_at[server] = free
-                                if last < free:
-                                    last = free
-                                continue
+                                raise NonTerminationError(too_many)
                             admitted = edge.offer(survivors)
                             if not admitted:
                                 continue
@@ -750,7 +730,6 @@ class _Run:
                             seq_in += 1
                             if not busy[target]:
                                 touched.add(target)
-                    finish[input_id] = last
                 if len(touched) > 1:
                     touched = sorted(touched)
             # Every service on the event path starts here: each idle device
@@ -789,17 +768,17 @@ class _Run:
                                 # The first item's event check comes before
                                 # its rows are built.
                                 if events >= max_events:
-                                    raise NonTerminationError(too_many_events)
+                                    raise NonTerminationError(too_many)
                                 taint = self._route_rows(comp, adv)
                             if taint[0]:
                                 events, offered, last = self._exit_run(
-                                    *taint, adv, raw + done, times, 1,
+                                    taint[0], taint[1], adv, raw + done, times, 1,
                                     events, offered, last)
                             else:
                                 # A sink's items draw nothing.
                                 events += len(times)
                                 if events > max_events:
-                                    raise NonTerminationError(too_many_events)
+                                    raise NonTerminationError(too_many)
                             done += len(times)
                             now = times[-1]
                         if not done:
@@ -847,34 +826,36 @@ class _Run:
         self.now = now
         return self._collect()
 
-    def _exit_run(self, rows, exits, adv, key, times, per_item,
+    def _exit_run(self, rows, plan, adv, key, times, per_item,
                   events, offered, last):
         """Draw and admit the children of a run's items keyed ``key``,
-        ``key + 1``, ..., item ``i`` completing at ``times[i]``, when every
-        row leads to an exit-only server.
+        ``key + 1``, ..., item ``i`` completing at ``times[i]``, on the
+        ``rows`` into exit-only servers and their ``plan`` (``_route_rows``).
 
         Counts, ``enqueued`` and ``processed`` are added once for the run,
-        and each item adds ``per_item`` events of its own. Each server's
-        Lindley clock adds one service per admitted item, in item order;
-        rows into one server add their draws of an item together. Returns
-        ``events``, ``offered`` and ``last``, the input's latest finish.
+        and each item adds ``per_item`` events of its own; a run past
+        either bound raises. Each server's Lindley clock adds one service
+        per admitted item, in item order; rows into one server add their
+        draws of an item together. Returns ``events``, ``offered`` and
+        ``last``, the input's latest finish.
         """
         size = len(times)
         draws = []
         added = 0
-        for salt, lo, cdf, guide, _, edge, _ in rows:
+        for salt, lo, cdf, guide, edge in rows:
             counts = _draws(salt, lo, cdf, guide, key, size)
             draws.append(counts)
             total = sum(counts)
             edge.enqueued += total
             added += total
+        events += per_item * size + added
+        offered += added
         # A run that crosses a bound raises, so its counts need no undoing.
-        if (events + per_item * size + added > self.max_events
-                or offered + added > self.max_events):
-            raise self._overrun(draws, size, per_item, events, offered)
+        if events > self.max_events or offered > self.max_events:
+            raise NonTerminationError(_TOO_MANY.format(self.max_events))
         processed = self.processed_adv if adv else self.processed_clean
         free_at = self.free
-        for server, service, first, others in exits:
+        for server, service, first, others in plan:
             counts = draws[first]
             if others:
                 # Rows into one server: an item's draws are added together.
@@ -893,26 +874,7 @@ class _Run:
             free_at[server] = free
             if last < free:
                 last = free
-        return events + per_item * size + added, offered + added, last
-
-    def _overrun(self, draws, count, per_item, events, offered) -> NonTerminationError:
-        """The error of the first bound check that ``count`` items with these
-        ``draws`` fail, checked as the completion loop does: the item's own
-        ``per_item`` events, then, row by row, its offers and its events."""
-        bound = self.max_events
-        for i in range(count):
-            events += per_item
-            if events > bound:
-                return NonTerminationError(_TOO_MANY_EVENTS.format(bound))
-            for counts in draws:
-                if counts[i]:
-                    offered += counts[i]
-                    if offered > bound:
-                        return NonTerminationError(_TOO_MANY_OFFERS.format(bound))
-                    events += counts[i]
-                    if events > bound:
-                        return NonTerminationError(_TOO_MANY_EVENTS.format(bound))
-        raise AssertionError("no bound is crossed")
+        return events, offered, last
 
     def _table(self, mean: float) -> tuple[int, list[float], list[int]]:
         # A larger mean would offer more arrivals than the bound allows and
@@ -925,28 +887,28 @@ class _Run:
             )
         return _poisson_table(mean)
 
-    def _route_rows(self, comp: int, adv: bool) -> tuple[list[tuple], list | None]:
-        """Emission rows of component ``comp`` for items of one taint, and
-        their exit plan.
+    def _route_rows(self, comp: int, adv: bool) -> tuple[list, list, list]:
+        """Emission rows of component ``comp`` for items of one taint:
+        ``(exit rows, their plan, FIFO rows)``.
 
-        A row is ``(label salt, lo, cdf, guide, fifo, edge, device)`` in
-        label order, for labels routed to a component whose surviving mean
+        There is a row per label routed to a component whose surviving mean
         (targeting, attenuation and confidence survival included) is
-        positive; ``lo, cdf, guide`` is the Poisson table of that mean. A
-        label routed to EXIT builds no items, so it has no row. A row into
-        an exit-only server has no ``fifo`` and holds ``(component index,
-        service time)`` in place of ``device``. When every row leads to an
-        exit-only server, the plan lists ``(server, service time, first
-        row, other rows)`` per server, rows given by position; otherwise it
-        is ``None``. Built on the first completion of an item of that
-        taint, so a table that is never drawn is never built.
+        positive, in label order; a label routed to EXIT builds no items, so
+        it has no row. A row into an exit-only server is ``(label salt, lo,
+        cdf, guide, edge)``, where ``lo, cdf, guide`` is the Poisson table
+        of that mean; a row into any other server adds its ``fifo`` and
+        ``device``. The plan lists ``(server, service time, first row, other
+        rows)`` per exit-only server, exit rows given by position. Built on
+        the first completion of an item of that taint, so a table that is
+        never drawn is never built.
         """
         cid = self.ids[comp]
         profile = self.graph.profiles[cid]
         att = self.config.attenuation
         conf = self.config.confidence
-        rows: list[tuple] = []
-        exits: dict[int, list[int]] | None = {}
+        exits: list[tuple] = []
+        servers: dict[tuple[int, float], list[int]] = {}
+        fifo_rows: list[tuple] = []
         for label, target in sorted(self.graph.routes(cid).items()):
             if target == EXIT:
                 continue
@@ -961,19 +923,14 @@ class _Run:
             if mean <= 0:
                 continue
             t = self.index[target]
-            edge = self.edge_queues[(cid, label)]
+            row = (_text_key(label), *self._table(mean), self.edge_queues[(cid, label)])
             if self.exit_only[t]:
-                fifo, device = None, (t, self.service[t][adv])
-                if exits is not None:
-                    exits.setdefault(t, []).append(len(rows))
+                servers.setdefault((t, self.service[t][adv]), []).append(len(exits))
+                exits.append(row)
             else:
-                fifo, device = self.fifo[t], self.device_of[t]
-                exits = None
-            rows.append((_text_key(label), *self._table(mean), fifo, edge, device))
-        plan = None if exits is None else [
-            (*rows[first][6], first, others) for first, *others in exits.values()
-        ]
-        entry = self.rows[comp][adv] = (rows, plan)
+                fifo_rows.append((*row, self.fifo[t], self.device_of[t]))
+        plan = [(*server, first, others) for server, (first, *others) in servers.items()]
+        entry = self.rows[comp][adv] = (exits, plan, fifo_rows)
         return entry
 
     # -- metrics -----------------------------------------------------------
@@ -1049,8 +1006,9 @@ def simulate(
 ) -> SimMetrics:
     """Run one deterministic simulation and collect its metric suite.
 
-    ``max_events`` bounds the events processed and, separately, the arrivals
-    offered to edges; a run past either bound raises ``NonTerminationError``.
+    ``max_events`` bounds the events processed and, counted apart, the
+    arrivals offered to edges; a run past either bound raises
+    ``NonTerminationError``, with one message for both.
     So does a scenario with more inputs than the bound, before anything is
     sized by them, and an emission mean above it, before the items are built.
     """

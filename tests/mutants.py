@@ -130,22 +130,6 @@ MUTANTS = [
     Mutant("exit-only-clean-service", SIM,
            "(t, self.service[t][adv])", "(t, self.service[t][0])",
            "an adversarial item at an exit-only server takes its own service time"),
-    Mutant("exit-only-no-clock-max", SIM,
-           "if free < now:", "if False:",
-           "an idle exit-only server starts at the admission time"),
-    Mutant("exit-only-service-twice", SIM,
-           "free = now\n"
-           "                                for _ in range(survivors):\n"
-           "                                    free += service\n",
-           "free = now\n"
-           "                                for _ in range(survivors):\n"
-           "                                    free += service\n"
-           "                                    free += service\n",
-           "each admitted item takes one service time"),
-    Mutant("exit-only-no-event-count", SIM,
-           "= target\n                                events += survivors\n",
-           "= target\n",
-           "each exit-only completion counts against the event bound"),
     Mutant("wall-time-from-heap", SIM,
            "wall = max(self.now, *self.free)", "wall = self.now",
            "an exit-only finish after the last event sets the wall time"),
@@ -170,14 +154,6 @@ MUTANTS = [
     Mutant("event-path-finish-unconditional", SIM,
            "if last < now:", "if True:",
            "a completion must not move an input's later exit-only finish back"),
-    Mutant("exit-only-exit-unconditional", SIM,
-           "if last < free:\n"
-           "                                    last = free\n"
-           "                                continue\n",
-           "if True:\n"
-           "                                    last = free\n"
-           "                                continue\n",
-           "an exit-only finish must not move an input's later finish back"),
     Mutant("latency-from-zero", SIM,
            "self.finish[i] - self.arrival_time[i]", "self.finish[i]",
            "latency runs from the input's arrival"),
@@ -209,11 +185,11 @@ MUTANTS = [
            "the loop's uniform is the top 53 bits of the draw key"),
     Mutant("item-key-shared", SIM,
            "for key in range(raw, raw + count):", "for key in [raw] * count:",
-           "item j of a portion draws with the key raw + j"),
+           "item j of a portion draws its FIFO rows with the key raw + j"),
     Mutant("item-key-offset", SIM,
            "for key in range(raw, raw + count):",
            "for key in range(raw + 1, raw + 1 + count):",
-           "a portion's first item draws with the portion's raw key"),
+           "a portion's first item draws its FIFO rows with the portion's raw key"),
     *_hash_mutants("draw", [_DRAW_GAMMA, _ROUND1 + "\n", _ROUND2 + "\n",
                             "draw_key = z ^ (z >> 31)"]),
     # The guide in front of the bisection, and the process-wide table memo.
@@ -298,7 +274,7 @@ MUTANTS = [
            "each completion of a sink taken without the heap is an event"),
     Mutant("run-through-rows-before-event-check", SIM,
            "                                if events >= max_events:\n"
-           "                                    raise NonTerminationError(too_many_events)\n"
+           "                                    raise NonTerminationError(too_many)\n"
            "                                taint = self._route_rows(comp, adv)\n",
            "                                taint = self._route_rows(comp, adv)\n",
            "the first item's event check comes before its rows are built"),
@@ -312,8 +288,8 @@ MUTANTS = [
     Mutant("run-through-split-raw-kept", SIM,
            "                            head[4] += done\n", "",
            "the run left queued starts past the keys completed without the heap"),
-    # Run-level draws: the kernel, the per-run accounting and the replay
-    # of the per-item bound checks.
+    # Run-level draws: the kernel, the per-run accounting, and a portion's
+    # split into the rows drawn as a run and the rows drawn item by item.
     Mutant("kernel-draw-uniform-shift", SIM,
            "bisect_right(cdf, (word >> 11) * _UNIT)",
            "bisect_right(cdf, (word >> 12) * _UNIT)",
@@ -364,8 +340,14 @@ MUTANTS = [
            "lanes[16 * i:16 * i + 8]", "lanes[16 * i + 8:16 * i + 16]",
            "a split lane bisects at its low word; the high word holds shifted-in bits"),
     Mutant("exit-plan-with-a-fifo-row", SIM,
-           "                exits = None\n", "",
-           "a portion with a row into a FIFO takes the per-item loop"),
+           "if self.exit_only[t]:", "if True:",
+           "a row into a FIFO is admitted to the FIFO, not to a Lindley clock"),
+    Mutant("mixed-portion-exit-rows-skipped", SIM,
+           "if exits:", "if exits and not fifo_rows:",
+           "a portion with rows into FIFOs still draws its exit rows"),
+    Mutant("mixed-portion-fifo-rows-skipped", SIM,
+           "if not fifo_rows:", "if exits or not fifo_rows:",
+           "a portion with exit rows still draws its FIFO rows"),
     Mutant("run-exits-keep-enqueued", SIM,
            "            edge.enqueued += total\n", "",
            "a run's draws are offered on their edges"),
@@ -373,14 +355,13 @@ MUTANTS = [
            "processed[server] += total", "processed[server] += 1",
            "each admitted item is processed"),
     Mutant("run-exits-no-event-count", SIM,
-           "return events + per_item * size + added,", "return events + per_item * size,",
+           "events += per_item * size + added\n", "events += per_item * size\n",
            "each exit-only completion counts against the event bound"),
     Mutant("run-exits-no-offer-count", SIM,
-           "offered + added, last", "offered, last",
+           "        offered += added\n", "",
            "a run's draws count against the arrival bound"),
     Mutant("run-exits-offers-unchecked", SIM,
-           "                or offered + added > self.max_events):",
-           "                or False):",
+           "or offered > self.max_events:", "or False:",
            "a run that offers past the bound raises"),
     Mutant("run-exits-rows-unsummed", SIM,
            "            if others:\n", "            if False:\n",
@@ -403,13 +384,6 @@ MUTANTS = [
            "if last < free:\n                last = free\n        return",
            "if True:\n                last = free\n        return",
            "an exit-only finish must not move an input's later finish back"),
-    Mutant("replay-events-before-offers", SIM,
-           "if offered > bound:\n",
-           "if offered > bound and events + counts[i] <= bound:\n",
-           "a row's offers are checked before its events"),
-    Mutant("replay-no-item-event", SIM,
-           "            events += per_item\n", "",
-           "the replay counts each item's own event first"),
     Mutant("run-slice-unbounded", SIM,
            "_SLICE = 1024", "_SLICE = 10**9",
            "a long run is drawn in slices"),
@@ -532,6 +506,9 @@ MUTANTS = [
     Mutant("amplification-not-finite-kept", PROPAGATION,
            "if not math.isfinite(amplification):", "if False:",
            "an unbounded amplification is a bad value"),
+    Mutant("path-cap-zero-accepted", RANKING,
+           "if limit < 1:", "if limit < 0:",
+           "a cap of 0 is a bad value, not a graph past the cap"),
     Mutant("ranking-tie-largest-id", RANKING,
            "return -entry.score, entry.path.id",
            "return -entry.score, [-ord(c) for c in entry.path.id]",

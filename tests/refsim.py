@@ -14,7 +14,8 @@ plainly as they read, with none of the simulator's shortcuts:
 It reuses only ``_mix``, ``_text_key``, ``_poisson_table``, ``_poisson_draw``
 and the record types, so a fault in code that the simulator's fast paths
 share with its heap path shows as a difference here. ``reference_simulate``
-takes the arguments of ``simulate`` and returns an equal ``SimMetrics``;
+takes the arguments of ``simulate`` and returns an equal ``SimMetrics``, or
+raises the same error line;
 ``reference_run`` also returns each device's busy seconds, the sum of the
 service times of the calls it starts, added in start order from 0.0.
 """
@@ -87,8 +88,8 @@ class _Edge:
 
 def reference_simulate(graph, scenario, config,
                        max_events: int = DEFAULT_MAX_EVENTS) -> SimMetrics:
-    """The ``SimMetrics`` of one run; a run that ``simulate`` rejects raises
-    an error with the same code here."""
+    """The ``SimMetrics`` of one run; a run that ``simulate`` rejects for a
+    bound raises the same error line here."""
     return reference_run(graph, scenario, config, max_events)[0]
 
 
@@ -98,7 +99,8 @@ def reference_run(graph, scenario, config, max_events: int = DEFAULT_MAX_EVENTS
     keyed ``(component id, 1)`` or, for the shared device, ``("@shared", 0)``."""
     n = scenario.n_inputs
     if n > max_events:
-        raise NonTerminationError("more inputs than events")
+        raise NonTerminationError(
+            f"scenario n_inputs {n} exceeds the bound of {max_events} events")
     ids = sorted(graph.components)
     specs = graph.components
     seed_key = _mix(scenario.seed & _MASK64)
@@ -162,7 +164,8 @@ def reference_run(graph, scenario, config, max_events: int = DEFAULT_MAX_EVENTS
                 continue
             if mean not in tables:
                 if mean > max_events:
-                    raise NonTerminationError("emission mean past the bound")
+                    raise NonTerminationError(f"emission mean {mean:g} exceeds "
+                                              f"the bound of {max_events} events")
                 tables[mean] = _poisson_table(mean)
             found.append((_text_key(label), tables[mean], target, edges[(cid, label)]))
         rows[(cid, adv)] = found
@@ -175,11 +178,12 @@ def reference_run(graph, scenario, config, max_events: int = DEFAULT_MAX_EVENTS
     heap: list[tuple] = []
     finish: dict[int, float] = {}
     now = 0.0
+    too_many = f"simulation exceeded the bound of {max_events} events or arrivals"
     events = offered = filtered = arrived = admissions = starts = 0
     while heap or arrived < n:
         events += 1
         if events > max_events:
-            raise NonTerminationError("event bound")
+            raise NonTerminationError(too_many)
         if arrived < n and (not heap or arrival[arrived] <= heap[0][0]):
             i = arrived
             arrived += 1
@@ -208,7 +212,7 @@ def reference_run(graph, scenario, config, max_events: int = DEFAULT_MAX_EVENTS
                         continue
                     offered += count
                     if offered > max_events:
-                        raise NonTerminationError("arrival bound")
+                        raise NonTerminationError(too_many)
                     admitted = edge.offer(count)
                     for j in range(admitted):
                         fifo[target].append((admissions, i, adv, draw + j, edge))

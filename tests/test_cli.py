@@ -522,6 +522,19 @@ class TestSpecBoundsAndRules:
         assert stderr.startswith("E_PATH_EXPLOSION")
         assert out == ""
 
+    @pytest.mark.parametrize("command", [
+        "validate", "paths", "rank", "weights", "amplify", "report",
+    ])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_path_cap_below_one_is_a_bad_value(
+        self, capsys, variant_spec_path, command, cap
+    ):
+        # Every graph has a path, so the flag is at fault, not the graph.
+        code, out, stderr = run_cli(capsys, command, variant_spec_path,
+                                    "--path-cap", cap)
+        assert (code, out) == (1, "")
+        assert stderr == f"E_BAD_VALUE: path cap must be >= 1, got {cap}\n"
+
     def test_path_cap_environment_variable_is_not_read(
         self, capsys, monkeypatch, variant_spec_path
     ):

@@ -144,6 +144,7 @@ class TestEnumeratePaths:
         paths = enumerate_paths(build_graph(doc))
         assert len(paths) == 1
         assert paths[0].id == "a:x->b:EXIT"
+        assert enumerate_paths(build_graph(doc), cap=1) == paths
 
     def test_matches_oracle_on_50_random_dags(self):
         rng = random.Random(4242)

@@ -434,12 +434,10 @@ class TestTableMemo:
 
 
 #: Bound errors as their kind letters, one per max_events from 1 up to the
-#: first bound a run passes ("."), as the parent of run-level draws raised
-#: them: E "exceeded N events", O "offered more than N arrivals", M "emission
-#: mean exceeds", I "scenario n_inputs exceeds".
+#: first bound a run passes ("."): B "exceeded the bound of N events or
+#: arrivals", M "emission mean exceeds", I "scenario n_inputs exceeds".
 _KIND_TEXT = {
-    "E": "simulation exceeded {bound} events",
-    "O": "simulation offered more than {bound} arrivals",
+    "B": "simulation exceeded the bound of {bound} events or arrivals",
     "M": "emission mean {mean:g} exceeds the bound of {bound} events",
     "I": "scenario n_inputs {n} exceeds the bound of {bound} events",
 }
@@ -458,17 +456,19 @@ def _bound_messages(graph, scenario, config, mean: float, kinds: str) -> None:
         assert err.value.message == want, bound
 
 
-class TestBoundReplay:
-    """A run drawn at once checks its bounds once; when it crosses one, the
-    error is the one the per-item checks raise first: an item's own event,
-    then, row by row, its offers and its events. Each expected sequence was
-    recorded from the per-item simulator."""
+class TestBoundErrors:
+    """The error that each bound raises. The event and arrival bounds share
+    one message, so a run drawn at once, which checks them once per slice,
+    raises what per-item checks would; the order that still shows is the
+    emission-mean check against the others. Each expected sequence was
+    recorded item by item when the two bounds had messages of their own;
+    both of those read as B here."""
 
     @pytest.mark.parametrize("n_inputs, seed, kinds", [
         # Input 0 completes in the run-through: its event check comes
         # before its rows, whose mean 7 is past a bound of 1.
-        (1, 0, "EMMMMMOEE."),
-        (3, 0, "IIEMMMOEEEEEOEEEEEEOOOOOOOEEEEEE."),
+        (1, 0, "BMMMMMBBB."),
+        (3, 0, "IIBMMMBBBBBBBBBBBBBBBBBBBBBBBBBB."),
     ])
     def test_exit_only_doc(self, n_inputs, seed, kinds):
         graph = build_graph(exit_only_doc(7.0, 0.1, n_inputs=n_inputs))
@@ -477,10 +477,10 @@ class TestBoundReplay:
 
     @pytest.mark.parametrize("config, runs", [
         # lpr runs through its 930 items of one input in one go.
-        (DeploymentConfig(), [(1, "E"), (2, "M"), (932, "O"), (1915, "E"), (1918, ".")]),
+        (DeploymentConfig(), [(1, "B"), (2, "M"), (932, "B"), (1918, ".")]),
         # lpr serves batches of 16 that feed ret, an exit-only server.
         (DeploymentConfig(batch={"default": 16}, device_model="shared-single-device"),
-         [(1, "E"), (2, "M"), (932, "O"), (1916, ".")]),
+         [(1, "B"), (2, "M"), (932, "B"), (1916, ".")]),
     ], ids=["none", "shared_b16"])
     def test_attacked_traffic_variant(self, config, runs):
         spec = parse_spec_file(str(PIPELINES_DIR / "traffic_variant.yaml"))
@@ -512,6 +512,31 @@ class TestRunMemory:
             metrics = run.execute()
             assert metrics.workload["f"] > 5000
             assert metrics == reference_simulate(graph, scenario, config), seed
+
+    def test_a_mixed_portion_past_a_slice_matches_the_reference(self):
+        # f serves a's run of about 3,000 items as one portion. Its y row
+        # leads to b, an exit-only server, and is drawn in three slices; its
+        # z row leads through a 100-item buffer to c, on the event path, and
+        # is drawn item by item. Input 0's portion crosses a bound of 4,000
+        # in its exit rows and one of 5,000 in its FIFO rows.
+        doc = overhead_doc({"a": 0.25, "f": 0.25, "b": 0.125, "c": 0.125},
+                           {"a": {"x": "f"}, "f": {"y": "b", "z": "c"}},
+                           {"a": {"x": 3000.0}, "f": {"y": 0.5, "z": 0.5}})
+        doc["components"][1]["batchable"] = True
+        graph = build_graph(doc)
+        config = DeploymentConfig(batch={"f": 4096}, buffers={"f:z": 100})
+        run = _Run(graph, TrafficScenario(n_inputs=1), config, 10**7)
+        exits, _, fifo_rows = run._route_rows(run.index["f"], False)
+        assert len(exits) == len(fifo_rows) == 1
+        outcomes = []
+        for seed in range(3):
+            scenario = TrafficScenario(n_inputs=2, interval_s=0.5, seed=seed)
+            metrics = simulate(graph, scenario, config)
+            assert metrics.workload["f"] > 5000 and metrics.drops > 0
+            for bound in (10**7, 4000, 5000):
+                outcomes.append(TestReferenceSimulator._same(
+                    graph, scenario, config, f"seed {seed}", bound))
+        assert outcomes == [True, False, False] * 3
 
     @pytest.mark.parametrize("mean, sink", [(1e6, True), (2e4, False)])
     def test_a_long_run_into_an_exit_feeding_server(self, mean, sink):
@@ -583,7 +608,8 @@ class TestDeterminism:
             simulate(graph, TrafficScenario(n_inputs=5), DeploymentConfig(),
                      max_events=5)
         assert err.value.code == "E_NONTERMINATION"
-        assert "simulation exceeded 5 events" in str(err.value)
+        assert err.value.message == (
+            "simulation exceeded the bound of 5 events or arrivals")
         assert simulate(graph, TrafficScenario(n_inputs=5), DeploymentConfig(),
                         max_events=10).completed == 5
 
@@ -805,7 +831,8 @@ class TestExitOnlyServers:
         with pytest.raises(NonTerminationError) as err:
             simulate(graph, scenario, DeploymentConfig(), max_events=events - 1)
         assert err.value.code == "E_NONTERMINATION"
-        assert f"simulation exceeded {events - 1} events" in str(err.value)
+        assert err.value.message == (
+            f"simulation exceeded the bound of {events - 1} events or arrivals")
         assert simulate(graph, scenario, DeploymentConfig(),
                         max_events=events) == unbounded
 
@@ -844,7 +871,8 @@ class TestExitOnlyServers:
 
         run = _Run(graph, TrafficScenario(n_inputs=2), config, 10**7)
         fifo = run.fifo[1] = PeakFifo()
-        with pytest.raises(NonTerminationError, match="offered more than"):
+        with pytest.raises(NonTerminationError,
+                           match="exceeded the bound of 10000000 events or arrivals"):
             run.execute()
         assert fifo.peak <= fifo.appends == 1
         (_, count, input_id, adv, _, edge), = fifo
@@ -1395,14 +1423,15 @@ class TestReferenceSimulator:
     @staticmethod
     def _same(graph, scenario, config, what: str, max_events: int = 10**7) -> bool:
         """Assert both simulators return equal metrics or raise the same
-        code, and that no device of the reference is busy for longer than
-        the run (the utilisation law); True when they returned metrics."""
+        error line, and that no device of the reference is busy for longer
+        than the run (the utilisation law); True when they returned
+        metrics."""
         outcomes = []
         for run in (simulate, reference_run):
             try:
                 outcomes.append(run(graph, scenario, config, max_events))
             except PipelineError as exc:
-                outcomes.append(exc.code)
+                outcomes.append(str(exc))
         got, want = outcomes
         if isinstance(got, SimMetrics) and isinstance(want, tuple):
             want, busy = want
