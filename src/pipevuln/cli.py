@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, replace
 from typing import Any, Callable, Sequence
 
 from . import __version__
@@ -220,8 +219,8 @@ def _pick(section: dict, name: str | None, what: str, spec_path: str):
 
 
 def _metrics_record(label: str, metrics: SimMetrics) -> dict:
-    record = asdict(metrics)
-    record["edges"] = record.pop("edge_stats")
+    record = metrics._asdict()
+    record["edges"] = {k: st._asdict() for k, st in record.pop("edge_stats").items()}
     return {"label": label, **record}
 
 
@@ -248,7 +247,7 @@ def _metrics_output(args, graph: PipelineGraph, labeled: list[tuple]) -> None:
             if metrics.edge_stats:
                 text += f"\nedges [{label}]\n" + _table(
                     ["edge", "enqueued", "dequeued", "dropped", "residual"],
-                    [[key, *astuple(st)] for key, st in metrics.edge_stats.items()],
+                    [[key, *st] for key, st in metrics.edge_stats.items()],
                 )
     _write(args, text)
 
@@ -258,7 +257,7 @@ def _simulate_one(args, spec: SpecDocument) -> tuple[str, SimMetrics]:
     scenario = _pick(spec.scenarios, args.scenario, "scenario", args.spec)
     config = _pick(spec.configs, args.config, "config", args.spec)
     if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
+        scenario = scenario._replace(seed=args.seed)
     return f"{args.scenario}/{args.config}", simulate(spec.graph, scenario, config)
 
 

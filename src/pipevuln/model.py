@@ -17,8 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Callable, Container, Mapping
-from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import (
     BadValueError,
@@ -39,9 +38,31 @@ _KINDS = (NEURAL, NON_NEURAL)
 #: Sentinel capacity meaning "no limit" in spec documents.
 UNBOUNDED = "unbounded"
 
+#: The default of a mapping field; :func:`_record_class` hands out a new ``{}``.
+_FRESH: dict = {}
 
-@dataclass(frozen=True)
-class ComponentSpec:
+
+def _record_class(cls: type) -> type:
+    """``cls``, a NamedTuple class, made to give a record built without a
+    mapping field its own ``{}`` in place of :data:`_FRESH`, and to run
+    ``cls._check``, if it has one, on every record built: by the constructor,
+    by ``_make`` and so by ``_replace``."""
+    build, check = cls.__new__, getattr(cls, "_check", None)
+
+    def new(klass, *args, **kwargs):
+        self = build(klass, *args, **kwargs)
+        if any(value is _FRESH for value in self):
+            self = tuple.__new__(klass, [{} if v is _FRESH else v for v in self])
+        if check is not None:
+            check(self)
+        return self
+
+    cls.__new__ = new
+    cls._make = classmethod(lambda klass, values: new(klass, *values))
+    return cls
+
+
+class ComponentSpec(NamedTuple):
     """One pipeline stage and its declared cost model.
 
     Costs are giga-FLOPs per processed item; ``device_rate`` is the
@@ -60,8 +81,8 @@ class ComponentSpec:
     batchable: bool = True
 
 
-@dataclass(frozen=True)
-class BehaviorProfile:
+@_record_class
+class BehaviorProfile(NamedTuple):
     """Per-component emission cardinalities.
 
     ``clean_cardinality`` maps emitted label -> mean items per invocation
@@ -75,20 +96,19 @@ class BehaviorProfile:
     """
 
     component: str
-    clean_cardinality: Mapping[str, float] = field(default_factory=dict)
-    adv_cardinality: Mapping[str, Mapping[str, float]] = field(default_factory=dict)
+    clean_cardinality: Mapping[str, float] = _FRESH
+    adv_cardinality: Mapping[str, Mapping[str, float]] = _FRESH
 
 
-@dataclass(frozen=True)
-class GateSpec:
+@_record_class
+class GateSpec(NamedTuple):
     """Routing table of one component: emitted label -> component id or EXIT."""
 
     component: str
-    routes: Mapping[str, str] = field(default_factory=dict)
+    routes: Mapping[str, str] = _FRESH
 
 
-@dataclass(frozen=True)
-class EdgeSpec:
+class EdgeSpec(NamedTuple):
     """A labeled queue between two components.
 
     ``capacity`` is a positive item count or ``None`` for unbounded. The
@@ -106,8 +126,7 @@ class EdgeSpec:
         return f"{self.from_id}:{self.label}"
 
 
-@dataclass(frozen=True)
-class PipelineGraph:
+class PipelineGraph(NamedTuple):
     """Validated pipeline DAG. Construct through :func:`build_graph`."""
 
     components: dict[str, ComponentSpec]
@@ -230,7 +249,7 @@ def _coerce_component(rec: Mapping) -> ComponentSpec:
     kind = _need_str(rec, "kind", what)
     spec = ComponentSpec(cid, kind, **_given(rec, what, _COMPONENT_FIELDS))
     # A missing adversarial cost equals the clean cost.
-    return spec if "adv_cost_gflops" in rec else replace(spec, adv_cost=spec.clean_cost)
+    return spec if "adv_cost_gflops" in rec else spec._replace(adv_cost=spec.clean_cost)
 
 
 def _adv_cardinality(obj: Any, what: str) -> dict[str, dict[str, float]]:

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from operator import mul
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadValueError, ScenarioMismatchError
 from .model import EXIT, BehaviorProfile, PipelineGraph, topological_order
@@ -54,8 +53,7 @@ def expected_emission(
     return table.get(label, 0.0)
 
 
-@dataclass(frozen=True)
-class WorkloadVector:
+class WorkloadVector(NamedTuple):
     """Expected invocations per system input, for every component.
 
     ``scenario`` is ``"clean"`` or ``"adversarial(<path id>)"``.
@@ -70,8 +68,7 @@ class WorkloadVector:
         return self.target_path_id is not None
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(NamedTuple):
     """Per-component and total giga-FLOPs for one workload vector.
 
     ``amplification`` is total cost divided by the clean reference total

@@ -35,8 +35,7 @@ bit-identical to the one-path result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BadValueError, MissingScoreError, NoSuchPathError, PathExplosionError
 from .model import EXIT, PipelineGraph
@@ -46,8 +45,7 @@ from .propagation import _costed_paths, _Table, clean_cost
 DEFAULT_PATH_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class ExecutionPath:
+class ExecutionPath(NamedTuple):
     """A label-consistent source-to-exit walk through the pipeline.
 
     ``steps`` pairs each visited component with the outgoing label taken
@@ -69,8 +67,7 @@ class ExecutionPath:
         )
 
 
-@dataclass(frozen=True)
-class RankedPath:
+class RankedPath(NamedTuple):
     """One scored path; ``flops_x`` is its analytic FLOPs amplification.
 
     ``component_scores`` maps each component on the path, in path order, to
@@ -83,8 +80,7 @@ class RankedPath:
     flops_x: float
 
 
-@dataclass(frozen=True)
-class PathRanking:
+class PathRanking(NamedTuple):
     """Ranked paths (descending score, ties by ascending id) plus selection.
 
     ``weights`` are the adaptive loss weights over the selected path's

@@ -132,11 +132,10 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import accumulate, compress, repeat, takewhile
 from operator import add, mul, ne, sub, truediv
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BadValueError,
@@ -144,7 +143,7 @@ from .errors import (
     NonTerminationError,
     PipelineError,
 )
-from .model import EXIT, NEURAL, PipelineGraph
+from .model import _FRESH, EXIT, NEURAL, PipelineGraph, _record_class
 from .propagation import _Table, expected_emission
 from .ranking import resolve_path
 
@@ -173,8 +172,8 @@ _CELL_EDGES = [c / 256 for c in range(257)]
 _TOO_MANY = "simulation exceeded the bound of {} events or arrivals"
 
 
-@dataclass(frozen=True)
-class TrafficScenario:
+@_record_class
+class TrafficScenario(NamedTuple):
     """Arrival stream mixing clean and adversarial system inputs.
 
     ``mix`` is the adversarial fraction; which inputs are adversarial is a
@@ -189,7 +188,7 @@ class TrafficScenario:
     interval_s: float = 0.0
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.n_inputs < 1:
             raise BadValueError("scenario: n_inputs must be >= 1")
         if not 0.0 <= self.mix <= 1.0:
@@ -206,21 +205,21 @@ def _with_default(table: Mapping, key: str, fallback):
     return table[key] if key in table else table.get("default", fallback)
 
 
-@dataclass(frozen=True)
-class ConfidenceFilter:
+@_record_class
+class ConfidenceFilter(NamedTuple):
     """Survival fractions for emitted detections, by label and taint.
 
     Lookup falls back to the ``default`` key and then to 1.0 (keep all).
     """
 
-    clean: Mapping[str, float] = field(default_factory=dict)
-    adversarial: Mapping[str, float] = field(default_factory=dict)
+    clean: Mapping[str, float] = _FRESH
+    adversarial: Mapping[str, float] = _FRESH
 
     def survival(self, label: str, adversarial: bool) -> float:
         return _with_default(self.adversarial if adversarial else self.clean,
                              label, 1.0)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for table in (self.clean, self.adversarial):
             for label, fraction in table.items():
                 if not 0.0 <= fraction <= 1.0:
@@ -229,8 +228,8 @@ class ConfidenceFilter:
                     )
 
 
-@dataclass(frozen=True)
-class Attenuation:
+@_record_class
+class Attenuation(NamedTuple):
     """Input-preprocessing model: damps adversarial emission means.
 
     The effective mean is ``min(adv, max(factor * adv, floor * clean))`` —
@@ -241,15 +240,15 @@ class Attenuation:
     factor: float = 1.0
     residual_floor: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.factor <= 1.0:
             raise BadValueError("attenuation factor must be within [0, 1]")
         if not (math.isfinite(self.residual_floor) and self.residual_floor >= 0):
             raise BadValueError("attenuation residual floor must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class InputFilter:
+@_record_class
+class InputFilter(NamedTuple):
     """Probabilistic adversarial-input detector at the pipeline entrance.
 
     Detection is a per-input Bernoulli with ``p_detect``; clean inputs
@@ -260,15 +259,15 @@ class InputFilter:
     p_detect: float = 0.0
     action: str = DROP_INPUT
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.p_detect <= 1.0:
             raise BadValueError("input filter p_detect must be within [0, 1]")
         if self.action not in (DROP_INPUT, TREAT_AS_CLEAN):
             raise BadValueError(f"unknown input filter action {self.action!r}")
 
 
-@dataclass(frozen=True)
-class DeploymentConfig:
+@_record_class
+class DeploymentConfig(NamedTuple):
     """Deployment knobs: batching, buffering, and defense parameters.
 
     ``batch`` and ``buffers`` accept a ``default`` key plus per-component /
@@ -280,15 +279,15 @@ class DeploymentConfig:
     defense records checked theirs when they were built.
     """
 
-    batch: Mapping[str, int] = field(default_factory=dict)
-    buffers: Mapping[str, int | None] = field(default_factory=dict)
+    batch: Mapping[str, int] = _FRESH
+    buffers: Mapping[str, int | None] = _FRESH
     confidence: ConfidenceFilter | None = None
     attenuation: Attenuation | None = None
     input_filter: InputFilter | None = None
-    path_budgets: Mapping[str, float] = field(default_factory=dict)
+    path_budgets: Mapping[str, float] = _FRESH
     device_model: str = PER_COMPONENT_SERVER
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for key, size in self.batch.items():
             if isinstance(size, bool) or not isinstance(size, int) or size < 1:
                 raise BadValueError(f"batch size for {key!r} must be an integer >= 1")
@@ -312,8 +311,7 @@ class DeploymentConfig:
         return _with_default(self.buffers, edge_key, graph_capacity)
 
 
-@dataclass(frozen=True)
-class EdgeStats:
+class EdgeStats(NamedTuple):
     """Arrival accounting for one edge: enqueued = dequeued + dropped + residual."""
 
     enqueued: int
@@ -322,8 +320,7 @@ class EdgeStats:
     residual: int
 
 
-@dataclass(frozen=True)
-class SimMetrics:
+class SimMetrics(NamedTuple):
     """Metric suite of one simulation run.
 
     Latency of a system input runs from its arrival to the latest
@@ -988,11 +985,10 @@ class _Run:
 
 def _finite(metrics: SimMetrics) -> SimMetrics:
     """``metrics``, checked: a non-finite float field is ``BadValueError``."""
-    for f in fields(SimMetrics):
-        value = getattr(metrics, f.name)
+    for name, value in zip(SimMetrics._fields, metrics):
         if isinstance(value, float) and not math.isfinite(value):
             raise BadValueError(
-                f"simulated {f.name} is not finite ({value}): a cost or "
+                f"simulated {name} is not finite ({value}): a cost or "
                 "service time overflowed"
             )
     return metrics
@@ -1027,9 +1023,9 @@ def _mean_std_rows(rows: list[SimMetrics]) -> tuple[SimMetrics, SimMetrics]:
         return mean, math.sqrt(var)
 
     scalars = {
-        f.name: agg([float(getattr(r, f.name)) for r in rows])
-        for f in fields(SimMetrics)
-        if f.name not in ("workload", "edge_stats")
+        name: agg([float(getattr(r, name)) for r in rows])
+        for name in SimMetrics._fields
+        if name not in ("workload", "edge_stats")
     }
     workload = {
         cid: agg([float(r.workload[cid]) for r in rows])
@@ -1067,7 +1063,7 @@ def run_matrix(
         raise BadValueError(f"matrix: seeds must be distinct, got {list(seeds)}")
     results: list[tuple[str, SimMetrics]] = []
     for sname, scenario in scenarios.items():
-        runs = [replace(scenario, seed=seed) for seed in seeds or ()] or [scenario]
+        runs = [scenario._replace(seed=seed) for seed in seeds or ()] or [scenario]
         for cname, config in configs.items():
             label = f"{sname}/{cname}"
             try:

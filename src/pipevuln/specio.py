@@ -20,9 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from functools import partial
-from typing import Any
+from typing import Any, NamedTuple
 
 import yaml
 
@@ -61,8 +60,7 @@ _RECORD_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+class SpecDocument(NamedTuple):
     """A fully resolved spec: validated graph plus named scenarios/configs."""
 
     graph: PipelineGraph

@@ -8,7 +8,6 @@ stay exact (and small enough to enumerate).
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,9 +21,9 @@ LAYERED_SPEC = Path(__file__).resolve().parent / "specs" / "layered.yaml"
 
 def scale_costs(graph: PipelineGraph, lam: float) -> PipelineGraph:
     """Uniformly scale every component's clean and adversarial unit costs."""
-    return replace(graph, components={
-        cid: replace(spec, clean_cost=spec.clean_cost * lam,
-                     adv_cost=spec.adv_cost * lam)
+    return graph._replace(components={
+        cid: spec._replace(clean_cost=spec.clean_cost * lam,
+                           adv_cost=spec.adv_cost * lam)
         for cid, spec in graph.components.items()
     })
 
@@ -299,7 +298,7 @@ def random_budget_sim_triple(rng: random.Random):
     paths = [path.id for path in enumerate_paths(graph)]
     chosen = rng.sample(paths, k=min(len(paths), rng.choice([1, 2])))
     budgets = {pid: rng.choice([0.0, 0.5, 1.0, 3.0]) for pid in chosen}
-    return graph, scenario, replace(config, path_budgets=budgets)
+    return graph, scenario, config._replace(path_budgets=budgets)
 
 
 #: Id prefixes around ``"@shared"`` in sort order: "0" and "-" sort before

@@ -35,6 +35,7 @@ SPECIO = "src/pipevuln/specio.py"
 MODEL = "src/pipevuln/model.py"
 RANKING = "src/pipevuln/ranking.py"
 PROPAGATION = "src/pipevuln/propagation.py"
+CLI = "src/pipevuln/cli.py"
 _DRAW_GAMMA = "z = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask"
 _ROUND1 = "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask"
 _ROUND2 = "z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask"
@@ -445,7 +446,7 @@ MUTANTS = [
            "p_detect: float = 0.0", "p_detect: float = 0.5",
            "an input filter that leaves out p_detect detects nothing"),
     Mutant("adv-cost-not-clean-cost", MODEL,
-           'return spec if "adv_cost_gflops" in rec else replace(spec, '
+           'return spec if "adv_cost_gflops" in rec else spec._replace('
            "adv_cost=spec.clean_cost)",
            "return spec",
            "a component that leaves out its adversarial cost costs its clean cost"),
@@ -453,6 +454,18 @@ MUTANTS = [
            "_check_keys(_need_mapping(value, what), readers, what)",
            "_need_mapping(value, what)",
            "a sub-record with a key its table lacks is a schema error"),
+    # Records.
+    Mutant("record-replace-unchecked", MODEL,
+           "    cls._make = classmethod(lambda klass, values: new(klass, *values))\n",
+           "",
+           "a checked record checks the values _replace gives it"),
+    Mutant("record-default-mapping-shared", MODEL,
+           "if any(value is _FRESH for value in self):", "if False:",
+           "a record built without a mapping field gets a mapping of its own"),
+    Mutant("metrics-edge-stats-as-lists", CLI,
+           '{k: st._asdict() for k, st in record.pop("edge_stats").items()}',
+           'record.pop("edge_stats")',
+           "a metrics record writes each edge's counts as an object"),
     # YAML nesting depth.
     Mutant("yaml-depth-unchecked", SPECIO,
            "        _check_depth(text)\n", "",

@@ -33,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import importlib
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import yaml
@@ -94,7 +93,7 @@ def _spec(name: str):
 
 def _attack_cases(n_inputs: int, suffix: str) -> list[tuple[str, object]]:
     attack = _spec("attack_sim")
-    scenario = replace(attack.scenarios["attacked"], n_inputs=n_inputs)
+    scenario = attack.scenarios["attacked"]._replace(n_inputs=n_inputs)
     return [
         (name + suffix, lambda config=attack.configs[name]: [
             SIM.simulate(attack.graph, scenario, config)])
@@ -107,7 +106,7 @@ def cases() -> list[list[tuple[str, object]]]:
     ``run()`` returns a list of ``SimMetrics``."""
     matrix = _spec("defense_matrix")
     scenarios = {
-        name: replace(run, n_inputs=min(run.n_inputs, MATRIX_INPUTS))
+        name: run._replace(n_inputs=min(run.n_inputs, MATRIX_INPUTS))
         for name, run in matrix.scenarios.items()
     }
     first = _attack_cases(ATTACK_INPUTS, "") + [("matrix", lambda: [

@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +31,13 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env() -> dict:
+    """The environment of a child process that imports this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 @pytest.fixture(scope="module")
@@ -452,7 +458,7 @@ class TestSubcommands:
         assert run_cli(capsys, "matrix", variant_spec_path,
                        "--format", "csv", "--seeds", "3") == (0, out, "")
         spec = parse_spec_file(variant_spec_path)
-        metrics = simulate(spec.graph, replace(spec.scenarios["attacked"], seed=3),
+        metrics = simulate(spec.graph, spec.scenarios["attacked"]._replace(seed=3),
                            spec.configs["none"])
         row = next(r for r in csv.DictReader(io.StringIO(out))
                    if r["label"] == "attacked/none")
@@ -477,17 +483,27 @@ class TestSubcommands:
         assert "path_id" in target.read_text()
 
 
+class TestStartup:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # Every CLI process pays for its imports. Building records with
+        # dataclasses compiled generated methods and loaded inspect, ast, dis
+        # and tokenize: about 20 ms a process that named tuples do not cost.
+        code = ("import sys, pipevuln.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+
 class TestSpecBoundsAndRules:
     def test_flow_nesting_of_30000_levels_is_syntax_error(self, tmp_path):
         # libyaml's loader overflows the C stack on this text, so it runs in
         # a child process: a crash there fails the test, not the suite.
         spec = tmp_path / "deep.yaml"
         spec.write_text("components: " + "[" * 30_000 + "]" * 30_000)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
         done = subprocess.run([sys.executable, "-m", "pipevuln.cli", "validate", str(spec)],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=child_env())
         assert done.returncode == 1
         assert done.stderr == (
             "E_SYNTAX: invalid YAML: nested deeper than 1000 levels at line 1\n")

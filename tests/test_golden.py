@@ -36,7 +36,6 @@ import io
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -114,7 +113,10 @@ def _run_cli(argv: list[str]) -> bytes:
 
 def _sim_line(seed: int, triple=random_sim_triple) -> str:
     graph, scenario, config = triple(random.Random(seed))
-    return json.dumps(asdict(simulate(graph, scenario, config)), sort_keys=True)
+    record = simulate(graph, scenario, config)._asdict()
+    edges = record["edge_stats"]
+    record["edge_stats"] = {key: stats._asdict() for key, stats in edges.items()}
+    return json.dumps(record, sort_keys=True)
 
 
 def _ledger() -> str:

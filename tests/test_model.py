@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import hashlib
+import math
 import random
 
 import pytest
@@ -16,10 +18,18 @@ from pipevuln.errors import (
     PipelineError,
     SchemaError,
 )
-from pipevuln.model import build_graph, topological_order
+from pipevuln.model import BehaviorProfile, GateSpec, build_graph, topological_order
 from pipevuln.ranking import rank_and_select
+from pipevuln.simulate import (
+    Attenuation,
+    ConfidenceFilter,
+    DeploymentConfig,
+    InputFilter,
+    TrafficScenario,
+)
+from pipevuln.specio import parse_spec_file
 
-from conftest import random_graph_doc, traffic_doc
+from conftest import PIPELINES_DIR, random_graph_doc, traffic_doc
 
 
 def chain_doc(ids=("a", "b", "c")) -> dict:
@@ -330,3 +340,89 @@ class TestTopologicalOrder:
                 assert position[edge.from_id] < position[edge.to_id]
             assert order == topological_order(graph)
 
+
+
+class TestRecords:
+    """Records are named tuples that keep the checks, fresh mapping defaults
+    and reprs they had as frozen dataclasses."""
+
+    @pytest.mark.parametrize("cls,good,bad,message", [
+        (TrafficScenario, {"n_inputs": 1}, {"n_inputs": 0},
+         "scenario: n_inputs must be >= 1"),
+        (TrafficScenario, {"n_inputs": 1}, {"mix": 1.5},
+         "scenario: mix must be within [0, 1]"),
+        (TrafficScenario, {"n_inputs": 1}, {"mix": 0.5},
+         "scenario: adversarial mix requires a target_path"),
+        (TrafficScenario, {"n_inputs": 1}, {"interval_s": math.nan},
+         "scenario: fixed-interval needs a nonnegative interval"),
+        (ConfidenceFilter, {}, {"adversarial": {"car": 1.5}},
+         "confidence survival for 'car' must be within [0, 1]"),
+        (Attenuation, {}, {"factor": -0.1},
+         "attenuation factor must be within [0, 1]"),
+        (Attenuation, {}, {"residual_floor": math.inf},
+         "attenuation residual floor must be finite and >= 0"),
+        (InputFilter, {}, {"p_detect": 2.0},
+         "input filter p_detect must be within [0, 1]"),
+        (InputFilter, {}, {"action": "ignore"},
+         "unknown input filter action 'ignore'"),
+        (DeploymentConfig, {}, {"batch": {"a": 0}},
+         "batch size for 'a' must be an integer >= 1"),
+        (DeploymentConfig, {}, {"buffers": {"a:x": 1.5}},
+         "buffer capacity for 'a:x' must be an integer"),
+        (DeploymentConfig, {}, {"buffers": {"a:x": 0}},
+         "buffer capacity for 'a:x' must be positive"),
+        (DeploymentConfig, {}, {"path_budgets": {"a:EXIT": -1.0}},
+         "path budget for 'a:EXIT' must be finite and >= 0"),
+        (DeploymentConfig, {}, {"device_model": "gpu"},
+         "unknown device model 'gpu'"),
+    ])
+    def test_checked_record_rejects_alike_when_built_or_copied(
+        self, cls, good, bad, message
+    ):
+        record = cls(**good)
+        values = [bad.get(name, value) for name, value in zip(cls._fields, record)]
+        for build in (lambda: cls(**{**good, **bad}), lambda: record._replace(**bad),
+                      lambda: cls._make(values)):
+            with pytest.raises(BadValueError) as exc:
+                build()
+            assert exc.value.message == message
+
+    @pytest.mark.parametrize("cls,args,name", [
+        (BehaviorProfile, ("a",), "clean_cardinality"),
+        (BehaviorProfile, ("a",), "adv_cardinality"),
+        (GateSpec, ("a",), "routes"),
+        (ConfidenceFilter, (), "clean"),
+        (ConfidenceFilter, (), "adversarial"),
+        (DeploymentConfig, (), "batch"),
+        (DeploymentConfig, (), "buffers"),
+        (DeploymentConfig, (), "path_budgets"),
+    ])
+    def test_a_left_out_mapping_is_fresh_per_record(self, cls, args, name):
+        first, second = cls(*args), cls(*args)
+        getattr(first, name)["x"] = 1
+        assert getattr(second, name) == {}
+        assert getattr(cls._make([*args, *cls._field_defaults.values()]), name) == {}
+
+    def test_records_are_immutable(self):
+        graph = build_graph(traffic_doc())
+        with pytest.raises(AttributeError):
+            graph.source = "od"
+        with pytest.raises(AttributeError):
+            graph.extra = 1
+
+    def test_repr_of_a_parsed_spec_is_unchanged(self):
+        spec = parse_spec_file(str(PIPELINES_DIR / "traffic_variant.yaml"))
+        assert repr(spec.scenarios["attacked"]) == (
+            "TrafficScenario(n_inputs=10, mix=1.0, target_path="
+            "'od:car->lpr:plate->ret:EXIT', interval_s=1.73, seed=2024)")
+        assert repr(spec.configs["b16_conf5_buf100"]) == (
+            "DeploymentConfig(batch={'default': 16}, buffers={'default': 100}, "
+            "confidence=ConfidenceFilter(clean={}, adversarial={'car': 0.599}), "
+            "attenuation=None, input_filter=None, path_budgets={}, "
+            "device_model='per-component-server')")
+        assert repr(spec.graph.edges[("cap", "caption")]) == (
+            "EdgeSpec(from_id='cap', to_id='ret', label='caption', capacity=None)")
+        # The whole document, as the frozen dataclasses printed it.
+        text = repr(spec)
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (
+            6637, "4a33d817ebd4e2fe2ca859a63d855ffc2c3d25a5563de84f16d8192fd13b8285")

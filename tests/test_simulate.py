@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import deque
-from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -484,7 +483,7 @@ class TestBoundErrors:
     ], ids=["none", "shared_b16"])
     def test_attacked_traffic_variant(self, config, runs):
         spec = parse_spec_file(str(PIPELINES_DIR / "traffic_variant.yaml"))
-        scenario = replace(spec.scenarios["attacked"], n_inputs=1, seed=1)
+        scenario = spec.scenarios["attacked"]._replace(n_inputs=1, seed=1)
         kinds = "".join(kind * (end - start) for (start, kind), (end, _) in
                         zip(runs, runs[1:])) + "."
         _bound_messages(spec.graph, scenario, config, 931.5, kinds)
@@ -655,7 +654,7 @@ class TestDeterminism:
         attacked = simulate(spec.graph, spec.scenarios["attacked"], all_clean)
         clean = simulate(spec.graph, spec.scenarios["clean"], DeploymentConfig())
         assert attacked.filtered == spec.scenarios["attacked"].n_inputs
-        assert replace(attacked, filtered=0) == clean
+        assert attacked._replace(filtered=0) == clean
 
     def test_touched_devices_restart_in_device_id_order(self):
         # Seed 170 draws one item on every label. a finishes at 1 s, b and z
@@ -1002,7 +1001,7 @@ class TestLatencyAccounting:
         rng = random.Random(seed)
         for index in range(300):
             graph, scenario, config = triple(rng)
-            scenario = replace(scenario, interval_s=0.0)
+            scenario = scenario._replace(interval_s=0.0)
             metrics = simulate(graph, scenario, config)
             assert metrics.completed == scenario.n_inputs, f"triple {index}"
             assert metrics.p99_s == metrics.wall_time_s, f"triple {index}"
@@ -1233,7 +1232,7 @@ class TestAnalyticOracle:
         spec = parse_spec_file(str(PIPELINES_DIR / spec_name))
         scenario = spec.scenarios[scenario_name]
         if scenario_name == "attacked":
-            scenario = replace(scenario, mix=1.0)
+            scenario = scenario._replace(mix=1.0)
         target = scenario.target_path if scenario.mix == 1.0 else None
         expected = propagate(
             spec.graph, resolve_path(spec.graph, target) if target else CLEAN
@@ -1242,7 +1241,7 @@ class TestAnalyticOracle:
         n = scenario.n_inputs
         for seed in ORACLE_SEEDS:
             metrics = simulate(
-                spec.graph, replace(scenario, seed=seed), DeploymentConfig()
+                spec.graph, scenario._replace(seed=seed), DeploymentConfig()
             )
             assert metrics.drops == 0
             for cid, per_input in expected.items():
@@ -1435,8 +1434,8 @@ class TestReferenceSimulator:
         got, want = outcomes
         if isinstance(got, SimMetrics) and isinstance(want, tuple):
             want, busy = want
-            for f in fields(SimMetrics):
-                assert getattr(got, f.name) == getattr(want, f.name), (what, f.name)
+            for name in SimMetrics._fields:
+                assert getattr(got, name) == getattr(want, name), (what, name)
             # Exact in floating point: a device's last completion adds its
             # services in the same order, and its idle gaps, and rounding
             # does not decrease as an addend grows.
