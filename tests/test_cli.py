@@ -485,9 +485,9 @@ class TestSubcommands:
 
 class TestStartup:
     def test_import_loads_neither_dataclasses_nor_inspect(self):
-        # Every CLI process pays for its imports. Building records with
-        # dataclasses compiled generated methods and loaded inspect, ast, dis
-        # and tokenize: about 20 ms a process that named tuples do not cost.
+        # Every CLI process pays for its imports. Records built with
+        # dataclasses exec-compiled generated methods and loaded inspect, ast,
+        # dis and tokenize: about 15 ms a process that named tuples save.
         code = ("import sys, pipevuln.cli; "
                 "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
         done = subprocess.run([sys.executable, "-c", code],
