@@ -27,11 +27,16 @@ from .errors import (  # noqa: E402
 )
 from .model import (  # noqa: E402
     EXIT,
+    Attenuation,
     BehaviorProfile,
     ComponentSpec,
+    ConfidenceFilter,
+    DeploymentConfig,
     EdgeSpec,
     GateSpec,
+    InputFilter,
     PipelineGraph,
+    TrafficScenario,
     build_graph,
     topological_order,
 )
@@ -55,13 +60,8 @@ from .ranking import (  # noqa: E402
     wrong_path_report,
 )
 from .simulate import (  # noqa: E402
-    Attenuation,
-    ConfidenceFilter,
-    DeploymentConfig,
     EdgeStats,
-    InputFilter,
     SimMetrics,
-    TrafficScenario,
     percentile,
     run_matrix,
     simulate,

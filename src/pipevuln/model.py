@@ -6,6 +6,9 @@ the same validated structure. ``build_graph`` performs full validation; a
 built ``PipelineGraph`` is immutable by convention and safe to share across
 concurrent readers.
 
+The module also holds the scenario, config and defense records that a
+simulation runs under, and the readers of every record.
+
 Gate semantics: each component may own one gate mapping emitted labels to a
 downstream component or to the reserved sink ``EXIT``. A label routed to
 ``EXIT`` terminates that item at zero further cost. A component without a
@@ -17,6 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Callable, Container, Mapping
+from functools import partial
 from typing import Any, NamedTuple
 
 from .errors import (
@@ -142,12 +146,158 @@ class PipelineGraph(NamedTuple):
         return gate.routes if gate is not None else {}
 
 
+DROP_INPUT = "drop-input"
+TREAT_AS_CLEAN = "treat-as-clean"
+
+PER_COMPONENT_SERVER = "per-component-server"
+SHARED_SINGLE_DEVICE = "shared-single-device"
+
+
+@_record_class
+class TrafficScenario(NamedTuple):
+    """Arrival stream mixing clean and adversarial system inputs.
+
+    ``mix`` is the adversarial fraction; which inputs are adversarial is a
+    seeded draw, so different seeds sample different subsets. Input ``i``
+    arrives at ``i * interval_s`` seconds, so 0 offers every input at time
+    zero (back to back). A scenario checks its values when built.
+    """
+
+    n_inputs: int
+    mix: float = 0.0
+    target_path: str | None = None
+    interval_s: float = 0.0
+    seed: int = 0
+
+    def _check(self) -> None:
+        if self.n_inputs < 1:
+            raise BadValueError("scenario: n_inputs must be >= 1")
+        if not 0.0 <= self.mix <= 1.0:
+            raise BadValueError("scenario: mix must be within [0, 1]")
+        if self.mix > 0 and not self.target_path:
+            raise BadValueError("scenario: adversarial mix requires a target_path")
+        if not (math.isfinite(self.interval_s) and self.interval_s >= 0):
+            raise BadValueError("scenario: fixed-interval needs a nonnegative interval")
+
+
+def _with_default(table: Mapping, key: str, fallback):
+    """``table[key]``, else its ``default`` entry, else ``fallback``; a
+    configured ``None`` is kept."""
+    return table[key] if key in table else table.get("default", fallback)
+
+
+@_record_class
+class ConfidenceFilter(NamedTuple):
+    """Survival fractions for emitted detections, by label and taint.
+
+    Lookup falls back to the ``default`` key and then to 1.0 (keep all).
+    """
+
+    clean: Mapping[str, float] = _FRESH
+    adversarial: Mapping[str, float] = _FRESH
+
+    def survival(self, label: str, adversarial: bool) -> float:
+        return _with_default(self.adversarial if adversarial else self.clean,
+                             label, 1.0)
+
+    def _check(self) -> None:
+        for table in (self.clean, self.adversarial):
+            for label, fraction in table.items():
+                if not 0.0 <= fraction <= 1.0:
+                    raise BadValueError(
+                        f"confidence survival for {label!r} must be within [0, 1]"
+                    )
+
+
+@_record_class
+class Attenuation(NamedTuple):
+    """Input-preprocessing model: damps adversarial emission means.
+
+    The effective mean is ``min(adv, max(factor * adv, floor * clean))`` —
+    the perturbation's gain is scaled down by ``factor`` but a residual of
+    ``residual_floor`` times the clean cardinality survives preprocessing.
+    """
+
+    factor: float = 1.0
+    residual_floor: float = 0.0
+
+    def _check(self) -> None:
+        if not 0.0 <= self.factor <= 1.0:
+            raise BadValueError("attenuation factor must be within [0, 1]")
+        if not (math.isfinite(self.residual_floor) and self.residual_floor >= 0):
+            raise BadValueError("attenuation residual floor must be finite and >= 0")
+
+
+@_record_class
+class InputFilter(NamedTuple):
+    """Probabilistic adversarial-input detector at the pipeline entrance.
+
+    Detection is a per-input Bernoulli with ``p_detect``; clean inputs
+    always pass. Detected inputs are either dropped outright or admitted
+    with clean behavior, and count toward the filtered total either way.
+    """
+
+    p_detect: float = 0.0
+    action: str = DROP_INPUT
+
+    def _check(self) -> None:
+        if not 0.0 <= self.p_detect <= 1.0:
+            raise BadValueError("input filter p_detect must be within [0, 1]")
+        if self.action not in (DROP_INPUT, TREAT_AS_CLEAN):
+            raise BadValueError(f"unknown input filter action {self.action!r}")
+
+
+@_record_class
+class DeploymentConfig(NamedTuple):
+    """Deployment knobs: batching, buffering, and defense parameters.
+
+    ``batch`` and ``buffers`` accept a ``default`` key plus per-component /
+    per-edge (``"from:label"``) overrides; configured buffer capacities
+    override the graph's edge capacities. ``path_budgets`` caps the
+    cumulative items forwarded on every edge of a path at ``budget *
+    n_inputs`` (routing-layer defense); budget-rejected arrivals count as
+    drops on that edge. A config checks its own values when built; its
+    defense records checked theirs when they were built.
+    """
+
+    batch: Mapping[str, int] = _FRESH
+    buffers: Mapping[str, int | None] = _FRESH
+    confidence: ConfidenceFilter | None = None
+    attenuation: Attenuation | None = None
+    input_filter: InputFilter | None = None
+    path_budgets: Mapping[str, float] = _FRESH
+    device_model: str = PER_COMPONENT_SERVER
+
+    def _check(self) -> None:
+        for key, size in self.batch.items():
+            if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+                raise BadValueError(f"batch size for {key!r} must be an integer >= 1")
+        for key, capacity in self.buffers.items():
+            if capacity is None:
+                continue
+            if isinstance(capacity, bool) or not isinstance(capacity, int):
+                raise BadValueError(f"buffer capacity for {key!r} must be an integer")
+            if capacity < 1:
+                raise BadValueError(f"buffer capacity for {key!r} must be positive")
+        for pid, budget in self.path_budgets.items():
+            if not (math.isfinite(budget) and budget >= 0):
+                raise BadValueError(f"path budget for {pid!r} must be finite and >= 0")
+        if self.device_model not in (PER_COMPONENT_SERVER, SHARED_SINGLE_DEVICE):
+            raise BadValueError(f"unknown device model {self.device_model!r}")
+
+    def batch_size(self, component: str) -> int:
+        return _with_default(self.batch, component, 1)
+
+    def buffer_capacity(self, edge_key: str, graph_capacity: int | None) -> int | None:
+        return _with_default(self.buffers, edge_key, graph_capacity)
+
+
 # ---------------------------------------------------------------------------
 # Record coercion (raw mappings -> typed records)
 # ---------------------------------------------------------------------------
 
 _PIPELINE_KEYS = {"components", "profiles", "gates", "edges", "source"}
-# Sections owned by other layers; tolerated so a whole document can be passed.
+# Sections read elsewhere; tolerated so a whole document can be passed.
 _EXTRA_KEYS = {"scenarios", "configs", "calibration"}
 
 
@@ -310,6 +460,79 @@ def _coerce_edge(rec: Mapping) -> EdgeSpec:
     label = _need_str(rec, "label", what)
     what = f"edge {from_id}:{label}"
     return EdgeSpec(from_id, to_id, label, **_given(rec, what, _EDGE_FIELDS))
+
+
+def _interval(arrival: Any, what: str) -> float:
+    """The seconds between arrivals that an ``arrival`` string names."""
+    if not isinstance(arrival, str):
+        raise SchemaError(f"{what} is malformed")
+    if arrival == "back-to-back":
+        return 0.0
+    if not arrival.startswith("fixed-interval:"):
+        raise SchemaError(f"{what} must be 'back-to-back' or "
+                          f"'fixed-interval:<seconds>'")
+    try:
+        return float(arrival.split(":", 1)[1])
+    except ValueError as exc:
+        raise SchemaError(f"{what} has a bad interval") from exc
+
+
+def _path_id(value: Any, what: str) -> str | None:
+    return None if value is None else _string(value, what)
+
+
+def _record(cls: type, readers: Mapping, value: Any, what: str) -> Any:
+    """``value`` read as a ``cls`` record, or ``None`` when it is null."""
+    if value is None:
+        return None
+    _check_keys(_need_mapping(value, what), readers, what)
+    return cls(**_given(value, what, readers))
+
+
+# Reader tables, spec key -> (record field, reader), in reading order. The
+# two arrival spellings end in ``_interval``: the record keeps the interval.
+_SCENARIO = {
+    "arrival": ("interval_s", _interval),
+    "n_inputs": ("n_inputs", _integer),
+    "mix": ("mix", _number),
+    "target_path": ("target_path", _path_id),
+    "seed": ("seed", _integer),
+}
+_confidence = partial(_record, ConfidenceFilter, {
+    "clean": ("clean", _card_map),
+    "adversarial": ("adversarial", _card_map),
+})
+_attenuation = partial(_record, Attenuation, {
+    "factor": ("factor", _number),
+    "residual_floor": ("residual_floor", _number),
+})
+_input_filter = partial(_record, InputFilter, {
+    "p_detect": ("p_detect", _number),
+    "action": ("action", _string),
+})
+_CONFIG = {
+    "confidence": ("confidence", _confidence),
+    "attenuation": ("attenuation", _attenuation),
+    "input_filter": ("input_filter", _input_filter),
+    "batch": ("batch", partial(_card_map, read=_integer)),
+    "buffers": ("buffers", partial(_card_map, read=_capacity)),
+    "path_budgets": ("path_budgets", _card_map),
+    "device_model": ("device_model", _string),
+}
+
+
+def _coerce_scenario(name: str, rec: Any) -> TrafficScenario:
+    what = f"scenario {name!r}"
+    _check_keys(_need_mapping(rec, what), _SCENARIO, what)
+    if "n_inputs" not in rec:
+        raise SchemaError(f"{what} is missing n_inputs")
+    return TrafficScenario(**_given(rec, what, _SCENARIO))
+
+
+def _coerce_config(name: str, rec: Any) -> DeploymentConfig:
+    what = f"config {name!r}"
+    # Unlike a defense sub-record, a config itself may not be null.
+    return _record(DeploymentConfig, _CONFIG, _need_mapping(rec, what), what)
 
 
 # ---------------------------------------------------------------------------

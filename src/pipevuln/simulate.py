@@ -1,4 +1,7 @@
-"""Deterministic discrete-event simulation of the deployed pipeline.
+"""Deterministic discrete-event simulator of the deployed pipeline.
+
+This module holds the simulator only: the scenario, config and defense
+records that a run takes are defined and read in :mod:`pipevuln.model`.
 
 Each component is a server with one FIFO of the items waiting for it, from
 all its inbound edges in admission order; an edge keeps only counters, and
@@ -88,7 +91,8 @@ mask in each lane. Masking to 64 bits after each add or multiply and before
 each multiply keeps each product below 2**128, so no lane carries into the
 next, and lane ``i``'s low word is ``_mix((key + i) ^ salt)`` bit for bit.
 Byte 7 of a lane is its guide cell; only a lane in a split cell bisects.
-``_mix`` and ``_poisson_draw`` stay the reference definitions. The
+A draw is ``lo + bisect_right(cdf, u)``, as the bisection reference in
+``tests/refsim.py`` gives it; ``_mix`` stays the reference hash. The
 run-through step and the exit-only schedule read a list of one-item service
 times, equal bit for bit to the batch loop's for one item.
 
@@ -143,15 +147,17 @@ from .errors import (
     NonTerminationError,
     PipelineError,
 )
-from .model import _FRESH, EXIT, NEURAL, PipelineGraph, _record_class
+from .model import (
+    DROP_INPUT,
+    EXIT,
+    NEURAL,
+    SHARED_SINGLE_DEVICE,
+    DeploymentConfig,
+    PipelineGraph,
+    TrafficScenario,
+)
 from .propagation import _Table, expected_emission
 from .ranking import resolve_path
-
-DROP_INPUT = "drop-input"
-TREAT_AS_CLEAN = "treat-as-clean"
-
-PER_COMPONENT_SERVER = "per-component-server"
-SHARED_SINGLE_DEVICE = "shared-single-device"
 
 DEFAULT_MAX_EVENTS = 10_000_000
 
@@ -170,145 +176,6 @@ _RAMP = b"".join(i.to_bytes(16, "little") for i in range(_SLICE))
 # The edges c/256 of the 256 cells of a table's guide.
 _CELL_EDGES = [c / 256 for c in range(257)]
 _TOO_MANY = "simulation exceeded the bound of {} events or arrivals"
-
-
-@_record_class
-class TrafficScenario(NamedTuple):
-    """Arrival stream mixing clean and adversarial system inputs.
-
-    ``mix`` is the adversarial fraction; which inputs are adversarial is a
-    seeded draw, so different seeds sample different subsets. Input ``i``
-    arrives at ``i * interval_s`` seconds, so 0 offers every input at time
-    zero (back to back). A scenario checks its values when built.
-    """
-
-    n_inputs: int
-    mix: float = 0.0
-    target_path: str | None = None
-    interval_s: float = 0.0
-    seed: int = 0
-
-    def _check(self) -> None:
-        if self.n_inputs < 1:
-            raise BadValueError("scenario: n_inputs must be >= 1")
-        if not 0.0 <= self.mix <= 1.0:
-            raise BadValueError("scenario: mix must be within [0, 1]")
-        if self.mix > 0 and not self.target_path:
-            raise BadValueError("scenario: adversarial mix requires a target_path")
-        if not (math.isfinite(self.interval_s) and self.interval_s >= 0):
-            raise BadValueError("scenario: fixed-interval needs a nonnegative interval")
-
-
-def _with_default(table: Mapping, key: str, fallback):
-    """``table[key]``, else its ``default`` entry, else ``fallback``; a
-    configured ``None`` is kept."""
-    return table[key] if key in table else table.get("default", fallback)
-
-
-@_record_class
-class ConfidenceFilter(NamedTuple):
-    """Survival fractions for emitted detections, by label and taint.
-
-    Lookup falls back to the ``default`` key and then to 1.0 (keep all).
-    """
-
-    clean: Mapping[str, float] = _FRESH
-    adversarial: Mapping[str, float] = _FRESH
-
-    def survival(self, label: str, adversarial: bool) -> float:
-        return _with_default(self.adversarial if adversarial else self.clean,
-                             label, 1.0)
-
-    def _check(self) -> None:
-        for table in (self.clean, self.adversarial):
-            for label, fraction in table.items():
-                if not 0.0 <= fraction <= 1.0:
-                    raise BadValueError(
-                        f"confidence survival for {label!r} must be within [0, 1]"
-                    )
-
-
-@_record_class
-class Attenuation(NamedTuple):
-    """Input-preprocessing model: damps adversarial emission means.
-
-    The effective mean is ``min(adv, max(factor * adv, floor * clean))`` —
-    the perturbation's gain is scaled down by ``factor`` but a residual of
-    ``residual_floor`` times the clean cardinality survives preprocessing.
-    """
-
-    factor: float = 1.0
-    residual_floor: float = 0.0
-
-    def _check(self) -> None:
-        if not 0.0 <= self.factor <= 1.0:
-            raise BadValueError("attenuation factor must be within [0, 1]")
-        if not (math.isfinite(self.residual_floor) and self.residual_floor >= 0):
-            raise BadValueError("attenuation residual floor must be finite and >= 0")
-
-
-@_record_class
-class InputFilter(NamedTuple):
-    """Probabilistic adversarial-input detector at the pipeline entrance.
-
-    Detection is a per-input Bernoulli with ``p_detect``; clean inputs
-    always pass. Detected inputs are either dropped outright or admitted
-    with clean behavior, and count toward the filtered total either way.
-    """
-
-    p_detect: float = 0.0
-    action: str = DROP_INPUT
-
-    def _check(self) -> None:
-        if not 0.0 <= self.p_detect <= 1.0:
-            raise BadValueError("input filter p_detect must be within [0, 1]")
-        if self.action not in (DROP_INPUT, TREAT_AS_CLEAN):
-            raise BadValueError(f"unknown input filter action {self.action!r}")
-
-
-@_record_class
-class DeploymentConfig(NamedTuple):
-    """Deployment knobs: batching, buffering, and defense parameters.
-
-    ``batch`` and ``buffers`` accept a ``default`` key plus per-component /
-    per-edge (``"from:label"``) overrides; configured buffer capacities
-    override the graph's edge capacities. ``path_budgets`` caps the
-    cumulative items forwarded on every edge of a path at ``budget *
-    n_inputs`` (routing-layer defense); budget-rejected arrivals count as
-    drops on that edge. A config checks its own values when built; its
-    defense records checked theirs when they were built.
-    """
-
-    batch: Mapping[str, int] = _FRESH
-    buffers: Mapping[str, int | None] = _FRESH
-    confidence: ConfidenceFilter | None = None
-    attenuation: Attenuation | None = None
-    input_filter: InputFilter | None = None
-    path_budgets: Mapping[str, float] = _FRESH
-    device_model: str = PER_COMPONENT_SERVER
-
-    def _check(self) -> None:
-        for key, size in self.batch.items():
-            if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-                raise BadValueError(f"batch size for {key!r} must be an integer >= 1")
-        for key, capacity in self.buffers.items():
-            if capacity is None:
-                continue
-            if isinstance(capacity, bool) or not isinstance(capacity, int):
-                raise BadValueError(f"buffer capacity for {key!r} must be an integer")
-            if capacity < 1:
-                raise BadValueError(f"buffer capacity for {key!r} must be positive")
-        for pid, budget in self.path_budgets.items():
-            if not (math.isfinite(budget) and budget >= 0):
-                raise BadValueError(f"path budget for {pid!r} must be finite and >= 0")
-        if self.device_model not in (PER_COMPONENT_SERVER, SHARED_SINGLE_DEVICE):
-            raise BadValueError(f"unknown device model {self.device_model!r}")
-
-    def batch_size(self, component: str) -> int:
-        return _with_default(self.batch, component, 1)
-
-    def buffer_capacity(self, edge_key: str, graph_capacity: int | None) -> int | None:
-        return _with_default(self.buffers, edge_key, graph_capacity)
 
 
 class EdgeStats(NamedTuple):
@@ -419,17 +286,12 @@ def _poisson_table(mean: float) -> tuple[int, list[float], list[int]]:
     return lo, cdf, guide
 
 
-def _poisson_draw(table: tuple[int, list[float], list[int]], key: int) -> int:
-    """Inverse-CDF draw from a :func:`_poisson_table` at the uniform of
-    ``key``, by bisection: the reference that the guided draws equal."""
-    lo, cdf, _ = table
-    return lo + bisect_right(cdf, (key >> 11) * _UNIT)
-
-
 def _draws(salt: int, lo: int, cdf: list[float], guide: list[int], key: int,
            count: int) -> list[int]:
-    """``_poisson_draw((lo, cdf, guide), _mix(k ^ salt))`` for the keys ``k``
-    from ``key`` to ``key + count - 1``, hashed in lanes (module docstring)."""
+    """The draws ``lo + bisect_right(cdf, u)``, ``u`` the uniform of
+    ``_mix(k ^ salt)``, for the keys ``k`` from ``key`` to ``key + count -
+    1``, hashed in lanes (module docstring); ``tests/refsim.py`` has the
+    bisection reference."""
     size = 16 * count
     ones = int.from_bytes(_ONES[:size], "little")
     mask = ones * _MASK64
@@ -705,7 +567,7 @@ class _Run:
                     for key in range(raw, raw + count):
                         for salt, lo, cdf, guide, edge, fifo, target in fifo_rows:
                             # draw_key = _mix(key ^ salt) and the guided
-                            # _poisson_draw, written out.
+                            # inverse-CDF draw, written out.
                             z = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask
                             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
                             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask

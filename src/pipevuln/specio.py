@@ -1,4 +1,4 @@
-"""Spec-document parsing and report emission.
+"""Spec-document formats, reference checks and report emission.
 
 Two input formats are accepted:
 
@@ -9,10 +9,10 @@ Two input formats are accepted:
   key (``component``, ``profile``, ``gate``, ``edge``, ``source``,
   ``scenario``, ``config``, ``calibration``).
 
-Both formats parse to the same graph, scenarios and configs. Reports embed
-a SHA-256 digest of the input bytes so published tables are traceable to
-exact inputs; re-running the same command on the same spec yields
-byte-identical output.
+Both formats parse to the same graph, scenarios and configs; their records
+and readers are in :mod:`pipevuln.model`. Reports embed a SHA-256 digest of
+the input bytes so published tables are traceable to exact inputs;
+re-running the same command on the same spec yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections.abc import Callable, Mapping
-from functools import partial
 from typing import Any, NamedTuple
 
 import yaml
@@ -34,25 +33,14 @@ from .errors import (
     UnresolvedReferenceError,
 )
 from .model import (
+    DeploymentConfig,
     PipelineGraph,
-    _capacity,
-    _card_map,
-    _check_keys,
-    _given,
-    _integer,
-    _need_mapping,
-    _number,
-    _string,
+    TrafficScenario,
+    _coerce_config,
+    _coerce_scenario,
     build_graph,
 )
 from .ranking import resolve_path
-from .simulate import (
-    Attenuation,
-    ConfidenceFilter,
-    DeploymentConfig,
-    InputFilter,
-    TrafficScenario,
-)
 
 _RECORD_TYPES = {
     "component", "profile", "gate", "edge",
@@ -193,79 +181,6 @@ def _load_jsonl(text: str) -> dict:
                 raise SchemaError(f"line {lineno}: duplicate {rtype} name {name!r}")
             section[name] = record
     return doc
-
-
-def _interval(arrival: Any, what: str) -> float:
-    """The seconds between arrivals that an ``arrival`` string names."""
-    if not isinstance(arrival, str):
-        raise SchemaError(f"{what} is malformed")
-    if arrival == "back-to-back":
-        return 0.0
-    if not arrival.startswith("fixed-interval:"):
-        raise SchemaError(f"{what} must be 'back-to-back' or "
-                          f"'fixed-interval:<seconds>'")
-    try:
-        return float(arrival.split(":", 1)[1])
-    except ValueError as exc:
-        raise SchemaError(f"{what} has a bad interval") from exc
-
-
-def _path_id(value: Any, what: str) -> str | None:
-    return None if value is None else _string(value, what)
-
-
-def _record(cls: type, readers: Mapping, value: Any, what: str) -> Any:
-    """``value`` read as a ``cls`` record, or ``None`` when it is null."""
-    if value is None:
-        return None
-    _check_keys(_need_mapping(value, what), readers, what)
-    return cls(**_given(value, what, readers))
-
-
-# Reader tables, spec key -> (record field, reader), in reading order. The
-# two arrival spellings end in ``_interval``: the record keeps the interval.
-_SCENARIO = {
-    "arrival": ("interval_s", _interval),
-    "n_inputs": ("n_inputs", _integer),
-    "mix": ("mix", _number),
-    "target_path": ("target_path", _path_id),
-    "seed": ("seed", _integer),
-}
-_confidence = partial(_record, ConfidenceFilter, {
-    "clean": ("clean", _card_map),
-    "adversarial": ("adversarial", _card_map),
-})
-_attenuation = partial(_record, Attenuation, {
-    "factor": ("factor", _number),
-    "residual_floor": ("residual_floor", _number),
-})
-_input_filter = partial(_record, InputFilter, {
-    "p_detect": ("p_detect", _number),
-    "action": ("action", _string),
-})
-_CONFIG = {
-    "confidence": ("confidence", _confidence),
-    "attenuation": ("attenuation", _attenuation),
-    "input_filter": ("input_filter", _input_filter),
-    "batch": ("batch", partial(_card_map, read=_integer)),
-    "buffers": ("buffers", partial(_card_map, read=_capacity)),
-    "path_budgets": ("path_budgets", _card_map),
-    "device_model": ("device_model", _string),
-}
-
-
-def _coerce_scenario(name: str, rec: Any) -> TrafficScenario:
-    what = f"scenario {name!r}"
-    _check_keys(_need_mapping(rec, what), _SCENARIO, what)
-    if "n_inputs" not in rec:
-        raise SchemaError(f"{what} is missing n_inputs")
-    return TrafficScenario(**_given(rec, what, _SCENARIO))
-
-
-def _coerce_config(name: str, rec: Any) -> DeploymentConfig:
-    what = f"config {name!r}"
-    # Unlike a defense sub-record, a config itself may not be null.
-    return _record(DeploymentConfig, _CONFIG, _need_mapping(rec, what), what)
 
 
 def _is_path(graph: PipelineGraph, path_id: str) -> bool:

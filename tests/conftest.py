@@ -246,7 +246,7 @@ def wide_layered_doc(seed: int, labels: int = 8) -> dict:
 def random_sim_triple(rng: random.Random):
     """Random (graph, scenario, config) triple for simulator property suites."""
     from pipevuln.ranking import enumerate_paths
-    from pipevuln.simulate import (
+    from pipevuln.model import (
         Attenuation,
         ConfidenceFilter,
         DeploymentConfig,
@@ -318,7 +318,7 @@ def random_mixed_sim_triple(rng: random.Random):
     so arrivals and completions meet at the same instant.
     """
     from pipevuln.ranking import enumerate_paths
-    from pipevuln.simulate import DeploymentConfig, TrafficScenario
+    from pipevuln.model import DeploymentConfig, TrafficScenario
 
     doc = random_graph_doc(rng, max_nodes=8)
     names = {c["id"]: rng.choice(MIXED_PREFIXES) + c["id"] for c in doc["components"]}

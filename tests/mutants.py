@@ -402,10 +402,10 @@ MUTANTS = [
            '_FILTER_SALT = _text_key("adversarial-subset")',
            "the input filter draws apart from the adversarial subset"),
     # Deployment settings.
-    Mutant("default-ignored", SIM,
+    Mutant("default-ignored", MODEL,
            'table.get("default", fallback)', "fallback",
            "a setting missing for its key falls back to the default entry"),
-    Mutant("confidence-default-ignored", SIM,
+    Mutant("confidence-default-ignored", MODEL,
            "return _with_default(self.adversarial if adversarial else self.clean,\n"
            "                             label, 1.0)",
            "return (self.adversarial if adversarial else self.clean).get(label, 1.0)",
@@ -439,10 +439,10 @@ MUTANTS = [
            "if False:",
            "a repeated seed is a bad value, not a duplicate row"),
     # Spec defaults.
-    Mutant("attenuation-factor-default-zero", SIM,
+    Mutant("attenuation-factor-default-zero", MODEL,
            "factor: float = 1.0", "factor: float = 0.0",
            "an attenuation that leaves out its factor keeps the whole gain"),
-    Mutant("filter-p-detect-default-half", SIM,
+    Mutant("filter-p-detect-default-half", MODEL,
            "p_detect: float = 0.0", "p_detect: float = 0.5",
            "an input filter that leaves out p_detect detects nothing"),
     Mutant("adv-cost-not-clean-cost", MODEL,
@@ -450,7 +450,7 @@ MUTANTS = [
            "adv_cost=spec.clean_cost)",
            "return spec",
            "a component that leaves out its adversarial cost costs its clean cost"),
-    Mutant("sub-record-keys-unchecked", SPECIO,
+    Mutant("sub-record-keys-unchecked", MODEL,
            "_check_keys(_need_mapping(value, what), readers, what)",
            "_need_mapping(value, what)",
            "a sub-record with a key its table lacks is a schema error"),

@@ -11,11 +11,12 @@ plainly as they read, with none of the simulator's shortcuts:
   of an item with key ``k`` on label ``L`` is ``d = mix(k ^ salt_L)``, and
   its children get the keys ``d + j``.
 
-It reuses only ``_mix``, ``_text_key``, ``_poisson_table``, ``_poisson_draw``
-and the record types, so a fault in code that the simulator's fast paths
-share with its heap path shows as a difference here. ``reference_simulate``
-takes the arguments of ``simulate`` and returns an equal ``SimMetrics``, or
-raises the same error line;
+It reuses only ``_mix``, ``_text_key``, ``_poisson_table`` and the record
+types, and draws by bisection in ``_poisson_draw``, the reference that the
+simulator's guided and packed draws equal. So a fault in code that the
+simulator's fast paths share with its heap path shows as a difference here.
+``reference_simulate`` takes the arguments of ``simulate`` and returns an
+equal ``SimMetrics``, or raises the same error line;
 ``reference_run`` also returns each device's busy seconds, the sum of the
 service times of the calls it starts, added in start order from 0.0.
 """
@@ -24,23 +25,28 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from collections import deque
 
 from pipevuln.errors import BadValueError, NonTerminationError
-from pipevuln.model import EXIT, NEURAL
+from pipevuln.model import DROP_INPUT, EXIT, NEURAL, SHARED_SINGLE_DEVICE
 from pipevuln.simulate import (
     DEFAULT_MAX_EVENTS,
-    DROP_INPUT,
-    SHARED_SINGLE_DEVICE,
     EdgeStats,
     SimMetrics,
     _mix,
-    _poisson_draw,
     _poisson_table,
     _text_key,
 )
 
 _MASK64 = (1 << 64) - 1
+
+
+def _poisson_draw(table: tuple[int, list[float], list[int]], key: int) -> int:
+    """Inverse-CDF draw from a ``_poisson_table`` at the uniform of ``key``
+    (its top 53 bits), by bisection: ``lo + bisect_right(cdf, u)``."""
+    lo, cdf, _ = table
+    return lo + bisect_right(cdf, (key >> 11) * 2.0 ** -53)
 
 
 def _path_steps(graph, path_id: str) -> list[tuple[str, str]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import importlib
 import io
@@ -494,6 +495,77 @@ class TestStartup:
                               capture_output=True, text=True, env=child_env())
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+    def test_package_binds_the_functions_when_the_submodule_loads_first(self):
+        # ``pipevuln.simulate`` names both the submodule and the function.
+        # Loading the submodule binds the module on the package; the eager
+        # package rebinds the function after it. A lazy package would leave
+        # README's ``pv.simulate(...)`` the module whenever anything loaded
+        # ``pipevuln.simulate`` first.
+        code = ("import importlib, sys; importlib.import_module('pipevuln.simulate'); "
+                "import pipevuln; module = sys.modules['pipevuln.simulate']; "
+                "print(pipevuln.simulate is module.simulate, "
+                "pipevuln.run_matrix is module.run_matrix)")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True True\n"
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pipevuln"
+
+
+def package_imports(name: str) -> set[tuple[str | None, str]]:
+    """``(function, module)`` for each pipevuln module that ``name``'s source
+    imports: ``function`` names the outermost def around the import, or is
+    ``None`` at module level; the package itself is ``__init__``."""
+    found: set[tuple[str | None, str]] = set()
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, function or child.name)
+                continue
+            if isinstance(child, ast.ImportFrom):
+                if child.level:
+                    base = f"pipevuln.{child.module}" if child.module else "pipevuln"
+                else:
+                    base = child.module or ""
+                # ``from pipevuln import name`` may load the submodule ``name``.
+                names = ([f"{base}.{alias.name}" for alias in child.names]
+                         if base == "pipevuln" else [base])
+            elif isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            else:
+                visit(child, function)
+                continue
+            for dotted in names:
+                top, _, module = dotted.partition(".")
+                if top == "pipevuln":
+                    module = module.partition(".")[0]
+                    found.add((function, module if (PACKAGE / f"{module}.py").is_file()
+                               else "__init__"))
+
+    visit(ast.parse((PACKAGE / f"{name}.py").read_text()), None)
+    return found
+
+
+class TestLayering:
+    def test_layers_import_only_downward(self):
+        imports = {path.stem: package_imports(path.stem)
+                   for path in PACKAGE.glob("*.py")}
+        at_top = {name: {module for function, module in found if function is None}
+                  for name, found in imports.items()}
+        # The model owns every spec record and reader; the parse layer and
+        # the simulator do not depend on each other or on the CLI.
+        assert at_top["model"] == {"errors"}
+        assert not at_top["specio"] & {"simulate", "cli"}
+        assert not at_top["simulate"] & {"specio", "cli"}
+        # The one import made inside a function breaks the propagation ->
+        # ranking cycle, as ranking imports propagation at module level.
+        in_functions = {(name, function, module) for name, found in imports.items()
+                        for function, module in found if function is not None}
+        assert in_functions == {("propagation", "amplification_matrix", "ranking")}
 
 
 class TestSpecBoundsAndRules:

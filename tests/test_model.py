@@ -18,15 +18,18 @@ from pipevuln.errors import (
     PipelineError,
     SchemaError,
 )
-from pipevuln.model import BehaviorProfile, GateSpec, build_graph, topological_order
-from pipevuln.ranking import rank_and_select
-from pipevuln.simulate import (
+from pipevuln.model import (
     Attenuation,
+    BehaviorProfile,
     ConfidenceFilter,
     DeploymentConfig,
+    GateSpec,
     InputFilter,
     TrafficScenario,
+    build_graph,
+    topological_order,
 )
+from pipevuln.ranking import rank_and_select
 from pipevuln.specio import parse_spec_file
 
 from conftest import PIPELINES_DIR, random_graph_doc, traffic_doc

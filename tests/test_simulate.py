@@ -23,24 +23,26 @@ from pipevuln.errors import (
     NoSuchPathError,
     PipelineError,
 )
-from pipevuln.model import EXIT, build_graph
-from pipevuln.propagation import CLEAN, expected_emission, propagate
-from pipevuln.ranking import enumerate_paths, resolve_path
-from pipevuln.simulate import (
+from pipevuln.model import (
+    EXIT,
     PER_COMPONENT_SERVER,
     SHARED_SINGLE_DEVICE,
-    _SLICE,
     Attenuation,
     ConfidenceFilter,
     DeploymentConfig,
-    EdgeStats,
     InputFilter,
-    SimMetrics,
     TrafficScenario,
+    build_graph,
+)
+from pipevuln.propagation import CLEAN, expected_emission, propagate
+from pipevuln.ranking import enumerate_paths, resolve_path
+from pipevuln.simulate import (
+    _SLICE,
+    EdgeStats,
+    SimMetrics,
     _Run,
     _draws,
     _mix,
-    _poisson_draw,
     _poisson_table,
     _text_key,
     percentile,
@@ -59,7 +61,7 @@ from conftest import (
     random_sim_triple,
     traffic_doc,
 )
-from refsim import reference_run, reference_simulate
+from refsim import _poisson_draw, reference_run, reference_simulate
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 #: Two paths of ``tests/specs/layered.yaml`` that share the edge src:a.
@@ -234,8 +236,9 @@ class TestSampler:
 
     @pytest.mark.parametrize("mean", [7.0, 900.0])
     def test_loop_draw_matches_the_reference_helpers(self, mean):
-        # The simulator writes out _mix and the guided _poisson_draw in the
-        # completion loop and packs them into lanes in _draws.
+        # The simulator writes out _mix and a guided form of refsim's
+        # _poisson_draw in the completion loop and packs them into lanes in
+        # _draws.
         # Input 0's item at a, whose key is its raw key mix(seed) + 0, draws
         # the count of b on label x with one hash, and child j of that draw
         # gets the raw key draw_key + j. b is exit-only, so a runs through

@@ -15,15 +15,18 @@ from pipevuln.errors import (
     SyntaxParseError,
     UnresolvedReferenceError,
 )
-from pipevuln.model import BehaviorProfile, ComponentSpec, EdgeSpec, GateSpec
-from pipevuln.ranking import enumerate_paths
-from pipevuln.simulate import (
+from pipevuln.model import (
     Attenuation,
+    BehaviorProfile,
+    ComponentSpec,
     ConfidenceFilter,
     DeploymentConfig,
+    EdgeSpec,
+    GateSpec,
     InputFilter,
     TrafficScenario,
 )
+from pipevuln.ranking import enumerate_paths
 from pipevuln.specio import (
     _MAX_YAML_DEPTH,
     _load_yaml,
