@@ -70,29 +70,32 @@ Run-level draws. A portion's rows into exit-only servers, and in the
 run-through all rows, are drawn as a run: ``_draws`` gives one label's
 draws of items ``raw`` to ``raw + count - 1``, and the run's counts,
 ``enqueued`` and ``processed`` are added once. A portion's rows into FIFOs
-are then drawn item by item, with a written-out SplitMix64. Every item of a
+are then drawn item by item, one ``_mix`` per draw. Every item of a
 portion completes at ``now``, so drawing its exit rows first moves no clock
 and changes no draw. Each exit-only server's Lindley clock still adds one
 service per admitted item, item by item, at the item's completion time;
 rows into one server add an item's draws together, the same clock, since
 the first of them leaves ``free`` past that time. The run-through takes an
-exit-feeding server's FIFO one run at a time: the completion times of its
-next items, each a step added to the one before, are cut where the next
-would not be earlier than the heap's top entry or the next arrival, and the
-run is split where it stops. A run is drawn in slices of at most ``_SLICE``
-items, so its lists do not grow with its length. The bounds are checked
-once per slice. The event and arrival bounds raise one error, so the order
-of the checks within a slice, or between a portion's exit and FIFO rows,
-does not show; the first item's event check comes before its rows are
-built, so a mean past the bound is reported only after it.
+exit-feeding server's FIFO one slice at a time: ``_completions`` gives the
+completion times of the head run's next items, each a step added to the
+one before, cut where the next would not be earlier than the heap's top
+entry or the next arrival. An empty slice ends the run-through; otherwise
+``_exit_run`` draws the slice, and a sink's slice, with no rows, only
+counts its events. The head run is then split past the slice or taken off
+the FIFO. A run is drawn in slices of at most ``_SLICE`` items, so its
+lists do not grow with its length. The bounds are checked once per slice.
+The event and arrival bounds raise one error, so the order of the checks
+within a slice, or between a portion's exit and FIFO rows, does not show;
+the first item's event check comes before its rows are built, so a mean
+past the bound is reported only after it.
 ``_draws`` hashes a slice in the 16-byte lanes of one int: lane ``i`` holds
 ``key + i``, as ``ones * key + ramp``, and ``ones`` repeats salt, gamma and
 mask in each lane. Masking to 64 bits after each add or multiply and before
 each multiply keeps each product below 2**128, so no lane carries into the
 next, and lane ``i``'s low word is ``_mix((key + i) ^ salt)`` bit for bit.
-Byte 7 of a lane is its guide cell; only a lane in a split cell bisects.
-A draw is ``lo + bisect_right(cdf, u)``, as the bisection reference in
-``tests/refsim.py`` gives it; ``_mix`` stays the reference hash. The
+Byte 7 of a lane is its guide cell; only a lane in a split cell bisects,
+at the ``_uniform`` of its low word. A draw is ``lo + bisect_right(cdf,
+u)``, as the bisection reference in ``tests/refsim.py`` gives it. The
 run-through step and the exit-only schedule read a list of one-item service
 times, equal bit for bit to the batch loop's for one item.
 
@@ -138,7 +141,6 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import lru_cache
 from itertools import accumulate, compress, repeat, takewhile
-from operator import add, mul, ne, sub, truediv
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -173,8 +175,6 @@ _SLICE = 1024
 # The 16-byte lanes of ``_draws``, holding 1 and the lane number.
 _ONES = (1).to_bytes(16, "little") * _SLICE
 _RAMP = b"".join(i.to_bytes(16, "little") for i in range(_SLICE))
-# The edges c/256 of the 256 cells of a table's guide.
-_CELL_EDGES = [c / 256 for c in range(257)]
 _TOO_MANY = "simulation exceeded the bound of {} events or arrivals"
 
 
@@ -268,30 +268,27 @@ def _poisson_table(mean: float) -> tuple[int, list[float], list[int]]:
     spread = _TABLE_SDS * math.sqrt(mean) + _TABLE_SDS
     lo = max(0, math.floor(mean - spread))
     hi = math.ceil(mean + spread)
-    # exp(k * log(mean) - mean - lgamma(k + 1)) for k = lo .. hi, summed in
-    # order and divided by the total.
-    log_pmf = map(sub, map(sub, map(mul, range(lo, hi + 1), repeat(math.log(mean))),
-                           repeat(mean)),
-                  map(math.lgamma, range(lo + 1, hi + 2)))
-    sums = list(accumulate(map(math.exp, log_pmf)))
-    cdf = list(map(truediv, sums, repeat(sums[-1])))
+    log_mean = math.log(mean)
+    sums = list(accumulate(math.exp(k * log_mean - mean - math.lgamma(k + 1))
+                           for k in range(lo, hi + 1)))
+    cdf = [total / sums[-1] for total in sums]
     # Cell c holds lo plus the count of entries at or below c/256, or -1
     # when an entry lies strictly inside it, that is, when fewer entries lie
     # at or below c/256 than below (c+1)/256.
-    at_or_below = list(map(bisect_right, repeat(cdf), _CELL_EDGES[:-1]))
-    below_next = map(bisect_left, repeat(cdf), _CELL_EDGES[1:])
-    guide = list(map(add, at_or_below, repeat(lo)))
-    for c in compress(range(256), map(ne, at_or_below, below_next)):
-        guide[c] = -1
+    guide = []
+    for c in range(256):
+        at_or_below = bisect_right(cdf, c / 256)
+        split = at_or_below < bisect_left(cdf, (c + 1) / 256)
+        guide.append(-1 if split else lo + at_or_below)
     return lo, cdf, guide
 
 
 def _draws(salt: int, lo: int, cdf: list[float], guide: list[int], key: int,
            count: int) -> list[int]:
-    """The draws ``lo + bisect_right(cdf, u)``, ``u`` the uniform of
-    ``_mix(k ^ salt)``, for the keys ``k`` from ``key`` to ``key + count -
-    1``, hashed in lanes (module docstring); ``tests/refsim.py`` has the
-    bisection reference."""
+    """The draws ``lo + bisect_right(cdf, _uniform(_mix(k ^ salt)))`` for
+    the keys ``k`` from ``key`` to ``key + count - 1``: the hash is
+    ``_mix``'s, packed in lanes (module docstring), and a lane in a split
+    cell bisects; ``tests/refsim.py`` has the bisection reference."""
     size = 16 * count
     ones = int.from_bytes(_ONES[:size], "little")
     mask = ones * _MASK64
@@ -305,7 +302,7 @@ def _draws(salt: int, lo: int, cdf: list[float], guide: list[int], key: int,
     for _ in range(counts.count(-1)):
         i = counts.index(-1, i)
         word = int.from_bytes(lanes[16 * i:16 * i + 8], "little")
-        counts[i] = lo + bisect_right(cdf, (word >> 11) * _UNIT)
+        counts[i] = lo + bisect_right(cdf, _uniform(word))
     return counts
 
 
@@ -351,8 +348,9 @@ class _EdgeQueue:
         admitted = count
         if self.budget_cap is not None:
             admitted = min(admitted, self.budget_cap - self.enqueued + self.dropped)
-        if self.capacity is not None:
-            admitted = min(admitted, self.capacity - self.queued)
+        # A comparison, not min(): this runs on every FIFO draw.
+        if self.capacity is not None and self.capacity - self.queued < admitted:
+            admitted = self.capacity - self.queued
         self.enqueued += count
         self.dropped += count - admitted
         self.queued += admitted
@@ -512,7 +510,6 @@ class _Run:
         finish = self.finish
         max_events = self.max_events
         too_many = _TOO_MANY.format(max_events)
-        mask = _MASK64
         input_filter = self.config.input_filter
         source = self.index[self.graph.source]
         source_device = self.device_of[source]
@@ -566,15 +563,11 @@ class _Run:
                     # The rows into FIFOs draw item by item.
                     for key in range(raw, raw + count):
                         for salt, lo, cdf, guide, edge, fifo, target in fifo_rows:
-                            # draw_key = _mix(key ^ salt) and the guided
-                            # inverse-CDF draw, written out.
-                            z = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask
-                            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-                            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-                            draw_key = z ^ (z >> 31)
+                            # The guided inverse-CDF draw.
+                            draw_key = _mix(key ^ salt)
                             survivors = guide[draw_key >> 56]
                             if survivors < 0:
-                                survivors = lo + bisect_right(cdf, (draw_key >> 11) * _UNIT)
+                                survivors = lo + bisect_right(cdf, _uniform(draw_key))
                             if survivors == 0:
                                 continue
                             offered += survivors
@@ -617,39 +610,30 @@ class _Run:
                     while fifo:
                         head = fifo[0]
                         _, count, input_id, adv, raw, _ = head
-                        step = steps[adv]
-                        last = finish.get(input_id, now)
-                        taint = rows[adv]
-                        done = 0
-                        while done < count and now + step < bound:
-                            times = _completions(now, step, count - done, bound)
-                            if taint is None:
-                                # The first item's event check comes before
-                                # its rows are built.
-                                if events >= max_events:
-                                    raise NonTerminationError(too_many)
-                                taint = self._route_rows(comp, adv)
-                            if taint[0]:
-                                events, offered, last = self._exit_run(
-                                    taint[0], taint[1], adv, raw + done, times, 1,
-                                    events, offered, last)
-                            else:
-                                # A sink's items draw nothing.
-                                events += len(times)
-                                if events > max_events:
-                                    raise NonTerminationError(too_many)
-                            done += len(times)
-                            now = times[-1]
-                        if not done:
+                        times = _completions(now, steps[adv], count, bound)
+                        if not times:
                             break
+                        taint = rows[adv]
+                        if taint is None:
+                            # The first item's event check comes before its
+                            # rows are built.
+                            if events >= max_events:
+                                raise NonTerminationError(too_many)
+                            taint = self._route_rows(comp, adv)
+                        # A sink's rows are empty: its items only count.
+                        events, offered, last = self._exit_run(
+                            taint[0], taint[1], adv, raw, times, 1,
+                            events, offered, finish.get(input_id, now))
+                        done = len(times)
+                        now = times[-1]
                         processed_of[adv][comp] += done
                         head[5].queued -= done
                         finish[input_id] = last if now < last else now
                         if done < count:
                             head[1] -= done
                             head[4] += done
-                            break
-                        fifo.popleft()
+                        else:
+                            fifo.popleft()
                     if not fifo:
                         continue
                 batch = []
@@ -712,8 +696,6 @@ class _Run:
         # A run that crosses a bound raises, so its counts need no undoing.
         if events > self.max_events or offered > self.max_events:
             raise NonTerminationError(_TOO_MANY.format(self.max_events))
-        processed = self.processed_adv if adv else self.processed_clean
-        free_at = self.free
         for server, service, first, others in plan:
             counts = draws[first]
             if others:
@@ -723,14 +705,14 @@ class _Run:
             total = sum(counts)
             if not total:
                 continue
-            processed[server] += total
-            free = free_at[server]
+            (self.processed_adv if adv else self.processed_clean)[server] += total
+            free = self.free[server]
             for t, survivors in compress(zip(times, counts), counts):
                 if free < t:
                     free = t
                 for _ in range(survivors):
                     free += service
-            free_at[server] = free
+            self.free[server] = free
             if last < free:
                 last = free
         return events, offered, last

@@ -36,9 +36,8 @@ MODEL = "src/pipevuln/model.py"
 RANKING = "src/pipevuln/ranking.py"
 PROPAGATION = "src/pipevuln/propagation.py"
 CLI = "src/pipevuln/cli.py"
-_DRAW_GAMMA = "z = ((key ^ salt) + 0x9E3779B97F4A7C15) & mask"
-_ROUND1 = "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask"
-_ROUND2 = "z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask"
+_MIX_ROUND1 = "z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64"
+_MIX_ROUND2 = "z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64"
 _LANE_GAMMA = "+ ones * 0x9E3779B97F4A7C15) & mask"
 _LANE_ROUND1 = "z = ((z ^ z >> 30) & mask) * 0xBF58476D1CE4E5B9 & mask"
 _LANE_ROUND2 = "z = ((z ^ z >> 27) & mask) * 0x94D049BB133111EB & mask"
@@ -62,10 +61,10 @@ class Mutant(NamedTuple):
     equivalent: str | None = None
 
 
-def _hash_mutants(which: str, lines: list[str]) -> list[Mutant]:
-    """The six constants of one written-out SplitMix64 hash, given by its
-    four ``lines`` (without indentation): the draw hash of the completion
-    loop, or the packed hash of the ``_draws`` kernel."""
+def _hash_mutants(which: str, lines: list[str], reason: str) -> list[Mutant]:
+    """The six constants of one SplitMix64 hash, given by its four ``lines``
+    (without indentation): ``_mix``, the hash of every draw, or the packed
+    hash of the ``_draws`` kernel."""
     gamma, round1, round2, final = lines
     changes = [
         ("gamma", gamma, gamma.replace("7C15", "7C17")),
@@ -76,8 +75,7 @@ def _hash_mutants(which: str, lines: list[str]) -> list[Mutant]:
         ("shift-31", final, final.replace(">> 31", ">> 32")),
     ]
     return [
-        Mutant(f"{which}-hash-{part}", SIM, old, new,
-               f"the written-out {which} hash must equal _mix")
+        Mutant(f"{which}-hash-{part}", SIM, old, new, reason)
         for part, old, new in changes
     ]
 
@@ -96,6 +94,9 @@ MUTANTS = [
     Mutant("budget-cap-overflow-kept", SIM,
            "if not math.isfinite(cap):", "if False:",
            "a budget whose cap overflows is a bad value, not a traceback"),
+    Mutant("buffer-capacity-unchecked", SIM,
+           "and self.capacity - self.queued < admitted:", "and False:",
+           "a full buffer tail-drops its arrivals"),
     Mutant("budget-use-underived", SIM,
            "self.budget_cap - self.enqueued + self.dropped",
            "self.budget_cap - self.enqueued",
@@ -181,7 +182,7 @@ MUTANTS = [
            "_TABLE_SDS = 12.0", "_TABLE_SDS = 6.0",
            "a Poisson table leaves out less mass than one uniform step"),
     Mutant("draw-uniform-shift", SIM,
-           "bisect_right(cdf, (draw_key >> 11) * _UNIT)",
+           "bisect_right(cdf, _uniform(draw_key))",
            "bisect_right(cdf, (draw_key >> 12) * _UNIT)",
            "the loop's uniform is the top 53 bits of the draw key"),
     Mutant("item-key-shared", SIM,
@@ -191,22 +192,21 @@ MUTANTS = [
            "for key in range(raw, raw + count):",
            "for key in range(raw + 1, raw + 1 + count):",
            "a portion's first item draws its FIFO rows with the portion's raw key"),
-    *_hash_mutants("draw", [_DRAW_GAMMA, _ROUND1 + "\n", _ROUND2 + "\n",
-                            "draw_key = z ^ (z >> 31)"]),
+    *_hash_mutants("draw", ["_GAMMA = 0x9E3779B97F4A7C15", _MIX_ROUND1, _MIX_ROUND2,
+                            "return z ^ (z >> 31)"],
+                   "every draw hashes with SplitMix64, the stream the goldens pin"),
     # The guide in front of the bisection, and the process-wide table memo.
     Mutant("guide-low-edge-left", SIM,
-           "map(bisect_right, repeat(cdf), _CELL_EDGES[:-1])",
-           "map(bisect_left, repeat(cdf), _CELL_EDGES[:-1])",
+           "bisect_right(cdf, c / 256)", "bisect_left(cdf, c / 256)",
            "an entry on a cell's low edge does not split the cell"),
     Mutant("guide-high-edge-right", SIM,
-           "map(bisect_left, repeat(cdf), _CELL_EDGES[1:])",
-           "map(bisect_right, repeat(cdf), _CELL_EDGES[1:])",
+           "bisect_left(cdf, (c + 1) / 256)", "bisect_right(cdf, (c + 1) / 256)",
            "an entry on a cell's high edge does not split the cell"),
     Mutant("guide-high-edge-is-low", SIM,
-           "repeat(cdf), _CELL_EDGES[1:])", "repeat(cdf), _CELL_EDGES[:-1])",
+           "bisect_left(cdf, (c + 1) / 256)", "bisect_left(cdf, c / 256)",
            "a cell ends at (c+1)/256"),
     Mutant("guide-split-kept", SIM,
-           "        guide[c] = -1\n", "        guide[c] = guide[c]\n",
+           "-1 if split else lo + at_or_below", "lo + at_or_below",
            "a split cell falls back to the bisection"),
     Mutant("guide-kernel-cell-bits", SIM,
            "lanes = (z ^ z >> 31).to_bytes(", "lanes = ((z ^ z >> 31) >> 1).to_bytes(",
@@ -253,10 +253,6 @@ MUTANTS = [
     Mutant("run-through-many-touched", SIM,
            "if exit_feeding[comp] and len(touched) == 1:", "if exit_feeding[comp]:",
            "devices restarted after a run-through one would start late"),
-    Mutant("run-through-tie", SIM,
-           "while done < count and now + step < bound:",
-           "while done < count and now + step <= bound:",
-           "a completion that ties the heap's top or the next arrival pops after it"),
     Mutant("run-through-slice-tie", SIM,
            "takewhile(bound.__gt__,", "takewhile(bound.__ge__,",
            "a completion that ties the heap's top or the next arrival pops after it"),
@@ -268,16 +264,13 @@ MUTANTS = [
            "bound = heap[0][0] if heap else math.inf", "bound = math.inf",
            "a completion after the heap's top entry waits for it"),
     Mutant("run-through-no-event-count", SIM,
-           "raw + done, times, 1,", "raw + done, times, 0,",
-           "each completion taken without the heap is an event"),
-    Mutant("run-through-sink-no-event-count", SIM,
-           "                                events += len(times)\n", "",
-           "each completion of a sink taken without the heap is an event"),
+           "adv, raw, times, 1,", "adv, raw, times, 0,",
+           "each completion taken without the heap is an event, a sink's included"),
     Mutant("run-through-rows-before-event-check", SIM,
-           "                                if events >= max_events:\n"
-           "                                    raise NonTerminationError(too_many)\n"
-           "                                taint = self._route_rows(comp, adv)\n",
-           "                                taint = self._route_rows(comp, adv)\n",
+           "                            if events >= max_events:\n"
+           "                                raise NonTerminationError(too_many)\n"
+           "                            taint = self._route_rows(comp, adv)\n",
+           "                            taint = self._route_rows(comp, adv)\n",
            "the first item's event check comes before its rows are built"),
     Mutant("run-through-finish-at-completion", SIM,
            "finish[input_id] = last if now < last else now",
@@ -288,11 +281,12 @@ MUTANTS = [
            "items completed without the heap leave their edge's queued count"),
     Mutant("run-through-split-raw-kept", SIM,
            "                            head[4] += done\n", "",
-           "the run left queued starts past the keys completed without the heap"),
+           "the run left queued, and so the run-through's next slice, starts past "
+           "the keys completed without the heap"),
     # Run-level draws: the kernel, the per-run accounting, and a portion's
     # split into the rows drawn as a run and the rows drawn item by item.
     Mutant("kernel-draw-uniform-shift", SIM,
-           "bisect_right(cdf, (word >> 11) * _UNIT)",
+           "bisect_right(cdf, _uniform(word))",
            "bisect_right(cdf, (word >> 12) * _UNIT)",
            "the kernel's uniform is the top 53 bits of the draw key"),
     Mutant("kernel-item-key-shared", SIM,
@@ -302,14 +296,12 @@ MUTANTS = [
            "i.to_bytes(16, \"little\") for i in range(_SLICE)",
            "(i + 1).to_bytes(16, \"little\") for i in range(_SLICE)",
            "lane i holds the key of the run's first item plus i"),
-    Mutant("run-item-key-shared", SIM,
-           "raw + done, times, 1,", "raw, times, 1,",
-           "the run-through's items after the first slice start past its keys"),
     Mutant("exit-portion-slices-overlap", SIM,
            "[now] * size, 0,", "[now] * count, 0,",
            "each slice of a portion draws its own items"),
     *_hash_mutants("kernel", [_LANE_GAMMA, _LANE_ROUND1, _LANE_ROUND2,
-                              "lanes = (z ^ z >> 31).to_bytes("]),
+                              "lanes = (z ^ z >> 31).to_bytes("],
+                   "the packed kernel hash must equal _mix"),
     # The packed hash: 128-bit lanes, masked to 64 bits around each
     # multiply, read at the byte and word that hold the draw key.
     Mutant("kernel-lane-width", SIM,
@@ -353,7 +345,7 @@ MUTANTS = [
            "            edge.enqueued += total\n", "",
            "a run's draws are offered on their edges"),
     Mutant("run-exits-processed-once", SIM,
-           "processed[server] += total", "processed[server] += 1",
+           "[server] += total", "[server] += 1",
            "each admitted item is processed"),
     Mutant("run-exits-no-event-count", SIM,
            "events += per_item * size + added\n", "events += per_item * size\n",
@@ -377,9 +369,9 @@ MUTANTS = [
            "if free < t:", "if False:",
            "an idle exit-only server starts at the item's completion time"),
     Mutant("run-exit-service-twice", SIM,
-           "                    free += service\n            free_at[server] = free\n",
+           "                    free += service\n            self.free[server] = free\n",
            "                    free += service\n                    free += service\n"
-           "            free_at[server] = free\n",
+           "            self.free[server] = free\n",
            "each admitted item takes one service time"),
     Mutant("run-exit-unconditional", SIM,
            "if last < free:\n                last = free\n        return",

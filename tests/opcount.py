@@ -1,13 +1,16 @@
-"""Bytecode count of the simulator: bytecodes executed in ``simulate.py``
-frames per processed item, on fixed benchmark specs.
+"""Bytecode count of the simulator: bytecodes executed in pipevuln frames
+per processed item, on fixed benchmark specs.
 
 Wall times on a shared host spread between runs; these counts are exact,
 so a change to the event loop can be compared with its parent without
 noise. Each case simulates a spec built by ``perfbench/workloads.py``
 (imported, never changed) and counts every ``opcode`` trace event
-(``f_trace_opcodes``) in a frame whose code lives in ``simulate.py``,
-parsing excluded. A processed item is one unit of a run's ``workload``.
-The cases:
+(``f_trace_opcodes``) in a frame whose code lives under ``src/pipevuln``,
+parsing excluded, so moving code between modules moves no figure. A
+processed item is one unit of a run's ``workload``. The bytecodes run
+while ``_poisson_table`` is on the stack are counted apart: a table is
+built once per mean, not per item, so they are given as a total on a line
+of their own and left out of the per-item figure. The cases:
 
 * ``none``, ``b16_buf100`` and ``shared_b16``: the ``attack_sim`` spec of
   seed 1 with its ``attacked`` scenario cut to 8 inputs;
@@ -18,20 +21,21 @@ The cases:
   at perfbench's 100 inputs.
 
 The Poisson-table memo is cleared before each case, so each case builds
-its own tables, as a fresh process does. It prints one line per case and
+its own tables, as a fresh process does. It prints two lines per case and
 the sha256 of the metrics of the first four cases, so two trees that print
 the same digest simulated the same outputs, and the same for the 100-input
 cases. From the root of a checkout::
 
     PYTHONPATH=src python tests/opcount.py
 
-pytest does not collect this file. A run takes about ten seconds.
+pytest does not collect this file. A run takes a few seconds.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib
+import os
 import sys
 from pathlib import Path
 
@@ -51,30 +55,47 @@ BENCH_INPUTS = 100
 MATRIX_INPUTS = 10
 # The package exports a ``simulate`` function under the module's name.
 SIM = importlib.import_module("pipevuln.simulate")
-SIM_FILE = SIM.__file__
+PACKAGE_DIR = str(Path(SIM.__file__).parent) + os.sep
+TABLE_CODE = SIM._poisson_table.__wrapped__.__code__
 
 
 class _Counter:
-    """A trace function that counts the opcodes of ``simulate.py`` frames."""
+    """A trace function that counts the opcodes of pipevuln frames, those
+    run while ``_poisson_table`` is on the stack apart."""
 
     def __init__(self) -> None:
         self.ops = 0
+        self.table_ops = 0
+        self.in_table = False
 
     def __call__(self, frame, event, arg):
-        if frame.f_code.co_filename != SIM_FILE:
+        code = frame.f_code
+        if not code.co_filename.startswith(PACKAGE_DIR):
             return None
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
-        return self._local
+        if code is TABLE_CODE:
+            self.in_table = True
+        # A frame called from a table build, a generator's included, ends
+        # before the build does.
+        return self._in_table if self.in_table else self._local
 
     def _local(self, frame, event, arg):
         if event == "opcode":
             self.ops += 1
         return self._local
 
+    def _in_table(self, frame, event, arg):
+        if event == "opcode":
+            self.table_ops += 1
+        elif event == "return" and frame.f_code is TABLE_CODE:
+            self.in_table = False
+        return self._in_table
 
-def _counted(run) -> tuple[float, list]:
-    """Bytecodes per processed item of ``run()``, and the metrics it returns."""
+
+def _counted(run) -> tuple[float, int, list]:
+    """Bytecodes per processed item of ``run()`` outside table builds, the
+    bytecodes of its table builds, and the metrics it returns."""
     SIM._poisson_table.cache_clear()
     counter = _Counter()
     sys.settrace(counter)
@@ -83,7 +104,7 @@ def _counted(run) -> tuple[float, list]:
     finally:
         sys.settrace(None)
     items = sum(sum(metrics.workload.values()) for metrics in results)
-    return counter.ops / items, results
+    return counter.ops / items, counter.table_ops, results
 
 
 def _spec(name: str):
@@ -119,8 +140,9 @@ def main() -> None:
     for group, label in zip(cases(), ("metrics", f"{BENCH_INPUTS}-input metrics")):
         digest = hashlib.sha256()
         for name, run in group:
-            per_item, results = _counted(run)
+            per_item, table_ops, results = _counted(run)
             print(f"{name:<16} {per_item:8.2f} bytecodes per processed item")
+            print(f"{'':<16} {table_ops:8d} bytecodes in table builds")
             for metrics in results:
                 digest.update(repr(metrics).encode() + b"\n")
         print(f"{label} sha256 {digest.hexdigest()}")

@@ -150,6 +150,15 @@ def _ledger() -> str:
     return "".join(f"{name}: {value!r}\n" for name, value in figures)
 
 
+def test_float_sum_is_uncompensated():
+    # pipevuln forms float totals with sum(); the goldens hold its bits on
+    # CPython 3.10 and 3.11 (README, Determinism).
+    assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (
+        "this Python's sum() of floats is compensated (CPython 3.12 and later), "
+        "so float totals and the goldens differ in their last bits: run pipevuln "
+        "on CPython 3.10 or 3.11")
+
+
 def test_cited_figures_match_golden():
     assert _ledger().encode("utf-8") == LEDGER.read_bytes()
 

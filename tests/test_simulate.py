@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -212,6 +213,28 @@ class TestSampler:
         assert abs(mean - lam) <= 5 * math.sqrt(lam / n)
         assert abs(var - lam) <= 5 * math.sqrt((lam + 2 * lam * lam) / n)
 
+    @pytest.mark.parametrize("mean, digest", [
+        (1e-9, "53bdca6c2dd0921dbbdf636d91913035b484c115c8582d76362f0611976a418d"),
+        (0.01, "055921fc0535cd1af51579725c7d7e69aa13745d4b83aef7d9c110ac9348df09"),
+        (0.6, "8500098316faa447dc40c50fc815f01a0e15fb01fdc2ed891e1a65e0a9c7d257"),
+        (1.0, "0a455764a84d0602aa6e81dffd428ef6f062ae49297afc9b2b704fcce85d733c"),
+        (4.0, "9d4ded0f18f85f5e8d0a53fdb899fc2ce43f2676fb6db60fe362f4bb46870648"),
+        (744.9, "d9368331ba0ad1f4a6bcfea30910e48ad49de0e904baa085648c76efd48d00a9"),
+        (745.1, "5a3b31d7b4bacc98fc5b45b85b2e4494d55be302b5adf91717619cecb24dd6b5"),
+        (931.5, "90d1de539985ba62c1961dda200af9e763191baa98d20522e9e114665c1ecba2"),
+        (1075.5, "e361ecc8b07f1c9fc4085ceb17d9cfcb0034c56daace98a41c6fcbd2ff7b8950"),
+        (1e5, "4c53d40ad7dea1a038d46fb25023706bec2662df97bb2ba72b65c13593d86197"),
+        (6e6, "fb46185c84cb93ed6144669f49f1ff5e0f292f7c87f7c0664de9a89d526abe66"),
+    ])
+    def test_table_is_pinned_bit_for_bit(self, mean, digest):
+        # The sha256 of the repr of (lo, cdf, guide), built past the memo:
+        # tiny means, both sides of exp(-mean)'s underflow near 745, the
+        # shipped attack means and a table of 58,813 entries. The goldens
+        # draw from a few of these only, and the 1e-12 tolerance above
+        # would let the last bits of the rest drift.
+        table = repr(_poisson_table.__wrapped__(mean)).encode()
+        assert hashlib.sha256(table).hexdigest() == digest
+
     def test_draws_do_not_decrease_as_the_mean_grows(self):
         means = (0.01, 0.1, 0.5, 0.6, 1.0, 1.5, 4.0, 10.0, 40.0, 931.5, 1075.5)
         tables = [_poisson_table(lam) for lam in means]
@@ -236,9 +259,8 @@ class TestSampler:
 
     @pytest.mark.parametrize("mean", [7.0, 900.0])
     def test_loop_draw_matches_the_reference_helpers(self, mean):
-        # The simulator writes out _mix and a guided form of refsim's
-        # _poisson_draw in the completion loop and packs them into lanes in
-        # _draws.
+        # The completion loop draws with _mix and a guided form of refsim's
+        # _poisson_draw; _draws packs the same hash into lanes.
         # Input 0's item at a, whose key is its raw key mix(seed) + 0, draws
         # the count of b on label x with one hash, and child j of that draw
         # gets the raw key draw_key + j. b is exit-only, so a runs through
@@ -445,15 +467,16 @@ _KIND_TEXT = {
 }
 
 
-def _bound_messages(graph, scenario, config, mean: float, kinds: str) -> None:
-    """Assert the message that each max_events from 1 raises, as ``kinds``
-    spells it."""
+def _bound_messages(graph, scenario, config, mean: float, kinds: str,
+                    sim=simulate) -> None:
+    """Assert the message that each max_events from 1 raises in ``sim``, as
+    ``kinds`` spells it."""
     for bound, kind in enumerate(kinds, start=1):
         if kind == ".":
-            simulate(graph, scenario, config, max_events=bound)
+            sim(graph, scenario, config, max_events=bound)
             continue
         with pytest.raises(NonTerminationError) as err:
-            simulate(graph, scenario, config, max_events=bound)
+            sim(graph, scenario, config, max_events=bound)
         want = _KIND_TEXT[kind].format(bound=bound, mean=mean, n=scenario.n_inputs)
         assert err.value.message == want, bound
 
@@ -490,6 +513,24 @@ class TestBoundErrors:
         kinds = "".join(kind * (end - start) for (start, kind), (end, _) in
                         zip(runs, runs[1:])) + "."
         _bound_messages(spec.graph, scenario, config, 931.5, kinds)
+
+    @pytest.mark.parametrize("n_inputs, kinds", [
+        # With one input, a draws 7 items into f: a bound of 6 stops at
+        # that offer, and bounds of 7 and 8 inside f's run-through of all 7.
+        (1, "BMMMMBBB."),
+        (2, "IMMMMBBBBBBBBBB."),
+    ])
+    def test_a_sink_runs_through_past_the_event_bound(self, n_inputs, kinds):
+        # f is gateless behind a buffer that never fills: a sink on the
+        # event path, so it runs through with no rows to draw.
+        doc = overhead_doc({"a": 0.25, "f": 0.25}, {"a": {"x": "f"}}, {"a": {"x": 6.0}})
+        graph = build_graph(doc)
+        config = DeploymentConfig(buffers={"a:x": 10**9})
+        scenario = TrafficScenario(n_inputs=n_inputs, interval_s=0.5, seed=0)
+        run = _Run(graph, scenario, config, 10**7)
+        assert run.exit_feeding[run.index["f"]] and not run.graph.routes("f")
+        _bound_messages(graph, scenario, config, 6.0, kinds)
+        _bound_messages(graph, scenario, config, 6.0, kinds, sim=reference_simulate)
 
 
 class TestRunMemory:
