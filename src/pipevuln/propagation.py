@@ -8,9 +8,9 @@ only in the deployment simulator. All functions here are pure.
 
 Workloads are lists indexed by sorted component id, and each pass builds its
 own index table (:class:`_Table`) rather than storing one on the frozen
-graph. A cost is one product sum, ``sum(map(mul, workload, costs))``, always
-added in sorted-id order: float addition is not associative, and the fixed
-order keeps a total bit-identical however its workload was reached.
+graph. A cost is one product sum, ``_total(map(mul, workload, costs))``, added
+left to right in sorted-id order: float addition is not associative, and the
+fixed order keeps a total bit-identical however it was reached.
 
 The private walk (``_walk``) propagates many paths in one pass. The workload
 after a path's first ``i`` steps depends only on those steps, so the walk
@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadValueError, ScenarioMismatchError
@@ -36,6 +37,12 @@ if TYPE_CHECKING:
     from .ranking import ExecutionPath
 
 CLEAN = "clean"
+
+
+def _total(values: Iterable[float]) -> float:
+    """Every float total's one summation rule: left to right from 0.0, which
+    ``sum()`` also gives on CPython 3.10 and 3.11 but not from 3.12 on."""
+    return reduce(add, values, 0.0)
 
 
 def expected_emission(
@@ -159,15 +166,14 @@ def _reference_total(graph: PipelineGraph, reference: CostBreakdown) -> float:
 
 
 def _cost(
-    table: _Table, vec: list[float], costs: list[float], scenario: str,
-    reference: float | None,
+    table: _Table, products: list[float], scenario: str, reference: float | None,
 ) -> tuple[float, float]:
-    """Σ workload × unit cost, added in sorted-id order, and its ratio to
-    the ``reference`` total (1.0 without one); see :func:`cost`."""
-    total = sum(map(mul, vec, costs))
+    """Σ ``products`` (workload × unit cost), added in sorted-id order, and its
+    ratio to the ``reference`` total (1.0 without one); see :func:`cost`."""
+    total = _total(products)
     if not math.isfinite(total):
-        products = zip(table.ids, map(mul, vec, costs))
-        culprit = next((c for c, v in products if not math.isfinite(v)), None)
+        pairs = zip(table.ids, products)
+        culprit = next((c for c, v in pairs if not math.isfinite(v)), None)
         where = "sum overflowed" if culprit is None else f"component {culprit!r}"
         raise BadValueError(f"{scenario}: total GFLOPs is not finite ({where})")
     if reference is None or (reference <= 0 and total == 0):
@@ -182,11 +188,12 @@ def _cost(
 
 
 def _costed_paths(table: _Table, paths: list, reference: CostBreakdown) -> Iterator:
-    """``(path, workload, total, amplification)`` per path, costed as reached."""
+    """``(path, workload × adv costs, total, amplification)`` per path, as reached."""
     reference_total = _reference_total(table.graph, reference)
     for path, vec in zip(paths, _walk(table, [p.steps for p in paths])):
+        products = list(map(mul, vec, table.adv))
         scenario = f"adversarial({path.id})"
-        yield path, vec, *_cost(table, vec, table.adv, scenario, reference_total)
+        yield path, products, *_cost(table, products, scenario, reference_total)
 
 
 def propagate(
@@ -231,9 +238,10 @@ def cost(
     vec = [workload.entries[cid] for cid in table.ids]
     costs = table.adv if workload.adversarial else table.clean
     reference_total = None if reference is None else _reference_total(graph, reference)
-    total, amplification = _cost(table, vec, costs, workload.scenario, reference_total)
-    per_component = dict(zip(table.ids, map(mul, vec, costs)))
-    return CostBreakdown(per_component, total, workload.scenario, amplification)
+    products = list(map(mul, vec, costs))
+    total, amplification = _cost(table, products, workload.scenario, reference_total)
+    return CostBreakdown(dict(zip(table.ids, products)), total, workload.scenario,
+                         amplification)
 
 
 def clean_cost(graph: PipelineGraph) -> CostBreakdown:
@@ -260,7 +268,7 @@ def amplification_matrix(
     paths = enumerate_paths(graph, cap=cap)
     table = _Table(graph)
     return {
-        path.id: CostBreakdown(dict(zip(table.ids, map(mul, vec, table.adv))),
-                               total, f"adversarial({path.id})", amplification)
-        for path, vec, total, amplification in _costed_paths(table, paths, reference)
+        path.id: CostBreakdown(dict(zip(table.ids, products)), total,
+                               f"adversarial({path.id})", amplification)
+        for path, products, total, amplification in _costed_paths(table, paths, reference)
     }

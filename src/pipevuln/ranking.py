@@ -39,7 +39,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BadValueError, MissingScoreError, NoSuchPathError, PathExplosionError
 from .model import EXIT, PipelineGraph
-from .propagation import _costed_paths, _Table, clean_cost
+from .propagation import _costed_paths, _Table, _total, clean_cost
 
 #: Default ceiling on enumerated paths; graphs beyond it are out of scope.
 DEFAULT_PATH_CAP = 10_000
@@ -173,7 +173,7 @@ def compute_loss_weights(
         if cid not in scores:
             raise MissingScoreError(f"no score for component {cid!r} on {path.id}")
         mass[cid] = max(scores[cid], 0.0)
-    total = sum(mass.values())
+    total = _total(mass.values())
     if total <= 0:
         uniform = 1.0 / len(path.components)
         return {cid: uniform for cid in path.components}, True
@@ -187,16 +187,16 @@ def _score_paths(graph: PipelineGraph, cap: int | None) -> list[RankedPath]:
     reference = clean.total_gflops
     paths = enumerate_paths(graph, cap=cap)
     table = _Table(graph)
-    adv, index = table.adv, table.index
+    index = table.index
     clean_incurred = [clean.per_component[cid] for cid in table.ids]
     entries = []
-    for path, vec, _, flops_x in _costed_paths(table, paths, clean):
+    for path, products, _, flops_x in _costed_paths(table, paths, clean):
         scores = {
-            cid: (vec[i] * adv[i] - clean_incurred[i]) / reference
+            cid: (products[i] - clean_incurred[i]) / reference
             if reference > 0 else 0.0
             for cid, i in zip(path.components, map(index.get, path.components))
         }
-        entries.append(RankedPath(path, sum(scores.values()), scores, flops_x))
+        entries.append(RankedPath(path, _total(scores.values()), scores, flops_x))
     return entries
 
 

@@ -158,7 +158,7 @@ from .model import (
     PipelineGraph,
     TrafficScenario,
 )
-from .propagation import _Table, expected_emission
+from .propagation import _Table, _total, expected_emission
 from .ranking import resolve_path
 
 DEFAULT_MAX_EVENTS = 10_000_000
@@ -781,7 +781,7 @@ class _Run:
         samples = [self.finish[i] - self.arrival_time[i]
                    for i in sorted(self.finish)]
         if samples:
-            avg = sum(samples) / len(samples)
+            avg = _total(samples) / len(samples)
             p50 = percentile(samples, 50)
             p95 = percentile(samples, 95)
             p99 = percentile(samples, 99)
@@ -859,9 +859,9 @@ def _mean_std_rows(rows: list[SimMetrics]) -> tuple[SimMetrics, SimMetrics]:
     """Aggregate per-seed rows; population std (ddof=0) per reported field."""
 
     def agg(values: list[float]) -> tuple[float, float]:
-        mean = sum(values) / len(values)
+        mean = _total(values) / len(values)
         try:
-            var = sum((v - mean) ** 2 for v in values) / len(values)
+            var = _total((v - mean) ** 2 for v in values) / len(values)
         except OverflowError:  # float ** raises where * would give inf
             var = math.inf
         return mean, math.sqrt(var)

@@ -141,7 +141,7 @@ def _load_yaml(text: str) -> dict:
     try:
         _check_depth(text)
         doc = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:
         raise SyntaxParseError(f"invalid YAML: {exc}") from exc
     if doc is None:
         raise SyntaxParseError("empty spec document")

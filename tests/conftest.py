@@ -7,6 +7,7 @@ stay exact (and small enough to enumerate).
 
 from __future__ import annotations
 
+import os
 import random
 from pathlib import Path
 
@@ -17,6 +18,13 @@ from pipevuln.model import PipelineGraph, build_graph
 PIPELINES_DIR = Path(__file__).resolve().parent.parent / "pipelines"
 #: Generated-style spec whose 29 path ids share prefixes up to three steps deep.
 LAYERED_SPEC = Path(__file__).resolve().parent / "specs" / "layered.yaml"
+
+
+def child_env() -> dict:
+    """The environment of a child process that imports this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 def scale_costs(graph: PipelineGraph, lam: float) -> PipelineGraph:

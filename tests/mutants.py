@@ -471,6 +471,10 @@ MUTANTS = [
     Mutant("yaml-depth-bound-halved", SPECIO,
            'if 2 * (text.count("[")', 'if (text.count("[")',
            "a single-pair flow mapping opens without a bracket"),
+    Mutant("yaml-deep-pure-loader-uncaught", SPECIO,
+           "except (yaml.YAMLError, RecursionError) as exc:",
+           "except yaml.YAMLError as exc:",
+           "YAML too deep for PyYAML's pure-Python loader is a syntax error"),
     # Spec references.
     Mutant("jsonl-deep-first-line-to-yaml", SPECIO,
            "return True  # too deep", "return False  # too deep",
@@ -505,6 +509,9 @@ MUTANTS = [
            "a component with no workload adds nothing downstream",
            equivalent="count * mean is 0.0 when count is 0, every mean is finite, "
            "and adding 0.0 to a workload, never -0.0, leaves it unchanged"),
+    Mutant("float-total-fsum", PROPAGATION,
+           "return reduce(add, values, 0.0)", "return math.fsum(values)",
+           "every float total adds left to right, as the goldens were taken"),
     Mutant("total-not-finite-kept", PROPAGATION,
            "if not math.isfinite(total):", "if False:",
            "a non-finite FLOPs total is a bad value"),

@@ -27,6 +27,8 @@ import heapq
 import math
 from bisect import bisect_right
 from collections import deque
+from functools import reduce
+from operator import add
 
 from pipevuln.errors import BadValueError, NonTerminationError
 from pipevuln.model import DROP_INPUT, EXIT, NEURAL, SHARED_SINGLE_DEVICE
@@ -262,7 +264,7 @@ def reference_run(graph, scenario, config, max_events: int = DEFAULT_MAX_EVENTS
     metrics = SimMetrics(
         wall_time_s=now,
         throughput_ips=n / now if now > 0 else 0.0,
-        avg_e2e_s=sum(samples) / len(samples) if samples else 0.0,
+        avg_e2e_s=reduce(add, samples, 0.0) / len(samples) if samples else 0.0,
         p50_s=nearest_rank(50),
         p95_s=nearest_rank(95),
         p99_s=nearest_rank(99),

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import random
 import time
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -182,10 +184,10 @@ def test_criterion_07_oracle_suite():
             checks["propagation totals"] = False
         else:
             total = cost(graph, workload).total_gflops
-            expected_total = sum(
+            expected_total = reduce(add, (
                 graph.components[cid].clean_cost * workload.entries[cid]
                 for cid in sorted(graph.components)
-            )
+            ), 0.0)
             if total != expected_total:
                 checks["propagation totals"] = False
     _report(7, "oracle suite over 50 random DAGs", checks)

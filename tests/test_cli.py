@@ -8,7 +8,6 @@ import csv
 import importlib
 import io
 import json
-import os
 import subprocess
 import sys
 from collections import Counter
@@ -25,20 +24,13 @@ from pipevuln.ranking import enumerate_paths, rank_and_select
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec_file
 
-from conftest import LAYERED_SPEC, exit_only_doc, huge_mean_doc, traffic_doc
+from conftest import LAYERED_SPEC, child_env, exit_only_doc, huge_mean_doc, traffic_doc
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def child_env() -> dict:
-    """The environment of a child process that imports this checkout's src."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 @pytest.fixture(scope="module")

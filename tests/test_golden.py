@@ -41,7 +41,7 @@ from pathlib import Path
 import pytest
 
 from pipevuln.cli import main
-from pipevuln.propagation import amplification_matrix
+from pipevuln.propagation import _total, amplification_matrix
 from pipevuln.ranking import enumerate_paths, rank_and_select
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec_file
@@ -150,13 +150,19 @@ def _ledger() -> str:
     return "".join(f"{name}: {value!r}\n" for name, value in figures)
 
 
-def test_float_sum_is_uncompensated():
-    # pipevuln forms float totals with sum(); the goldens hold its bits on
-    # CPython 3.10 and 3.11 (README, Determinism).
-    assert sum([1.0, 1e100, 1.0, -1e100]) == 0.0, (
-        "this Python's sum() of floats is compensated (CPython 3.12 and later), "
-        "so float totals and the goldens differ in their last bits: run pipevuln "
-        "on CPython 3.10 or 3.11")
+def test_float_total_adds_left_to_right():
+    # Every float total goes through _total, whose order of addition the
+    # goldens pin on any interpreter (README, Determinism); a compensated
+    # sum, such as sum() from CPython 3.12 on, would give 2.0 here.
+    assert _total([1.0, 1e100, 1.0, -1e100]) == 0.0
+    rng = random.Random(0)
+    for _ in range(200):
+        values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-30, 30)
+                  for _ in range(rng.randint(0, 60))]
+        total = 0.0
+        for value in values:
+            total += value
+        assert _total(values) == total
 
 
 def test_cited_figures_match_golden():

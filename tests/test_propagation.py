@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -197,10 +199,10 @@ class TestCost:
             expected_counts = oracle_workload(graph, {})
             assert workload.entries == expected_counts
             breakdown = cost(graph, workload)
-            expected_total = sum(
+            expected_total = reduce(add, (
                 graph.components[cid].clean_cost * expected_counts[cid]
                 for cid in sorted(graph.components)
-            )
+            ), 0.0)
             assert breakdown.total_gflops == expected_total
 
 
@@ -258,10 +260,10 @@ class TestAmplificationMatrix:
             for steps in oracle_paths(graph):
                 targeting = {c: l for c, l in steps if l != "EXIT"}
                 counts = oracle_workload(graph, targeting)
-                total = sum(
+                total = reduce(add, (
                     graph.components[cid].adv_cost * counts[cid]
                     for cid in sorted(graph.components)
-                )
+                ), 0.0)
                 pid = "->".join(f"{c}:{l}" for c, l in steps)
                 expected[pid] = (
                     total / reference.total_gflops
@@ -422,10 +424,10 @@ class TestWideGraphExactness:
                 for cid in entry.path.components
             ]
             assert list(entry.component_scores.items()) == expected
-            assert entry.score == sum(score for _, score in expected)
+            assert entry.score == reduce(add, (score for _, score in expected), 0.0)
             assert entry.flops_x == targeted.amplification
             # The total adds the products in sorted-id order.
-            total = sum(targeted.per_component.values())
+            total = reduce(add, targeted.per_component.values(), 0.0)
             assert entry.flops_x == total / clean.total_gflops
 
     def test_matrix_equals_single_path_cost(self):
@@ -439,7 +441,8 @@ class TestWideGraphExactness:
                 expected.per_component.items()
             )
             assert breakdown == expected
-            assert breakdown.total_gflops == sum(breakdown.per_component.values())
+            products = breakdown.per_component.values()
+            assert breakdown.total_gflops == reduce(add, products, 0.0)
 
     def test_overflow_names_the_scenario_and_component_cost_names(self):
         doc = wide_layered_doc(9)

@@ -8,6 +8,8 @@ library's iterative implementations.
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -90,10 +92,10 @@ def oracle_workload(graph, targeting: dict[str, str]) -> dict[str, float]:
 def oracle_rank(graph):
     """Brute-force per-path scores evaluated directly from the formula."""
     clean = oracle_workload(graph, {})
-    reference = sum(
+    reference = reduce(add, (
         graph.components[cid].clean_cost * clean[cid]
         for cid in sorted(graph.components)
-    )
+    ), 0.0)
     results = {}
     for steps in oracle_paths(graph):
         targeting = {cid: label for cid, label in steps if label != EXIT}
@@ -226,7 +228,7 @@ def _scores(
         "source": "s",
     }
     (entry,) = rank_and_select(build_graph(doc)).entries
-    assert entry.score == sum(entry.component_scores.values())
+    assert entry.score == reduce(add, entry.component_scores.values(), 0.0)
     return entry.component_scores
 
 

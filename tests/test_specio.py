@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 
 import pytest
@@ -35,6 +36,8 @@ from pipevuln.specio import (
     parse_spec_file,
     report_to_json,
 )
+
+from conftest import child_env
 
 
 MINIMAL_YAML = """
@@ -407,7 +410,9 @@ class TestJsonl:
     @pytest.mark.parametrize("first", [True, False], ids=["first-line", "later-line"])
     def test_nesting_past_the_recursion_limit_is_syntax_error(self, first):
         # A first line too deep to decode still takes the JSON-lines reader.
-        depth = sys.getrecursionlimit() + 100
+        # From CPython 3.12 the C decoder has a depth limit of its own, well
+        # past the recursion limit; 100,000 levels is past both.
+        depth = 100_000
         deep = '{"type": "component", "x": ' + "[" * depth + "]" * depth + "}"
         source = '{"type": "source", "id": "a"}'
         lines = [deep, source] if first else [source, deep]
@@ -448,6 +453,19 @@ class TestYamlDepth:
         assert str(err.value) == (
             f"E_SYNTAX: invalid YAML: nested deeper than {_MAX_YAML_DEPTH} "
             f"levels at line {self.LINES[form]}")
+
+    def test_deep_nesting_without_libyaml_is_syntax_error(self, tmp_path):
+        # PyYAML's pure-Python loader recurses once per level, so it meets
+        # Python's recursion limit near 490 levels, inside the limit.
+        spec = tmp_path / "deep.yaml"
+        spec.write_text(self.FORMS["flow"](600))
+        code = ("import sys, yaml; yaml.__dict__.pop('CSafeLoader', None); "
+                "from pipevuln.cli import main; sys.exit(main(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", code, "validate", str(spec)],
+                              capture_output=True, text=True, env=child_env())
+        assert done.returncode == 1, done.stderr
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("E_SYNTAX: invalid YAML: ")
 
     def test_many_shallow_collections_are_read(self):
         # More brackets than the limit, so the events are scanned; each
