@@ -66,6 +66,7 @@ def _record_class(cls: type) -> type:
     return cls
 
 
+@_record_class
 class ComponentSpec(NamedTuple):
     """One pipeline stage and its declared cost model.
 
@@ -73,7 +74,8 @@ class ComponentSpec(NamedTuple):
     giga-FLOPs per second of the device executing this component and
     ``per_call_overhead`` the fixed dispatch cost of one service call.
     Non-neural components must declare zero compute cost (they may still
-    carry per-call overhead, e.g. an external service round trip).
+    carry per-call overhead, e.g. an external service round trip). A
+    component checks its values when built.
     """
 
     id: str
@@ -83,6 +85,26 @@ class ComponentSpec(NamedTuple):
     device_rate: float = 1.0
     per_call_overhead: float = 0.0
     batchable: bool = True
+
+    def _check(self) -> None:
+        what = f"component {self.id!r}"
+        if self.kind not in _KINDS:
+            raise BadValueError(
+                f"{what}: kind must be one of {_KINDS}, got {self.kind!r}")
+        _check_finite_nonneg(self.clean_cost, f"{what} clean cost")
+        _check_finite_nonneg(self.adv_cost, f"{what} adversarial cost")
+        _check_finite_nonneg(self.per_call_overhead, f"{what} overhead")
+        if not math.isfinite(self.device_rate) or self.device_rate <= 0:
+            raise BadValueError(
+                f"{what}: device rate must be > 0, got {self.device_rate}")
+        if self.kind == NON_NEURAL and (self.clean_cost != 0 or self.adv_cost != 0):
+            raise BadValueError(f"{what}: non-neural components must have zero cost")
+        if self.clean_cost == 0 and self.adv_cost > 0:
+            # Unbounded multiplicative amplification is rejected as a modeling error.
+            raise BadValueError(f"{what}: adversarial cost > 0 with zero clean cost")
+        if self.id == EXIT:
+            raise BadValueError(f"{EXIT!r} is reserved and cannot be a component id")
+        _check_no_separator(self.id, "component id")
 
 
 @_record_class
@@ -397,9 +419,10 @@ def _coerce_component(rec: Mapping) -> ComponentSpec:
     what = f"component {cid!r}"
     _check_keys(rec, _COMPONENT_KEYS, what)
     kind = _need_str(rec, "kind", what)
-    spec = ComponentSpec(cid, kind, **_given(rec, what, _COMPONENT_FIELDS))
+    fields = _given(rec, what, _COMPONENT_FIELDS)
     # A missing adversarial cost equals the clean cost.
-    return spec if "adv_cost_gflops" in rec else spec._replace(adv_cost=spec.clean_cost)
+    fields.setdefault("adv_cost", fields.get("clean_cost", 0.0))
+    return ComponentSpec(cid, kind, **fields)
 
 
 def _adv_cardinality(obj: Any, what: str) -> dict[str, dict[str, float]]:
@@ -552,32 +575,6 @@ def _check_no_separator(value: str, what: str) -> None:
         raise BadValueError(f"{what} {value!r} must not contain ':' or '->'")
 
 
-def _validate_component(spec: ComponentSpec) -> None:
-    if spec.kind not in _KINDS:
-        raise BadValueError(
-            f"component {spec.id!r}: kind must be one of {_KINDS}, got {spec.kind!r}"
-        )
-    _check_finite_nonneg(spec.clean_cost, f"component {spec.id!r} clean cost")
-    _check_finite_nonneg(spec.adv_cost, f"component {spec.id!r} adversarial cost")
-    _check_finite_nonneg(spec.per_call_overhead, f"component {spec.id!r} overhead")
-    if not math.isfinite(spec.device_rate) or spec.device_rate <= 0:
-        raise BadValueError(
-            f"component {spec.id!r}: device rate must be > 0, got {spec.device_rate}"
-        )
-    if spec.kind == NON_NEURAL and (spec.clean_cost != 0 or spec.adv_cost != 0):
-        raise BadValueError(
-            f"component {spec.id!r}: non-neural components must have zero cost"
-        )
-    if spec.clean_cost == 0 and spec.adv_cost > 0:
-        # Unbounded multiplicative amplification is rejected as a modeling error.
-        raise BadValueError(
-            f"component {spec.id!r}: adversarial cost > 0 with zero clean cost"
-        )
-    if spec.id == EXIT:
-        raise BadValueError(f"{EXIT!r} is reserved and cannot be a component id")
-    _check_no_separator(spec.id, "component id")
-
-
 def _validate_profile(profile: BehaviorProfile, routes: Mapping[str, str]) -> None:
     comp = profile.component
     for label, mean in profile.clean_cardinality.items():
@@ -662,7 +659,6 @@ def build_graph(raw: Mapping) -> PipelineGraph:
     components: dict[str, ComponentSpec] = {}
     for rec in _section(doc, "components"):
         spec = _coerce_component(_need_mapping(rec, "component record"))
-        _validate_component(spec)
         if spec.id in components:
             raise DuplicateIdError(f"duplicate component id {spec.id!r}")
         components[spec.id] = spec

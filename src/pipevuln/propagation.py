@@ -8,9 +8,14 @@ only in the deployment simulator. All functions here are pure.
 
 Workloads are lists indexed by sorted component id, and each pass builds its
 own index table (:class:`_Table`) rather than storing one on the frozen
-graph. A cost is one product sum, ``_total(map(mul, workload, costs))``, added
-left to right in sorted-id order: float addition is not associative, and the
-fixed order keeps a total bit-identical however it was reached.
+graph. The table is the one home of the emission rule: its step for a
+component and the label its input is steered toward holds the mean emitted
+on each routed label, with the labels, and the simulator draws from the
+same steps. No label is special; a gateless component, whose path step is
+labelled ``EXIT``, has no rows. A cost is one product sum,
+``_total(map(mul, workload, costs))``, added left to right in sorted-id
+order: float addition is not associative, and the fixed order keeps a total
+bit-identical however it was reached.
 
 The private walk (``_walk``) propagates many paths in one pass. The workload
 after a path's first ``i`` steps depends only on those steps, so the walk
@@ -90,9 +95,11 @@ class CostBreakdown(NamedTuple):
 
 class _Table(dict):
     """Sorted ``ids``, their ``index``, ``clean`` and ``adv`` unit-cost vectors,
-    and per step (a component and its steered label, or None or EXIT for clean
-    inputs) its index and ``(target index, mean)`` rows in sorted label order,
-    without EXIT routes or zero means, built on first use."""
+    and per step (a component and the label its input is steered toward, or
+    None for clean inputs) the step ``(index, rows, labels)``: ``rows`` are
+    ``(target index, mean)`` in sorted label order, without EXIT routes or
+    zero means, and ``labels`` their labels, built on first use. A gateless
+    component's step, its path's ``EXIT`` step included, has no rows."""
 
     def __init__(self, graph: PipelineGraph) -> None:
         super().__init__()
@@ -104,21 +111,21 @@ class _Table(dict):
 
     def __missing__(self, key: tuple[str, str | None]):
         cid, label = key
-        targeting = None if label == EXIT else label
         profile = self.graph.profiles[cid]
-        rows = []
+        rows, labels = [], []
         for emitted, target in sorted(self.graph.routes(cid).items()):
             if target != EXIT:
-                mean = expected_emission(profile, emitted, targeting)
+                mean = expected_emission(profile, emitted, label)
                 if mean:
                     rows.append((self.index[target], mean))
-        self[key] = step = (self.index[cid], tuple(rows))
+                    labels.append(emitted)
+        self[key] = step = (self.index[cid], tuple(rows), tuple(labels))
         return step
 
 
 def _advance(vec: list[float], steps: Iterable) -> None:
-    """Take each (index, rows) step in order, adding its emissions downstream."""
-    for i, rows in steps:
+    """Take each ``_Table`` step in order, adding its emissions downstream."""
+    for i, rows, _ in steps:
         count = vec[i]
         if count:
             for target, mean in rows:

@@ -158,7 +158,7 @@ from .model import (
     PipelineGraph,
     TrafficScenario,
 )
-from .propagation import _Table, _total, expected_emission
+from .propagation import _Table, _total
 from .ranking import resolve_path
 
 DEFAULT_MAX_EVENTS = 10_000_000
@@ -380,13 +380,11 @@ class _Run:
         self.seed_key = _mix(scenario.seed & _MASK64)
 
         pid = scenario.target_path
-        self.targeting = {} if pid is None else {
-            cid: label for cid, label in resolve_path(graph, pid).steps if label != EXIT
-        }
+        self.targeting = {} if pid is None else dict(resolve_path(graph, pid).steps)
         self.edge_queues = self._build_edge_queues()
         self.source_queue = _EdgeQueue("@source", None, None)
 
-        table = _Table(graph)
+        self.table = table = _Table(graph)
         self.ids = ids = table.ids
         self.index = table.index
         specs = [graph.components[cid] for cid in ids]
@@ -732,38 +730,35 @@ class _Run:
         """Emission rows of component ``comp`` for items of one taint:
         ``(exit rows, their plan, FIFO rows)``.
 
-        There is a row per label routed to a component whose surviving mean
-        (targeting, attenuation and confidence survival included) is
-        positive, in label order; a label routed to EXIT builds no items, so
-        it has no row. A row into an exit-only server is ``(label salt, lo,
-        cdf, guide, edge)``, where ``lo, cdf, guide`` is the Poisson table
-        of that mean; a row into any other server adds its ``fifo`` and
-        ``device``. The plan lists ``(server, service time, first row, other
-        rows)`` per exit-only server, exit rows given by position. Built on
-        the first completion of an item of that taint, so a table that is
-        never drawn is never built.
+        The rows come from the ``_Table`` step of ``comp`` and the label its
+        adversarial items are steered toward (``None`` for clean items),
+        which holds each label's target and mean. The run adds what the
+        deployment does to a mean: attenuation against the label's clean
+        mean for adversarial items, then confidence survival; a label whose
+        mean is then not positive has no row. A row into an exit-only server
+        is ``(label salt, lo, cdf, guide, edge)``, where ``lo, cdf, guide``
+        is the Poisson table of that mean; a row into any other server adds
+        its ``fifo`` and ``device``. The plan lists ``(server, service time,
+        first row, other rows)`` per exit-only server, exit rows given by
+        position. Built on the first completion of an item of that taint, so
+        a table that is never drawn is never built.
         """
         cid = self.ids[comp]
-        profile = self.graph.profiles[cid]
+        clean = self.graph.profiles[cid].clean_cardinality
         att = self.config.attenuation
         conf = self.config.confidence
         exits: list[tuple] = []
         servers: dict[tuple[int, float], list[int]] = {}
         fifo_rows: list[tuple] = []
-        for label, target in sorted(self.graph.routes(cid).items()):
-            if target == EXIT:
-                continue
-            mean = clean_mean = profile.clean_cardinality.get(label, 0.0)
-            if adv:
-                mean = expected_emission(profile, label, self.targeting.get(cid))
-                if att is not None:
-                    floor = att.residual_floor * clean_mean
-                    mean = min(mean, max(att.factor * mean, floor))
+        _, means, labels = self.table[cid, self.targeting.get(cid) if adv else None]
+        for label, (t, mean) in zip(labels, means):
+            if adv and att is not None:
+                floor = att.residual_floor * clean.get(label, 0.0)
+                mean = min(mean, max(att.factor * mean, floor))
             if conf is not None:
                 mean *= conf.survival(label, adv)
             if mean <= 0:
                 continue
-            t = self.index[target]
             row = (_text_key(label), *self._table(mean), self.edge_queues[(cid, label)])
             if self.exit_only[t]:
                 servers.setdefault((t, self.service[t][adv]), []).append(len(exits))

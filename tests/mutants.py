@@ -402,6 +402,12 @@ MUTANTS = [
            "                             label, 1.0)",
            "return (self.adversarial if adversarial else self.clean).get(label, 1.0)",
            "a confidence label missing from its table falls back to default"),
+    Mutant("clean-items-steered", SIM,
+           "self.targeting.get(cid) if adv else None]", "self.targeting.get(cid)]",
+           "a clean item emits by the clean profile on the target path too"),
+    Mutant("attenuation-floor-of-steered-mean", SIM,
+           "att.residual_floor * clean.get(label, 0.0)", "att.residual_floor * mean",
+           "the residual floor is a share of the label's clean mean"),
     Mutant("attenuation-no-floor", SIM,
            "max(att.factor * mean, floor)", "att.factor * mean",
            "attenuation keeps the residual floor of the clean mean"),
@@ -438,9 +444,8 @@ MUTANTS = [
            "p_detect: float = 0.0", "p_detect: float = 0.5",
            "an input filter that leaves out p_detect detects nothing"),
     Mutant("adv-cost-not-clean-cost", MODEL,
-           'return spec if "adv_cost_gflops" in rec else spec._replace('
-           "adv_cost=spec.clean_cost)",
-           "return spec",
+           'fields.setdefault("adv_cost", fields.get("clean_cost", 0.0))',
+           "pass",
            "a component that leaves out its adversarial cost costs its clean cost"),
     Mutant("sub-record-keys-unchecked", MODEL,
            "_check_keys(_need_mapping(value, what), readers, what)",
@@ -451,6 +456,9 @@ MUTANTS = [
            "    cls._make = classmethod(lambda klass, values: new(klass, *values))\n",
            "",
            "a checked record checks the values _replace gives it"),
+    Mutant("component-unchecked", MODEL,
+           "@_record_class\nclass ComponentSpec(", "class ComponentSpec(",
+           "a component checks its values when built"),
     Mutant("record-default-mapping-shared", MODEL,
            "if any(value is _FRESH for value in self):", "if False:",
            "a record built without a mapping field gets a mapping of its own"),
@@ -509,6 +517,10 @@ MUTANTS = [
            "a component with no workload adds nothing downstream",
            equivalent="count * mean is 0.0 when count is 0, every mean is finite, "
            "and adding 0.0 to a workload, never -0.0, leaves it unchanged"),
+    Mutant("exit-label-unsteered", PROPAGATION,
+           "expected_emission(profile, emitted, label)",
+           "expected_emission(profile, emitted, None if label == EXIT else label)",
+           "a step steered toward a gate label named EXIT is steered"),
     Mutant("float-total-fsum", PROPAGATION,
            "return reduce(add, values, 0.0)", "return math.fsum(values)",
            "every float total adds left to right, as the goldens were taken"),

@@ -114,8 +114,7 @@ def reference_run(graph, scenario, config, max_events: int = DEFAULT_MAX_EVENTS
     seed_key = _mix(scenario.seed & _MASK64)
     targeting = {}
     if scenario.target_path is not None:
-        targeting = {cid: label for cid, label in
-                     _path_steps(graph, scenario.target_path) if label != EXIT}
+        targeting = dict(_path_steps(graph, scenario.target_path))
 
     budgets: dict[tuple[str, str], int] = {}
     for pid, budget in config.path_budgets.items():

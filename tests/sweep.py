@@ -16,16 +16,17 @@ the int ``1``. Each mutated document is dumped as YAML and read by
 and the sha256 over the ``repr`` of ``(graph, scenarios, configs,
 calibration)`` or the error line of each parse, in order.
 
+The budget line, printed last, runs 3,000 ``random_budget_sim_triple``
+(``random.Random(13)``) triples at both bounds and prints the same three
+figures as the simulator line. The generators of the simulator line set no
+path budget; these triples cap one or two random paths each.
+
 A refactor that claims unchanged outputs runs it on the parent and on the
 change and compares the lines. From the root of a checkout::
 
     PYTHONPATH=src python tests/sweep.py
 
-pytest does not collect this file. The generators set no path budget, so
-no run here puts a budget on an edge into a gateless, batch-1, sole-device
-server; the ``budget`` cells of the goldens and the
-``random_budget_sim_triple`` runs of
-``test_simulate.py::TestReferenceSimulator`` cover that case. An
+pytest does not collect this file. An
 exit-feeding server that is not exit-only, which completes items without
 the heap (``simulate`` module docstring), is built by 685 of the 3,000
 random triples (22.8%) and 1,059 of the 3,000 mixed ones (35.3%);
@@ -44,7 +45,7 @@ from pipevuln.errors import PipelineError
 from pipevuln.simulate import simulate
 from pipevuln.specio import parse_spec
 
-from conftest import random_mixed_sim_triple, random_sim_triple
+from conftest import random_budget_sim_triple, random_mixed_sim_triple, random_sim_triple
 from test_contract import INT_KEY, KEYS, LEAVES, VALUES, _mutated
 
 TRIPLES = 3_000
@@ -52,10 +53,10 @@ BOUNDS = ({}, {"max_events": 40})
 DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 
-def _simulations() -> str:
+def _simulations(triples) -> str:
     digest = hashlib.sha256()
     results = errors = 0
-    for triple, rng_seed in ((random_sim_triple, 11), (random_mixed_sim_triple, 12)):
+    for triple, rng_seed in triples:
         rng = random.Random(rng_seed)
         for _ in range(TRIPLES):
             graph, scenario, config = triple(rng)
@@ -89,8 +90,9 @@ def _parses() -> str:
 
 
 def main() -> None:
-    print(_simulations())
+    print(_simulations(((random_sim_triple, 11), (random_mixed_sim_triple, 12))))
     print(_parses())
+    print(_simulations(((random_budget_sim_triple, 13),)))
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -29,14 +30,20 @@ from pipevuln.model import (
     PER_COMPONENT_SERVER,
     SHARED_SINGLE_DEVICE,
     Attenuation,
+    ComponentSpec,
     ConfidenceFilter,
     DeploymentConfig,
     InputFilter,
     TrafficScenario,
     build_graph,
 )
-from pipevuln.propagation import CLEAN, expected_emission, propagate
-from pipevuln.ranking import enumerate_paths, resolve_path
+from pipevuln.propagation import (
+    CLEAN,
+    amplification_matrix,
+    expected_emission,
+    propagate,
+)
+from pipevuln.ranking import enumerate_paths, rank_and_select, resolve_path
 from pipevuln.simulate import (
     _SLICE,
     EdgeStats,
@@ -50,7 +57,7 @@ from pipevuln.simulate import (
     run_matrix,
     simulate,
 )
-from pipevuln.specio import parse_spec_file
+from pipevuln.specio import parse_spec, parse_spec_file
 
 from conftest import (
     LAYERED_SPEC,
@@ -1203,10 +1210,72 @@ class TestDefenses:
             Attenuation(factor=0.5, residual_floor=bad)
 
 
+class TestGateLabelNamedExit:
+    """A gate label may be named ``EXIT``: a path steered toward it is steered,
+    in the analysis and in the simulator. ``traffic_variant.yaml`` with its
+    label ``car`` renamed ``EXIT`` everywhere gives the original figures."""
+
+    CAR = "od:car->lpr:plate->ret:EXIT"
+
+    @staticmethod
+    def renamed(pid: str) -> str:
+        return pid.replace("od:car", f"od:{EXIT}")
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        text = (PIPELINES_DIR / "traffic_variant.yaml").read_text()
+        return parse_spec(text), parse_spec(re.sub(r"\bcar\b", EXIT, text))
+
+    def test_amplification_is_unchanged(self, specs):
+        original, renamed = (amplification_matrix(spec.graph) for spec in specs)
+        assert {pid: (b.per_component, b.total_gflops, b.amplification)
+                for pid, b in renamed.items()} == {
+            self.renamed(pid): (b.per_component, b.total_gflops, b.amplification)
+            for pid, b in original.items()}
+        assert renamed[self.renamed(self.CAR)].amplification == 66.76424979901947
+
+    def test_ranking_is_unchanged(self, specs):
+        original, renamed = (rank_and_select(spec.graph) for spec in specs)
+        assert [(e.path.id, e.score, e.component_scores, e.flops_x)
+                for e in renamed.entries] == [
+            (self.renamed(e.path.id), e.score, e.component_scores, e.flops_x)
+            for e in original.entries]
+        assert renamed.selected.path.id == self.renamed(self.CAR)
+
+    def test_simulation_is_steered(self, specs):
+        spec = specs[1]
+        scenario, config = spec.scenarios["attacked"], spec.configs["none"]
+        assert scenario.target_path == self.renamed(self.CAR)
+        metrics = simulate(spec.graph, scenario, config)
+        assert metrics == reference_simulate(spec.graph, scenario, config)
+        assert metrics.workload["lpr"] > 5000
+
+
 class TestRecordChecks:
     """Each record rejects a bad value when it is built, with a coded line."""
 
     @pytest.mark.parametrize("record,kwargs,message", [
+        (ComponentSpec, {"id": "x", "kind": "gpu"},
+         "component 'x': kind must be one of ('neural', 'non-neural'), got 'gpu'"),
+        (ComponentSpec, {"id": "x", "kind": "neural", "clean_cost": -1.0},
+         "component 'x' clean cost must be finite and >= 0, got -1.0"),
+        (ComponentSpec, {"id": "x", "kind": "neural", "adv_cost": math.inf},
+         "component 'x' adversarial cost must be finite and >= 0, got inf"),
+        (ComponentSpec, {"id": "x", "kind": "neural", "per_call_overhead": math.nan},
+         "component 'x' overhead must be finite and >= 0, got nan"),
+        (ComponentSpec, {"id": "lpr", "kind": "neural", "device_rate": 0.0},
+         "component 'lpr': device rate must be > 0, got 0.0"),
+        (ComponentSpec, {"id": "x", "kind": "neural", "device_rate": math.nan},
+         "component 'x': device rate must be > 0, got nan"),
+        (ComponentSpec, {"id": "x", "kind": "non-neural", "clean_cost": 1.0,
+                         "adv_cost": 1.0},
+         "component 'x': non-neural components must have zero cost"),
+        (ComponentSpec, {"id": "x", "kind": "neural", "adv_cost": 1.0},
+         "component 'x': adversarial cost > 0 with zero clean cost"),
+        (ComponentSpec, {"id": EXIT, "kind": "neural"},
+         "'EXIT' is reserved and cannot be a component id"),
+        (ComponentSpec, {"id": "a->b", "kind": "neural"},
+         "component id 'a->b' must not contain ':' or '->'"),
         (TrafficScenario, {"n_inputs": 0}, "scenario: n_inputs must be >= 1"),
         (TrafficScenario, {"n_inputs": 1, "mix": 0.5},
          "scenario: adversarial mix requires a target_path"),
@@ -1250,10 +1319,8 @@ def branching_sd(graph, target_path) -> dict[str, float]:
     ``Var[Y] = m E[X] + m^2 Var[X]``. Standard deviations are added across
     inbound edges: an upper bound that needs no covariance terms.
     """
-    targeting = {} if target_path is None else {
-        cid: label for cid, label in resolve_path(graph, target_path).steps
-        if label != EXIT
-    }
+    targeting = {} if target_path is None else dict(
+        resolve_path(graph, target_path).steps)
     mean = dict.fromkeys(graph.components, 0.0)
     sd = dict(mean)
     mean[graph.source] = 1.0

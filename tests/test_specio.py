@@ -30,6 +30,7 @@ from pipevuln.model import (
 from pipevuln.ranking import enumerate_paths
 from pipevuln.specio import (
     _MAX_YAML_DEPTH,
+    _YAML_LOADER,
     _load_yaml,
     build_report,
     parse_spec,
@@ -352,6 +353,10 @@ class TestCodedErrors:
          "E_SCHEMA: config 'tiny'.batch['a'] must be an integer"),
         (_with(configs={"tiny": {"device_model": 3}}),
          "E_SCHEMA: config 'tiny'.device_model must be a string"),
+        (MINIMAL_YAML.replace("capacity: 4", "capacity: 1.5"),
+         "E_SCHEMA: edge a:x.capacity must be an integer or 'unbounded'"),
+        (_with(configs={"tiny": {"buffers": {"default": 2.5}}}),
+         "E_SCHEMA: config 'tiny'.buffers['default'] must be an integer or 'unbounded'"),
         (_with(calibration=5), "E_SCHEMA: calibration section must be free text"),
     ])
     def test_yaml(self, text, message):
@@ -441,10 +446,34 @@ class TestYamlDepth:
     #: The line of the first collection past the limit.
     LINES = {"flow": 1, "braces": 1, "block": 2, "pairs": _MAX_YAML_DEPTH // 2}
 
+    #: PyYAML's pure-Python loader recurses once per level, so it meets
+    #: Python's recursion limit near 490 levels, inside the limit.
+    PURE_LOADER = issubclass(_YAML_LOADER, yaml.SafeLoader)
+    TOO_DEEP = "E_SYNTAX: invalid YAML: maximum recursion depth exceeded"
+    #: Reads each spec file named after it with libyaml's loader taken away.
+    WITHOUT_LIBYAML = ("import sys, yaml; yaml.__dict__.pop('CSafeLoader', None); "
+                       "from pipevuln.cli import main; "
+                       "[main(['validate', path]) for path in sys.argv[1:]]")
+
     @pytest.mark.parametrize("form", FORMS)
     def test_nesting_at_the_limit_is_read(self, form):
-        with pytest.raises(SchemaError):
+        # libyaml reads it and the schema check rejects it; the pure-Python
+        # loader does not get that far.
+        with pytest.raises(SyntaxParseError if self.PURE_LOADER else SchemaError) as err:
             parse_spec(self.FORMS[form](_MAX_YAML_DEPTH - 1))
+        if self.PURE_LOADER:
+            assert str(err.value).startswith(self.TOO_DEEP)
+
+    def test_nesting_at_the_limit_without_libyaml_is_syntax_error(self, tmp_path):
+        paths = []
+        for form, make in self.FORMS.items():
+            paths.append(tmp_path / f"{form}.yaml")
+            paths[-1].write_text(make(_MAX_YAML_DEPTH - 1))
+        done = subprocess.run([sys.executable, "-c", self.WITHOUT_LIBYAML, *paths],
+                              capture_output=True, text=True, env=child_env())
+        lines = done.stderr.splitlines()
+        assert len(lines) == len(paths), done.stderr
+        assert all(line.startswith(self.TOO_DEEP) for line in lines), done.stderr
 
     @pytest.mark.parametrize("form", FORMS)
     def test_nesting_past_the_limit_is_syntax_error(self, form):
